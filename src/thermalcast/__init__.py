@@ -16,8 +16,8 @@ from .hbt import (GENERATOR_ID, VERDICT_INCONCLUSIVE, VERDICT_NOT_THERMAL,
                   VERDICT_THERMAL, G2Report, QuadratureSamples, g2_analytic,
                   g2_auto_estimate, g2_cross_estimate, intensity,
                   sample_quadratures, samples_to_csv, thermality_check)
-from .info import (LOG_BASE, DiscordResult, HomodyneProjector, InfoReport,
-                   Partition, conditional_mutual_information, gaussian_discord,
+from .info import (DiscordResult, HomodyneProjector, InfoReport, Partition,
+                   conditional_mutual_information, gaussian_discord,
                    homodyne_condition, info_report, mutual_information,
                    shannon_entropy, von_neumann_entropy)
 from .scenarios import (SCENARIO_NAMES, ScenarioParams, ScenarioState,
@@ -40,7 +40,7 @@ __all__ = [
     "make_vacuum", "make_thermal", "make_epr", "tensor", "apply_beamsplitter",
     "reduce", "symplectic_eigenvalues", "validate_physicality",
     # information measures
-    "LOG_BASE", "Partition", "HomodyneProjector", "DiscordResult", "InfoReport",
+    "Partition", "HomodyneProjector", "DiscordResult", "InfoReport",
     "shannon_entropy", "von_neumann_entropy", "conditional_mutual_information",
     "mutual_information", "homodyne_condition", "gaussian_discord", "info_report",
     # topologies

@@ -250,9 +250,12 @@ def validate_physicality(state: CovarianceMatrix) -> PhysicalityReport:
     asym = float(np.abs(gamma - gamma.T).max())
     if asym > SYMMETRY_TOL * scale:
         issues.append(f"not symmetric: max asymmetry {asym:.3e}")
-    min_eig = float(np.linalg.eigvalsh(gamma).min())
-    if min_eig <= 0.0:
-        issues.append(f"not positive definite: min eigenvalue {min_eig:.6g}")
+    try:
+        min_eig = float(np.linalg.eigvalsh(gamma).min())
+        if min_eig <= 0.0:
+            issues.append(f"not positive definite: min eigenvalue {min_eig:.6g}")
+    except np.linalg.LinAlgError as exc:
+        issues.append(f"eigenvalues unavailable: {exc}")
     min_sympl: float | None = None
     try:
         min_sympl = float(symplectic_eigenvalues(state).min())

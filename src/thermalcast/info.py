@@ -8,8 +8,7 @@ Two entropy notions coexist here and must not be mixed up:
 * :func:`von_neumann_entropy` is the quantum entropy from the symplectic
   spectrum. Discord is built from this one.
 
-Everything is reported in bits. ``LOG_BASE`` is the single knob: set it to
-``numpy.e`` in a cross-check session to get nats.
+Everything is reported in bits.
 """
 from __future__ import annotations
 
@@ -20,15 +19,11 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateError
 from .gaussian import SYMPLECTIC_TOL, CovarianceMatrix, reduce, symplectic_eigenvalues
 
-LOG_BASE = 2.0
+_LN2 = float(np.log(2.0))
 
 # Negative information values within this of zero clamp to 0; beyond it they
 # raise. Also the agreement tolerance for the two CMI evaluation routes.
 CLAMP_TOL = 1e-9
-
-# Fixed golden-section budget: interval shrinks below 1e-12 rad, and a fixed
-# count keeps the minimizer deterministic across thread schedules.
-GOLDEN_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -108,16 +103,12 @@ class InfoReport:
     discord_terms: DiscordResult
 
 
-def _log(value: float) -> float:
-    return float(np.log(value) / np.log(LOG_BASE))
-
-
 def _logdet(gamma: np.ndarray, label: str) -> float:
-    """log-determinant in the active base; non-positive det is a hard error."""
+    """log2-determinant; non-positive det is a hard error."""
     sign, logdet = np.linalg.slogdet(gamma)
     if sign <= 0.0:
         raise NumericFailureError(f"non-positive determinant for {label}")
-    return float(logdet / np.log(LOG_BASE))
+    return float(logdet / _LN2)
 
 
 def shannon_entropy(state: CovarianceMatrix) -> float:
@@ -127,7 +118,7 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
     dimension (two per mode). Single vacuum mode: log2(2 pi e) ~ 4.094342.
     """
     dim = state.data.shape[0]
-    return 0.5 * (dim * _log(2.0 * np.pi * np.e) + _logdet(state.data, "state"))
+    return 0.5 * (dim * float(np.log(2.0 * np.pi * np.e) / _LN2) + _logdet(state.data, "state"))
 
 
 def _g(x: np.ndarray) -> np.ndarray:
@@ -137,7 +128,7 @@ def _g(x: np.ndarray) -> np.ndarray:
     out = xp * np.log(xp)
     mask = xm > 0.0
     out[mask] -= xm[mask] * np.log(xm[mask])
-    return out / np.log(LOG_BASE)
+    return out / _LN2
 
 
 def von_neumann_entropy(state: CovarianceMatrix) -> float:
@@ -235,59 +226,46 @@ def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
     return CovarianceMatrix(state.data[np.ix_(rest_idx, rest_idx)] - np.outer(cx, cx) / q)
 
 
-def _minimize_over_angle(objective) -> tuple[float, float]:
-    """Deterministic golden-section minimum of objective over [0, pi/2].
+def _best_homodyne_angle(pair: CovarianceMatrix) -> float:
+    """Homodyne angle on mode 0 that minimizes the conditional det of mode 1.
 
-    Seeds at 0, pi/4, pi/2 catch the boundary optima of x/p-decoupled
-    states; strict comparisons make the earliest seed win any tie, so flat
-    objectives report angle 0.
+    With A, B the diagonal blocks and C the cross block, a readout along x
+    leaves mode 1 with det B - x^T C adj(B) C^T x / x^T A x. The minimizer
+    is the top generalized eigenvector of (C adj(B) C^T, A), found as an
+    ordinary symmetric eigenproblem after whitening by the Cholesky factor
+    of A. The direction is reported as an angle in [0, pi).
     """
-    best_angle, best_val = 0.0, objective(0.0)
-    for theta in (np.pi / 4.0, np.pi / 2.0):
-        val = objective(theta)
-        if val < best_val:
-            best_angle, best_val = theta, val
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, np.pi / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    for _ in range(GOLDEN_ITERATIONS):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = objective(d)
-    mid = (lo + hi) / 2.0
-    val = objective(mid)
-    if val < best_val:
-        best_angle, best_val = mid, val
-    return best_angle, best_val
+    a, b, c = pair.data[0:2, 0:2], pair.data[2:4, 2:4], pair.data[0:2, 2:4]
+    adj_b = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NumericFailureError("measured mode's block is not positive definite") from None
+    whiten = np.linalg.inv(low)
+    _, vecs = np.linalg.eigh(whiten @ c @ adj_b @ c.T @ whiten.T)
+    x = whiten.T @ vecs[:, -1]
+    angle = float(np.arctan2(x[1], x[0]) % np.pi)
+    # a direction a rounding error short of pi is the line at angle 0
+    return 0.0 if angle >= np.pi else angle
 
 
 def gaussian_discord(state: CovarianceMatrix, a_mode: int, b_mode: int) -> DiscordResult:
     """Gaussian discord D(B|A): A is homodyned, B is inferred.
 
     D = S(Gamma_A) - S(Gamma_AB) + min over homodyne angle of S(Gamma_B|x_A),
-    all von Neumann. The minimization is restricted to homodyne quadrature
-    measurements; see the report fields for the terms and the chosen angle.
-    States whose blocks are proportional to the identity have an angle-free
-    conditional entropy, so the reported angle is then arbitrary.
+    all von Neumann. The minimum over homodyne angles in [0, pi) is taken in
+    closed form (see :func:`_best_homodyne_angle`), and B is conditioned
+    once, at that angle, which ``angle`` reports in [0, pi). States whose
+    blocks are proportional to the identity have an angle-free conditional
+    entropy, so the reported angle is then arbitrary.
     """
     if a_mode == b_mode:
         raise InvalidArgumentError("discord needs two distinct modes")
     pair = reduce(state, [a_mode, b_mode])
     s_a = von_neumann_entropy(reduce(pair, [0]))
     s_ab = von_neumann_entropy(pair)
-
-    def conditional(theta: float) -> float:
-        left = homodyne_condition(pair, 0, HomodyneProjector(theta))
-        return von_neumann_entropy(left)
-
-    angle, s_cond = _minimize_over_angle(conditional)
+    angle = _best_homodyne_angle(pair)
+    s_cond = von_neumann_entropy(homodyne_condition(pair, 0, HomodyneProjector(angle)))
     value = _clamp_info(s_a - s_ab + s_cond, "discord")
     return DiscordResult(value=value, angle=angle, entropy_a=s_a,
                          entropy_joint=s_ab, conditional_entropy=s_cond)

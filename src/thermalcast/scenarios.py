@@ -38,14 +38,18 @@ MODE_VB = "V_b"
 
 SCENARIO_NAMES = ("basic", "thermal_channel", "full")
 
+VARIANCE_PARAMS = ("nu", "v_th", "v_alpha", "v_beta")
+TRANSMITTANCE_PARAMS = ("eta_ab", "eta_th", "eta_th_a", "eta_th_b")
+
 
 @dataclass(frozen=True)
 class ScenarioParams:
     """Physical knobs of the broadcast.
 
-    Variances are in SNU and must be >= 1; transmittances live in [0, 1].
-    Channel fields default to the transparent setting (eta = 1, vacuum
-    idler), so the same params object drives all three topologies.
+    Every field must be finite. Variances are in SNU and must be >= 1;
+    transmittances live in [0, 1]. Channel fields default to the transparent
+    setting (eta = 1, vacuum idler), so the same params object drives all
+    three topologies. These are the only domain rules; sweeps reuse them.
     """
 
     nu: float = 1.0
@@ -58,15 +62,14 @@ class ScenarioParams:
     v_beta: float = 1.0
 
     def __post_init__(self):
-        for name in ("nu", "v_th", "v_alpha", "v_beta"):
+        for name in VARIANCE_PARAMS + TRANSMITTANCE_PARAMS:
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
-            if value < 1.0:
+            if not np.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be a finite number, got {value}")
+            if name in VARIANCE_PARAMS and value < 1.0:
                 raise UnphysicalStateError(f"{name} is a variance and must be >= 1 SNU, got {value}")
-        for name in ("eta_ab", "eta_th", "eta_th_a", "eta_th_b"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not 0.0 <= value <= 1.0:
+            if name in TRANSMITTANCE_PARAMS and not 0.0 <= value <= 1.0:
                 raise InvalidArgumentError(f"{name} is a transmittance and must lie in [0, 1], got {value}")
 
 

@@ -19,16 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, NumericFailureError, UnphysicalStateError,
-                     UsageError)
+from .errors import (ConfigError, InvalidArgumentError, NumericFailureError,
+                     UnphysicalStateError, UsageError)
 from .hbt import MIN_G2_SAMPLES, thermality_check
 from .info import (Partition, conditional_mutual_information, gaussian_discord,
                    mutual_information, shannon_entropy)
-from .scenarios import (SCENARIO_NAMES, ScenarioParams, build_scenario,
-                        extract_information_blocks)
+from .scenarios import (SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS,
+                        ScenarioParams, build_scenario, extract_information_blocks)
 
-VARIANCE_PARAMS = ("nu", "v_th", "v_alpha", "v_beta")
-TRANSMITTANCE_PARAMS = ("eta_ab", "eta_th", "eta_th_a", "eta_th_b")
 PARAM_NAMES = VARIANCE_PARAMS + TRANSMITTANCE_PARAMS
 
 OUTPUT_NAMES = ("cmi", "mi", "discord", "g2")
@@ -41,15 +39,13 @@ _WORKERS = 8
 
 
 def _check_domain(name: str, value: float) -> str | None:
-    """None when in domain, else a message naming the constraint."""
-    if name in VARIANCE_PARAMS:
-        if value < 1.0:
-            return f"{name} out of domain: a variance must be >= 1 SNU, got {value:g}"
-    elif name in TRANSMITTANCE_PARAMS:
-        if not 0.0 <= value <= 1.0:
-            return f"{name} out of domain: a transmittance must lie in [0, 1], got {value:g}"
-    else:
+    """None when in domain, else the :class:`ScenarioParams` complaint for this field."""
+    if name not in PARAM_NAMES:
         return f"unknown parameter {name!r}"
+    try:
+        ScenarioParams(**{name: value})
+    except (InvalidArgumentError, UnphysicalStateError) as exc:
+        return str(exc)
     return None
 
 

@@ -102,6 +102,12 @@ def test_g2check_rejects_tiny_sample_count(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nu", ["inf", "nan", "1e308"])
+def test_g2check_non_finite_or_overflowing_nu_exits_one(nu, capsys):
+    assert main(["g2check", "--nu", nu, "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_all_failed_sweep_exits_two(tmp_path, monkeypatch, capsys):
     real_run = thermalcast.cli.run_sweep
 

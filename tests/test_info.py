@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import thermalcast.info
 from thermalcast import (CovarianceMatrix, HomodyneProjector, InvalidArgumentError,
                          NumericFailureError, Partition, UnphysicalStateError,
                          build_basic, conditional_mutual_information,
@@ -160,15 +159,6 @@ def test_information_invariant_under_xp_relabeling():
             gaussian_discord(state, 0, 1).value, abs=1e-9)
 
 
-def test_nats_are_bits_times_log_two(monkeypatch):
-    scenario = build_basic(ScenarioParams(nu=2.0, eta_ab=0.5))
-    p = scenario.information_partition()
-    bits = conditional_mutual_information(scenario.state, p)
-    monkeypatch.setattr(thermalcast.info, "LOG_BASE", math.e)
-    nats = conditional_mutual_information(scenario.state, p)
-    assert nats == pytest.approx(bits * math.log(2.0), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Homodyne conditioning
 
@@ -245,28 +235,56 @@ def test_discord_basic_broadcast_closed_form():
     assert result.conditional_entropy == pytest.approx(g_term(math.sqrt(2.0)), abs=1e-12)
 
 
-def test_discord_matches_dense_grid_on_generic_states():
-    # the golden-section minimizer against a brute-force sweep of its domain
-    rng = np.random.default_rng(11)
-    thetas = np.linspace(0.0, math.pi / 2, 20001)
+def grid_discord(state: CovarianceMatrix) -> float:
+    # brute-force minimum over the whole half-turn of homodyne angles
+    thetas = np.linspace(0.0, math.pi, 40001)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)])
+    a = state.data[0:2, 0:2]
+    b = state.data[2:4, 2:4]
+    c = state.data[2:4, 0:2]
+    q = np.einsum("it,ij,jt->t", dirs, a, dirs)
+    u = c @ dirs
+    # det(B - u u^T / q) via the adjugate of B, one value per angle
+    dets = (b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]) - (
+        b[1, 1] * u[0] ** 2 - 2 * b[0, 1] * u[0] * u[1] + b[0, 0] * u[1] ** 2) / q
+    # the entropy is increasing in the spectrum value, so minimize that
+    spectra = np.sqrt(np.maximum(dets, 1.0))
+    best = g_term(float(spectra.min()))
+    grid_value = (von_neumann_entropy(reduce(state, [0]))
+                  - von_neumann_entropy(state) + best)
+    return max(grid_value, 0.0)
+
+
+def test_discord_matches_dense_grid_on_generic_states():
+    # the closed-form optimum against a brute-force sweep of [0, pi)
+    rng = np.random.default_rng(11)
     for _ in range(20):
         state = random_physical(2, rng)
         result = gaussian_discord(state, 0, 1)
-        a = state.data[0:2, 0:2]
-        b = state.data[2:4, 2:4]
-        c = state.data[2:4, 0:2]
-        q = np.einsum("it,ij,jt->t", dirs, a, dirs)
-        u = c @ dirs
-        # det(B - u u^T / q) via the adjugate of B, one value per angle
-        dets = (b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]) - (
-            b[1, 1] * u[0] ** 2 - 2 * b[0, 1] * u[0] * u[1] + b[0, 0] * u[1] ** 2) / q
-        # the entropy is increasing in the spectrum value, so minimize that
-        spectra = np.sqrt(np.maximum(dets, 1.0))
-        best = g_term(float(spectra.min()))
-        grid_value = (von_neumann_entropy(reduce(state, [0]))
-                      - von_neumann_entropy(state) + best)
-        assert result.value == pytest.approx(max(grid_value, 0.0), abs=1e-6)
+        assert result.value == pytest.approx(grid_discord(state), abs=1e-6)
+        assert 0.0 <= result.angle < math.pi
+
+
+def test_discord_optimum_beyond_a_quarter_turn():
+    # anisotropic pair with A's frame rotated by 2.4 rad: the best readout
+    # of A lies along 2.4, outside [0, pi/2]
+    rot = np.array([[math.cos(2.4), -math.sin(2.4)], [math.sin(2.4), math.cos(2.4)]])
+    a = rot @ np.diag([4.0, 2.0]) @ rot.T
+    cross = rot @ np.diag([2.0, -1.0])
+    state = CovarianceMatrix(np.block([[a, cross], [cross.T, np.diag([3.0, 5.0])]]))
+    assert validate_physicality(state).ok
+    result = gaussian_discord(state, 0, 1)
+    assert result.value == pytest.approx(grid_discord(state), abs=1e-6)
+    assert 0.0 <= result.angle < math.pi
+    assert result.angle == pytest.approx(2.4, abs=1e-9)
+
+
+def test_discord_rejects_indefinite_measured_block():
+    # det A > 0 passes the entropy of A, but -A is no covariance to whiten by
+    state = CovarianceMatrix(np.block([[-2.0 * np.eye(2), np.zeros((2, 2))],
+                                       [np.zeros((2, 2)), 2.0 * np.eye(2)]]))
+    with pytest.raises(NumericFailureError):
+        gaussian_discord(state, 0, 1)
 
 
 def test_discord_boundary_angles_on_broadcast_states():

@@ -34,6 +34,16 @@ def test_params_validation():
         ScenarioParams(eta_ab=1.5)
     with pytest.raises(InvalidArgumentError):
         ScenarioParams(eta_th_b=-0.1)
+    for name in ("nu", "eta_ab", "v_beta"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                ScenarioParams(**{name: bad})
+
+
+def test_overflowing_params_are_reported_unphysical():
+    # finite, but sqrt(nu^2 - 1) overflows; the eigensolve failure becomes an issue
+    with pytest.raises(UnphysicalStateError, match="eigenvalues unavailable"):
+        build_basic(ScenarioParams(nu=1e200))
 
 
 def test_mode_labels_and_lookup():

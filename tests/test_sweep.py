@@ -93,6 +93,8 @@ def test_parse_g2_needs_seed_and_accepts_samples():
 @pytest.mark.parametrize("text,line,needle", [
     ("scenario=basic\nnu=0.5\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 2, "variance"),
     ("scenario=basic\neta_th=1.5\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 2, "transmittance"),
+    ("scenario=basic\nnu=nan\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 2, "finite"),
+    ("scenario=basic\nsweep=nu:2:inf:3\noutputs=cmi", 2, "finite"),
     ("scenario=torus\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 1, "scenario"),
     ("scenario=basic\nnu=2\nnu=3\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 3, "duplicate"),
     ("scenario=basic\ncolour=red\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 2, "unknown key"),
@@ -167,6 +169,15 @@ def test_run_sweep_contains_point_failures(monkeypatch):
     assert math.isnan(bad.values["cmi"]) and math.isnan(bad.values["discord"])
     assert all(math.isnan(v) for v in bad.entropy_terms.values())
     assert result.rows[0].ok and result.rows[2].ok
+
+
+def test_run_sweep_contains_overflowing_points():
+    # nu = 1e200 is finite, but its EPR correlations overflow to inf/nan
+    result = run_sweep(small_spec(swept=SweptRange("nu", 2.0, 1e200, 2), fixed={}))
+    good, bad = result.rows
+    assert good.ok and math.isfinite(good.values["discord"])
+    assert bad.status.startswith("failed:")
+    assert math.isnan(bad.values["cmi"]) and math.isnan(bad.values["discord"])
 
 
 def test_g2_sweep_is_repeatable():
