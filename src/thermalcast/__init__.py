@@ -14,17 +14,16 @@ from .gaussian import (BeamsplitterSpec, CovarianceMatrix, PhysicalityReport,
                        symplectic_eigenvalues, tensor, validate_physicality)
 from .hbt import (GENERATOR_ID, VERDICT_INCONCLUSIVE, VERDICT_NOT_THERMAL,
                   VERDICT_THERMAL, G2Report, QuadratureSamples, g2_analytic,
-                  g2_auto_estimate, g2_cross_estimate, intensity,
-                  sample_quadratures, samples_to_csv, thermality_check)
-from .info import (DiscordResult, HomodyneProjector, InfoReport, Partition,
+                  g2_cross_estimate, intensity, sample_quadratures,
+                  thermality_check)
+from .info import (DiscordResult, HomodyneProjector, Partition,
                    conditional_mutual_information, gaussian_discord,
-                   homodyne_condition, info_report, mutual_information,
-                   shannon_entropy, von_neumann_entropy)
+                   homodyne_condition, mutual_information, shannon_entropy,
+                   von_neumann_entropy)
 from .scenarios import (SCENARIO_NAMES, ScenarioParams, ScenarioState,
                         basic_closed_form, block_of, build_basic, build_full,
                         build_scenario, build_thermal_channel,
-                        extract_information_blocks, full_closed_form_blocks,
-                        thermal_channel_closed_form)
+                        full_closed_form_blocks, thermal_channel_closed_form)
 from .sweep import (FigurePreset, SweepResult, SweepRow, SweepSpec, SweptRange,
                     emit_csv, expand_preset, parse_config, run_sweep)
 
@@ -40,18 +39,16 @@ __all__ = [
     "make_vacuum", "make_thermal", "make_epr", "tensor", "apply_beamsplitter",
     "reduce", "symplectic_eigenvalues", "validate_physicality",
     # information measures
-    "Partition", "HomodyneProjector", "DiscordResult", "InfoReport",
+    "Partition", "HomodyneProjector", "DiscordResult",
     "shannon_entropy", "von_neumann_entropy", "conditional_mutual_information",
-    "mutual_information", "homodyne_condition", "gaussian_discord", "info_report",
+    "mutual_information", "homodyne_condition", "gaussian_discord",
     # topologies
     "SCENARIO_NAMES", "ScenarioParams", "ScenarioState", "build_basic",
     "build_thermal_channel", "build_full", "build_scenario", "block_of",
     "basic_closed_form", "thermal_channel_closed_form", "full_closed_form_blocks",
-    "extract_information_blocks",
     # intensity statistics
     "GENERATOR_ID", "QuadratureSamples", "G2Report", "sample_quadratures",
-    "intensity", "g2_cross_estimate", "g2_auto_estimate", "g2_analytic",
-    "thermality_check", "samples_to_csv",
+    "intensity", "g2_cross_estimate", "g2_analytic", "thermality_check",
     "VERDICT_THERMAL", "VERDICT_NOT_THERMAL", "VERDICT_INCONCLUSIVE",
     # sweeps
     "SweptRange", "SweepSpec", "SweepRow", "SweepResult", "FigurePreset",

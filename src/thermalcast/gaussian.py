@@ -39,7 +39,9 @@ SYMPLECTIC_TOL = 1e-9
 class CovarianceMatrix:
     """A zero-mean Gaussian state: real symmetric 2n x 2n second-moment matrix.
 
-    The wrapped array is symmetrized once and frozen at construction.
+    The wrapped array must be finite; it is symmetrized once and frozen at
+    construction. A non-finite entry, which is how an overflow shows up,
+    raises :class:`NumericFailureError`.
     Physicality (positive definiteness, symplectic spectrum above shot noise)
     is deliberately not enforced here; use :func:`validate_physicality`.
     """
@@ -52,11 +54,15 @@ class CovarianceMatrix:
             raise InvalidArgumentError(f"covariance matrix must be square, got shape {arr.shape}")
         if arr.shape[0] == 0 or arr.shape[0] % 2 != 0:
             raise InvalidArgumentError(f"covariance matrix must be 2n x 2n with n >= 1, got {arr.shape[0]} rows")
+        if not np.isfinite(arr).all():
+            raise NumericFailureError("covariance overflowed: the matrix has non-finite entries")
+        # halve first, so entries near the float maximum cannot overflow
+        half = arr / 2.0
         scale = max(1.0, float(np.abs(arr).max()))
-        asym = float(np.abs(arr - arr.T).max())
+        asym = 2.0 * float(np.abs(half - half.T).max())
         if asym > SYMMETRY_TOL * scale:
             raise InvalidArgumentError(f"covariance matrix is not symmetric: max asymmetry {asym:.3e}")
-        arr = (arr + arr.T) / 2.0
+        arr = half + half.T
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -188,7 +194,10 @@ def apply_beamsplitter(state: CovarianceMatrix, bs: BeamsplitterSpec) -> Covaria
         s[ia, ib] = r
         s[ib, ia] = -r
         s[ib, ib] = t
-    return CovarianceMatrix(s @ state.data @ s.T)
+    # an overflow here becomes non-finite entries, which CovarianceMatrix rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = s @ state.data @ s.T
+    return CovarianceMatrix(out)
 
 
 def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> CovarianceMatrix:

@@ -7,21 +7,20 @@ intensities, estimate the normalized intensity correlation with a jackknife
 error bar, and compare against the exact Gaussian-moment value.
 
 Quadrature sampling is the only randomness in the package. The generator is
-counter-based and named in every output, so a (seed, shard plan) pair pins
-the byte stream on any platform.
+counter-based and named in every output, so a seed pins the byte stream on
+any platform.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (InvalidArgumentError, NumericFailureError,
                      UndefinedResultError)
-from .gaussian import CovarianceMatrix
+from .gaussian import CovarianceMatrix, reduce
 
-GENERATOR_ID = "philox4x64/v1"
+GENERATOR_ID = "philox4x64/v2"
 
 # Delete-one-block jackknife; block count fixed so error bars are
 # reproducible and comparable across runs.
@@ -44,7 +43,6 @@ class QuadratureSamples:
     seed: int
     samples: np.ndarray
     generator: str
-    shard_plan: tuple[int, ...]
 
     def mode_columns(self, mode: int) -> tuple[int, int]:
         if not 0 <= mode < self.n_modes:
@@ -65,24 +63,17 @@ class G2Report:
     generator: str
 
 
-def _shard_sizes(n_samples: int, n_shards: int) -> tuple[int, ...]:
-    base, extra = divmod(n_samples, n_shards)
-    return tuple(base + (1 if k < extra else 0) for k in range(n_shards))
-
-
-def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int,
-                       n_shards: int = 1) -> QuadratureSamples:
+def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> QuadratureSamples:
     """Draw zero-mean Gaussian quadrature samples with covariance Gamma.
 
-    Shard k of the plan gets its own counter stream derived from
-    (seed, k), so a sharded run equals the concatenation of its shards no
-    matter where each shard is computed. The default is one shard.
+    Rows are standard normals from one Philox stream, derived from
+    ``SeedSequence(seed, spawn_key=(0,))``, times the transposed Cholesky
+    factor of Gamma.
 
     Args:
         state: covariance to sample from; must factor (positive definite).
-        n_samples: total rows across all shards, >= 2.
+        n_samples: number of rows, >= 2.
         seed: 64-bit stream seed, recorded in the output.
-        n_shards: how many derived streams to split the rows over.
 
     Returns:
         QuadratureSamples with a read-only (n_samples, 2n) array.
@@ -91,22 +82,16 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int,
         raise InvalidArgumentError(f"need at least 2 samples, got {n_samples}")
     if not 0 <= int(seed) < 2 ** 64:
         raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if n_shards < 1 or n_shards > n_samples:
-        raise InvalidArgumentError(f"shard count {n_shards} out of range for {n_samples} samples")
     try:
         factor = np.linalg.cholesky(state.data)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"covariance does not factor: {exc}") from exc
-    plan = _shard_sizes(n_samples, n_shards)
-    parts = []
-    for shard, count in enumerate(plan):
-        seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(shard,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        parts.append(rng.standard_normal((count, state.data.shape[0])) @ factor.T)
-    samples = np.concatenate(parts, axis=0)
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(0,))
+    rng = np.random.Generator(np.random.Philox(seq))
+    samples = rng.standard_normal((n_samples, state.data.shape[0])) @ factor.T
     samples.setflags(write=False)
     return QuadratureSamples(n_modes=state.n_modes, n_samples=n_samples, seed=int(seed),
-                             samples=samples, generator=GENERATOR_ID, shard_plan=plan)
+                             samples=samples, generator=GENERATOR_ID)
 
 
 def intensity(samples: QuadratureSamples, mode: int) -> np.ndarray:
@@ -161,7 +146,7 @@ def g2_cross_estimate(samples: QuadratureSamples, mode_a: int, mode_b: int) -> G
         raise InvalidArgumentError(
             f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {samples.n_samples}")
     if mode_a == mode_b:
-        raise InvalidArgumentError("cross-correlation needs two distinct modes; see g2_auto_estimate")
+        raise InvalidArgumentError("cross-correlation needs two distinct modes")
     i_a = intensity(samples, mode_a)
     i_b = intensity(samples, mode_b)
     prod = i_a * i_b
@@ -181,42 +166,14 @@ def g2_cross_estimate(samples: QuadratureSamples, mode_a: int, mode_b: int) -> G
                     seed=samples.seed, generator=samples.generator)
 
 
-def g2_auto_estimate(samples: QuadratureSamples, mode: int) -> G2Report:
-    """Estimate the single-mode g2(0): (<I^2> - <I> - 1/4) / <I>^2.
-
-    The quadrature-based intensity carries detection noise that an ideal
-    photon counter would not see; subtracting <I> + 1/4 from <I^2> removes
-    it, making a thermal mode read exactly 2 in the large-sample limit.
-    """
-    if samples.n_samples < MIN_G2_SAMPLES:
-        raise InvalidArgumentError(
-            f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {samples.n_samples}")
-    i_m = intensity(samples, mode)
-    sq = i_m * i_m
-    n = samples.n_samples
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = i_m.mean()
-        estimate = float((sq.mean() - mean - 0.25) / mean ** 2)
-        sums_sq, lens = _block_sums(sq)
-        sums_i, _ = _block_sums(i_m)
-        rest = n - lens
-        mean_out = (i_m.sum() - sums_i) / rest
-        leave_out = ((sq.sum() - sums_sq) / rest - mean_out - 0.25) / mean_out ** 2
-        std_error = _jackknife_error(leave_out)
-    conclusive = not _mean_is_noise(i_m)
-    return G2Report(g2_estimate=estimate, std_error=std_error, g2_analytic=None,
-                    n_samples=n, verdict=_verdict(conclusive, estimate, std_error),
-                    seed=samples.seed, generator=samples.generator)
-
-
 def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
     """Exact g2(0) from the covariance matrix via fourth Gaussian moments.
 
     Pairs of quadratures expand by Isserlis' theorem:
-    E[u^2 v^2] = G_uu G_vv + 2 G_uv^2. With mode_a == mode_b the auto
-    variant is returned, including the detection-noise subtraction used by
-    :func:`g2_auto_estimate`.
+    E[u^2 v^2] = G_uu G_vv + 2 G_uv^2.
     """
+    if mode_a == mode_b:
+        raise InvalidArgumentError("cross-correlation needs two distinct modes")
     gamma = state.data
     qa = state.mode_slice(mode_a)
     qb = state.mode_slice(mode_b)
@@ -235,34 +192,26 @@ def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
     # trace; dividing by that would amplify noise, not report physics
     if nbar_a <= 1e-12 or nbar_b <= 1e-12:
         raise UndefinedResultError("zero mean intensity, g2 is undefined")
-    if mode_a == mode_b:
-        return (mean_prod - nbar_a - 0.25) / (nbar_a * nbar_b)
     return mean_prod / (nbar_a * nbar_b)
 
 
 def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
-                     n_samples: int, seed: int, n_shards: int = 1) -> G2Report:
+                     n_samples: int, seed: int) -> G2Report:
     """Sample, estimate the cross g2 and attach the analytic value.
 
     This is the protocol's gate in one call: the verdict field says whether
     the sampled data certifies bunching (estimate minus three error bars
-    above 1).
+    above 1). Only the (mode_a, mode_b) marginal is sampled. A Gaussian
+    marginal is the principal submatrix, so this is exact in distribution
+    and draws four columns per sample however many modes the state has.
     """
-    samples = sample_quadratures(state, n_samples, seed, n_shards=n_shards)
-    report = g2_cross_estimate(samples, mode_a, mode_b)
+    pair = reduce(state, [mode_a, mode_b])
+    samples = sample_quadratures(pair, n_samples, seed)
+    report = g2_cross_estimate(samples, 0, 1)
     try:
-        exact = g2_analytic(state, mode_a, mode_b)
+        exact = g2_analytic(pair, 0, 1)
     except UndefinedResultError:
         exact = None
     return G2Report(g2_estimate=report.g2_estimate, std_error=report.std_error,
                     g2_analytic=exact, n_samples=report.n_samples, verdict=report.verdict,
                     seed=report.seed, generator=report.generator)
-
-
-def samples_to_csv(samples: QuadratureSamples, destination: str | Path):
-    """Dump samples as CSV: header x1,p1,x2,p2,..., one row per sample."""
-    labels = []
-    for mode in range(samples.n_modes):
-        labels.extend((f"x{mode + 1}", f"p{mode + 1}"))
-    np.savetxt(destination, samples.samples, fmt="%.12g", delimiter=",",
-               header=",".join(labels), comments="")

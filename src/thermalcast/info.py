@@ -92,17 +92,6 @@ class DiscordResult:
     conditional_entropy: float
 
 
-@dataclass(frozen=True)
-class InfoReport:
-    """One state's worth of information measures, with the raw terms kept."""
-
-    cmi: float
-    mi: float
-    discord: float
-    entropy_terms: tuple[tuple[str, float], ...]
-    discord_terms: DiscordResult
-
-
 def _logdet(gamma: np.ndarray, label: str) -> float:
     """log2-determinant; non-positive det is a hard error."""
     sign, logdet = np.linalg.slogdet(gamma)
@@ -269,23 +258,3 @@ def gaussian_discord(state: CovarianceMatrix, a_mode: int, b_mode: int) -> Disco
     value = _clamp_info(s_a - s_ab + s_cond, "discord")
     return DiscordResult(value=value, angle=angle, entropy_a=s_a,
                          entropy_joint=s_ab, conditional_entropy=s_cond)
-
-
-def info_report(state: CovarianceMatrix, p: Partition) -> InfoReport:
-    """CMI, MI and discord for one state under one partition.
-
-    Discord is a pairwise quantity, so A and B must each be a single mode
-    here; CMI conditions on S, MI ignores it.
-    """
-    if len(p.subsystem_a) != 1 or len(p.subsystem_b) != 1:
-        raise InvalidArgumentError("info_report needs single-mode A and B")
-    cmi = conditional_mutual_information(state, p)
-    mi = mutual_information(state, Partition(p.subsystem_a, p.subsystem_b))
-    disc = gaussian_discord(state, p.subsystem_a[0], p.subsystem_b[0])
-    terms = (
-        ("H(A,S)", shannon_entropy(reduce(state, p.subsystem_a + p.subsystem_s))),
-        ("H(B,S)", shannon_entropy(reduce(state, p.subsystem_b + p.subsystem_s))),
-        ("H(S)", shannon_entropy(reduce(state, p.subsystem_s))),
-        ("H(A,B,S)", shannon_entropy(reduce(state, p.subsystem_a + p.subsystem_b + p.subsystem_s))),
-    )
-    return InfoReport(cmi=cmi, mi=mi, discord=disc.value, entropy_terms=terms, discord_terms=disc)

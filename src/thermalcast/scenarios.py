@@ -257,22 +257,3 @@ def block_of(scenario: ScenarioState, row_label: str, col_label: str) -> np.ndar
     i = scenario.mode_index(row_label)
     j = scenario.mode_index(col_label)
     return scenario.state.data[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-
-
-def extract_information_blocks(scenario: ScenarioState) -> dict[str, CovarianceMatrix]:
-    """Reduced states feeding the information measures, idlers traced out.
-
-    Keys: "as" (E, A), "bs" (E, B), "s" (E alone), "abs" (E, B, A) and
-    "ab" (A, B). The conditioning system S is always the source mode E.
-    """
-    e = scenario.mode_index(MODE_E)
-    a = scenario.mode_index(MODE_A)
-    b = scenario.mode_index(MODE_B)
-    state = scenario.state
-    return {
-        "as": reduce(state, [e, a]),
-        "bs": reduce(state, [e, b]),
-        "s": reduce(state, [e]),
-        "abs": reduce(state, [e, b, a]),
-        "ab": reduce(state, [a, b]),
-    }

@@ -2,9 +2,7 @@
 
 A sweep varies one scenario parameter over an inclusive linear range and
 records the requested information measures at every point. Points are
-independent, so they are evaluated on a thread pool; rows are sorted by the
-swept value before anything is emitted, which makes the output independent
-of scheduling.
+evaluated one after another in ascending order of the swept value.
 
 A numeric failure at one point flags that row (its cells become nan) and
 the sweep carries on. Only a sweep in which every point failed is treated
@@ -13,7 +11,6 @@ as a failed run.
 from __future__ import annotations
 
 import datetime as _dt
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,21 +18,17 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidArgumentError, NumericFailureError,
                      UnphysicalStateError, UsageError)
-from .hbt import MIN_G2_SAMPLES, thermality_check
+from .hbt import MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, thermality_check
 from .info import (Partition, conditional_mutual_information, gaussian_discord,
-                   mutual_information, shannon_entropy)
+                   mutual_information)
 from .scenarios import (SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS,
-                        ScenarioParams, build_scenario, extract_information_blocks)
+                        ScenarioParams, build_scenario)
 
 PARAM_NAMES = VARIANCE_PARAMS + TRANSMITTANCE_PARAMS
 
 OUTPUT_NAMES = ("cmi", "mi", "discord", "g2")
 
-ENTROPY_TERM_LABELS = ("H(A,S)", "H(B,S)", "H(S)", "H(A,B,S)")
-
 DEFAULT_G2_SAMPLES = 100_000
-
-_WORKERS = 8
 
 
 def _check_domain(name: str, value: float) -> str | None:
@@ -121,7 +114,6 @@ class SweepRow:
 
     swept_value: float
     values: dict[str, float]
-    entropy_terms: dict[str, float]
     status: str
 
     @property
@@ -144,7 +136,7 @@ class SweepResult:
 
 
 def _point_seed(base_seed: int, index: int) -> int:
-    # one derived 64-bit stream per point; stable under reordering/parallelism
+    # one derived 64-bit stream per point, keyed by its index in the range
     seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(index,))
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -154,10 +146,6 @@ def _evaluate_point(spec: SweepSpec, value: float, index: int) -> SweepRow:
         params = ScenarioParams(**{**spec.fixed, spec.swept.name: float(value)})
         scenario = build_scenario(spec.scenario, params)
         partition = scenario.information_partition()
-        blocks = extract_information_blocks(scenario)
-        terms = dict(zip(ENTROPY_TERM_LABELS, (
-            shannon_entropy(blocks["as"]), shannon_entropy(blocks["bs"]),
-            shannon_entropy(blocks["s"]), shannon_entropy(blocks["abs"]))))
         values: dict[str, float] = {}
         for out in spec.outputs:
             if out == "cmi":
@@ -172,13 +160,13 @@ def _evaluate_point(spec: SweepSpec, value: float, index: int) -> SweepRow:
                 report = thermality_check(
                     scenario.state, partition.subsystem_a[0], partition.subsystem_b[0],
                     spec.samples, _point_seed(spec.seed, index))
-                values[out] = report.g2_estimate
-        return SweepRow(swept_value=float(value), values=values, entropy_terms=terms, status="ok")
+                # no photons to correlate: the ratio is noise, not a g2 value
+                inconclusive = report.verdict == VERDICT_INCONCLUSIVE
+                values[out] = float("nan") if inconclusive else report.g2_estimate
+        return SweepRow(swept_value=float(value), values=values, status="ok")
     except (NumericFailureError, UnphysicalStateError) as exc:
-        nan = float("nan")
         return SweepRow(swept_value=float(value),
-                        values={out: nan for out in spec.outputs},
-                        entropy_terms={label: nan for label in ENTROPY_TERM_LABELS},
+                        values={out: float("nan") for out in spec.outputs},
                         status=f"failed: {exc}")
 
 
@@ -190,9 +178,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     values = spec.swept.values()
     order = np.argsort(values, kind="stable")
-    with ThreadPoolExecutor(max_workers=min(_WORKERS, len(values))) as pool:
-        rows = list(pool.map(lambda i: _evaluate_point(spec, values[i], int(i)), order))
-    return SweepResult(spec=spec, rows=tuple(rows))
+    rows = tuple(_evaluate_point(spec, values[i], int(i)) for i in order)
+    return SweepResult(spec=spec, rows=rows)
 
 
 def _format_value(value: float) -> str:
@@ -202,8 +189,10 @@ def _format_value(value: float) -> str:
 def emit_csv(result: SweepResult, destination: str | Path):
     """Write a sweep result as CSV: '#' metadata block, header, data rows.
 
-    Twelve significant digits, LF line endings. Re-running the same spec
-    reproduces the file byte for byte except for the timestamp line.
+    Each failed row adds one '# failed: <param>=<value>: <reason>' line
+    after the point count. Twelve significant digits, LF line endings.
+    Re-running the same spec reproduces the file byte for byte except for
+    the timestamp line.
     """
     if not result.rows:
         raise UsageError("refusing to emit an empty table")
@@ -222,6 +211,10 @@ def emit_csv(result: SweepResult, destination: str | Path):
     if "g2" in spec.outputs:
         lines.append(f"# samples: {spec.samples}")
     lines.append(f"# points: {len(result.rows)} failed: {result.n_failed}")
+    for row in result.rows:
+        if not row.ok:
+            reason = row.status.removeprefix("failed: ").replace("\n", " ")
+            lines.append(f"# failed: {spec.swept.name}={_format_value(row.swept_value)}: {reason}")
     lines.append(",".join((spec.swept.name,) + spec.outputs))
     for row in result.rows:
         cells = [_format_value(row.swept_value)]

@@ -85,7 +85,7 @@ def test_g2check_reports_thermal(capsys):
     out = capsys.readouterr().out
     assert "verdict: thermal" in out
     assert "g2 analytic: 2" in out
-    assert "generator: philox4x64/v1" in out
+    assert "generator: philox4x64/v2" in out
     assert "params: nu=10" in out
 
 
@@ -115,7 +115,6 @@ def test_all_failed_sweep_exits_two(tmp_path, monkeypatch, capsys):
         result = real_run(spec)
         doomed = tuple(type(row)(swept_value=row.swept_value,
                                  values={k: float("nan") for k in row.values},
-                                 entropy_terms=row.entropy_terms,
                                  status="failed: synthetic")
                        for row in result.rows)
         return SweepResult(spec=result.spec, rows=doomed)

@@ -7,7 +7,7 @@ import pytest
 from thermalcast import (CovarianceMatrix, HomodyneProjector, InvalidArgumentError,
                          NumericFailureError, Partition, UnphysicalStateError,
                          build_basic, conditional_mutual_information,
-                         gaussian_discord, homodyne_condition, info_report,
+                         gaussian_discord, homodyne_condition,
                          make_epr, make_thermal, make_vacuum,
                          mutual_information, reduce, shannon_entropy,
                          ScenarioParams, tensor, von_neumann_entropy,
@@ -300,18 +300,3 @@ def test_discord_boundary_angles_on_broadcast_states():
             candidates.append(von_neumann_entropy(left))
         best = result.entropy_a - result.entropy_joint + min(candidates)
         assert result.value == pytest.approx(max(best, 0.0), abs=1e-6)
-
-
-def test_info_report_is_consistent():
-    scenario = build_basic(ScenarioParams(nu=2.0, eta_ab=0.5))
-    p = scenario.information_partition()
-    report = info_report(scenario.state, p)
-    assert report.cmi == conditional_mutual_information(scenario.state, p)
-    assert report.mi == mutual_information(scenario.state, Partition(p.subsystem_a, p.subsystem_b))
-    assert report.discord == report.discord_terms.value
-    labels = [label for label, _ in report.entropy_terms]
-    assert labels == ["H(A,S)", "H(B,S)", "H(S)", "H(A,B,S)"]
-    h_as = dict(report.entropy_terms)["H(A,S)"]
-    assert h_as == pytest.approx(shannon_entropy(reduce(scenario.state, [2, 0])), abs=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        info_report(scenario.state, Partition((0, 1), (2,)))

@@ -4,13 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from thermalcast import (InvalidArgumentError, Partition, ScenarioParams,
-                         UnphysicalStateError, basic_closed_form, block_of,
-                         build_basic, build_full, build_scenario,
-                         build_thermal_channel,
+from thermalcast import (InvalidArgumentError, NumericFailureError,
+                         ScenarioParams, UnphysicalStateError,
+                         basic_closed_form, block_of, build_basic, build_full,
+                         build_scenario, build_thermal_channel,
                          conditional_mutual_information,
-                         extract_information_blocks, full_closed_form_blocks,
-                         gaussian_discord, make_thermal, reduce,
+                         full_closed_form_blocks, gaussian_discord, reduce,
                          thermal_channel_closed_form, validate_physicality)
 
 VARIANCES = (1.0, 2.0, 10.0, 500.0)
@@ -41,8 +40,8 @@ def test_params_validation():
 
 
 def test_overflowing_params_are_reported_unphysical():
-    # finite, but sqrt(nu^2 - 1) overflows; the eigensolve failure becomes an issue
-    with pytest.raises(UnphysicalStateError, match="eigenvalues unavailable"):
+    # finite, but sqrt(nu^2 - 1) overflows; the covariance rejects the inf it makes
+    with pytest.raises(NumericFailureError, match="covariance overflowed"):
         build_basic(ScenarioParams(nu=1e200))
 
 
@@ -138,19 +137,6 @@ def test_transparent_local_channels_collapse_to_thermal_channel():
     full = build_full(params)
     slim = build_thermal_channel(params)
     assert np.array_equal(full.state.data[:8, :8], slim.state.data)
-
-
-def test_extract_information_blocks():
-    params = ScenarioParams(nu=2.0, eta_ab=0.3, eta_th=0.8, v_th=4.0)
-    scenario = build_thermal_channel(params)
-    blocks = extract_information_blocks(scenario)
-    assert set(blocks) == {"as", "bs", "s", "abs", "ab"}
-    assert np.array_equal(blocks["s"].data, make_thermal(2.0).data)
-    order = [scenario.mode_index(m) for m in ("E", "B", "A")]
-    assert np.array_equal(blocks["abs"].data, reduce(scenario.state, order).data)
-    assert np.array_equal(blocks["as"].data[2:4, 2:4], block_of(scenario, "A", "A"))
-    assert np.array_equal(blocks["bs"].data[0:2, 2:4], block_of(scenario, "E", "B"))
-    assert blocks["ab"].n_modes == 2
 
 
 def test_every_build_is_physical():

@@ -135,7 +135,6 @@ def test_run_sweep_rows_ascend():
     assert result.n_failed == 0
     for row in result.rows:
         assert set(row.values) == {"cmi", "discord"}
-        assert set(row.entropy_terms) == {"H(A,S)", "H(B,S)", "H(S)", "H(A,B,S)"}
         assert math.isfinite(row.values["cmi"])
 
 
@@ -167,7 +166,6 @@ def test_run_sweep_contains_point_failures(monkeypatch):
     bad = result.rows[1]
     assert bad.status.startswith("failed:")
     assert math.isnan(bad.values["cmi"]) and math.isnan(bad.values["discord"])
-    assert all(math.isnan(v) for v in bad.entropy_terms.values())
     assert result.rows[0].ok and result.rows[2].ok
 
 
@@ -178,6 +176,20 @@ def test_run_sweep_contains_overflowing_points():
     assert good.ok and math.isfinite(good.values["discord"])
     assert bad.status.startswith("failed:")
     assert math.isnan(bad.values["cmi"]) and math.isnan(bad.values["discord"])
+
+
+def test_g2_cells_of_an_inconclusive_verdict_are_nan(tmp_path):
+    # nu = 1 leaves the receivers in vacuum: g2check calls this inconclusive
+    spec = parse_config("scenario=basic\nsweep=v_th:1:4:4\noutputs=cmi,g2\n"
+                        "seed=1\nsamples=1000\n")
+    result = run_sweep(spec)
+    assert result.n_failed == 0
+    assert all(math.isnan(row.values["g2"]) for row in result.rows)
+    assert all(row.values["cmi"] == 0.0 for row in result.rows)
+    out = tmp_path / "dark.csv"
+    emit_csv(result, out)
+    data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    assert [ln.split(",")[1:] for ln in data] == [["0", "nan"]] * 4
 
 
 def test_g2_sweep_is_repeatable():
@@ -208,6 +220,7 @@ def test_emit_csv_layout(tmp_path):
     assert any(ln == "# fixed: nu=2" for ln in meta)
     assert any(ln == "# sweep: eta_ab:0.2:0.8:4" for ln in meta)
     assert any(ln == "# points: 4 failed: 0" for ln in meta)
+    assert not any(ln.startswith("# failed:") for ln in meta)
     header = lines[len(meta)]
     assert header == "eta_ab,cmi,discord"
     data = lines[len(meta) + 1:]
@@ -217,6 +230,19 @@ def test_emit_csv_layout(tmp_path):
     assert float(first[1]) == pytest.approx(result.rows[0].values["cmi"], rel=1e-11)
     # 12 significant digits survive the trip
     assert len(first[1].replace(".", "").replace("-", "").lstrip("0")) >= 11
+
+
+def test_emit_csv_names_each_failed_row(tmp_path):
+    result = run_sweep(small_spec(swept=SweptRange("nu", 2.0, 1e200, 2), fixed={}))
+    out = tmp_path / "overflow.csv"
+    emit_csv(result, out)
+    lines = out.read_text().splitlines()
+    failed = [ln for ln in lines if ln.startswith("# failed:")]
+    assert failed == ["# failed: nu=1e+200: covariance overflowed: "
+                      "the matrix has non-finite entries"]
+    assert lines.index(failed[0]) == lines.index("# points: 2 failed: 1") + 1
+    assert lines[-3] == "nu,cmi,discord"
+    assert lines[-1] == "1e+200,nan,nan"
 
 
 def test_emit_csv_is_stable_across_runs(tmp_path):
