@@ -23,11 +23,20 @@ def test_sampling_is_deterministic():
     state = broadcast_state()
     first = sample_quadratures(state, 2000, seed=42)
     second = sample_quadratures(state, 2000, seed=42)
-    assert first.samples.shape == (2000, 6)
     assert np.array_equal(first.samples, second.samples)
     assert first.generator == GENERATOR_ID
     other = sample_quadratures(state, 2000, seed=43)
     assert not np.array_equal(first.samples, other.samples)
+
+
+def test_shard_plan_and_shape():
+    # no shard plan: one stream fills every row of a (n_samples, 2n) record
+    run = sample_quadratures(broadcast_state(), 1000, seed=7)
+    assert run.samples.shape == (1000, 6)
+    assert (run.n_modes, run.n_samples, run.seed) == (3, 1000, 7)
+    assert not run.samples.flags.writeable
+    again = sample_quadratures(broadcast_state(), 1000, seed=7)
+    assert np.array_equal(run.samples, again.samples)
 
 
 def test_sampling_stream_is_pinned():
