@@ -38,3 +38,6 @@ class ConfigError(ThermalcastError, ValueError):
 
 class UsageError(ThermalcastError, ValueError):
     """Invalid command-line usage or an unusable run request."""
+
+    # the config key a SweepSpec complaint is about, so its line can be named
+    key: str | None = None

@@ -17,7 +17,7 @@ Conventions used throughout the package:
   slot of ``mode_a``, the reflected beam in the slot of ``mode_b``.
 
 All operations are pure functions on immutable values; nothing here caches
-or mutates shared state, so parallel evaluation over parameter grids is safe.
+or mutates shared state.
 """
 from __future__ import annotations
 
@@ -248,19 +248,15 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
 
 
 def validate_physicality(state: CovarianceMatrix) -> PhysicalityReport:
-    """Check symmetry, positive definiteness and the shot-noise bound.
+    """Check positive definiteness and the shot-noise bound.
 
+    (A :class:`CovarianceMatrix` is exactly symmetric by construction.)
     Failure is reported, not raised; diagnostics name each violated
     condition together with the offending value.
     """
-    gamma = state.data
     issues: list[str] = []
-    scale = max(1.0, float(np.abs(gamma).max()))
-    asym = float(np.abs(gamma - gamma.T).max())
-    if asym > SYMMETRY_TOL * scale:
-        issues.append(f"not symmetric: max asymmetry {asym:.3e}")
     try:
-        min_eig = float(np.linalg.eigvalsh(gamma).min())
+        min_eig = float(np.linalg.eigvalsh(state.data).min())
         if min_eig <= 0.0:
             issues.append(f"not positive definite: min eigenvalue {min_eig:.6g}")
     except np.linalg.LinAlgError as exc:

@@ -29,6 +29,9 @@ JACKKNIFE_BLOCKS = 100
 # Below this the jackknife blocks get too thin to trust.
 MIN_G2_SAMPLES = 1000
 
+# Rows per draw: ten million rows of a 3-mode state already take 480 MB.
+MAX_SAMPLES = 10_000_000
+
 VERDICT_THERMAL = "thermal"
 VERDICT_NOT_THERMAL = "not-thermal"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -72,14 +75,14 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> Qu
 
     Args:
         state: covariance to sample from; must factor (positive definite).
-        n_samples: number of rows, >= 2.
+        n_samples: number of rows, from 2 to ``MAX_SAMPLES``.
         seed: 64-bit stream seed, recorded in the output.
 
     Returns:
         QuadratureSamples with a read-only (n_samples, 2n) array.
     """
-    if n_samples < 2:
-        raise InvalidArgumentError(f"need at least 2 samples, got {n_samples}")
+    if not 2 <= n_samples <= MAX_SAMPLES:
+        raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples}")
     if not 0 <= int(seed) < 2 ** 64:
         raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed}")
     try:

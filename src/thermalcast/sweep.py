@@ -11,6 +11,7 @@ as a failed run.
 from __future__ import annotations
 
 import datetime as _dt
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidArgumentError, NumericFailureError,
                      UnphysicalStateError, UsageError)
-from .hbt import MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, thermality_check
+from .hbt import MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, thermality_check
 from .info import (Partition, conditional_mutual_information, gaussian_discord,
                    mutual_information)
 from .scenarios import (SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS,
@@ -30,16 +31,25 @@ OUTPUT_NAMES = ("cmi", "mi", "discord", "g2")
 
 DEFAULT_G2_SAMPLES = 100_000
 
+# Each point holds a row of results; past this a sweep is a mistake.
+MAX_POINTS = 100_000
 
-def _check_domain(name: str, value: float) -> str | None:
-    """None when in domain, else the :class:`ScenarioParams` complaint for this field."""
+
+def _reject(field: str, message: str, key: str | None = None) -> UsageError:
+    """A complaint about one spec field; ``key`` is its config key, default ``field``."""
+    exc = UsageError(f"{field}: {message}")
+    exc.key = key or field
+    return exc
+
+
+def _check_domain(field: str, name: str, value: float, key: str | None = None):
+    """Raise the :class:`ScenarioParams` complaint about one parameter, if any."""
     if name not in PARAM_NAMES:
-        return f"unknown parameter {name!r}"
+        raise _reject(field, f"unknown parameter {name!r}", key)
     try:
         ScenarioParams(**{name: value})
     except (InvalidArgumentError, UnphysicalStateError) as exc:
-        return str(exc)
-    return None
+        raise _reject(field, str(exc), key) from None
 
 
 @dataclass(frozen=True)
@@ -60,12 +70,12 @@ class SweptRange:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A fully specified sweep; construction validates every field.
+    """A fully specified sweep; construction checks every run rule.
 
     ``seed`` is required exactly when ``g2`` is among the outputs (it is
     the only stochastic output) and rejected otherwise, so a config states
-    its reproducibility contract explicitly. ``samples`` follows the same
-    rule, with a default.
+    its reproducibility contract explicitly. ``samples`` is likewise only
+    for ``g2``, where it defaults to ``DEFAULT_G2_SAMPLES``.
     """
 
     scenario: str
@@ -73,39 +83,40 @@ class SweepSpec:
     fixed: dict[str, float] = field(default_factory=dict)
     outputs: tuple[str, ...] = ("cmi",)
     seed: int | None = None
-    samples: int = DEFAULT_G2_SAMPLES
+    samples: int | None = None
 
     def __post_init__(self):
         if self.scenario not in SCENARIO_NAMES:
-            raise UsageError(f"scenario: unknown value {self.scenario!r}, choose from {SCENARIO_NAMES}")
-        if self.swept.name not in PARAM_NAMES:
-            raise UsageError(f"sweep: unknown parameter {self.swept.name!r}")
-        if self.swept.count < 2:
-            raise UsageError(f"sweep: step count must be >= 2, got {self.swept.count}")
+            raise _reject("scenario", f"unknown value {self.scenario!r}, choose from {SCENARIO_NAMES}")
         for endpoint in (self.swept.start, self.swept.stop):
-            problem = _check_domain(self.swept.name, endpoint)
-            if problem:
-                raise UsageError(f"sweep: {problem}")
+            _check_domain("sweep", self.swept.name, endpoint)
+        if not 2 <= self.swept.count <= MAX_POINTS:
+            raise _reject("sweep", f"step count must lie in [2, {MAX_POINTS}], got {self.swept.count}")
         for name, value in self.fixed.items():
-            problem = _check_domain(name, float(value))
-            if problem:
-                raise UsageError(f"fixed: {problem}")
+            _check_domain("fixed", name, float(value), key=name)
         if self.swept.name in self.fixed:
-            raise UsageError(f"sweep: parameter {self.swept.name!r} is also fixed")
+            raise _reject("sweep", f"parameter {self.swept.name!r} is also fixed", key=self.swept.name)
         if not self.outputs:
-            raise UsageError("outputs: at least one output is required")
+            raise _reject("outputs", "at least one output is required")
         for out in self.outputs:
             if out not in OUTPUT_NAMES:
-                raise UsageError(f"outputs: unknown output {out!r}, choose from {OUTPUT_NAMES}")
+                raise _reject("outputs", f"unknown output {out!r}, choose from {OUTPUT_NAMES}")
         if len(set(self.outputs)) != len(self.outputs):
-            raise UsageError("outputs: duplicate entries")
+            raise _reject("outputs", "duplicate entries")
         wants_g2 = "g2" in self.outputs
         if wants_g2 and self.seed is None:
-            raise UsageError("seed: required when outputs include g2")
+            raise _reject("seed", "required when outputs include g2", key="outputs")
         if not wants_g2 and self.seed is not None:
-            raise UsageError("seed: only used when outputs include g2")
-        if wants_g2 and self.samples < MIN_G2_SAMPLES:
-            raise UsageError(f"samples: g2 needs >= {MIN_G2_SAMPLES}, got {self.samples}")
+            raise _reject("seed", "only used when outputs include g2")
+        if self.seed is not None and self.seed < 0:
+            raise _reject("seed", f"must be non-negative, got {self.seed}")
+        if not wants_g2 and self.samples is not None:
+            raise _reject("samples", "only used when outputs include g2")
+        if wants_g2:
+            if self.samples is None:
+                object.__setattr__(self, "samples", DEFAULT_G2_SAMPLES)
+            if not MIN_G2_SAMPLES <= self.samples <= MAX_SAMPLES:
+                raise _reject("samples", f"g2 needs {MIN_G2_SAMPLES} to {MAX_SAMPLES}, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +175,7 @@ def _evaluate_point(spec: SweepSpec, value: float, index: int) -> SweepRow:
                 inconclusive = report.verdict == VERDICT_INCONCLUSIVE
                 values[out] = float("nan") if inconclusive else report.g2_estimate
         return SweepRow(swept_value=float(value), values=values, status="ok")
-    except (NumericFailureError, UnphysicalStateError) as exc:
+    except (NumericFailureError, UnphysicalStateError, FloatingPointError) as exc:
         return SweepRow(swept_value=float(value),
                         values={out: float("nan") for out in spec.outputs},
                         status=f"failed: {exc}")
@@ -178,7 +189,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     values = spec.swept.values()
     order = np.argsort(values, kind="stable")
-    rows = tuple(_evaluate_point(spec, values[i], int(i)) for i in order)
+    # a huge but finite parameter can overflow inside numpy; that point then
+    # fails like any other instead of writing inf or nan as a result
+    with np.errstate(over="raise", invalid="raise"):
+        rows = tuple(_evaluate_point(spec, values[i], int(i)) for i in order)
     return SweepResult(spec=spec, rows=rows)
 
 
@@ -192,7 +206,8 @@ def emit_csv(result: SweepResult, destination: str | Path):
     Each failed row adds one '# failed: <param>=<value>: <reason>' line
     after the point count. Twelve significant digits, LF line endings.
     Re-running the same spec reproduces the file byte for byte except for
-    the timestamp line.
+    the timestamp line. The table is written to a sibling file that then
+    replaces ``destination``, so an interrupted write leaves the old file.
     """
     if not result.rows:
         raise UsageError("refusing to emit an empty table")
@@ -220,62 +235,47 @@ def emit_csv(result: SweepResult, destination: str | Path):
         cells = [_format_value(row.swept_value)]
         cells += [_format_value(row.values[out]) for out in spec.outputs]
         lines.append(",".join(cells))
-    with open(destination, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    partial = Path(f"{destination}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w", encoding="ascii", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(partial, destination)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
 # Config files: flat key=value lines, '#' comments, case-sensitive keys.
 
-_SPECIAL_KEYS = ("scenario", "sweep", "outputs", "seed", "samples")
-
-
-def _parse_float(key: str, raw: str, line_no: int) -> float:
+def _parse_number(convert: type, key: str, raw: str, line_no: int):
     try:
-        return float(raw)
+        return convert(raw)
     except ValueError:
-        raise ConfigError(f"{key}: not a number: {raw!r}", line_no) from None
-
-
-def _parse_int(key: str, raw: str, line_no: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: not an integer: {raw!r}", line_no) from None
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{key}: not {kind}: {raw!r}", line_no) from None
 
 
 def _parse_swept(raw: str, line_no: int) -> SweptRange:
     parts = raw.split(":")
     if len(parts) != 4:
         raise ConfigError(f"sweep: expected name:start:stop:count, got {raw!r}", line_no)
-    name = parts[0].strip()
-    if name not in PARAM_NAMES:
-        raise ConfigError(f"sweep: unknown parameter {name!r}", line_no)
-    start = _parse_float("sweep start", parts[1], line_no)
-    stop = _parse_float("sweep stop", parts[2], line_no)
-    count = _parse_int("sweep count", parts[3], line_no)
-    if count < 2:
-        raise ConfigError(f"sweep: step count must be >= 2, got {count}", line_no)
-    for endpoint in (start, stop):
-        problem = _check_domain(name, endpoint)
-        if problem:
-            raise ConfigError(f"sweep: {problem}", line_no)
-    return SweptRange(name=name, start=start, stop=stop, count=count)
+    return SweptRange(name=parts[0].strip(),
+                      start=_parse_number(float, "sweep start", parts[1], line_no),
+                      stop=_parse_number(float, "sweep stop", parts[2], line_no),
+                      count=_parse_number(int, "sweep count", parts[3], line_no))
 
 
 def parse_config(text: str) -> SweepSpec:
-    """Parse and validate a sweep config; every complaint carries its line.
+    """Parse a sweep config into a :class:`SweepSpec`; complaints name their line.
 
-    Unknown keys and duplicate keys are hard errors: a silently ignored
-    typo in a parameter name would change the physics of the run.
+    Only syntax is checked here; a :class:`SweepSpec` rule is reported on
+    the line of the key it names. Unknown and duplicate keys are errors: a
+    silently ignored typo in a parameter name would change the physics.
     """
     seen: dict[str, int] = {}
-    scenario: str | None = None
-    swept: SweptRange | None = None
+    fields: dict[str, object] = {}
     fixed: dict[str, float] = {}
-    outputs: tuple[str, ...] | None = None
-    seed: int | None = None
-    samples: int | None = None
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -290,53 +290,25 @@ def parse_config(text: str) -> SweepSpec:
             raise ConfigError(f"duplicate key {key!r} (first set on line {seen[key]})", line_no)
         seen[key] = line_no
         if key == "scenario":
-            if value not in SCENARIO_NAMES:
-                raise ConfigError(f"scenario: unknown value {value!r}, choose from {SCENARIO_NAMES}", line_no)
-            scenario = value
+            fields["scenario"] = value
         elif key == "sweep":
-            swept = _parse_swept(value, line_no)
+            fields["swept"] = _parse_swept(value, line_no)
         elif key == "outputs":
-            outputs = tuple(part.strip() for part in value.split(","))
-            for out in outputs:
-                if out not in OUTPUT_NAMES:
-                    raise ConfigError(f"outputs: unknown output {out!r}, choose from {OUTPUT_NAMES}", line_no)
-        elif key == "seed":
-            seed = _parse_int("seed", value, line_no)
-            if seed < 0:
-                raise ConfigError(f"seed: must be non-negative, got {seed}", line_no)
-        elif key == "samples":
-            samples = _parse_int("samples", value, line_no)
+            fields["outputs"] = tuple(part.strip() for part in value.split(","))
+        elif key in ("seed", "samples"):
+            fields[key] = _parse_number(int, key, value, line_no)
         elif key in PARAM_NAMES:
-            number = _parse_float(key, value, line_no)
-            problem = _check_domain(key, number)
-            if problem:
-                raise ConfigError(problem, line_no)
-            fixed[key] = number
+            fixed[key] = _parse_number(float, key, value, line_no)
         else:
             raise ConfigError(f"unknown key {key!r}", line_no)
 
-    if scenario is None:
-        raise ConfigError("missing required key 'scenario'")
-    if swept is None:
-        raise ConfigError("missing required key 'sweep'")
-    if outputs is None:
-        raise ConfigError("missing required key 'outputs'")
-    if swept.name in fixed:
-        raise ConfigError(f"sweep: parameter {swept.name!r} is also fixed", seen[swept.name])
-    wants_g2 = "g2" in outputs
-    if wants_g2 and seed is None:
-        raise ConfigError("seed: required when outputs include g2", seen["outputs"])
-    if not wants_g2 and seed is not None:
-        raise ConfigError("seed: only used when outputs include g2", seen["seed"])
-    if samples is not None and not wants_g2:
-        raise ConfigError("samples: only used when outputs include g2", seen["samples"])
-
-    kwargs = {"samples": samples} if samples is not None else {}
+    for required in ("scenario", "sweep", "outputs"):
+        if required not in seen:
+            raise ConfigError(f"missing required key {required!r}")
     try:
-        return SweepSpec(scenario=scenario, swept=swept, fixed=fixed,
-                         outputs=outputs, seed=seed, **kwargs)
+        return SweepSpec(fixed=fixed, **fields)
     except UsageError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(str(exc), seen.get(exc.key, 0)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_criterion_7_discord_oracle():
                      - _g(spectrum[1]) + s_cond, 0.0)
         worst = max(worst, abs(got - oracle))
     ok = worst <= 1e-6
-    _verdict_line(7, ok, f"max |golden-section - 1e4-point grid| over 50 randomized "
+    _verdict_line(7, ok, f"max |closed form - 1e4-point grid| over 50 randomized "
                          f"states = {worst:.3e} bits (limit 1e-6)")
     assert worst <= 1e-6
 

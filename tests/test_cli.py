@@ -102,6 +102,25 @@ def test_g2check_rejects_tiny_sample_count(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_g2check_caps_the_sample_count(capsys):
+    assert main(["g2check", "--samples", "10000000000000", "--seed", "4"]) == 1
+    assert capsys.readouterr().err.startswith("error: need 2 to 10000000 samples")
+
+
+@pytest.mark.parametrize("old,new,line,needle", [
+    ("sweep=eta_ab:0.2:0.8:4", "sweep=eta_ab:0.2:0.8:10000000000000", 3, "step count"),
+    ("outputs=cmi,discord", "outputs=g2\nseed=1\nsamples=10000000000000", 6, "samples"),
+])
+def test_sweep_caps_are_config_errors(tmp_path, capsys, old, new, line, needle):
+    cfg = write_config(tmp_path, CONFIG.replace(old, new))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert needle in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("nu", ["inf", "nan", "1e308"])
 def test_g2check_non_finite_or_overflowing_nu_exits_one(nu, capsys):
     assert main(["g2check", "--nu", nu, "--seed", "1"]) == 1

@@ -1,0 +1,120 @@
+"""Property tests: config text either becomes a runnable sweep or a clean error."""
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermalcast import (SCENARIO_NAMES, ConfigError, SweepSpec, ThermalcastError,
+                         emit_csv, parse_config, run_sweep)
+from thermalcast.scenarios import VARIANCE_PARAMS
+from thermalcast.sweep import OUTPUT_NAMES, PARAM_NAMES
+
+REQUIRED = ("scenario", "sweep", "outputs")
+KEYS = REQUIRED + ("seed", "samples") + PARAM_NAMES
+MISSPELLED = ("scenaro", "Sweep", "output", "sead", "nu_", "eta-ab", "vth", "")
+
+# letters, digits and config punctuation; no line breaks and no '#'
+JUNK = st.text(alphabet="abcxyz019.:,+-=_eE ", max_size=12)
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1", "0.5", "2", "1e308", "1e200",
+                     "10", "1040", "4e150"]),
+    st.integers(min_value=-10**30, max_value=10**400).map(str),
+)
+
+VALUES = st.one_of(NUMBERS, JUNK, st.sampled_from(SCENARIO_NAMES + OUTPUT_NAMES + PARAM_NAMES))
+
+
+@st.composite
+def sweep_values(draw):
+    name = draw(st.sampled_from(PARAM_NAMES) | JUNK)
+    count = draw(st.integers(min_value=-2, max_value=10**14).map(str) | NUMBERS)
+    return f"{name}:{draw(NUMBERS)}:{draw(NUMBERS)}:{count}"
+
+
+def value_for(key):
+    if key == "scenario":
+        return st.sampled_from(SCENARIO_NAMES) | VALUES
+    if key == "sweep":
+        return sweep_values()
+    if key == "outputs":
+        return st.lists(st.sampled_from(OUTPUT_NAMES) | JUNK, min_size=1, max_size=4).map(",".join)
+    if key in ("seed", "samples"):
+        return st.integers(min_value=-10, max_value=10**14).map(str) | VALUES
+    return VALUES
+
+
+@st.composite
+def config_lines(draw):
+    # the required keys often all appear, so that most texts reach SweepSpec
+    keys = draw(st.lists(st.sampled_from(REQUIRED), unique=True))
+    keys += draw(st.lists(st.sampled_from(KEYS), max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        keys.append(draw(st.sampled_from(MISSPELLED)))
+    lines = [(key, f"{key}={draw(value_for(key))}") for key in draw(st.permutations(keys))]
+    extra = st.sampled_from(["", "# comment", "just words", "=2", "   "])
+    for _ in range(draw(st.integers(0, 1))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, (None, draw(extra)))
+    return lines
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config_lines())
+def test_config_text_parses_or_names_its_line(lines):
+    text = "\n".join(line for _, line in lines)
+    try:
+        spec = parse_config(text)
+    except ConfigError as exc:
+        if set(REQUIRED) <= {key for key, _ in lines}:
+            assert exc.line >= 1, str(exc)
+    else:
+        assert isinstance(spec, SweepSpec)
+
+
+def in_domain(name):
+    # any value ScenarioParams accepts, up to the float maximum
+    if name in VARIANCE_PARAMS:
+        return st.floats(min_value=1.0, max_value=1e308).map(repr)
+    return st.floats(min_value=0.0, max_value=1.0).map(repr)
+
+
+@st.composite
+def small_configs(draw):
+    outputs = draw(st.lists(st.sampled_from(OUTPUT_NAMES), min_size=1, max_size=4, unique=True))
+    swept = draw(st.sampled_from(PARAM_NAMES))
+    others = [name for name in PARAM_NAMES if name != swept]
+    fixed = draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+    lines = [f"scenario={draw(st.sampled_from(SCENARIO_NAMES))}",
+             f"sweep={swept}:{draw(in_domain(swept))}:{draw(in_domain(swept))}:"
+             f"{draw(st.integers(2, 4))}",
+             f"outputs={','.join(outputs)}"]
+    lines += [f"{name}={draw(in_domain(name))}" for name in fixed]
+    if "g2" in outputs:
+        lines.append(f"seed={draw(st.integers(0, 2**70))}")
+        lines.append(f"samples={draw(st.integers(1000, 2000))}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_configs())
+def test_parsed_small_sweep_runs_and_emits(text):
+    spec = parse_config(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run.csv"
+        try:
+            result = run_sweep(spec)
+            emit_csv(result, out)
+        except ThermalcastError:
+            assert not out.exists()
+            return
+        data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert len(data) == 1 + spec.swept.count
+    for row in result.rows:
+        # a failed row is all nan; an ok row is finite, bar an inconclusive g2
+        cells = [value for out, value in row.values.items() if row.ok and out != "g2"]
+        assert all(map(math.isfinite, cells)), row
+        assert row.ok or all(map(math.isnan, row.values.values())), row

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import thermalcast.hbt
 import thermalcast.sweep
 from thermalcast import (ConfigError, NumericFailureError, SweepSpec,
                          SweptRange, UsageError, emit_csv, expand_preset,
@@ -51,10 +52,20 @@ def test_swept_range_includes_endpoints():
     (dict(outputs=("g2",)), "seed"),
     (dict(seed=7), "seed"),
     (dict(outputs=("g2",), seed=7, samples=10), "samples"),
+    (dict(outputs=("g2",), seed=-1), "seed"),
+    (dict(samples=2000), "samples"),
+    (dict(swept=SweptRange("eta_ab", 0.1, 0.9, thermalcast.sweep.MAX_POINTS + 1)), "sweep"),
+    (dict(outputs=("g2",), seed=7, samples=thermalcast.hbt.MAX_SAMPLES + 1), "samples"),
 ])
 def test_spec_validation_names_the_field(overrides, field):
     with pytest.raises(UsageError, match=f"^{field}"):
         small_spec(**overrides)
+
+
+def test_samples_default_only_with_g2():
+    assert small_spec().samples is None
+    spec = small_spec(outputs=("g2",), seed=7)
+    assert spec.samples == thermalcast.sweep.DEFAULT_G2_SAMPLES
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +118,10 @@ def test_parse_g2_needs_seed_and_accepts_samples():
     ("scenario=basic\nsweep=eta_ab:0.1:0.9:9\noutputs=g2", 3, "seed"),
     ("scenario=basic\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi\nsamples=5000", 4, "samples"),
     ("scenario=basic\nsweep=eta_ab:0.1:0.9:9\noutputs=g2\nseed=-1", 4, "non-negative"),
+    ("scenario=basic\nnu=2\nsweep=eta_ab:0.1:0.9:9\n# g2 run\noutputs=g2\nseed=1\nsamples=10",
+     7, "samples"),
+    ("scenario=basic\nnu=2\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi,cmi", 4, "duplicate"),
+    ("outputs=cmi\nsweep=eta_ab:0.1:0.9:100001\nscenario=basic", 2, "count"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, needle):
     with pytest.raises(ConfigError) as err:
@@ -176,6 +191,17 @@ def test_run_sweep_contains_overflowing_points():
     assert good.ok and math.isfinite(good.values["discord"])
     assert bad.status.startswith("failed:")
     assert math.isnan(bad.values["cmi"]) and math.isnan(bad.values["discord"])
+
+
+def test_run_sweep_contains_numpy_overflow():
+    # v_alpha = 1e200 builds a finite covariance, but receiver A's single-mode
+    # determinant and intensities overflow; the row fails instead of holding nan
+    spec = parse_config("scenario=full\nsweep=nu:1:2:2\noutputs=cmi,discord,g2\n"
+                        "v_alpha=1e200\neta_th_a=0\nseed=0\nsamples=1000\n")
+    result = run_sweep(spec)
+    assert result.rows[0].status == "failed: overflow encountered in scalar multiply"
+    assert all(math.isnan(v) for v in result.rows[0].values.values())
+    assert result.all_failed
 
 
 def test_g2_cells_of_an_inconclusive_verdict_are_nan(tmp_path):
@@ -253,6 +279,34 @@ def test_emit_csv_is_stable_across_runs(tmp_path):
     keep = [ln for ln in a.read_text().splitlines() if not ln.startswith("# generated")]
     other = [ln for ln in b.read_text().splitlines() if not ln.startswith("# generated")]
     assert keep == other
+
+
+def test_emit_csv_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "run.csv"
+    out.write_text("old table\n")
+
+    class FailsHalfway:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[:len(text) // 2])
+            raise OSError("disk full")
+
+    def failing_open(*args, **kwargs):
+        return FailsHalfway(open(*args, **kwargs))
+
+    monkeypatch.setattr(thermalcast.sweep, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        emit_csv(run_sweep(small_spec()), out)
+    assert out.read_text() == "old table\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
 
 def test_emit_csv_refuses_empty(tmp_path):
