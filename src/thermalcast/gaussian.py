@@ -31,7 +31,7 @@ from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateEr
 SYMMETRY_TOL = 1e-12
 
 # Symplectic eigenvalues this far below 1 are treated as floating-point noise
-# and clamped to exactly 1; larger violations fail physicality.
+# and clamped to exactly 1, so pure states have zero entropy.
 SYMPLECTIC_TOL = 1e-9
 
 
@@ -40,10 +40,11 @@ class CovarianceMatrix:
     """A zero-mean Gaussian state: real symmetric 2n x 2n second-moment matrix.
 
     The wrapped array must be finite; it is symmetrized once and frozen at
-    construction. A non-finite entry, which is how an overflow shows up,
-    raises :class:`NumericFailureError`.
-    Physicality (positive definiteness, symplectic spectrum above shot noise)
-    is deliberately not enforced here; use :func:`validate_physicality`.
+    construction. A non-finite entry raises :class:`NumericFailureError`.
+    Scenario builds cannot produce one, since ``ScenarioParams`` caps every
+    variance; the check guards matrices built by hand.
+    Physicality (the uncertainty relation) is deliberately not enforced
+    here; use :func:`validate_physicality`.
     """
 
     data: np.ndarray
@@ -55,14 +56,12 @@ class CovarianceMatrix:
         if arr.shape[0] == 0 or arr.shape[0] % 2 != 0:
             raise InvalidArgumentError(f"covariance matrix must be 2n x 2n with n >= 1, got {arr.shape[0]} rows")
         if not np.isfinite(arr).all():
-            raise NumericFailureError("covariance overflowed: the matrix has non-finite entries")
-        # halve first, so entries near the float maximum cannot overflow
-        half = arr / 2.0
+            raise NumericFailureError("covariance matrix has non-finite entries")
         scale = max(1.0, float(np.abs(arr).max()))
-        asym = 2.0 * float(np.abs(half - half.T).max())
+        asym = float(np.abs(arr - arr.T).max())
         if asym > SYMMETRY_TOL * scale:
             raise InvalidArgumentError(f"covariance matrix is not symmetric: max asymmetry {asym:.3e}")
-        arr = half + half.T
+        arr = (arr + arr.T) / 2.0
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -194,10 +193,7 @@ def apply_beamsplitter(state: CovarianceMatrix, bs: BeamsplitterSpec) -> Covaria
         s[ia, ib] = r
         s[ib, ia] = -r
         s[ib, ib] = t
-    # an overflow here becomes non-finite entries, which CovarianceMatrix rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = s @ state.data @ s.T
-    return CovarianceMatrix(out)
+    return CovarianceMatrix(s @ state.data @ s.T)
 
 
 def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> CovarianceMatrix:
@@ -248,24 +244,26 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
 
 
 def validate_physicality(state: CovarianceMatrix) -> PhysicalityReport:
-    """Check positive definiteness and the shot-noise bound.
+    """Test the uncertainty relation Gamma + i Omega >= 0.
 
-    (A :class:`CovarianceMatrix` is exactly symmetric by construction.)
-    Failure is reported, not raised; diagnostics name each violated
-    condition together with the offending value.
+    One Hermitian eigensolve decides; it implies Gamma > 0 and every
+    symplectic eigenvalue >= 1 (Simon, Mukunda & Dutta, PRA 49, 1567
+    (1994)). Its rounding error scales with the norm of Gamma, so the
+    smallest eigenvalue may dip to -2 * dim * eps * lambda_max. Only a
+    failed test computes the spectrum of Gamma and the symplectic spectrum,
+    to name the violated condition in ``issues``; ``min_symplectic`` is
+    set on a positive-definite failure only.
+    Failure is reported, not raised.
     """
-    issues: list[str] = []
-    try:
-        min_eig = float(np.linalg.eigvalsh(state.data).min())
-        if min_eig <= 0.0:
-            issues.append(f"not positive definite: min eigenvalue {min_eig:.6g}")
-    except np.linalg.LinAlgError as exc:
-        issues.append(f"eigenvalues unavailable: {exc}")
-    min_sympl: float | None = None
-    try:
-        min_sympl = float(symplectic_eigenvalues(state).min())
-        if min_sympl < 1.0 - SYMPLECTIC_TOL:
-            issues.append(f"symplectic eigenvalue below shot noise: {min_sympl:.6g}")
-    except NumericFailureError as exc:
-        issues.append(f"symplectic spectrum unavailable: {exc}")
-    return PhysicalityReport(ok=not issues, issues=tuple(issues), min_symplectic=min_sympl)
+    gamma = state.data
+    eigs = np.linalg.eigvalsh(gamma + 1j * SymplecticForm(state.n_modes).matrix)
+    if eigs[0] >= -2.0 * gamma.shape[0] * np.finfo(float).eps * eigs[-1]:
+        return PhysicalityReport(ok=True, issues=(), min_symplectic=None)
+    min_eig = float(np.linalg.eigvalsh(gamma)[0])
+    if min_eig <= 0.0:
+        return PhysicalityReport(ok=False, min_symplectic=None, issues=(
+            f"not positive definite: min eigenvalue {min_eig:.6g}",))
+    min_sympl = float(symplectic_eigenvalues(state)[-1])
+    return PhysicalityReport(ok=False, min_symplectic=min_sympl, issues=(
+        f"symplectic eigenvalue below shot noise: {min_sympl:.6g} "
+        f"(Gamma + i Omega has eigenvalue {eigs[0]:.3g})",))

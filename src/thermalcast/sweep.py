@@ -65,7 +65,7 @@ class SweptRange:
         return np.linspace(self.start, self.stop, self.count)
 
     def describe(self) -> str:
-        return f"{self.name}:{self.start:g}:{self.stop:g}:{self.count}"
+        return f"{self.name}:{_format_value(self.start)}:{_format_value(self.stop)}:{self.count}"
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def _evaluate_point(spec: SweepSpec, value: float, index: int) -> SweepRow:
                 inconclusive = report.verdict == VERDICT_INCONCLUSIVE
                 values[out] = float("nan") if inconclusive else report.g2_estimate
         return SweepRow(swept_value=float(value), values=values, status="ok")
-    except (NumericFailureError, UnphysicalStateError, FloatingPointError) as exc:
+    except (NumericFailureError, UnphysicalStateError) as exc:
         return SweepRow(swept_value=float(value),
                         values={out: float("nan") for out in spec.outputs},
                         status=f"failed: {exc}")
@@ -189,10 +189,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     values = spec.swept.values()
     order = np.argsort(values, kind="stable")
-    # a huge but finite parameter can overflow inside numpy; that point then
-    # fails like any other instead of writing inf or nan as a result
-    with np.errstate(over="raise", invalid="raise"):
-        rows = tuple(_evaluate_point(spec, values[i], int(i)) for i in order)
+    rows = tuple(_evaluate_point(spec, values[i], int(i)) for i in order)
     return SweepResult(spec=spec, rows=rows)
 
 
@@ -213,7 +210,7 @@ def emit_csv(result: SweepResult, destination: str | Path):
         raise UsageError("refusing to emit an empty table")
     from . import __version__
     spec = result.spec
-    fixed = " ".join(f"{k}={v:g}" for k, v in sorted(spec.fixed.items())) or "(defaults)"
+    fixed = " ".join(f"{k}={_format_value(v)}" for k, v in sorted(spec.fixed.items())) or "(defaults)"
     lines = [
         f"# thermalcast {__version__}",
         f"# generated: {_dt.datetime.now(_dt.timezone.utc).isoformat(timespec='seconds')}",

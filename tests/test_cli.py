@@ -127,6 +127,25 @@ def test_g2check_non_finite_or_overflowing_nu_exits_one(nu, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_g2check_accepts_a_bright_source(capsys):
+    # a pure state at nu = 3000 once failed the symplectic check by rounding
+    assert main(["g2check", "--nu", "3000", "--eta-ab", "0.5", "--seed", "1",
+                 "--samples", "2000"]) == 0
+    assert "verdict: thermal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["--scenario", "full", "--v-alpha", "1e200", "--eta-th-a", "0", "--samples", "2000"],
+     "v_alpha"),
+    (["--scenario", "thermal_channel", "--v-th", "1e308", "--eta-th", "0.5"], "v_th"),
+])
+def test_g2check_names_a_variance_above_the_ceiling(argv, name, capsys):
+    assert main(["g2check", "--seed", "1"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} is a variance and must be <= 1e+06 SNU")
+    assert captured.out == ""
+
+
 def test_all_failed_sweep_exits_two(tmp_path, monkeypatch, capsys):
     real_run = thermalcast.cli.run_sweep
 

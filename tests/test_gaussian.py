@@ -30,6 +30,14 @@ def test_covariance_rejects_asymmetry_and_symmetrizes_noise():
     assert cm.data[0, 1] == cm.data[1, 0]
 
 
+def test_covariance_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        entries = np.eye(2)
+        entries[0, 1] = entries[1, 0] = bad
+        with pytest.raises(NumericFailureError, match="non-finite"):
+            CovarianceMatrix(entries)
+
+
 def test_covariance_data_is_readonly():
     cm = make_vacuum(2)
     with pytest.raises(ValueError):
@@ -206,6 +214,15 @@ def test_validate_physicality_diagnostics():
     indefinite = validate_physicality(CovarianceMatrix(np.diag([1.0, -1.0])))
     assert not indefinite.ok
     assert any("positive definite" in issue for issue in indefinite.issues)
+
+
+def test_validate_physicality_has_no_shot_noise_slack():
+    # 1e-12 below shot noise is far past rounding for a unit-scale matrix;
+    # the symplectic spectrum alone would clamp it to exactly 1
+    report = validate_physicality(CovarianceMatrix((1.0 - 1e-12) * np.eye(2)))
+    assert not report.ok
+    assert any("shot noise" in issue for issue in report.issues)
+    assert validate_physicality(make_epr(1e6)).ok
 
 
 def test_single_mode_negative_determinant_is_numeric_failure():

@@ -6,8 +6,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermalcast import (SCENARIO_NAMES, ConfigError, SweepSpec, ThermalcastError,
-                         emit_csv, parse_config, run_sweep)
+from thermalcast import (SCENARIO_NAMES, ConfigError, ScenarioParams, SweepSpec,
+                         ThermalcastError, emit_csv, parse_config, run_sweep)
 from thermalcast.scenarios import VARIANCE_PARAMS
 from thermalcast.sweep import OUTPUT_NAMES, PARAM_NAMES
 
@@ -76,9 +76,9 @@ def test_config_text_parses_or_names_its_line(lines):
 
 
 def in_domain(name):
-    # any value ScenarioParams accepts, up to the float maximum
+    # any value ScenarioParams accepts, up to its variance ceiling
     if name in VARIANCE_PARAMS:
-        return st.floats(min_value=1.0, max_value=1e308).map(repr)
+        return st.floats(min_value=1.0, max_value=ScenarioParams.MAX_VARIANCE).map(repr)
     return st.floats(min_value=0.0, max_value=1.0).map(repr)
 
 

@@ -4,13 +4,14 @@ import itertools
 import numpy as np
 import pytest
 
-from thermalcast import (InvalidArgumentError, NumericFailureError,
-                         ScenarioParams, UnphysicalStateError,
+from thermalcast import (InvalidArgumentError, ScenarioParams,
+                         UnphysicalStateError,
                          basic_closed_form, block_of, build_basic, build_full,
                          build_scenario, build_thermal_channel,
                          conditional_mutual_information,
                          full_closed_form_blocks, gaussian_discord, reduce,
                          thermal_channel_closed_form, validate_physicality)
+from thermalcast.scenarios import TRANSMITTANCE_PARAMS, VARIANCE_PARAMS
 
 VARIANCES = (1.0, 2.0, 10.0, 500.0)
 SPLITS = (0.0, 0.25, 0.5, 1.0)
@@ -37,12 +38,18 @@ def test_params_validation():
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InvalidArgumentError, match="finite"):
                 ScenarioParams(**{name: bad})
+    ceiling = ScenarioParams.MAX_VARIANCE
+    for name in VARIANCE_PARAMS:
+        assert getattr(ScenarioParams(**{name: ceiling}), name) == ceiling
+        above = float(np.nextafter(ceiling, np.inf))
+        with pytest.raises(InvalidArgumentError, match=rf"^{name} .* got {above!r}$"):
+            ScenarioParams(**{name: above})
 
 
 def test_overflowing_params_are_reported_unphysical():
-    # finite, but sqrt(nu^2 - 1) overflows; the covariance rejects the inf it makes
-    with pytest.raises(NumericFailureError, match="covariance overflowed"):
-        build_basic(ScenarioParams(nu=1e200))
+    # finite, but far past the variance ceiling: rejected by name, never built
+    with pytest.raises(InvalidArgumentError, match="^nu is a variance .* got 1e[+]200$"):
+        ScenarioParams(nu=1e200)
 
 
 def test_mode_labels_and_lookup():
@@ -146,6 +153,16 @@ def test_every_build_is_physical():
         for name in ("basic", "thermal_channel", "full"):
             report = validate_physicality(build_scenario(name, params).state)
             assert report.ok, (name, nu, eta, report.issues)
+    # bright states up to the ceiling: the old symplectic check rejected
+    # pure basic states from nu ~ 2000 on
+    rng = np.random.default_rng(6)
+    top = np.log10(ScenarioParams.MAX_VARIANCE)
+    for _ in range(150):
+        params = ScenarioParams(**{name: 10 ** rng.uniform(0, top) for name in VARIANCE_PARAMS},
+                                **{name: rng.uniform() for name in TRANSMITTANCE_PARAMS})
+        for name in ("basic", "thermal_channel", "full"):
+            report = validate_physicality(build_scenario(name, params).state)
+            assert report.ok, (name, params, report.issues)
 
 
 def test_balanced_split_symmetry():

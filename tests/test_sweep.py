@@ -185,23 +185,17 @@ def test_run_sweep_contains_point_failures(monkeypatch):
 
 
 def test_run_sweep_contains_overflowing_points():
-    # nu = 1e200 is finite, but its EPR correlations overflow to inf/nan
-    result = run_sweep(small_spec(swept=SweptRange("nu", 2.0, 1e200, 2), fixed={}))
-    good, bad = result.rows
-    assert good.ok and math.isfinite(good.values["discord"])
-    assert bad.status.startswith("failed:")
-    assert math.isnan(bad.values["cmi"]) and math.isnan(bad.values["discord"])
+    # nu = 1e200 would overflow the EPR correlations; the spec refuses it by name
+    with pytest.raises(UsageError, match="^sweep: nu is a variance .* got 1e[+]200$") as caught:
+        small_spec(swept=SweptRange("nu", 2.0, 1e200, 2), fixed={})
+    assert caught.value.key == "sweep"
 
 
 def test_run_sweep_contains_numpy_overflow():
-    # v_alpha = 1e200 builds a finite covariance, but receiver A's single-mode
-    # determinant and intensities overflow; the row fails instead of holding nan
-    spec = parse_config("scenario=full\nsweep=nu:1:2:2\noutputs=cmi,discord,g2\n"
-                        "v_alpha=1e200\neta_th_a=0\nseed=0\nsamples=1000\n")
-    result = run_sweep(spec)
-    assert result.rows[0].status == "failed: overflow encountered in scalar multiply"
-    assert all(math.isnan(v) for v in result.rows[0].values.values())
-    assert result.all_failed
+    # v_alpha = 1e200 would overflow receiver A's intensities; its line is named
+    with pytest.raises(ConfigError, match="^line 4: fixed: v_alpha is a variance .* got 1e[+]200$"):
+        parse_config("scenario=full\nsweep=nu:1:2:2\noutputs=cmi,discord,g2\n"
+                     "v_alpha=1e200\neta_th_a=0\nseed=0\nsamples=1000\n")
 
 
 def test_g2_cells_of_an_inconclusive_verdict_are_nan(tmp_path):
@@ -258,17 +252,37 @@ def test_emit_csv_layout(tmp_path):
     assert len(first[1].replace(".", "").replace("-", "").lstrip("0")) >= 11
 
 
-def test_emit_csv_names_each_failed_row(tmp_path):
-    result = run_sweep(small_spec(swept=SweptRange("nu", 2.0, 1e200, 2), fixed={}))
-    out = tmp_path / "overflow.csv"
+def test_emit_csv_names_each_failed_row(tmp_path, monkeypatch):
+    real = thermalcast.sweep.conditional_mutual_information
+
+    def fails_on_bright_source(state, partition):
+        # mode E carries the source variance nu
+        if state.data[0, 0] > 1e5:
+            raise NumericFailureError("CMI routes disagree:\nsynthetic")
+        return real(state, partition)
+
+    monkeypatch.setattr(thermalcast.sweep, "conditional_mutual_information",
+                        fails_on_bright_source)
+    result = run_sweep(small_spec(swept=SweptRange("nu", 2.0, 1e6, 2), fixed={}))
+    out = tmp_path / "failed.csv"
     emit_csv(result, out)
     lines = out.read_text().splitlines()
     failed = [ln for ln in lines if ln.startswith("# failed:")]
-    assert failed == ["# failed: nu=1e+200: covariance overflowed: "
-                      "the matrix has non-finite entries"]
+    assert failed == ["# failed: nu=1000000: CMI routes disagree: synthetic"]
     assert lines.index(failed[0]) == lines.index("# points: 2 failed: 1") + 1
     assert lines[-3] == "nu,cmi,discord"
-    assert lines[-1] == "1e+200,nan,nan"
+    assert lines[-1] == "1000000,nan,nan"
+
+
+def test_emit_csv_metadata_keeps_twelve_digits(tmp_path):
+    spec = parse_config("scenario=basic\nnu=1040.123456\nsweep=eta_ab:0.1234567:0.9:2\n"
+                        "outputs=cmi\n")
+    out = tmp_path / "digits.csv"
+    emit_csv(run_sweep(spec), out)
+    lines = out.read_text().splitlines()
+    assert "# fixed: nu=1040.123456" in lines
+    assert "# sweep: eta_ab:0.1234567:0.9:2" in lines
+    assert lines[-2].startswith("0.1234567,")
 
 
 def test_emit_csv_is_stable_across_runs(tmp_path):
