@@ -16,12 +16,16 @@ Conventions used throughout the package:
   applied identically to both quadratures. The transmitted beam lands in the
   slot of ``mode_a``, the reflected beam in the slot of ``mode_b``.
 
-All operations are pure functions on immutable values; nothing here caches
-or mutates shared state.
+Operations work on stacks: (N, 2n, 2n) arrays of N states, one per row.
+The functions taking a :class:`CovarianceMatrix` are N = 1 calls into them.
+A stage that can fail on one row records an exception in that row's slot
+of an ``errors`` list (``None`` while the row is good) instead of raising,
+so a bad row never spoils the others. All operations are pure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -92,6 +96,10 @@ class SymplecticForm:
         object.__setattr__(self, "matrix", mat)
 
 
+# read-only, so one matrix per mode count serves every stack
+_omega = cache(lambda n_modes: SymplecticForm(n_modes).matrix)
+
+
 @dataclass(frozen=True)
 class BeamsplitterSpec:
     """Two target modes and a transmittance; defines a passive symplectic mix.
@@ -124,6 +132,73 @@ class PhysicalityReport:
         return self.ok
 
 
+def flag_rows(errors: list, mask: np.ndarray, make) -> None:
+    """Record ``make(i)`` as the failure of each row i in ``mask`` that has none yet."""
+    for i in np.flatnonzero(mask):
+        if errors[i] is None:
+            errors[i] = make(i)
+
+
+def run_one(stage, data: np.ndarray, *args):
+    """Run ``stage(stack, *args, errors)`` on one matrix as an N = 1 stack; raise its failure."""
+    errors = [None]
+    out = stage(data[None], *args, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return out[0]
+
+
+def epr_stack(nu: np.ndarray) -> np.ndarray:
+    """Two-mode squeezed vacua, (N, 4, 4), for local variances ``nu`` (N,)."""
+    z = np.sqrt(nu * nu - 1.0)
+    out = nu[:, None, None] * np.eye(4)
+    out[:, 0, 2] = out[:, 2, 0] = z
+    out[:, 1, 3] = out[:, 3, 1] = -z
+    return out
+
+
+def thermal_stack(variance: np.ndarray) -> np.ndarray:
+    """Single thermal modes diag(V, V), (N, 2, 2), for variances (N,)."""
+    return variance[:, None, None] * np.eye(2)
+
+
+def direct_sum(*stacks: np.ndarray) -> np.ndarray:
+    """Row-wise direct sum of stacks; later stacks' modes come last."""
+    dims = np.cumsum([0] + [s.shape[-1] for s in stacks])
+    out = np.zeros((len(stacks[0]), dims[-1], dims[-1]))
+    for s, lo, hi in zip(stacks, dims, dims[1:]):
+        out[:, lo:hi, lo:hi] = s
+    return out
+
+
+def beamsplitter_stack(stack: np.ndarray, mode_a: int, mode_b: int,
+                       eta: np.ndarray) -> np.ndarray:
+    """Gamma' = S Gamma S^T per row, S the module docstring's mix of two modes at ``eta``."""
+    t, r = np.sqrt(eta)[:, None, None], np.sqrt(1.0 - eta)[:, None, None]
+    a, b = slice(2 * mode_a, 2 * mode_a + 2), slice(2 * mode_b, 2 * mode_b + 2)
+    out = stack.copy()
+    ra, rb = stack[:, a, :], stack[:, b, :]
+    out[:, a, :], out[:, b, :] = t * ra + r * rb, t * rb - r * ra
+    ca, cb = out[:, :, a].copy(), out[:, :, b].copy()
+    out[:, :, a], out[:, :, b] = t * ca + r * cb, t * cb - r * ca
+    return (out + out.swapaxes(1, 2)) / 2.0
+
+
+def select_modes(data: np.ndarray, keep) -> np.ndarray:
+    """Principal submatrices of one matrix or of a stack on the kept modes, in order."""
+    n = data.shape[-1] // 2
+    keep = list(keep)
+    if len(keep) == 0:
+        raise InvalidArgumentError("must keep at least one mode")
+    if len(set(keep)) != len(keep):
+        raise InvalidArgumentError(f"duplicate mode index in {keep}")
+    for m in keep:
+        if not 0 <= m < n:
+            raise InvalidArgumentError(f"mode index {m} out of range for {n} modes")
+    idx = np.array([q for m in keep for q in (2 * m, 2 * m + 1)])
+    return data[..., idx[:, None], idx]
+
+
 def make_vacuum(n_modes: int) -> CovarianceMatrix:
     """The n-mode vacuum state: 2n x 2n identity."""
     if n_modes < 1:
@@ -135,7 +210,7 @@ def make_thermal(variance: float) -> CovarianceMatrix:
     """A single thermal mode diag(V, V); V = 1 is the vacuum."""
     if variance < 1.0:
         raise UnphysicalStateError(f"thermal variance must be >= 1 SNU, got {variance}")
-    return CovarianceMatrix(np.diag([float(variance), float(variance)]))
+    return CovarianceMatrix(thermal_stack(np.array([float(variance)]))[0])
 
 
 def make_epr(nu: float) -> CovarianceMatrix:
@@ -147,53 +222,22 @@ def make_epr(nu: float) -> CovarianceMatrix:
     """
     if nu < 1.0:
         raise UnphysicalStateError(f"EPR variance must be >= 1 SNU, got {nu}")
-    nu = float(nu)
-    z = np.sqrt(nu * nu - 1.0)
-    mat = np.zeros((4, 4))
-    mat[0, 0] = mat[1, 1] = mat[2, 2] = mat[3, 3] = nu
-    mat[0, 2] = mat[2, 0] = z
-    mat[1, 3] = mat[3, 1] = -z
-    return CovarianceMatrix(mat)
+    return CovarianceMatrix(epr_stack(np.array([float(nu)]))[0])
 
 
 def tensor(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:
     """Direct sum of two states; mode counts add, b's modes come last."""
-    na, nb = a.data.shape[0], b.data.shape[0]
-    out = np.zeros((na + nb, na + nb))
-    out[:na, :na] = a.data
-    out[na:, na:] = b.data
-    return CovarianceMatrix(out)
+    return CovarianceMatrix(direct_sum(a.data[None], b.data[None])[0])
 
 
 def apply_beamsplitter(state: CovarianceMatrix, bs: BeamsplitterSpec) -> CovarianceMatrix:
-    """Mix two modes of a state on a beamsplitter: Gamma' = S Gamma S^T.
-
-    S is the identity outside the target modes and acts on each quadrature
-    pair as the orthogonal rotation fixed in the module docstring: the
-    transmitted combination (amplitude sqrt(eta) on ``mode_a``) replaces
-    ``mode_a``, the reflected combination replaces ``mode_b``.
-
-    Args:
-        state: input state.
-        bs: target modes and transmittance.
-
-    Returns:
-        The transformed state, same mode count and ordering.
-    """
+    """Mix two modes of one state on a beamsplitter: Gamma' = S Gamma S^T."""
     n = state.n_modes
     if bs.mode_a >= n or bs.mode_b >= n:
         raise InvalidArgumentError(
             f"beamsplitter modes ({bs.mode_a}, {bs.mode_b}) out of range for {n} modes")
-    t = np.sqrt(bs.transmittance)
-    r = np.sqrt(1.0 - bs.transmittance)
-    s = np.eye(2 * n)
-    for q in (0, 1):
-        ia, ib = 2 * bs.mode_a + q, 2 * bs.mode_b + q
-        s[ia, ia] = t
-        s[ia, ib] = r
-        s[ib, ia] = -r
-        s[ib, ib] = t
-    return CovarianceMatrix(s @ state.data @ s.T)
+    return CovarianceMatrix(beamsplitter_stack(
+        state.data[None], bs.mode_a, bs.mode_b, np.array([bs.transmittance]))[0])
 
 
 def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> CovarianceMatrix:
@@ -202,68 +246,66 @@ def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> Covari
     Serves both as partial trace (drop the unlisted modes) and as mode
     permutation (list all modes in a new order).
     """
-    n = state.n_modes
-    keep = list(keep)
-    if len(keep) == 0:
-        raise InvalidArgumentError("must keep at least one mode")
-    if len(set(keep)) != len(keep):
-        raise InvalidArgumentError(f"duplicate mode index in {keep}")
-    for m in keep:
-        if not 0 <= m < n:
-            raise InvalidArgumentError(f"mode index {m} out of range for {n} modes")
-    idx = np.concatenate([(2 * m, 2 * m + 1) for m in keep]).astype(int)
-    return CovarianceMatrix(state.data[np.ix_(idx, idx)])
+    return CovarianceMatrix(select_modes(state.data, keep))
 
 
-def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
-    """The n symplectic eigenvalues of a state, in descending order.
+def symplectic_spectrum(stack: np.ndarray, errors: list) -> np.ndarray:
+    """Symplectic eigenvalues per row, (N, n), descending: |eigenvalues| of Omega Gamma.
 
-    These are the absolute values of the eigenvalues of i*Omega*Gamma (each
-    occurs twice as +/-x; each is returned once). A physical state has all
-    of them >= 1. Values within ``SYMPLECTIC_TOL`` below 1 are clamped up to
-    exactly 1 so that entropy terms of pure constructions vanish cleanly.
+    Each occurs twice as +/-x and is kept once; one mode needs only
+    sqrt(det Gamma), and a negative det fails its row. Values within
+    ``SYMPLECTIC_TOL`` below 1 are clamped to 1, so pure states have zero entropy.
     """
-    gamma = state.data
-    n = state.n_modes
+    n = stack.shape[-1] // 2
     if n == 1:
-        # one mode: x = sqrt(det Gamma), no eigensolve needed
-        det = gamma[0, 0] * gamma[1, 1] - gamma[0, 1] * gamma[1, 0]
-        if det < 0.0:
-            raise NumericFailureError(f"negative single-mode determinant {det:.3e}")
-        vals = np.array([np.sqrt(det)])
+        det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
+        flag_rows(errors, det < 0.0, lambda i: NumericFailureError(
+            f"negative single-mode determinant {det[i]:.3e}"))
+        vals = np.sqrt(np.maximum(det, 0.0))[:, None]
     else:
-        omega = SymplecticForm(n).matrix
         try:
-            eig = np.linalg.eigvals(omega @ gamma)
+            eig = np.linalg.eigvals(_omega(n) @ stack)
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"eigensolve failed: {exc}") from exc
         # conjugate pairs have bit-identical modulus; keep one per pair
-        vals = np.sort(np.abs(eig))[::-1][::2].copy()
-    vals[(vals < 1.0) & (vals > 1.0 - SYMPLECTIC_TOL)] = 1.0
-    return np.sort(vals)[::-1]
+        vals = np.sort(np.abs(eig), axis=-1)[:, ::-2]
+    vals = np.where((vals < 1.0) & (vals > 1.0 - SYMPLECTIC_TOL), 1.0, vals)
+    return np.sort(vals, axis=-1)[:, ::-1]
 
 
-def validate_physicality(state: CovarianceMatrix) -> PhysicalityReport:
-    """Test the uncertainty relation Gamma + i Omega >= 0.
+def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
+    """The n symplectic eigenvalues of a state, in descending order."""
+    return run_one(symplectic_spectrum, state.data)
 
-    One Hermitian eigensolve decides; it implies Gamma > 0 and every
-    symplectic eigenvalue >= 1 (Simon, Mukunda & Dutta, PRA 49, 1567
-    (1994)). Its rounding error scales with the norm of Gamma, so the
-    smallest eigenvalue may dip to -2 * dim * eps * lambda_max. Only a
-    failed test computes the spectrum of Gamma and the symplectic spectrum,
-    to name the violated condition in ``issues``; ``min_symplectic`` is
-    set on a positive-definite failure only.
-    Failure is reported, not raised.
-    """
-    gamma = state.data
-    eigs = np.linalg.eigvalsh(gamma + 1j * SymplecticForm(state.n_modes).matrix)
-    if eigs[0] >= -2.0 * gamma.shape[0] * np.finfo(float).eps * eigs[-1]:
-        return PhysicalityReport(ok=True, issues=(), min_symplectic=None)
+
+def _unphysical(gamma: np.ndarray, low: float) -> PhysicalityReport:
     min_eig = float(np.linalg.eigvalsh(gamma)[0])
     if min_eig <= 0.0:
         return PhysicalityReport(ok=False, min_symplectic=None, issues=(
             f"not positive definite: min eigenvalue {min_eig:.6g}",))
-    min_sympl = float(symplectic_eigenvalues(state)[-1])
+    min_sympl = float(run_one(symplectic_spectrum, gamma)[-1])
     return PhysicalityReport(ok=False, min_symplectic=min_sympl, issues=(
         f"symplectic eigenvalue below shot noise: {min_sympl:.6g} "
-        f"(Gamma + i Omega has eigenvalue {eigs[0]:.3g})",))
+        f"(Gamma + i Omega has eigenvalue {low:.3g})",))
+
+
+def physicality_stack(stack: np.ndarray) -> list[PhysicalityReport]:
+    """Test the uncertainty relation Gamma + i Omega >= 0 on every row.
+
+    One stacked Hermitian eigensolve decides; it implies Gamma > 0 and every
+    symplectic eigenvalue >= 1 (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)).
+    Its smallest eigenvalue may dip to -2 * dim * eps * lambda_max by rounding.
+    Only a failed row computes the spectra of Gamma that name the violated
+    condition; ``min_symplectic`` is set on a positive-definite failure only.
+    """
+    dim = stack.shape[-1]
+    eigs = np.linalg.eigvalsh(stack + 1j * _omega(dim // 2))
+    reports = [PhysicalityReport(ok=True, issues=(), min_symplectic=None)] * len(stack)
+    for i in np.flatnonzero(~(eigs[:, 0] >= -2.0 * dim * np.finfo(float).eps * eigs[:, -1])):
+        reports[i] = _unphysical(stack[i], eigs[i, 0])
+    return reports
+
+
+def validate_physicality(state: CovarianceMatrix) -> PhysicalityReport:
+    """The :func:`physicality_stack` report of one state; failure is reported, not raised."""
+    return physicality_stack(state.data[None])[0]

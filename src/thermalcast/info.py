@@ -8,7 +8,9 @@ Two entropy notions coexist here and must not be mixed up:
 * :func:`von_neumann_entropy` is the quantum entropy from the symplectic
   spectrum. Discord is built from this one.
 
-Everything is reported in bits.
+Everything is reported in bits. Each measure has a stacked form that
+takes an (N, 2n, 2n) stack and a per-row ``errors`` list (see
+:mod:`thermalcast.gaussian`), and a one-state form that is its N = 1 call.
 """
 from __future__ import annotations
 
@@ -17,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateError
-from .gaussian import SYMPLECTIC_TOL, CovarianceMatrix, reduce, symplectic_eigenvalues
+from .gaussian import (SYMPLECTIC_TOL, CovarianceMatrix, flag_rows, run_one, select_modes,
+                       symplectic_spectrum)
 
 _LN2 = float(np.log(2.0))
+_LOG2_2PIE = float(np.log(2.0 * np.pi * np.e) / _LN2)
 
 # Negative information values within this of zero clamp to 0; beyond it they
 # raise. Also the agreement tolerance for the two CMI evaluation routes.
@@ -86,12 +90,16 @@ class DiscordResult:
     conditional_entropy: float
 
 
-def _logdet(gamma: np.ndarray, label: str) -> float:
-    """log2-determinant; non-positive det is a hard error."""
-    sign, logdet = np.linalg.slogdet(gamma)
-    if sign <= 0.0:
-        raise NumericFailureError(f"non-positive determinant for {label}")
-    return float(logdet / _LN2)
+def _log2det(stack: np.ndarray, label: str, errors: list) -> np.ndarray:
+    """log2-determinant per row; a non-positive det fails the row and reads 0."""
+    sign, logdet = np.linalg.slogdet(stack)
+    flag_rows(errors, sign <= 0.0, lambda i: NumericFailureError(
+        f"non-positive determinant for {label}"))
+    return np.where(sign > 0.0, logdet / _LN2, 0.0)
+
+
+def _shannon(stack: np.ndarray, errors: list) -> np.ndarray:
+    return 0.5 * (stack.shape[-1] * _LOG2_2PIE + _log2det(stack, "state", errors))
 
 
 def shannon_entropy(state: CovarianceMatrix) -> float:
@@ -100,8 +108,7 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
     H = (1/2) * log((2 pi e)^d * det Gamma) with d the full quadrature
     dimension (two per mode). Single vacuum mode: log2(2 pi e) ~ 4.094342.
     """
-    dim = state.data.shape[0]
-    return 0.5 * (dim * float(np.log(2.0 * np.pi * np.e) / _LN2) + _logdet(state.data, "state"))
+    return float(run_one(_shannon, state.data))
 
 
 def _g(x: np.ndarray) -> np.ndarray:
@@ -114,28 +121,33 @@ def _g(x: np.ndarray) -> np.ndarray:
     return out / _LN2
 
 
+def _von_neumann(stack: np.ndarray, errors: list) -> np.ndarray:
+    eigs = symplectic_spectrum(stack, errors)
+    low = eigs[:, -1]
+    flag_rows(errors, low < 1.0 - SYMPLECTIC_TOL, lambda i: UnphysicalStateError(
+        f"symplectic eigenvalue {low[i]:.6g} below shot noise"))
+    return _g(np.maximum(eigs, 1.0)).sum(axis=-1)
+
+
 def von_neumann_entropy(state: CovarianceMatrix) -> float:
-    """Quantum entropy from the symplectic spectrum, in bits.
+    """Quantum entropy from the symplectic spectrum, in bits; unphysical spectra raise.
 
     Zero for pure states (vacuum, EPR); thermal(2) gives ~1.377444.
-    Raises unphysical-state if any symplectic eigenvalue sits below shot
-    noise by more than the clamp tolerance.
     """
-    eigs = symplectic_eigenvalues(state)
-    low = float(eigs.min())
-    if low < 1.0 - SYMPLECTIC_TOL:
-        raise UnphysicalStateError(f"symplectic eigenvalue {low:.6g} below shot noise")
-    return float(np.sum(_g(eigs)))
+    return float(run_one(_von_neumann, state.data))
 
 
-def _clamp_info(value: float, label: str) -> float:
-    if value < -CLAMP_TOL:
-        raise NumericFailureError(f"{label} = {value:.3e} is negative beyond tolerance")
-    return 0.0 if value < 0.0 else value
+def _clamp_info(values: np.ndarray, label: str, errors: list) -> np.ndarray:
+    """Clamp dust below zero to 0 and fail rows below ``-CLAMP_TOL``; failed rows read nan."""
+    flag_rows(errors, values < -CLAMP_TOL, lambda i: NumericFailureError(
+        f"{label} = {values[i]:.3e} is negative beyond tolerance"))
+    values = np.where(values < 0.0, 0.0, values)
+    values[np.array([e is not None for e in errors], dtype=bool)] = np.nan
+    return values
 
 
-def conditional_mutual_information(state: CovarianceMatrix, p: Partition) -> float:
-    """I(A:B|S) in bits, S non-empty.
+def cmi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
+    """I(A:B|S) in bits for every row, S non-empty.
 
     Evaluated two independent ways and cross-checked to ``CLAMP_TOL``:
 
@@ -145,112 +157,140 @@ def conditional_mutual_information(state: CovarianceMatrix, p: Partition) -> flo
       the Schur complement Gamma_AB|S = Gamma_AB - C Gamma_S^-1 C^T, whose
       diagonal blocks are Gamma_A|S and Gamma_B|S.
 
-    Disagreement between the routes, or a non-positive determinant, raises
-    a numeric failure rather than returning a junk value.
+    A row whose routes disagree, or with a non-positive determinant, reads
+    nan and gets a :class:`NumericFailureError` in ``errors``.
     """
-    if not p.subsystem_s:
+    a, b, s = p.subsystem_a, p.subsystem_b, p.subsystem_s
+    if not s:
         raise InvalidArgumentError("conditioning set S is empty; use mutual_information")
-    g_as = reduce(state, p.subsystem_a + p.subsystem_s)
-    g_bs = reduce(state, p.subsystem_b + p.subsystem_s)
-    g_s = reduce(state, p.subsystem_s)
-    g_abs = reduce(state, p.subsystem_a + p.subsystem_b + p.subsystem_s)
-
+    g_abs, g_s = select_modes(stack, a + b + s), select_modes(stack, s)
     from_dets = 0.5 * (
-        _logdet(g_as.data, "Gamma_AS") + _logdet(g_bs.data, "Gamma_BS")
-        - _logdet(g_s.data, "Gamma_S") - _logdet(g_abs.data, "Gamma_ABS"))
-    n_a, n_ab = 2 * len(p.subsystem_a), 2 * len(p.subsystem_a + p.subsystem_b)
-    cross = g_abs.data[:n_ab, n_ab:]
-    cond = g_abs.data[:n_ab, :n_ab] - cross @ np.linalg.solve(g_s.data, cross.T)
+        _log2det(select_modes(stack, a + s), "Gamma_AS", errors)
+        + _log2det(select_modes(stack, b + s), "Gamma_BS", errors)
+        - _log2det(g_s, "Gamma_S", errors) - _log2det(g_abs, "Gamma_ABS", errors))
+    n_a, n_ab = 2 * len(a), 2 * len(a + b)
+    # solve only rows whose determinants are all positive: one singular
+    # Gamma_S would make the stacked solve raise for every row
+    ok = np.array([e is None for e in errors], dtype=bool)
+    cross = g_abs[ok, :n_ab, n_ab:]
+    cond = g_abs[:, :n_ab, :n_ab].copy()
+    cond[ok] -= cross @ np.linalg.solve(g_s[ok], cross.swapaxes(1, 2))
     from_schur = 0.5 * (
-        _logdet(cond[:n_a, :n_a], "Gamma_A|S") + _logdet(cond[n_a:, n_a:], "Gamma_B|S")
-        - _logdet(cond, "Gamma_AB|S"))
-    if abs(from_dets - from_schur) > CLAMP_TOL:
-        raise NumericFailureError(
-            f"CMI routes disagree: {from_dets!r} (determinants) vs {from_schur!r} (Schur complements)")
-    return _clamp_info(from_dets, "conditional mutual information")
+        _log2det(cond[:, :n_a, :n_a], "Gamma_A|S", errors)
+        + _log2det(cond[:, n_a:, n_a:], "Gamma_B|S", errors)
+        - _log2det(cond, "Gamma_AB|S", errors))
+    flag_rows(errors, np.abs(from_dets - from_schur) > CLAMP_TOL, lambda i: NumericFailureError(
+        f"CMI routes disagree: {float(from_dets[i])!r} (determinants) vs "
+        f"{float(from_schur[i])!r} (Schur complements)"))
+    return _clamp_info(from_dets, "conditional mutual information", errors)
+
+
+def conditional_mutual_information(state: CovarianceMatrix, p: Partition) -> float:
+    """I(A:B|S) in bits of one state; :func:`cmi_stack` on N = 1, raising its failure."""
+    return float(run_one(cmi_stack, state.data, p))
+
+
+def mi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
+    """I(A:B) = H(A) + H(B) - H(AB) in bits for every row; requires an empty S."""
+    if p.subsystem_s:
+        raise InvalidArgumentError("mutual_information takes an empty conditioning set")
+    value = (_shannon(select_modes(stack, p.subsystem_a), errors)
+             + _shannon(select_modes(stack, p.subsystem_b), errors)
+             - _shannon(select_modes(stack, p.subsystem_a + p.subsystem_b), errors))
+    return _clamp_info(value, "mutual information", errors)
 
 
 def mutual_information(state: CovarianceMatrix, p: Partition) -> float:
-    """I(A:B) = H(A) + H(B) - H(AB) in bits; requires an empty S."""
-    if p.subsystem_s:
-        raise InvalidArgumentError("mutual_information takes an empty conditioning set")
-    h_a = shannon_entropy(reduce(state, p.subsystem_a))
-    h_b = shannon_entropy(reduce(state, p.subsystem_b))
-    h_ab = shannon_entropy(reduce(state, p.subsystem_a + p.subsystem_b))
-    return _clamp_info(h_a + h_b - h_ab, "mutual information")
+    """I(A:B) in bits of one state; :func:`mi_stack` on N = 1, raising its failure."""
+    return float(run_one(mi_stack, state.data, p))
 
 
-def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
-                       proj: HomodyneProjector) -> CovarianceMatrix:
-    """State of the remaining modes after homodyning one mode.
+def _homodyne(stack: np.ndarray, measured_mode: int, angles: np.ndarray,
+              errors: list) -> np.ndarray:
+    """Remaining modes of every row after homodyning one mode at the row's angle.
 
-    Schur-complement update Gamma_rest - C (X Gamma_m X)^+ C^T. The
-    pseudo-inverse of the rank-1 piece is closed-form: with x the measured
-    direction and q = x^T Gamma_m x, it is x x^T / q. No SVD, no rank
-    tolerance.
-
-    Args:
-        state: at least two modes.
-        measured_mode: which mode is detected (and removed).
-        proj: quadrature direction of the detection.
-
-    Returns:
-        Covariance of the remaining modes, original relative order.
+    Schur-complement update Gamma_rest - C (X Gamma_m X)^+ C^T, where the
+    pseudo-inverse of the rank-1 piece is x x^T / q for the measured
+    direction x and q = x^T Gamma_m x. A row with q <= 0 fails.
     """
-    n = state.n_modes
+    n = stack.shape[-1] // 2
     if not 0 <= measured_mode < n:
         raise InvalidArgumentError(f"measured mode {measured_mode} out of range for {n} modes")
     if n < 2:
         raise InvalidArgumentError("conditioning requires at least one unmeasured mode")
-    rest = [m for m in range(n) if m != measured_mode]
-    rest_idx = np.concatenate([(2 * m, 2 * m + 1) for m in rest]).astype(int)
-    meas = state.mode_slice(measured_mode)
-    x = proj.direction
-    q = float(x @ state.data[meas, meas] @ x)
-    if q <= 0.0:
-        raise NumericFailureError(f"measured quadrature variance {q:.6g} is not positive")
-    cx = state.data[rest_idx, meas] @ x
-    return CovarianceMatrix(state.data[np.ix_(rest_idx, rest_idx)] - np.outer(cx, cx) / q)
+    # the unmeasured modes in their original order, then the measured one
+    g = select_modes(stack, [m for m in range(n) if m != measured_mode] + [measured_mode])
+    m = 2 * n - 2
+    x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)[:, :, None]
+    q = (x.swapaxes(1, 2) @ g[:, m:, m:] @ x)[:, 0, 0]
+    flag_rows(errors, q <= 0.0, lambda i: NumericFailureError(
+        f"measured quadrature variance {q[i]:.6g} is not positive"))
+    cx = g[:, :m, m:] @ x
+    return g[:, :m, :m] - cx * cx.swapaxes(1, 2) / np.where(q > 0.0, q, np.inf)[:, None, None]
 
 
-def _best_homodyne_angle(pair: CovarianceMatrix) -> float:
-    """Homodyne angle on mode 0 that minimizes the conditional det of mode 1.
+def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
+                       proj: HomodyneProjector) -> CovarianceMatrix:
+    """State of the remaining modes after homodyning one mode, in their original order."""
+    return CovarianceMatrix(run_one(_homodyne, state.data, measured_mode, np.array([proj.angle])))
+
+
+def _best_homodyne_angle(pair: np.ndarray, errors: list) -> np.ndarray:
+    """Homodyne angle on mode 0 of every row that minimizes the conditional det of mode 1.
 
     With A, B the diagonal blocks and C the cross block, a readout along x
     leaves mode 1 with det B - x^T C adj(B) C^T x / x^T A x. The minimizer
     is the top generalized eigenvector of (C adj(B) C^T, A), found as an
     ordinary symmetric eigenproblem after whitening by the Cholesky factor
-    of A. The direction is reported as an angle in [0, pi).
+    L of A. L is written out for 2 x 2, so a row whose A is not positive
+    definite fails alone. The direction is reported as an angle in [0, pi).
     """
-    a, b, c = pair.data[0:2, 0:2], pair.data[2:4, 2:4], pair.data[0:2, 2:4]
-    adj_b = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NumericFailureError("measured mode's block is not positive definite") from None
-    whiten = np.linalg.inv(low)
-    _, vecs = np.linalg.eigh(whiten @ c @ adj_b @ c.T @ whiten.T)
-    x = whiten.T @ vecs[:, -1]
-    angle = float(np.arctan2(x[1], x[0]) % np.pi)
+    a, b, c = pair[:, 0:2, 0:2], pair[:, 2:4, 2:4], pair[:, 0:2, 2:4]
+    pos = a[:, 0, 0] > 0.0
+    l00 = np.sqrt(np.where(pos, a[:, 0, 0], 1.0))
+    l10 = a[:, 1, 0] / l00
+    l11_sq = a[:, 1, 1] - l10 * l10
+    bad = ~(pos & (l11_sq > 0.0))
+    flag_rows(errors, bad, lambda i: NumericFailureError("measured mode's block is not positive definite"))
+    l11 = np.sqrt(np.where(bad, 1.0, l11_sq))
+    whiten = np.zeros_like(a)  # L^-1
+    whiten[:, 0, 0], whiten[:, 1, 0], whiten[:, 1, 1] = 1.0 / l00, -l10 / (l00 * l11), 1.0 / l11
+    adj_b = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
+    _, vecs = np.linalg.eigh(whiten @ c @ adj_b @ c.swapaxes(1, 2) @ whiten.swapaxes(1, 2))
+    x = (whiten.swapaxes(1, 2) @ vecs[:, :, -1:])[:, :, 0]
+    angle = np.arctan2(x[:, 1], x[:, 0]) % np.pi
     # a direction a rounding error short of pi is the line at angle 0
-    return 0.0 if angle >= np.pi else angle
+    return np.where(angle >= np.pi, 0.0, angle)
 
 
-def gaussian_discord(state: CovarianceMatrix, a_mode: int, b_mode: int) -> DiscordResult:
-    """Gaussian discord D(B|A): A is homodyned, B is inferred.
+def discord_stack(stack: np.ndarray, a_mode: int, b_mode: int, errors: list) -> DiscordResult:
+    """Gaussian discord D(B|A) of every row: A is homodyned, B is inferred.
 
     D = S(Gamma_A) - S(Gamma_AB) + min over homodyne angle of S(Gamma_B|x_A),
     all von Neumann. The minimum over homodyne angles in [0, pi) is taken in
     closed form (see :func:`_best_homodyne_angle`), and B is conditioned
-    once, at that angle, which ``angle`` reports in [0, pi). States whose
-    blocks are proportional to the identity have an angle-free conditional
-    entropy, so the reported angle is then arbitrary.
+    once, at that angle. Every field of the result is an (N,) array; a
+    failed row's value is nan.
     """
-    pair = reduce(state, [a_mode, b_mode])
-    s_a = von_neumann_entropy(reduce(pair, [0]))
-    s_ab = von_neumann_entropy(pair)
-    angle = _best_homodyne_angle(pair)
-    s_cond = von_neumann_entropy(homodyne_condition(pair, 0, HomodyneProjector(angle)))
-    value = _clamp_info(s_a - s_ab + s_cond, "discord")
-    return DiscordResult(value=value, angle=angle, entropy_a=s_a,
-                         entropy_joint=s_ab, conditional_entropy=s_cond)
+    pair = select_modes(stack, [a_mode, b_mode])
+    s_a = _von_neumann(pair[:, 0:2, 0:2], errors)
+    s_ab = _von_neumann(pair, errors)
+    angle = _best_homodyne_angle(pair, errors)
+    s_cond = _von_neumann(_homodyne(pair, 0, angle, errors), errors)
+    value = _clamp_info(s_a - s_ab + s_cond, "discord", errors)
+    return DiscordResult(value=value, angle=angle, entropy_a=s_a, entropy_joint=s_ab,
+                         conditional_entropy=s_cond)
+
+
+def gaussian_discord(state: CovarianceMatrix, a_mode: int, b_mode: int) -> DiscordResult:
+    """Discord of one state; :func:`discord_stack` on N = 1, raising its failure.
+
+    ``angle`` is in [0, pi). States whose blocks are proportional to the
+    identity have an angle-free conditional entropy, so the reported angle
+    is then arbitrary.
+    """
+    errors = [None]
+    rows = discord_stack(state.data[None], a_mode, b_mode, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return DiscordResult(**{name: float(v[0]) for name, v in vars(rows).items()})

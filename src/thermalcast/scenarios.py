@@ -6,10 +6,10 @@ Optional thermal channels sit in front of the splitter (transmittance
 ``eta_th`` against a thermal mode of variance ``v_th``) and behind it on
 each receiver arm (``eta_th_a``/``v_alpha``, ``eta_th_b``/``v_beta``).
 
-Every topology exists twice: as a compositional build out of EPR, tensor
-and beamsplitter primitives, and as closed-form matrix entries written out
-by hand. The two must agree entrywise; tests hold them to 1e-12. Keep both
-routes intact when editing.
+Every topology exists twice: as a compositional build out of EPR, direct
+sum and beamsplitter primitives on parameter stacks (one row per point),
+and as closed-form matrix entries written out by hand. The two must agree
+entrywise; tests hold them to 1e-12. Keep both routes intact when editing.
 
 Mode labels, in build order:
 
@@ -20,14 +20,14 @@ Mode labels, in build order:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidArgumentError, UnphysicalStateError
-from .gaussian import (BeamsplitterSpec, CovarianceMatrix, apply_beamsplitter,
-                       make_epr, make_thermal, make_vacuum, reduce, tensor,
-                       validate_physicality)
+from .gaussian import (CovarianceMatrix, beamsplitter_stack, direct_sum, epr_stack,
+                       select_modes, thermal_stack, validate_physicality)
 from .info import Partition
 
 MODE_E = "E"
@@ -100,80 +100,92 @@ class ScenarioState:
             raise UnphysicalStateError("; ".join(report.issues))
 
     def mode_index(self, label: str) -> int:
-        try:
-            return self.mode_labels.index(label)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"no mode labeled {label!r} in {self.mode_labels}") from None
+        return _mode_index(self.mode_labels, label)
 
     def information_partition(self) -> Partition:
-        """A vs B, conditioned on the source mode E alone.
-
-        The channel idlers (V, V_a, V_b) are environment: nobody reads
-        them, so they are traced out of every information quantity.
-        """
-        return Partition(
-            subsystem_a=(self.mode_index(MODE_A),),
-            subsystem_b=(self.mode_index(MODE_B),),
-            subsystem_s=(self.mode_index(MODE_E),),
-        )
+        """A vs B, conditioned on E; see :func:`information_partition`."""
+        return information_partition(self.mode_labels)
 
 
-def _as_scenario(state: CovarianceMatrix, labels: tuple[str, ...],
-                 params: ScenarioParams) -> ScenarioState:
-    return ScenarioState(state=state, mode_labels=labels, params=params)
+def _mode_index(labels: tuple[str, ...], label: str) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise InvalidArgumentError(f"no mode labeled {label!r} in {labels}") from None
 
 
-def build_basic(params: ScenarioParams) -> ScenarioState:
-    """Noiseless broadcast: EPR arm split between A and B. Modes (E, B, A).
+def information_partition(labels: tuple[str, ...]) -> Partition:
+    """A vs B, conditioned on the source mode E alone.
 
-    B is the transmitted output (variance eta_ab * nu + 1 - eta_ab), A the
-    reflected one. Channel fields of ``params`` are ignored.
+    The channel idlers (V, V_a, V_b) are environment: nobody reads them, so
+    they are traced out of every information quantity.
     """
-    state = tensor(make_epr(params.nu), make_vacuum(1))
-    state = apply_beamsplitter(state, BeamsplitterSpec(1, 2, params.eta_ab))
-    return _as_scenario(state, (MODE_E, MODE_B, MODE_A), params)
+    return Partition(*((_mode_index(labels, label),) for label in (MODE_A, MODE_B, MODE_E)))
 
 
-def build_thermal_channel(params: ScenarioParams) -> ScenarioState:
-    """Broadcast through a thermal channel before the splitter. Modes (E, V, B, A).
+# Compositional builds on parameter stacks: ``p`` carries every ScenarioParams
+# field as an (N,) array, one row per point.
 
-    The sent arm first mixes with a thermal mode of variance v_th on a
-    splitter of transmittance eta_th (V keeps the discarded output), then
-    hits the A/B splitter. eta_th = 1 reduces to the basic topology;
-    eta_th = 0 broadcasts the bare thermal mode.
-    """
-    state = tensor(tensor(make_epr(params.nu), make_thermal(params.v_th)), make_vacuum(1))
-    state = apply_beamsplitter(state, BeamsplitterSpec(1, 2, params.eta_th))
-    state = apply_beamsplitter(state, BeamsplitterSpec(1, 3, params.eta_ab))
+def _basic(p) -> np.ndarray:
+    """Noiseless broadcast: the EPR arm split between B (transmitted) and A."""
+    state = direct_sum(epr_stack(p.nu), thermal_stack(np.ones_like(p.nu)))
+    return beamsplitter_stack(state, 1, 2, p.eta_ab)
+
+
+def _thermal_channel(p) -> np.ndarray:
+    """The sent arm first mixes with thermal(v_th) at eta_th; V keeps the discarded output."""
+    state = direct_sum(epr_stack(p.nu), thermal_stack(p.v_th), thermal_stack(np.ones_like(p.nu)))
+    state = beamsplitter_stack(state, 1, 2, p.eta_th)
+    state = beamsplitter_stack(state, 1, 3, p.eta_ab)
     # built as (E, B, V, A); present the channel idler before the receivers
-    state = reduce(state, [0, 2, 1, 3])
-    return _as_scenario(state, (MODE_E, MODE_V, MODE_B, MODE_A), params)
+    return select_modes(state, [0, 2, 1, 3])
 
 
-def build_full(params: ScenarioParams) -> ScenarioState:
-    """Thermal-channel broadcast plus noisy receiver arms. Modes (E, V, B, A, V_a, V_b).
+def _full(p) -> np.ndarray:
+    """Thermal channel, then arm A mixes with thermal(v_alpha) at eta_th_a, B likewise."""
+    state = direct_sum(_thermal_channel(p), thermal_stack(p.v_alpha), thermal_stack(p.v_beta))
+    state = beamsplitter_stack(state, 3, 4, p.eta_th_a)
+    return beamsplitter_stack(state, 2, 5, p.eta_th_b)
 
-    After the splitter, arm A passes a channel of transmittance eta_th_a
-    against a thermal mode of variance v_alpha, and arm B one of eta_th_b
-    against v_beta. Transparent settings reproduce build_thermal_channel on
-    the first four modes.
+
+_BUILDS = {
+    "basic": (_basic, (MODE_E, MODE_B, MODE_A)),
+    "thermal_channel": (_thermal_channel, (MODE_E, MODE_V, MODE_B, MODE_A)),
+    "full": (_full, (MODE_E, MODE_V, MODE_B, MODE_A, MODE_VA, MODE_VB)),
+}
+
+
+def build_stack(name: str, p) -> tuple[np.ndarray, tuple[str, ...]]:
+    """(stack, mode labels) of a topology for (N,) arrays of in-domain parameters.
+
+    Physicality is not checked here; see :func:`physicality_stack`.
     """
-    inner = build_thermal_channel(params).state
-    state = tensor(tensor(inner, make_thermal(params.v_alpha)), make_thermal(params.v_beta))
-    state = apply_beamsplitter(state, BeamsplitterSpec(3, 4, params.eta_th_a))
-    state = apply_beamsplitter(state, BeamsplitterSpec(2, 5, params.eta_th_b))
-    return _as_scenario(state, (MODE_E, MODE_V, MODE_B, MODE_A, MODE_VA, MODE_VB), params)
+    if name not in _BUILDS:
+        raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    build, labels = _BUILDS[name]
+    return build(p), labels
 
 
 def build_scenario(name: str, params: ScenarioParams) -> ScenarioState:
-    if name == "basic":
-        return build_basic(params)
-    if name == "thermal_channel":
-        return build_thermal_channel(params)
-    if name == "full":
-        return build_full(params)
-    raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    """One point: an N = 1 :func:`build_stack`, checked for physicality."""
+    rows = SimpleNamespace(**{k: np.array([v]) for k, v in vars(params).items()})
+    stack, labels = build_stack(name, rows)
+    return ScenarioState(state=CovarianceMatrix(stack[0]), mode_labels=labels, params=params)
+
+
+def build_basic(params: ScenarioParams) -> ScenarioState:
+    """The basic topology, modes (E, B, A); channel fields are ignored."""
+    return build_scenario("basic", params)
+
+
+def build_thermal_channel(params: ScenarioParams) -> ScenarioState:
+    """The thermal-channel topology, modes (E, V, B, A); eta_th = 1 is basic."""
+    return build_scenario("thermal_channel", params)
+
+
+def build_full(params: ScenarioParams) -> ScenarioState:
+    """The full topology, modes (E, V, B, A, V_a, V_b); transparent arms are thermal_channel."""
+    return build_scenario("full", params)
 
 
 # ---------------------------------------------------------------------------

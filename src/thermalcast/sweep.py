@@ -1,12 +1,13 @@
 """Parameter sweeps over the broadcast topologies, and their CSV output.
 
 A sweep varies one scenario parameter over an inclusive linear range and
-records the requested information measures at every point. Points are
-evaluated one after another in ascending order of the swept value.
+records the requested information measures at every point. The points, in
+ascending order of the swept value, form one (N, 2n, 2n) stack that is
+built, checked and measured by array calls; only g2 samples point by point.
 
-A numeric failure at one point flags that row (its cells become nan) and
-the sweep carries on. Only a sweep in which every point failed is treated
-as a failed run.
+A failure at one point flags that row and the sweep carries on: an
+unphysical state blanks the whole row, a failed output only its own cell.
+Only a sweep in which every point failed is treated as a failed run.
 """
 from __future__ import annotations
 
@@ -14,16 +15,17 @@ import datetime as _dt
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import (ConfigError, InvalidArgumentError, NumericFailureError,
                      UnphysicalStateError, UsageError)
+from .gaussian import CovarianceMatrix, physicality_stack
 from .hbt import MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, thermality_check
-from .info import (Partition, conditional_mutual_information, gaussian_discord,
-                   mutual_information)
+from .info import Partition, cmi_stack, discord_stack, mi_stack
 from .scenarios import (SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS,
-                        ScenarioParams, build_scenario)
+                        ScenarioParams, build_stack, information_partition)
 
 PARAM_NAMES = VARIANCE_PARAMS + TRANSMITTANCE_PARAMS
 
@@ -152,44 +154,60 @@ def _point_seed(base_seed: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _evaluate_point(spec: SweepSpec, value: float, index: int) -> SweepRow:
-    try:
-        params = ScenarioParams(**{**spec.fixed, spec.swept.name: float(value)})
-        scenario = build_scenario(spec.scenario, params)
-        partition = scenario.information_partition()
-        values: dict[str, float] = {}
-        for out in spec.outputs:
-            if out == "cmi":
-                values[out] = conditional_mutual_information(scenario.state, partition)
-            elif out == "mi":
-                values[out] = mutual_information(
-                    scenario.state, Partition(partition.subsystem_a, partition.subsystem_b))
-            elif out == "discord":
-                values[out] = gaussian_discord(
-                    scenario.state, partition.subsystem_a[0], partition.subsystem_b[0]).value
-            else:
-                report = thermality_check(
-                    scenario.state, partition.subsystem_a[0], partition.subsystem_b[0],
-                    spec.samples, _point_seed(spec.seed, index))
-                # no photons to correlate: the ratio is noise, not a g2 value
-                inconclusive = report.verdict == VERDICT_INCONCLUSIVE
-                values[out] = float("nan") if inconclusive else report.g2_estimate
-        return SweepRow(swept_value=float(value), values=values, status="ok")
-    except (NumericFailureError, UnphysicalStateError) as exc:
-        return SweepRow(swept_value=float(value),
-                        values={out: float("nan") for out in spec.outputs},
-                        status=f"failed: {exc}")
+def _output_cells(out: str, spec: SweepSpec, stack: np.ndarray, p: Partition,
+                  indices: np.ndarray, errors: list) -> np.ndarray:
+    a, b = p.subsystem_a, p.subsystem_b
+    if out == "cmi":
+        return cmi_stack(stack, p, errors)
+    if out == "mi":
+        return mi_stack(stack, Partition(a, b), errors)
+    if out == "discord":
+        return discord_stack(stack, a[0], b[0], errors).value
+    # g2: sampling dominates, so points go one by one, each from its own stream
+    values = np.full(len(stack), np.nan)
+    for i, (gamma, index) in enumerate(zip(stack, indices)):
+        try:
+            report = thermality_check(CovarianceMatrix(gamma), a[0], b[0], spec.samples,
+                                      _point_seed(spec.seed, int(index)))
+        except (NumericFailureError, UnphysicalStateError) as exc:
+            errors[i] = exc
+            continue
+        # no photons to correlate: the ratio is noise, not a g2 value
+        if report.verdict != VERDICT_INCONCLUSIVE:
+            values[i] = report.g2_estimate
+    return values
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every point of a sweep; rows come back in ascending order.
 
-    Point failures are contained: a row whose evaluation raised a numeric
-    error carries nan cells and a status naming the reason.
+    The points are one stack: built, checked for physicality and measured
+    by stacked array calls, one per output. Failures are contained: an
+    unphysical point blanks its whole row, a failed output only its own
+    cell, and either way the row's status names every reason.
     """
-    values = spec.swept.values()
-    order = np.argsort(values, kind="stable")
-    rows = tuple(_evaluate_point(spec, values[i], int(i)) for i in order)
+    swept = spec.swept.values()
+    order = np.argsort(swept, kind="stable")
+    params = {name: np.full(len(order), float(spec.fixed.get(name, getattr(ScenarioParams, name))))
+              for name in PARAM_NAMES}
+    params[spec.swept.name] = swept[order]
+    stack, labels = build_stack(spec.scenario, SimpleNamespace(**params))
+    p = information_partition(labels)
+    reasons = [[] if r.ok else ["; ".join(r.issues)] for r in physicality_stack(stack)]
+    good = np.array([not r for r in reasons], dtype=bool)
+    cells = {}
+    for out in spec.outputs:
+        errors = [None] * int(good.sum())
+        cells[out] = np.full(len(order), np.nan)
+        cells[out][good] = _output_cells(out, spec, stack[good], p, order[good], errors)
+        for i, exc in zip(np.flatnonzero(good), errors):
+            if exc is not None:
+                reasons[i].append(str(exc))
+    cols = {out: column.tolist() for out, column in cells.items()}
+    rows = tuple(
+        SweepRow(swept_value=value, values={out: col[i] for out, col in cols.items()},
+                 status="failed: " + "; ".join(reasons[i]) if reasons[i] else "ok")
+        for i, value in enumerate(swept[order].tolist()))
     return SweepResult(spec=spec, rows=rows)
 
 

@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, file outputs, report text."""
+import numpy as np
 import pytest
 
 import thermalcast.cli
@@ -76,6 +77,21 @@ def test_figure_multi_branch_names(tmp_path, capsys):
     for tag in ("vth1", "vth2", "vth10", "vth100", "vth500"):
         assert (out_dir / f"fig6_{tag}.csv").exists()
     assert capsys.readouterr().out.count("wrote") == 5
+
+
+def test_figure_checks_each_branch_as_one_stack(tmp_path, monkeypatch, capsys):
+    # fig6 is 5 branches of 100 points; a per-point path solves 500 times
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert main(["figure", "--name", "fig6", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.count("wrote") == 5
+    assert 5 <= len(calls) <= 2 * 5
 
 
 def test_g2check_reports_thermal(capsys):

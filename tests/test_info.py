@@ -6,12 +6,14 @@ import pytest
 
 from thermalcast import (CovarianceMatrix, HomodyneProjector, InvalidArgumentError,
                          NumericFailureError, Partition, UnphysicalStateError,
-                         build_basic, conditional_mutual_information,
+                         build_basic, build_scenario, conditional_mutual_information,
                          gaussian_discord, homodyne_condition,
                          make_epr, make_thermal, make_vacuum,
                          mutual_information, reduce, shannon_entropy,
                          ScenarioParams, tensor, von_neumann_entropy,
                          validate_physicality)
+from thermalcast.gaussian import physicality_stack
+from thermalcast.info import cmi_stack, discord_stack, mi_stack
 
 
 def g_term(x: float) -> float:
@@ -317,3 +319,89 @@ def test_discord_boundary_angles_on_broadcast_states():
             candidates.append(von_neumann_entropy(left))
         best = result.entropy_a - result.entropy_joint + min(candidates)
         assert result.value == pytest.approx(max(best, 0.0), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Stacked evaluation: failures stay in their own row
+
+
+def _singles(stage, single, stack, *args):
+    # the stacked stage and its N = 1 call, row by row
+    errors = [None] * len(stack)
+    values = stage(stack, *args, errors)
+    values = getattr(values, "value", values)
+    for gamma, value, err in zip(stack, values, errors):
+        state = CovarianceMatrix(gamma)
+        if err is None:
+            alone = single(state, *args)
+            assert value == getattr(alone, "value", alone)
+        else:
+            assert math.isnan(value)
+            with pytest.raises(type(err)) as caught:
+                single(state, *args)
+            assert str(caught.value) == str(err)
+    return errors
+
+
+def test_mixed_batch_keeps_each_failure_in_its_row():
+    rng = np.random.default_rng(3)
+    good = [random_physical(3, rng).data for _ in range(3)]
+    not_pd_a = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    not_pd_b = np.diag([1.0, 1.0, -2.0, 1.0, 1.0, 1.0])
+    below_shot_noise = 0.5 * np.eye(6)
+    stack = np.array([good[0], not_pd_a, good[1], below_shot_noise, not_pd_b, good[2]])
+
+    reports = physicality_stack(stack)
+    assert [r.ok for r in reports] == [True, False, True, False, False, True]
+    assert reports[1].issues == ("not positive definite: min eigenvalue -1",)
+    assert reports[3].issues[0].startswith("symplectic eigenvalue below shot noise: 0.5")
+    assert [r == validate_physicality(CovarianceMatrix(g)) for r, g in zip(reports, stack)] == [True] * 6
+
+    cmi = _singles(cmi_stack, conditional_mutual_information, stack, Partition((0,), (1,), (2,)))
+    assert [str(e) if e else None for e in cmi] == [
+        None, "non-positive determinant for Gamma_AS", None, None,
+        "non-positive determinant for Gamma_BS", None]
+    mi = _singles(mi_stack, mutual_information, stack, Partition((0,), (1,)))
+    assert [e is None for e in mi] == [True, False, True, True, False, True]
+    discord = _singles(discord_stack, gaussian_discord, stack, 0, 1)
+    assert [type(e).__name__ if e else None for e in discord] == [
+        None, "NumericFailureError", None, "UnphysicalStateError", "NumericFailureError", None]
+    assert str(discord[3]) == "symplectic eigenvalue 0.5 below shot noise"
+
+
+# ---------------------------------------------------------------------------
+# Bright sources against 60-digit references
+
+BRIGHT_PARAMS = {
+    "basic": dict(eta_ab=0.3),
+    "thermal_channel": dict(eta_ab=0.4, eta_th=0.7, v_th=5.0),
+    "full": dict(eta_ab=0.6, eta_th=0.8, v_th=3.0, eta_th_a=0.9, eta_th_b=0.7,
+                 v_alpha=2.0, v_beta=4.0),
+}
+
+# (discord D(B|A), MI, CMI) in bits, from the closed-form blocks evaluated
+# with 60-digit arithmetic (mpmath) at the exact float parameters
+BRIGHT_REFERENCES = {
+    ("basic", 1040.0): (4.3294842797088415, 7.7746566309320687, 7.7746566309320687),
+    ("basic", 1e4): (5.9609249556333053, 11.036572030591683, None),
+    ("basic", 1e6): (9.2827113732965442, 17.680033786910453, None),
+    ("thermal_channel", 1040.0): (4.1702759554767151, 7.4561517375827723, 0.056708060576440012),
+    ("thermal_channel", 1e4): (5.800144044525755, 10.71500104663787, None),
+    ("thermal_channel", 1e6): (9.12174915784026, 17.358109264398023, None),
+    ("full", 1040.0): (3.5252768107164961, 6.7876265409537478, 0.02114170617458374),
+    ("full", 1e4): (5.1539475821873374, 10.04467285467803, None),
+    ("full", 1e6): (8.4754145435250218, 16.687573133165469, None),
+}
+
+
+@pytest.mark.parametrize("name, nu", list(BRIGHT_REFERENCES))
+def test_bright_sources_match_sixty_digit_references(name, nu):
+    discord, mi, cmi = BRIGHT_REFERENCES[(name, nu)]
+    scenario = build_scenario(name, ScenarioParams(nu=nu, **BRIGHT_PARAMS[name]))
+    p = scenario.information_partition()
+    got = gaussian_discord(scenario.state, p.subsystem_a[0], p.subsystem_b[0]).value
+    assert got == pytest.approx(discord, abs=2e-9)
+    got = mutual_information(scenario.state, Partition(p.subsystem_a, p.subsystem_b))
+    assert got == pytest.approx(mi, abs=2e-9)
+    if cmi is not None:
+        assert conditional_mutual_information(scenario.state, p) == pytest.approx(cmi, abs=1e-9)

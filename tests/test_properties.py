@@ -1,14 +1,25 @@
-"""Property tests: config text either becomes a runnable sweep or a clean error."""
+"""Property tests.
+
+Config text becomes a runnable sweep or a clean error, and every row of a
+stacked measure equals its one-state call.
+"""
 import math
 import tempfile
 from pathlib import Path
 
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermalcast import (SCENARIO_NAMES, ConfigError, ScenarioParams, SweepSpec,
-                         ThermalcastError, emit_csv, parse_config, run_sweep)
-from thermalcast.scenarios import VARIANCE_PARAMS
+from thermalcast import (SCENARIO_NAMES, ConfigError, CovarianceMatrix, Partition,
+                         ScenarioParams, SweepSpec, ThermalcastError,
+                         conditional_mutual_information, emit_csv, gaussian_discord,
+                         mutual_information, parse_config, run_sweep)
+from thermalcast.info import cmi_stack, discord_stack, mi_stack
+from thermalcast.scenarios import VARIANCE_PARAMS, build_stack, information_partition
 from thermalcast.sweep import OUTPUT_NAMES, PARAM_NAMES
 
 REQUIRED = ("scenario", "sweep", "outputs")
@@ -114,7 +125,41 @@ def test_parsed_small_sweep_runs_and_emits(text):
         data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert len(data) == 1 + spec.swept.count
     for row in result.rows:
-        # a failed row is all nan; an ok row is finite, bar an inconclusive g2
-        cells = [value for out, value in row.values.items() if row.ok and out != "g2"]
-        assert all(map(math.isfinite, cells)), row
-        assert row.ok or all(map(math.isnan, row.values.values())), row
+        # a row flagged failed has a nan cell; every other nan is an inconclusive g2
+        assert row.ok or any(map(math.isnan, row.values.values())), row
+        cells = [value for out, value in row.values.items() if out != "g2"]
+        assert not row.ok or all(map(math.isfinite, cells)), row
+
+
+@st.composite
+def param_stacks(draw):
+    # 1 to 6 in-domain points of one topology; variances log-uniform up to the ceiling
+    top = math.log10(ScenarioParams.MAX_VARIANCE)
+    rows = draw(st.lists(st.fixed_dictionaries(
+        {name: st.floats(0.0, top).map(lambda e: 10.0 ** e) if name in VARIANCE_PARAMS
+         else st.floats(0.0, 1.0) for name in PARAM_NAMES}), min_size=1, max_size=6))
+    return draw(st.sampled_from(SCENARIO_NAMES)), rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(param_stacks())
+def test_stacked_rows_equal_their_single_calls(case):
+    name, rows = case
+    stack, labels = build_stack(
+        name, SimpleNamespace(**{k: np.array([row[k] for row in rows]) for k in PARAM_NAMES}))
+    p = information_partition(labels)
+    pair = Partition(p.subsystem_a, p.subsystem_b)
+    for stage, single, args in ((cmi_stack, conditional_mutual_information, (p,)),
+                                (mi_stack, mutual_information, (pair,)),
+                                (discord_stack, gaussian_discord, (p.subsystem_a[0], p.subsystem_b[0]))):
+        errors = [None] * len(stack)
+        values = stage(stack, *args, errors)
+        values = getattr(values, "value", values)
+        for gamma, value, err in zip(stack, values, errors):
+            state = CovarianceMatrix(gamma)
+            if err is not None:
+                with pytest.raises(type(err)):
+                    single(state, *args)
+                continue
+            alone = single(state, *args)
+            assert value == pytest.approx(getattr(alone, "value", alone), abs=1e-12), (name, rows)

@@ -6,9 +6,9 @@ import pytest
 
 import thermalcast.hbt
 import thermalcast.sweep
-from thermalcast import (ConfigError, NumericFailureError, SweepSpec,
-                         SweptRange, UsageError, emit_csv, expand_preset,
-                         parse_config, run_sweep)
+from thermalcast import (ConfigError, NumericFailureError, ScenarioParams, SweepSpec,
+                         SweptRange, UsageError, build_basic, emit_csv, expand_preset,
+                         gaussian_discord, parse_config, run_sweep)
 
 GOOD_CONFIG = """\
 scenario=basic
@@ -164,24 +164,71 @@ def test_run_sweep_descending_range_still_ascends():
         assert got.values["cmi"] == pytest.approx(want.values["cmi"], abs=1e-12)
 
 
+def _failing_cmi(monkeypatch, fails, message):
+    # wrap the stacked CMI so that rows picked by fails(row) fail with message
+    real = thermalcast.sweep.cmi_stack
+
+    def patched(stack, partition, errors):
+        values = real(stack, partition, errors)
+        for i, gamma in enumerate(stack):
+            if fails(gamma):
+                errors[i] = NumericFailureError(message)
+                values[i] = math.nan
+        return values
+
+    monkeypatch.setattr(thermalcast.sweep, "cmi_stack", patched)
+
+
 def test_run_sweep_contains_point_failures(monkeypatch):
-    real = thermalcast.sweep.conditional_mutual_information
-
-    def trips_on_second_point(state, partition):
-        # receiver B carries variance 1 + eta for nu = 2; single out eta = 0.4
-        if abs(state.data[2, 2] - 1.4) < 1e-9:
-            raise NumericFailureError("synthetic disagreement")
-        return real(state, partition)
-
-    monkeypatch.setattr(thermalcast.sweep, "conditional_mutual_information",
-                        trips_on_second_point)
+    # receiver B carries variance 1 + eta for nu = 2; single out eta = 0.4
+    _failing_cmi(monkeypatch, lambda gamma: abs(gamma[2, 2] - 1.4) < 1e-9,
+                 "synthetic disagreement")
     result = run_sweep(small_spec())
     assert result.n_failed == 1
     assert not result.all_failed
     bad = result.rows[1]
-    assert bad.status.startswith("failed:")
-    assert math.isnan(bad.values["cmi"]) and math.isnan(bad.values["discord"])
+    assert bad.status == "failed: synthetic disagreement"
+    # only the failed output's cell is blanked
+    assert math.isnan(bad.values["cmi"]) and math.isfinite(bad.values["discord"])
     assert result.rows[0].ok and result.rows[2].ok
+
+
+def test_failed_outputs_join_their_reasons(monkeypatch):
+    _failing_cmi(monkeypatch, lambda gamma: abs(gamma[2, 2] - 1.4) < 1e-9, "first")
+    real = thermalcast.sweep.discord_stack
+
+    def discord_fails_too(stack, a_mode, b_mode, errors):
+        result = real(stack, a_mode, b_mode, errors)
+        errors[1] = NumericFailureError("second")
+        result.value[1] = math.nan
+        return result
+
+    monkeypatch.setattr(thermalcast.sweep, "discord_stack", discord_fails_too)
+    result = run_sweep(small_spec())
+    assert result.n_failed == 1
+    assert result.rows[1].status == "failed: first; second"
+    assert all(math.isnan(v) for v in result.rows[1].values.values())
+
+
+def test_bright_cmi_refusal_keeps_discord(tmp_path):
+    # CMI refuses every point here ("CMI routes disagree"), while discord
+    # is within 2e-9 bits of a 60-digit reference: its cells must survive
+    spec = parse_config("scenario=basic\nnu=1000000\nsweep=eta_ab:0.1:0.9:5\n"
+                        "outputs=cmi,discord\n")
+    result = run_sweep(spec)
+    assert result.all_failed
+    for row in result.rows:
+        assert row.status.startswith("failed: CMI routes disagree")
+        assert math.isnan(row.values["cmi"])
+        scenario = build_basic(ScenarioParams(nu=1e6, eta_ab=row.swept_value))
+        alone = gaussian_discord(scenario.state, 2, 1).value
+        assert row.values["discord"] == pytest.approx(alone, abs=1e-12)
+    out = tmp_path / "bright.csv"
+    emit_csv(result, out)
+    lines = out.read_text().splitlines()
+    assert "# points: 5 failed: 5" in lines
+    assert sum(ln.startswith("# failed: eta_ab=") for ln in lines) == 5
+    assert all(ln.split(",")[1] == "nan" and ln.split(",")[2] != "nan" for ln in lines[-5:])
 
 
 def test_run_sweep_contains_overflowing_points():
@@ -253,16 +300,8 @@ def test_emit_csv_layout(tmp_path):
 
 
 def test_emit_csv_names_each_failed_row(tmp_path, monkeypatch):
-    real = thermalcast.sweep.conditional_mutual_information
-
-    def fails_on_bright_source(state, partition):
-        # mode E carries the source variance nu
-        if state.data[0, 0] > 1e5:
-            raise NumericFailureError("CMI routes disagree:\nsynthetic")
-        return real(state, partition)
-
-    monkeypatch.setattr(thermalcast.sweep, "conditional_mutual_information",
-                        fails_on_bright_source)
+    # mode E carries the source variance nu
+    _failing_cmi(monkeypatch, lambda gamma: gamma[0, 0] > 1e5, "CMI routes disagree:\nsynthetic")
     result = run_sweep(small_spec(swept=SweptRange("nu", 2.0, 1e6, 2), fixed={}))
     out = tmp_path / "failed.csv"
     emit_csv(result, out)
@@ -271,7 +310,8 @@ def test_emit_csv_names_each_failed_row(tmp_path, monkeypatch):
     assert failed == ["# failed: nu=1000000: CMI routes disagree: synthetic"]
     assert lines.index(failed[0]) == lines.index("# points: 2 failed: 1") + 1
     assert lines[-3] == "nu,cmi,discord"
-    assert lines[-1] == "1000000,nan,nan"
+    nu, cmi, discord = lines[-1].split(",")
+    assert (nu, cmi) == ("1000000", "nan") and math.isfinite(float(discord))
 
 
 def test_emit_csv_metadata_keeps_twelve_digits(tmp_path):
@@ -331,10 +371,7 @@ def test_emit_csv_refuses_empty(tmp_path):
 
 
 def test_emit_csv_marks_failures_as_nan(tmp_path, monkeypatch):
-    def always_fails(state, partition):
-        raise NumericFailureError("synthetic")
-
-    monkeypatch.setattr(thermalcast.sweep, "conditional_mutual_information", always_fails)
+    _failing_cmi(monkeypatch, lambda gamma: True, "synthetic")
     result = run_sweep(small_spec(outputs=("cmi",)))
     assert result.all_failed
     out = tmp_path / "failed.csv"
