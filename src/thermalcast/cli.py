@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .errors import ThermalcastError, UsageError
-from .hbt import thermality_check
+from .hbt import GENERATOR_ID, thermality_check
 from .scenarios import SCENARIO_NAMES, ScenarioParams, build_scenario
 from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, emit_csv,
                     expand_preset, parse_config, run_sweep)
@@ -88,7 +88,7 @@ def _cmd_g2check(args) -> int:
     analytic = "undefined" if report.g2_analytic is None else f"{report.g2_analytic:.6g}"
     print(f"g2 analytic: {analytic}")
     print(f"verdict: {report.verdict}")
-    print(f"seed: {report.seed}  generator: {report.generator}")
+    print(f"seed: {args.seed}  generator: {GENERATOR_ID}")
     return 0
 
 
@@ -97,10 +97,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except ThermalcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ThermalcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,19 +6,19 @@ draw quadrature samples from a covariance matrix, form per-sample
 intensities, estimate the normalized intensity correlation with a jackknife
 error bar, and compare against the exact Gaussian-moment value.
 
-Quadrature sampling is the only randomness in the package. The generator is
-counter-based and named in every output, so a seed pins the byte stream on
-any platform.
+Quadrature sampling is the only randomness in the package; samples are a
+read-only (n_samples, 2n) array. The generator is counter-based and named by
+``GENERATOR_ID`` in every output, so a seed pins the byte stream on any platform.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (InvalidArgumentError, NumericFailureError,
                      UndefinedResultError)
-from .gaussian import CovarianceMatrix, reduce
+from .gaussian import CovarianceMatrix, reduce, select_modes
 
 GENERATOR_ID = "philox4x64/v2"
 
@@ -38,35 +38,17 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
-class QuadratureSamples:
-    """Rows of simulated homodyne data, one (x, p) pair per mode per row."""
-
-    n_modes: int
-    n_samples: int
-    seed: int
-    samples: np.ndarray
-    generator: str
-
-    def mode_columns(self, mode: int) -> tuple[int, int]:
-        if not 0 <= mode < self.n_modes:
-            raise InvalidArgumentError(f"mode {mode} out of range for {self.n_modes} modes")
-        return 2 * mode, 2 * mode + 1
-
-
-@dataclass(frozen=True)
 class G2Report:
-    """Outcome of one g2(0) check, with enough metadata to reproduce it."""
+    """Outcome of one g2(0) check; the caller's seed and ``GENERATOR_ID`` reproduce it."""
 
     g2_estimate: float
     std_error: float
     g2_analytic: float | None
     n_samples: int
     verdict: str
-    seed: int
-    generator: str
 
 
-def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> QuadratureSamples:
+def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:
     """Draw zero-mean Gaussian quadrature samples with covariance Gamma.
 
     Rows are standard normals from one Philox stream, derived from
@@ -76,10 +58,10 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> Qu
     Args:
         state: covariance to sample from; must factor (positive definite).
         n_samples: number of rows, from 2 to ``MAX_SAMPLES``.
-        seed: 64-bit stream seed, recorded in the output.
+        seed: 64-bit stream seed.
 
     Returns:
-        QuadratureSamples with a read-only (n_samples, 2n) array.
+        A read-only (n_samples, 2n) array, columns in quadrature order.
     """
     if not 2 <= n_samples <= MAX_SAMPLES:
         raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples}")
@@ -93,20 +75,20 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> Qu
     rng = np.random.Generator(np.random.Philox(seq))
     samples = rng.standard_normal((n_samples, state.data.shape[0])) @ factor.T
     samples.setflags(write=False)
-    return QuadratureSamples(n_modes=state.n_modes, n_samples=n_samples, seed=int(seed),
-                             samples=samples, generator=GENERATOR_ID)
+    return samples
 
 
-def intensity(samples: QuadratureSamples, mode: int) -> np.ndarray:
+def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
     """Per-sample photon-number estimate of one mode.
 
     (x^2 + p^2 - 2) / 4: the 2 removes one vacuum unit per quadrature and
     the 4 converts SNU variance to photon number, so the mean is (V - 1)/2
     for a thermal mode of variance V and 0 for vacuum.
     """
-    ix, ip = samples.mode_columns(mode)
-    x = samples.samples[:, ix]
-    p = samples.samples[:, ip]
+    n_modes = samples.shape[1] // 2
+    if not 0 <= mode < n_modes:
+        raise InvalidArgumentError(f"mode {mode} out of range for {n_modes} modes")
+    x, p = samples[:, 2 * mode:2 * mode + 2].T
     return (x * x + p * p - 2.0) / 4.0
 
 
@@ -130,7 +112,7 @@ def _verdict(conclusive: bool, estimate: float, std_error: float) -> str:
     return VERDICT_NOT_THERMAL
 
 
-def g2_cross_estimate(samples: QuadratureSamples, mode_a: int, mode_b: int) -> G2Report:
+def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report:
     """Estimate g2(0) between two modes: <I_a I_b> / (<I_a><I_b>).
 
     The standard error comes from a delete-one-block jackknife with
@@ -139,15 +121,14 @@ def g2_cross_estimate(samples: QuadratureSamples, mode_a: int, mode_b: int) -> G
     verdict, never an exception. The analytic field is left unset; compare
     against :func:`g2_analytic` or use :func:`thermality_check`.
     """
-    if samples.n_samples < MIN_G2_SAMPLES:
-        raise InvalidArgumentError(
-            f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {samples.n_samples}")
+    n = len(samples)
+    if n < MIN_G2_SAMPLES:
+        raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n}")
     if mode_a == mode_b:
         raise InvalidArgumentError("cross-correlation needs two distinct modes")
     i_a = intensity(samples, mode_a)
     i_b = intensity(samples, mode_b)
     prod = i_a * i_b
-    n = samples.n_samples
     # np.array_split's blocks: the first n % B hold one row more than the rest
     size, extra = divmod(n, JACKKNIFE_BLOCKS)
     starts = np.arange(JACKKNIFE_BLOCKS) * size + np.minimum(np.arange(JACKKNIFE_BLOCKS), extra)
@@ -160,29 +141,22 @@ def g2_cross_estimate(samples: QuadratureSamples, mode_a: int, mode_b: int) -> G
         std_error = _jackknife_error(ab / (a * b))
     conclusive = not (_mean_is_noise(i_a) or _mean_is_noise(i_b))
     return G2Report(g2_estimate=estimate, std_error=std_error, g2_analytic=None,
-                    n_samples=n, verdict=_verdict(conclusive, estimate, std_error),
-                    seed=samples.seed, generator=samples.generator)
+                    n_samples=n, verdict=_verdict(conclusive, estimate, std_error))
 
 
 def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
     """Exact g2(0) from the covariance matrix via fourth Gaussian moments.
 
     Pairs of quadratures expand by Isserlis' theorem:
-    E[u^2 v^2] = G_uu G_vv + 2 G_uv^2.
+    E[u^2 v^2] = G_uu G_vv + 2 G_uv^2. The modes must be distinct and in range.
     """
-    if mode_a == mode_b:
-        raise InvalidArgumentError("cross-correlation needs two distinct modes")
-    gamma = state.data
-    qa = state.mode_slice(mode_a)
-    qb = state.mode_slice(mode_b)
-    idx_a = (qa.start, qa.start + 1)
-    idx_b = (qb.start, qb.start + 1)
+    gamma = select_modes(state.data, [mode_a, mode_b])
     raw = 0.0
-    for u in idx_a:
-        for v in idx_b:
+    for u in (0, 1):
+        for v in (2, 3):
             raw += gamma[u, u] * gamma[v, v] + 2.0 * gamma[u, v] ** 2
-    trace_a = gamma[idx_a[0], idx_a[0]] + gamma[idx_a[1], idx_a[1]]
-    trace_b = gamma[idx_b[0], idx_b[0]] + gamma[idx_b[1], idx_b[1]]
+    trace_a = gamma[0, 0] + gamma[1, 1]
+    trace_b = gamma[2, 2] + gamma[3, 3]
     mean_prod = (raw - 2.0 * trace_a - 2.0 * trace_b + 4.0) / 16.0
     nbar_a = (trace_a - 2.0) / 4.0
     nbar_b = (trace_b - 2.0) / 4.0
@@ -210,6 +184,4 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
         exact = g2_analytic(pair, 0, 1)
     except UndefinedResultError:
         exact = None
-    return G2Report(g2_estimate=report.g2_estimate, std_error=report.std_error,
-                    g2_analytic=exact, n_samples=report.n_samples, verdict=report.verdict,
-                    seed=report.seed, generator=report.generator)
+    return replace(report, g2_analytic=exact)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateError
-from .gaussian import (SYMPLECTIC_TOL, CovarianceMatrix, flag_rows, run_one, select_modes,
-                       symplectic_spectrum)
+from .gaussian import (SYMPLECTIC_TOL, CovarianceMatrix, flag_indefinite, flag_rows, run_one,
+                       select_modes, symplectic_spectrum)
 
 _LN2 = float(np.log(2.0))
 _LOG2_2PIE = float(np.log(2.0 * np.pi * np.e) / _LN2)
@@ -56,30 +56,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class HomodyneProjector:
-    """A quadrature direction for homodyne detection.
-
-    ``angle`` 0 measures x, pi/2 measures p. The projector onto the measured
-    direction is the rank-1 symmetric matrix x x^T with x = (cos a, sin a).
-    """
-
-    angle: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.angle < np.pi:
-            raise InvalidArgumentError(f"homodyne angle must lie in [0, pi), got {self.angle}")
-
-    @property
-    def direction(self) -> np.ndarray:
-        return np.array([np.cos(self.angle), np.sin(self.angle)])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        x = self.direction
-        return np.outer(x, x)
-
-
-@dataclass(frozen=True)
 class DiscordResult:
     """Gaussian discord D(B|A) together with the terms behind it."""
 
@@ -99,7 +75,9 @@ def _log2det(stack: np.ndarray, label: str, errors: list) -> np.ndarray:
 
 
 def _shannon(stack: np.ndarray, errors: list) -> np.ndarray:
-    return 0.5 * (stack.shape[-1] * _LOG2_2PIE + _log2det(stack, "state", errors))
+    value = 0.5 * (stack.shape[-1] * _LOG2_2PIE + _log2det(stack, "state", errors))
+    flag_indefinite(errors, stack, "state")
+    return value
 
 
 def shannon_entropy(state: CovarianceMatrix) -> float:
@@ -157,8 +135,9 @@ def cmi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
       the Schur complement Gamma_AB|S = Gamma_AB - C Gamma_S^-1 C^T, whose
       diagonal blocks are Gamma_A|S and Gamma_B|S.
 
-    A row whose routes disagree, or with a non-positive determinant, reads
-    nan and gets a :class:`NumericFailureError` in ``errors``.
+    A row whose routes disagree, with a non-positive determinant, or whose
+    Gamma_ABS (hence every block above) is not positive definite reads nan
+    and gets a :class:`NumericFailureError` in ``errors``.
     """
     a, b, s = p.subsystem_a, p.subsystem_b, p.subsystem_s
     if not s:
@@ -182,6 +161,7 @@ def cmi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
     flag_rows(errors, np.abs(from_dets - from_schur) > CLAMP_TOL, lambda i: NumericFailureError(
         f"CMI routes disagree: {float(from_dets[i])!r} (determinants) vs "
         f"{float(from_schur[i])!r} (Schur complements)"))
+    flag_indefinite(errors, g_abs, "Gamma_ABS")
     return _clamp_info(from_dets, "conditional mutual information", errors)
 
 
@@ -214,8 +194,6 @@ def _homodyne(stack: np.ndarray, measured_mode: int, angles: np.ndarray,
     direction x and q = x^T Gamma_m x. A row with q <= 0 fails.
     """
     n = stack.shape[-1] // 2
-    if not 0 <= measured_mode < n:
-        raise InvalidArgumentError(f"measured mode {measured_mode} out of range for {n} modes")
     if n < 2:
         raise InvalidArgumentError("conditioning requires at least one unmeasured mode")
     # the unmeasured modes in their original order, then the measured one
@@ -230,9 +208,14 @@ def _homodyne(stack: np.ndarray, measured_mode: int, angles: np.ndarray,
 
 
 def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
-                       proj: HomodyneProjector) -> CovarianceMatrix:
-    """State of the remaining modes after homodyning one mode, in their original order."""
-    return CovarianceMatrix(run_one(_homodyne, state.data, measured_mode, np.array([proj.angle])))
+                       angle: float) -> CovarianceMatrix:
+    """State of the remaining modes after homodyning one mode, in their original order.
+
+    ``angle`` in [0, pi) picks the measured quadrature: 0 measures x, pi/2 measures p.
+    """
+    if not 0.0 <= angle < np.pi:
+        raise InvalidArgumentError(f"homodyne angle must lie in [0, pi), got {angle}")
+    return CovarianceMatrix(run_one(_homodyne, state.data, measured_mode, np.array([angle])))
 
 
 def _best_homodyne_angle(pair: np.ndarray, errors: list) -> np.ndarray:

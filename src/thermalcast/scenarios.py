@@ -19,6 +19,7 @@ Mode labels, in build order:
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import ClassVar
@@ -26,8 +27,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidArgumentError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, beamsplitter_stack, direct_sum, epr_stack,
-                       select_modes, thermal_stack, validate_physicality)
+from .gaussian import (MAX_VARIANCE, CovarianceMatrix, beamsplitter_stack, check_variance,
+                       direct_sum, epr_stack, select_modes, thermal_stack, validate_physicality)
 from .info import Partition
 
 MODE_E = "E"
@@ -47,15 +48,13 @@ TRANSMITTANCE_PARAMS = ("eta_ab", "eta_th", "eta_th_a", "eta_th_b")
 class ScenarioParams:
     """Physical knobs of the broadcast.
 
-    Every field must be finite. Variances are in SNU within [1, MAX_VARIANCE];
-    transmittances live in [0, 1]. Channel fields default to the transparent
-    setting (eta = 1, vacuum idler), so the same params object drives all
-    three topologies. These are the only domain rules; sweeps reuse them.
+    Every field must be a finite number. Variances are in SNU within [1, MAX_VARIANCE]
+    (:func:`check_variance`); transmittances live in [0, 1]. Channel fields default
+    to the transparent setting (eta = 1, vacuum idler), so the same params object
+    drives all three topologies. These are the only domain rules; sweeps reuse them.
     """
 
-    # Up to here discord and MI stay within 2e-9 bits of a 60-digit reference,
-    # and all arithmetic stays far from float overflow.
-    MAX_VARIANCE: ClassVar[float] = 1e6
+    MAX_VARIANCE: ClassVar[float] = MAX_VARIANCE
 
     nu: float = 1.0
     eta_ab: float = 0.5
@@ -68,15 +67,12 @@ class ScenarioParams:
 
     def __post_init__(self):
         for name in VARIANCE_PARAMS + TRANSMITTANCE_PARAMS:
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not np.isfinite(value):
-                raise InvalidArgumentError(f"{name} must be a finite number, got {value}")
-            if name in VARIANCE_PARAMS and value < 1.0:
-                raise UnphysicalStateError(f"{name} is a variance and must be >= 1 SNU, got {value}")
-            if name in VARIANCE_PARAMS and value > self.MAX_VARIANCE:
-                raise InvalidArgumentError(
-                    f"{name} is a variance and must be <= {self.MAX_VARIANCE:g} SNU, got {value!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+            if name in VARIANCE_PARAMS:
+                check_variance(f"{name} is a variance and", value)
             if name in TRANSMITTANCE_PARAMS and not 0.0 <= value <= 1.0:
                 raise InvalidArgumentError(f"{name} is a transmittance and must lie in [0, 1], got {value}")
 
@@ -171,21 +167,6 @@ def build_scenario(name: str, params: ScenarioParams) -> ScenarioState:
     rows = SimpleNamespace(**{k: np.array([v]) for k, v in vars(params).items()})
     stack, labels = build_stack(name, rows)
     return ScenarioState(state=CovarianceMatrix(stack[0]), mode_labels=labels, params=params)
-
-
-def build_basic(params: ScenarioParams) -> ScenarioState:
-    """The basic topology, modes (E, B, A); channel fields are ignored."""
-    return build_scenario("basic", params)
-
-
-def build_thermal_channel(params: ScenarioParams) -> ScenarioState:
-    """The thermal-channel topology, modes (E, V, B, A); eta_th = 1 is basic."""
-    return build_scenario("thermal_channel", params)
-
-
-def build_full(params: ScenarioParams) -> ScenarioState:
-    """The full topology, modes (E, V, B, A, V_a, V_b); transparent arms are thermal_channel."""
-    return build_scenario("full", params)
 
 
 # ---------------------------------------------------------------------------

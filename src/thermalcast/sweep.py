@@ -54,6 +54,10 @@ def _check_domain(field: str, name: str, value: float, key: str | None = None):
         raise _reject(field, str(exc), key) from None
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)  # True is no count
+
+
 @dataclass(frozen=True)
 class SweptRange:
     """One parameter varied over an inclusive linear grid."""
@@ -92,10 +96,10 @@ class SweepSpec:
             raise _reject("scenario", f"unknown value {self.scenario!r}, choose from {SCENARIO_NAMES}")
         for endpoint in (self.swept.start, self.swept.stop):
             _check_domain("sweep", self.swept.name, endpoint)
-        if not 2 <= self.swept.count <= MAX_POINTS:
-            raise _reject("sweep", f"step count must lie in [2, {MAX_POINTS}], got {self.swept.count}")
+        if not _is_integer(self.swept.count) or not 2 <= self.swept.count <= MAX_POINTS:
+            raise _reject("sweep", f"step count must be an integer in [2, {MAX_POINTS}], got {self.swept.count}")
         for name, value in self.fixed.items():
-            _check_domain("fixed", name, float(value), key=name)
+            _check_domain("fixed", name, value, key=name)
         if self.swept.name in self.fixed:
             raise _reject("sweep", f"parameter {self.swept.name!r} is also fixed", key=self.swept.name)
         if not self.outputs:
@@ -110,15 +114,16 @@ class SweepSpec:
             raise _reject("seed", "required when outputs include g2", key="outputs")
         if not wants_g2 and self.seed is not None:
             raise _reject("seed", "only used when outputs include g2")
-        if self.seed is not None and self.seed < 0:
-            raise _reject("seed", f"must be non-negative, got {self.seed}")
+        if self.seed is not None and not (_is_integer(self.seed) and self.seed >= 0):
+            raise _reject("seed", f"must be a non-negative integer, got {self.seed!r}")
         if not wants_g2 and self.samples is not None:
             raise _reject("samples", "only used when outputs include g2")
         if wants_g2:
             if self.samples is None:
                 object.__setattr__(self, "samples", DEFAULT_G2_SAMPLES)
-            if not MIN_G2_SAMPLES <= self.samples <= MAX_SAMPLES:
-                raise _reject("samples", f"g2 needs {MIN_G2_SAMPLES} to {MAX_SAMPLES}, got {self.samples}")
+            if not _is_integer(self.samples) or not MIN_G2_SAMPLES <= self.samples <= MAX_SAMPLES:
+                raise _reject("samples", f"g2 needs an integer in [{MIN_G2_SAMPLES}, {MAX_SAMPLES}], "
+                              f"got {self.samples}")
 
 
 @dataclass(frozen=True)

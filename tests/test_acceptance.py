@@ -12,8 +12,7 @@ import time
 
 import numpy as np
 
-from thermalcast import (Partition, ScenarioParams, build_basic, build_full,
-                         build_scenario, build_thermal_channel,
+from thermalcast import (Partition, ScenarioParams, build_scenario,
                          basic_closed_form, conditional_mutual_information,
                          full_closed_form_blocks, g2_analytic,
                          g2_cross_estimate, gaussian_discord, make_epr,
@@ -49,7 +48,7 @@ def test_criterion_1_coherent_source_nullity():
     started = time.perf_counter()
     worst = 0.0
     for eta in ETA_GRID:
-        scenario = build_basic(ScenarioParams(nu=1.0, eta_ab=float(eta)))
+        scenario = build_scenario("basic", ScenarioParams(nu=1.0, eta_ab=float(eta)))
         p = scenario.information_partition()
         cmi = conditional_mutual_information(scenario.state, p)
         mi = mutual_information(scenario.state, Partition(p.subsystem_a, p.subsystem_b))
@@ -68,12 +67,12 @@ def test_criterion_2_closed_form_equivalence():
     worst = 0.0
     for nu, eta_ab in itertools.product(VAR_GRID, SPLIT_GRID):
         params = ScenarioParams(nu=nu, eta_ab=eta_ab)
-        gap = np.abs(build_basic(params).state.data - basic_closed_form(params).data)
+        gap = np.abs(build_scenario("basic", params).state.data - basic_closed_form(params).data)
         worst = max(worst, float(gap.max()))
     for nu, eta_ab, eta_th, v_th in itertools.product(
             VAR_GRID, SPLIT_GRID, SPLIT_GRID, VAR_GRID):
         params = ScenarioParams(nu=nu, eta_ab=eta_ab, eta_th=eta_th, v_th=v_th)
-        gap = np.abs(build_thermal_channel(params).state.data
+        gap = np.abs(build_scenario("thermal_channel", params).state.data
                      - thermal_channel_closed_form(params).data)
         worst = max(worst, float(gap.max()))
     pairs = {"e": ("E", "E"), "a": ("A", "A"), "b": ("B", "B"),
@@ -83,7 +82,7 @@ def test_criterion_2_closed_form_equivalence():
         params = ScenarioParams(nu=nu, eta_ab=eta_ab, eta_th=0.5, v_th=2.0,
                                 eta_th_a=eta_local, eta_th_b=eta_local,
                                 v_alpha=v_local, v_beta=v_local)
-        scenario = build_full(params)
+        scenario = build_scenario("full", params)
         blocks = full_closed_form_blocks(params)
         for key, (row, col) in pairs.items():
             gap = np.abs(blocks[key] - block_of(scenario, row, col))
@@ -99,8 +98,8 @@ def test_criterion_2_closed_form_equivalence():
 def test_criterion_3_thermal_channel_convergence():
     values = []
     for v_th in VAR_GRID:
-        scenario = build_thermal_channel(
-            ScenarioParams(nu=2.0, eta_ab=0.5, eta_th=1.0, v_th=v_th))
+        scenario = build_scenario("thermal_channel", ScenarioParams(
+            nu=2.0, eta_ab=0.5, eta_th=1.0, v_th=v_th))
         values.append(_measures(scenario))
     cmis = [v[0] for v in values]
     discords = [v[1] for v in values]
@@ -112,8 +111,8 @@ def test_criterion_3_thermal_channel_convergence():
 
 
 def test_criterion_4_loss_limit():
-    scenario = build_thermal_channel(
-        ScenarioParams(nu=2.0, eta_ab=0.5, eta_th=0.01, v_th=1.0))
+    scenario = build_scenario("thermal_channel", ScenarioParams(
+        nu=2.0, eta_ab=0.5, eta_th=0.01, v_th=1.0))
     cmi, disc = _measures(scenario)
     ok = cmi < 1e-3 and disc < 1e-3
     _verdict_line(4, ok, f"cmi = {cmi:.3e} ({'<' if cmi < 1e-3 else '>='} 1e-3), "
@@ -129,7 +128,7 @@ def test_criterion_4_loss_limit():
 
 
 def test_criterion_5_preparation_noise_monotonicity():
-    values = [_measures(build_basic(ScenarioParams(nu=nu, eta_ab=0.5)))
+    values = [_measures(build_scenario("basic", ScenarioParams(nu=nu, eta_ab=0.5)))
               for nu in (1.0, 2.0, 10.0, 100.0, 1040.0)]
     cmis = [v[0] for v in values]
     discords = [v[1] for v in values]
@@ -146,7 +145,7 @@ def test_criterion_5_preparation_noise_monotonicity():
 
 def test_criterion_6_legal_channel_noise_penalty():
     def full_measures(nu, eta_ab, v_local):
-        return _measures(build_full(ScenarioParams(
+        return _measures(build_scenario("full", ScenarioParams(
             nu=nu, eta_ab=float(eta_ab), eta_th_a=0.3, eta_th_b=0.3,
             v_alpha=v_local, v_beta=v_local)))
 
@@ -251,7 +250,7 @@ def test_criterion_8_cmi_route_consistency():
 
 def test_criterion_9_hbt_gate():
     started = time.perf_counter()
-    state = build_basic(ScenarioParams(nu=10.0, eta_ab=0.5)).state
+    state = build_scenario("basic", ScenarioParams(nu=10.0, eta_ab=0.5)).state
     analytic = g2_analytic(state, 1, 2)
     hits = 0
     verdicts_thermal = True

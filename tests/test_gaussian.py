@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
-from thermalcast import (BeamsplitterSpec, CovarianceMatrix, InvalidArgumentError,
-                         NumericFailureError, SymplecticForm, UnphysicalStateError,
-                         apply_beamsplitter, make_epr, make_thermal, make_vacuum,
-                         reduce, symplectic_eigenvalues, tensor,
+from thermalcast import (CovarianceMatrix, InvalidArgumentError, NumericFailureError,
+                         UnphysicalStateError, apply_beamsplitter, make_epr, make_thermal,
+                         make_vacuum, reduce, symplectic_eigenvalues, tensor,
                          validate_physicality)
+from thermalcast.gaussian import MAX_VARIANCE, _omega
 
 
 def test_covariance_requires_square_even_dimension():
@@ -38,33 +38,36 @@ def test_covariance_rejects_non_finite_entries():
             CovarianceMatrix(entries)
 
 
+def test_covariance_rejects_complex_and_ragged_entries():
+    # a complex entry used to be cast away with only a ComplexWarning
+    for complex_entries in ([[2.0 + 1j, 0.0], [0.0, 2.0]], np.diag([2.0 + 1j, 2.0])):
+        with pytest.raises(InvalidArgumentError, match="real array"):
+            CovarianceMatrix(complex_entries)
+    with pytest.raises(InvalidArgumentError, match="real array"):
+        CovarianceMatrix([[1.0, 0.0], [0.0]])
+
+
 def test_covariance_data_is_readonly():
     cm = make_vacuum(2)
     with pytest.raises(ValueError):
         cm.data[0, 0] = 3.0
 
 
-def test_mode_slice_bounds():
-    cm = make_vacuum(2)
-    assert cm.mode_slice(1) == slice(2, 4)
-    with pytest.raises(InvalidArgumentError):
-        cm.mode_slice(2)
-
-
 def test_symplectic_form_structure():
-    omega = SymplecticForm(2).matrix
+    omega = _omega(2)
     assert np.array_equal(omega, -omega.T)
     assert np.array_equal(omega @ omega, -np.eye(4))
     assert omega[0, 1] == 1.0 and omega[2, 3] == 1.0
 
 
 def test_beamsplitter_spec_validation():
+    state = make_vacuum(2)
     with pytest.raises(InvalidArgumentError):
-        BeamsplitterSpec(1, 1, 0.5)
+        apply_beamsplitter(state, 1, 1, 0.5)
     with pytest.raises(InvalidArgumentError):
-        BeamsplitterSpec(-1, 0, 0.5)
+        apply_beamsplitter(state, -1, 0, 0.5)
     with pytest.raises(InvalidArgumentError):
-        BeamsplitterSpec(0, 1, 1.2)
+        apply_beamsplitter(state, 0, 1, 1.2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -82,6 +85,16 @@ def test_thermal_state():
     assert np.array_equal(make_thermal(2.0).data, np.diag([2.0, 2.0]))
     with pytest.raises(UnphysicalStateError):
         make_thermal(0.5)
+
+
+def test_constructors_reject_variances_past_the_ceiling():
+    above = float(np.nextafter(MAX_VARIANCE, np.inf))
+    for make, bad in ((make_epr, float("inf")), (make_epr, 1e200), (make_epr, above),
+                      (make_thermal, float("nan")), (make_thermal, above)):
+        with pytest.raises(InvalidArgumentError, match=r"variance must be <= 1e\+06 SNU"):
+            make(bad)
+    assert make_epr(MAX_VARIANCE).data[0, 0] == MAX_VARIANCE
+    assert make_thermal(MAX_VARIANCE).data[0, 0] == MAX_VARIANCE
 
 
 def test_epr_blocks():
@@ -124,23 +137,23 @@ def test_beamsplitter_transmitted_variance():
     # thermal(V) against vacuum: transmitted arm carries eta*V + (1 - eta)
     state = tensor(make_thermal(4.0), make_vacuum(1))
     eta = 0.3
-    out = apply_beamsplitter(state, BeamsplitterSpec(0, 1, eta))
+    out = apply_beamsplitter(state, 0, 1, eta)
     assert out.data[0, 0] == pytest.approx(eta * 4.0 + (1 - eta), rel=1e-14)
     assert out.data[2, 2] == pytest.approx((1 - eta) * 4.0 + eta, rel=1e-14)
 
 
 def test_beamsplitter_transparent_and_range_check():
     state = tensor(make_epr(2.0), make_vacuum(1))
-    out = apply_beamsplitter(state, BeamsplitterSpec(1, 2, 1.0))
+    out = apply_beamsplitter(state, 1, 2, 1.0)
     assert np.array_equal(out.data, state.data)
     with pytest.raises(InvalidArgumentError):
-        apply_beamsplitter(state, BeamsplitterSpec(1, 3, 0.5))
+        apply_beamsplitter(state, 1, 3, 0.5)
 
 
 def test_beamsplitter_is_symplectic():
     # S Omega S^T = Omega, hence det preserved
     state = tensor(make_epr(3.0), make_thermal(7.0))
-    out = apply_beamsplitter(state, BeamsplitterSpec(0, 2, 0.37))
+    out = apply_beamsplitter(state, 0, 2, 0.37)
     det_in = np.linalg.det(state.data)
     det_out = np.linalg.det(out.data)
     assert abs(det_out - det_in) <= 1e-9 * det_in
@@ -151,8 +164,8 @@ def test_beamsplitter_is_symplectic():
 def test_beamsplitter_eta_swap_is_a_permutation():
     state = tensor(make_epr(2.0), make_vacuum(1))
     eta = 0.3
-    direct = apply_beamsplitter(state, BeamsplitterSpec(1, 2, eta))
-    swapped = apply_beamsplitter(state, BeamsplitterSpec(2, 1, 1.0 - eta))
+    direct = apply_beamsplitter(state, 1, 2, eta)
+    swapped = apply_beamsplitter(state, 2, 1, 1.0 - eta)
     # the swapped splitter puts the transmitted arm in the other slot and
     # builds the reflected arm with both quadratures negated; a joint
     # (x, p) sign flip only shows up in that mode's cross blocks
@@ -176,9 +189,9 @@ def test_reduce_modes():
 
 def test_reduce_commutes_with_beamsplitter_on_disjoint_modes():
     state = tensor(tensor(make_epr(2.0), make_thermal(5.0)), make_vacuum(1))
-    bs = BeamsplitterSpec(0, 1, 0.42)
-    mixed_then_cut = reduce(apply_beamsplitter(state, bs), [0, 1, 3])
-    cut_then_mixed = apply_beamsplitter(reduce(state, [0, 1, 3]), bs)
+    bs = (0, 1, 0.42)
+    mixed_then_cut = reduce(apply_beamsplitter(state, *bs), [0, 1, 3])
+    cut_then_mixed = apply_beamsplitter(reduce(state, [0, 1, 3]), *bs)
     assert np.allclose(mixed_then_cut.data, cut_then_mixed.data, atol=1e-14)
 
 
@@ -190,16 +203,15 @@ def test_symplectic_eigenvalues_basics():
 
 
 def test_symplectic_eigenvalue_product_matches_determinant():
-    state = apply_beamsplitter(tensor(make_epr(2.0), make_vacuum(1)),
-                               BeamsplitterSpec(1, 2, 0.5))
+    state = apply_beamsplitter(tensor(make_epr(2.0), make_vacuum(1)), 1, 2, 0.5)
     eigs = symplectic_eigenvalues(state)
     assert np.prod(eigs) ** 2 == pytest.approx(np.linalg.det(state.data), rel=1e-9)
 
 
 def test_pure_chain_eigenvalues_are_clamped_to_one():
     state = tensor(make_epr(2.0), make_vacuum(2))
-    state = apply_beamsplitter(state, BeamsplitterSpec(1, 2, 0.3))
-    state = apply_beamsplitter(state, BeamsplitterSpec(2, 3, 0.8))
+    state = apply_beamsplitter(state, 1, 2, 0.3)
+    state = apply_beamsplitter(state, 2, 3, 0.8)
     eigs = symplectic_eigenvalues(state)
     assert np.all(eigs >= 1.0)
     assert np.allclose(eigs, 1.0, atol=1e-9)
@@ -229,3 +241,19 @@ def test_single_mode_negative_determinant_is_numeric_failure():
     skewed = CovarianceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NumericFailureError):
         symplectic_eigenvalues(skewed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matrices_that_are_not_positive_definite_have_no_spectrum(n):
+    # -3 I has det > 0 and |eigenvalues| of Omega Gamma equal to 3
+    with pytest.raises(NumericFailureError, match="not positive definite"):
+        symplectic_eigenvalues(CovarianceMatrix(-3.0 * np.eye(2 * n)))
+
+
+def test_singular_matrices_are_reported_not_raised():
+    # rank-deficient: rounding leaves the smallest eigenvalue a hair either
+    # side of 0, and the Cholesky factorization can fail even above it
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        v = rng.standard_normal((4, 3))
+        assert not validate_physicality(CovarianceMatrix(v @ v.T)).ok

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from thermalcast import (CovarianceMatrix, HomodyneProjector, InvalidArgumentError,
+from thermalcast import (CovarianceMatrix, InvalidArgumentError,
                          NumericFailureError, Partition, UnphysicalStateError,
-                         build_basic, build_scenario, conditional_mutual_information,
+                         build_scenario, conditional_mutual_information,
                          gaussian_discord, homodyne_condition,
                          make_epr, make_thermal, make_vacuum,
                          mutual_information, reduce, shannon_entropy,
@@ -49,6 +49,24 @@ def test_shannon_additive_over_products():
 def test_shannon_rejects_nonpositive_determinant():
     with pytest.raises(NumericFailureError):
         shannon_entropy(CovarianceMatrix(np.diag([1.0, -1.0])))
+
+
+def test_measures_refuse_matrices_that_are_not_positive_definite():
+    # -I has det > 0 in every even dimension: only a definiteness check sees it
+    cases = ((von_neumann_entropy, -3.0 * np.eye(4), ()), (shannon_entropy, -np.eye(2), ()),
+             (mutual_information, -np.eye(4), (Partition((0,), (1,)),)),
+             (conditional_mutual_information, -np.eye(6), (Partition((0,), (1,), (2,)),)))
+    for measure, gamma, args in cases:
+        with pytest.raises(NumericFailureError, match="not positive definite"):
+            measure(CovarianceMatrix(gamma), *args)
+
+
+def test_indefinite_row_fails_alone():
+    stack = np.array([np.eye(6), -np.eye(6), 2.0 * np.eye(6)])
+    errors = [None] * 3
+    values = cmi_stack(stack, Partition((0,), (1,), (2,)), errors)
+    assert [str(e) if e else None for e in errors] == [None, "Gamma_ABS is not positive definite", None]
+    assert values[0] == values[2] == 0.0 and math.isnan(values[1])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +147,7 @@ def test_cmi_routes_agree_on_multimode_groups(partition):
 def test_cmi_basic_broadcast_closed_form():
     # determinants by hand for nu=2, eta_ab=0.5: det(G_AS) = det(G_BS) = (3/2)^2,
     # det(G_S) = 4, det(G_ABS) = 1 (pure), so CMI = log2(81/64)/2 = 2 log2(3) - 3
-    scenario = build_basic(ScenarioParams(nu=2.0, eta_ab=0.5))
+    scenario = build_scenario("basic", ScenarioParams(nu=2.0, eta_ab=0.5))
     cmi = conditional_mutual_information(scenario.state, scenario.information_partition())
     assert cmi == pytest.approx(2 * math.log2(3.0) - 3.0, abs=1e-12)
 
@@ -137,7 +155,7 @@ def test_cmi_basic_broadcast_closed_form():
 def test_cmi_equals_mi_on_pure_broadcast():
     # with (E,B,A) jointly pure, conditioning on E adds nothing
     for nu, eta in ((2.0, 0.5), (10.0, 0.3), (100.0, 0.8)):
-        scenario = build_basic(ScenarioParams(nu=nu, eta_ab=eta))
+        scenario = build_scenario("basic", ScenarioParams(nu=nu, eta_ab=eta))
         p = scenario.information_partition()
         cmi = conditional_mutual_information(scenario.state, p)
         mi = mutual_information(scenario.state, Partition(p.subsystem_a, p.subsystem_b))
@@ -150,7 +168,7 @@ def test_mi_product_state_is_zero():
 
 
 def test_mi_symmetric_under_swap():
-    scenario = build_basic(ScenarioParams(nu=2.0, eta_ab=0.5))
+    scenario = build_scenario("basic", ScenarioParams(nu=2.0, eta_ab=0.5))
     ab = Partition((2,), (1,))
     ba = Partition((1,), (2,))
     assert mutual_information(scenario.state, ab) == pytest.approx(
@@ -158,7 +176,7 @@ def test_mi_symmetric_under_swap():
 
 
 def test_coherent_source_has_no_correlations():
-    scenario = build_basic(ScenarioParams(nu=1.0, eta_ab=0.37))
+    scenario = build_scenario("basic", ScenarioParams(nu=1.0, eta_ab=0.37))
     p = scenario.information_partition()
     assert conditional_mutual_information(scenario.state, p) <= 1e-9
     assert mutual_information(scenario.state, Partition(p.subsystem_a, p.subsystem_b)) <= 1e-9
@@ -183,35 +201,30 @@ def test_information_invariant_under_xp_relabeling():
 
 
 def test_projector_shape():
-    proj = HomodyneProjector(0.3)
-    mat = proj.matrix
-    assert np.allclose(mat, mat.T)
-    assert np.linalg.matrix_rank(mat) == 1
-    assert np.trace(mat) == pytest.approx(1.0)
     for bad in (-0.1, math.pi):
         with pytest.raises(InvalidArgumentError):
-            HomodyneProjector(bad)
+            homodyne_condition(make_epr(2.0), 0, bad)
 
 
 def test_homodyne_epr_conditional_variance():
     # measuring x on one EPR arm leaves the other with x-variance
     # nu - zeta^2/nu = 1/nu
     for nu in (2.0, 5.0, 30.0):
-        left = homodyne_condition(make_epr(nu), 0, HomodyneProjector(0.0))
+        left = homodyne_condition(make_epr(nu), 0, 0.0)
         assert left.data[0, 0] == pytest.approx(1.0 / nu, rel=1e-12)
         assert left.data[1, 1] == pytest.approx(nu)  # p untouched by an x readout
 
 
 def test_homodyne_no_correlation_no_update():
     state = tensor(make_thermal(4.0), make_thermal(2.0))
-    left = homodyne_condition(state, 1, HomodyneProjector(0.7))
+    left = homodyne_condition(state, 1, 0.7)
     assert np.array_equal(left.data, make_thermal(4.0).data)
 
 
 def test_homodyne_never_increases_variances():
-    scenario = build_basic(ScenarioParams(nu=10.0, eta_ab=0.3))
+    scenario = build_scenario("basic", ScenarioParams(nu=10.0, eta_ab=0.3))
     for theta in (0.0, 0.4, math.pi / 2, 2.0):
-        left = homodyne_condition(scenario.state, 2, HomodyneProjector(theta))
+        left = homodyne_condition(scenario.state, 2, theta)
         kept = np.diag(scenario.state.data)[0:4]
         assert np.all(np.diag(left.data) <= kept + 1e-12)
         assert validate_physicality(left).ok
@@ -219,12 +232,12 @@ def test_homodyne_never_increases_variances():
 
 def test_homodyne_errors():
     with pytest.raises(InvalidArgumentError):
-        homodyne_condition(make_thermal(2.0), 0, HomodyneProjector(0.0))
+        homodyne_condition(make_thermal(2.0), 0, 0.0)
     with pytest.raises(InvalidArgumentError):
-        homodyne_condition(make_epr(2.0), 2, HomodyneProjector(0.0))
+        homodyne_condition(make_epr(2.0), 2, 0.0)
     dead = CovarianceMatrix(np.diag([0.0, 1.0, 1.0, 1.0]))
     with pytest.raises(NumericFailureError):
-        homodyne_condition(dead, 0, HomodyneProjector(0.0))
+        homodyne_condition(dead, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +258,7 @@ def test_discord_needs_two_modes():
 def test_discord_basic_broadcast_closed_form():
     # B given an x readout of A has diag(3/2 - 1/6, 3/2), det = 2, so
     # D = g(3/2) - g(2) + g(sqrt(2)) term by term
-    scenario = build_basic(ScenarioParams(nu=2.0, eta_ab=0.5))
+    scenario = build_scenario("basic", ScenarioParams(nu=2.0, eta_ab=0.5))
     result = gaussian_discord(scenario.state, 2, 1)
     expected = g_term(1.5) - g_term(2.0) + g_term(math.sqrt(2.0))
     assert result.value == pytest.approx(expected, abs=1e-12)
@@ -299,7 +312,7 @@ def test_discord_optimum_beyond_a_quarter_turn():
 
 
 def test_discord_rejects_indefinite_measured_block():
-    # det A > 0 passes the entropy of A, but -A is no covariance to whiten by
+    # det A > 0, but -A is no covariance: its entropy fails before any whitening
     state = CovarianceMatrix(np.block([[-2.0 * np.eye(2), np.zeros((2, 2))],
                                        [np.zeros((2, 2)), 2.0 * np.eye(2)]]))
     with pytest.raises(NumericFailureError):
@@ -310,12 +323,11 @@ def test_discord_boundary_angles_on_broadcast_states():
     # x/p-symmetric blocks make theta = 0 and pi/2 the candidate optima;
     # the optimizer must land within 1e-6 bits of the better one
     for nu, eta in ((2.0, 0.5), (10.0, 0.2), (1040.0, 0.7)):
-        scenario = build_basic(ScenarioParams(nu=nu, eta_ab=eta))
+        scenario = build_scenario("basic", ScenarioParams(nu=nu, eta_ab=eta))
         result = gaussian_discord(scenario.state, 2, 1)
         candidates = []
         for theta in (0.0, math.pi / 2):
-            left = homodyne_condition(reduce(scenario.state, [2, 1]), 0,
-                                      HomodyneProjector(theta))
+            left = homodyne_condition(reduce(scenario.state, [2, 1]), 0, theta)
             candidates.append(von_neumann_entropy(left))
         best = result.entropy_a - result.entropy_joint + min(candidates)
         assert result.value == pytest.approx(max(best, 0.0), abs=1e-6)

@@ -1,10 +1,12 @@
 """Property tests.
 
-Config text becomes a runnable sweep or a clean error, and every row of a
-stacked measure equals its one-state call.
+Config text becomes a runnable sweep or a clean error, every row of a
+stacked measure equals its one-state call, and any symmetric matrix gets
+finite measures or a named error.
 """
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 from types import SimpleNamespace
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 from thermalcast import (SCENARIO_NAMES, ConfigError, CovarianceMatrix, Partition,
                          ScenarioParams, SweepSpec, ThermalcastError,
                          conditional_mutual_information, emit_csv, gaussian_discord,
-                         mutual_information, parse_config, run_sweep)
+                         mutual_information, parse_config, run_sweep, shannon_entropy,
+                         symplectic_eigenvalues, von_neumann_entropy)
 from thermalcast.info import cmi_stack, discord_stack, mi_stack
 from thermalcast.scenarios import VARIANCE_PARAMS, build_stack, information_partition
 from thermalcast.sweep import OUTPUT_NAMES, PARAM_NAMES
@@ -163,3 +166,44 @@ def test_stacked_rows_equal_their_single_calls(case):
                 continue
             alone = single(state, *args)
             assert value == pytest.approx(getattr(alone, "value", alone), abs=1e-12), (name, rows)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    # Q diag(lambda) Q^T for 1 to 3 modes, eigenvalues kept clear of 0 so that
+    # rounding cannot blur definite into indefinite; about half are indefinite
+    dim = 2 * draw(st.integers(1, 3))
+    eigs = np.array(draw(st.lists(st.floats(0.05, 1e3), min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        eigs *= draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=dim, max_size=dim))
+        if eigs.min() > 0.0:
+            eigs[draw(st.integers(0, dim - 1))] *= -1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q @ np.diag(eigs) @ q.T, bool(eigs.min() > 0.0)
+
+
+def _measures(n_modes):
+    calls = [symplectic_eigenvalues, shannon_entropy, von_neumann_entropy]
+    if n_modes >= 2:
+        calls += [lambda s: mutual_information(s, Partition((0,), (1,))),
+                  lambda s: list(vars(gaussian_discord(s, 0, 1)).values())]
+    if n_modes == 3:
+        calls.append(lambda s: conditional_mutual_information(s, Partition((0,), (1,), (2,))))
+    return calls
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(symmetric_matrices())
+def test_any_symmetric_matrix_gets_finite_measures_or_a_named_error(case):
+    gamma, positive_definite = case
+    state = CovarianceMatrix(gamma)
+    for measure in _measures(state.n_modes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = measure(state)
+            except ThermalcastError:
+                continue
+        assert positive_definite, (measure, gamma)
+        assert np.all(np.isfinite(value)), (measure, gamma)

@@ -6,8 +6,7 @@ import pytest
 
 from thermalcast import (InvalidArgumentError, ScenarioParams,
                          UnphysicalStateError,
-                         basic_closed_form, block_of, build_basic, build_full,
-                         build_scenario, build_thermal_channel,
+                         basic_closed_form, block_of, build_scenario,
                          conditional_mutual_information,
                          full_closed_form_blocks, gaussian_discord, reduce,
                          thermal_channel_closed_form, validate_physicality)
@@ -35,7 +34,7 @@ def test_params_validation():
     with pytest.raises(InvalidArgumentError):
         ScenarioParams(eta_th_b=-0.1)
     for name in ("nu", "eta_ab", "v_beta"):
-        for bad in (float("nan"), float("inf"), -float("inf")):
+        for bad in (float("nan"), float("inf"), -float("inf"), "x", "2", None, [2.0], 1j):
             with pytest.raises(InvalidArgumentError, match="finite"):
                 ScenarioParams(**{name: bad})
     ceiling = ScenarioParams.MAX_VARIANCE
@@ -53,9 +52,9 @@ def test_overflowing_params_are_reported_unphysical():
 
 
 def test_mode_labels_and_lookup():
-    assert build_basic(ScenarioParams()).mode_labels == ("E", "B", "A")
-    assert build_thermal_channel(ScenarioParams()).mode_labels == ("E", "V", "B", "A")
-    full = build_full(ScenarioParams())
+    assert build_scenario("basic", ScenarioParams()).mode_labels == ("E", "B", "A")
+    assert build_scenario("thermal_channel", ScenarioParams()).mode_labels == ("E", "V", "B", "A")
+    full = build_scenario("full", ScenarioParams())
     assert full.mode_labels == ("E", "V", "B", "A", "V_a", "V_b")
     assert full.mode_index("V_b") == 5
     with pytest.raises(InvalidArgumentError):
@@ -65,7 +64,7 @@ def test_mode_labels_and_lookup():
 
 
 def test_partition_targets_receivers():
-    scenario = build_thermal_channel(ScenarioParams())
+    scenario = build_scenario("thermal_channel", ScenarioParams())
     p = scenario.information_partition()
     assert p.subsystem_a == (scenario.mode_index("A"),)
     assert p.subsystem_b == (scenario.mode_index("B"),)
@@ -75,7 +74,7 @@ def test_partition_targets_receivers():
 def test_coherent_source_leaves_vacuum_receivers():
     # splitting the eta_ab factors leaves ulp dust on the diagonal, so
     # compare to within one float step rather than bitwise
-    scenario = build_basic(ScenarioParams(nu=1.0, eta_ab=0.3))
+    scenario = build_scenario("basic", ScenarioParams(nu=1.0, eta_ab=0.3))
     for label in ("B", "A"):
         assert block_of(scenario, label, label) == pytest.approx(np.eye(2), abs=1e-15)
     for row, col in (("E", "B"), ("E", "A"), ("B", "A")):
@@ -83,14 +82,14 @@ def test_coherent_source_leaves_vacuum_receivers():
 
 
 def test_basic_pinned_blocks():
-    scenario = build_basic(ScenarioParams(nu=2.0, eta_ab=0.5))
+    scenario = build_scenario("basic", ScenarioParams(nu=2.0, eta_ab=0.5))
     assert block_of(scenario, "B", "B") == pytest.approx(np.diag([1.5, 1.5]), abs=1e-15)
     assert block_of(scenario, "B", "A") == pytest.approx(np.diag([-0.5, -0.5]), abs=1e-15)
     assert block_of(scenario, "E", "E") == pytest.approx(np.diag([2.0, 2.0]), abs=1e-15)
 
 
 def test_thermal_channel_pinned_idler_block():
-    scenario = build_thermal_channel(ScenarioParams(nu=2.0, eta_th=0.5, v_th=3.0))
+    scenario = build_scenario("thermal_channel", ScenarioParams(nu=2.0, eta_th=0.5, v_th=3.0))
     assert block_of(scenario, "V", "V") == pytest.approx(np.diag([2.5, 2.5]), abs=1e-15)
 
 
@@ -98,12 +97,12 @@ def test_closed_forms_match_construction():
     # the acceptance suite grinds the dense grid; spot the corners here
     for nu, eta_ab in itertools.product(VARIANCES, SPLITS):
         params = ScenarioParams(nu=nu, eta_ab=eta_ab)
-        gap = np.abs(basic_closed_form(params).data - build_basic(params).state.data)
+        gap = np.abs(basic_closed_form(params).data - build_scenario("basic", params).state.data)
         assert gap.max() <= 1e-12
     for eta_th, v_th in itertools.product(SPLITS, VARIANCES):
         params = ScenarioParams(nu=2.0, eta_ab=0.3, eta_th=eta_th, v_th=v_th)
         gap = np.abs(thermal_channel_closed_form(params).data
-                     - build_thermal_channel(params).state.data)
+                     - build_scenario("thermal_channel", params).state.data)
         assert gap.max() <= 1e-12
 
 
@@ -113,7 +112,7 @@ def test_full_block_formulas_match_construction():
     for nu, eta, v in itertools.product((1.0, 2.0, 500.0), (0.0, 0.5, 1.0), (1.0, 10.0)):
         params = ScenarioParams(nu=nu, eta_ab=eta, eta_th=0.7, v_th=2.0,
                                 eta_th_a=0.4, eta_th_b=0.6, v_alpha=v, v_beta=v)
-        scenario = build_full(params)
+        scenario = build_scenario("full", params)
         for key, (row, col) in pairs.items():
             gap = np.abs(full_closed_form_blocks(params)[key]
                          - block_of(scenario, row, col))
@@ -124,16 +123,16 @@ def test_transparent_channel_collapses_to_basic():
     # eta_th = 1 routes nothing into the ancilla: dropping the idler mode
     # must reproduce the channel-free build down to the last bit
     for nu, eta_ab, v_th in itertools.product((1.0, 2.0, 1040.0), (0.25, 0.5), (1.0, 500.0)):
-        via_channel = build_thermal_channel(
-            ScenarioParams(nu=nu, eta_ab=eta_ab, eta_th=1.0, v_th=v_th))
-        direct = build_basic(ScenarioParams(nu=nu, eta_ab=eta_ab))
+        via_channel = build_scenario("thermal_channel", ScenarioParams(
+            nu=nu, eta_ab=eta_ab, eta_th=1.0, v_th=v_th))
+        direct = build_scenario("basic", ScenarioParams(nu=nu, eta_ab=eta_ab))
         kept = [via_channel.mode_index(m) for m in ("E", "B", "A")]
         assert np.array_equal(reduce(via_channel.state, kept).data, direct.state.data)
 
 
 def test_opaque_channel_decouples_source():
     # eta_th = 0 swaps the signal into the ancilla: E keeps no correlations
-    scenario = build_thermal_channel(ScenarioParams(nu=3.0, eta_th=0.0, v_th=2.0))
+    scenario = build_scenario("thermal_channel", ScenarioParams(nu=3.0, eta_th=0.0, v_th=2.0))
     assert np.array_equal(block_of(scenario, "E", "B"), np.zeros((2, 2)))
     assert np.array_equal(block_of(scenario, "E", "A"), np.zeros((2, 2)))
 
@@ -141,8 +140,8 @@ def test_opaque_channel_decouples_source():
 def test_transparent_local_channels_collapse_to_thermal_channel():
     params = ScenarioParams(nu=2.0, eta_ab=0.4, eta_th=0.6, v_th=5.0,
                             eta_th_a=1.0, eta_th_b=1.0, v_alpha=7.0, v_beta=3.0)
-    full = build_full(params)
-    slim = build_thermal_channel(params)
+    full = build_scenario("full", params)
+    slim = build_scenario("thermal_channel", params)
     assert np.array_equal(full.state.data[:8, :8], slim.state.data)
 
 

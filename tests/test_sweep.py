@@ -7,7 +7,7 @@ import pytest
 import thermalcast.hbt
 import thermalcast.sweep
 from thermalcast import (ConfigError, NumericFailureError, ScenarioParams, SweepSpec,
-                         SweptRange, UsageError, build_basic, emit_csv, expand_preset,
+                         SweptRange, UsageError, build_scenario, emit_csv, expand_preset,
                          gaussian_discord, parse_config, run_sweep)
 
 GOOD_CONFIG = """\
@@ -56,10 +56,25 @@ def test_swept_range_includes_endpoints():
     (dict(samples=2000), "samples"),
     (dict(swept=SweptRange("eta_ab", 0.1, 0.9, thermalcast.sweep.MAX_POINTS + 1)), "sweep"),
     (dict(outputs=("g2",), seed=7, samples=thermalcast.hbt.MAX_SAMPLES + 1), "samples"),
+    # counts must be integers: a float count or sample size crashed the run,
+    # and a float seed ran as its integer part
+    (dict(swept=SweptRange("eta_ab", 0.1, 0.9, 2.5)), "sweep: .*integer"),
+    (dict(swept=SweptRange("eta_ab", 0.1, 0.9, 4.0)), "sweep: .*integer"),
+    (dict(outputs=("g2",), seed=1.5), "seed: .*integer"),
+    (dict(outputs=("g2",), seed=True), "seed: .*integer"),
+    (dict(outputs=("g2",), seed=7, samples=1000.5), "samples: .*integer"),
+    (dict(outputs=("g2",), seed=7, samples=4000.0), "samples: .*integer"),
 ])
 def test_spec_validation_names_the_field(overrides, field):
     with pytest.raises(UsageError, match=f"^{field}"):
         small_spec(**overrides)
+
+
+def test_spec_takes_integer_types_and_hands_fixed_values_to_params():
+    spec = small_spec(swept=SweptRange("eta_ab", 0.2, 0.8, np.int64(4)))
+    assert len(run_sweep(spec).rows) == 4
+    with pytest.raises(UsageError, match="^fixed: nu must be a finite number, got 'abc'$"):
+        small_spec(fixed={"nu": "abc"})
 
 
 def test_samples_default_only_with_g2():
@@ -220,7 +235,7 @@ def test_bright_cmi_refusal_keeps_discord(tmp_path):
     for row in result.rows:
         assert row.status.startswith("failed: CMI routes disagree")
         assert math.isnan(row.values["cmi"])
-        scenario = build_basic(ScenarioParams(nu=1e6, eta_ab=row.swept_value))
+        scenario = build_scenario("basic", ScenarioParams(nu=1e6, eta_ab=row.swept_value))
         alone = gaussian_discord(scenario.state, 2, 1).value
         assert row.values["discord"] == pytest.approx(alone, abs=1e-12)
     out = tmp_path / "bright.csv"
