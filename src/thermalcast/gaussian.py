@@ -20,7 +20,10 @@ Operations work on stacks: (N, 2n, 2n) arrays of N states, one per row.
 The one-state functions, which take plain values, are N = 1 calls into them.
 A stage that can fail on one row records an exception in that row's slot
 of an ``errors`` list (``None`` while the row is good) instead of raising,
-so a bad row never spoils the others. All operations are pure.
+so a bad row never spoils the others. A stage flags, then computes on a
+clean stack: :func:`positive_definite` fails each row of the largest block
+it reads that has no Cholesky factor and sets every failed row to the
+identity, so no array call on the result raises or warns. All operations are pure.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateEr
 # Relative tolerance for the symmetry check at construction time.
 SYMMETRY_TOL = 1e-12
 
-# Symplectic eigenvalues this far below 1 are treated as floating-point noise
-# and clamped to exactly 1, so pure states have zero entropy.
+# Reported symplectic eigenvalues this far below 1 are treated as
+# floating-point noise and read as exactly 1.
 SYMPLECTIC_TOL = 1e-9
 
 # Largest variance in SNU. Up to here discord and MI stay within 2e-9 bits of
@@ -97,9 +100,6 @@ class PhysicalityReport:
     issues: tuple[str, ...]
     min_symplectic: float | None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def flag_rows(errors: list, mask: np.ndarray, make) -> None:
     """Record ``make(i)`` as the failure of each row i in ``mask`` that has none yet."""
@@ -108,8 +108,12 @@ def flag_rows(errors: list, mask: np.ndarray, make) -> None:
             errors[i] = make(i)
 
 
-def flag_indefinite(errors: list, stack: np.ndarray, label: str) -> None:
-    """Fail each row without a Cholesky factor; one stacked call clears a good stack."""
+def positive_definite(stack: np.ndarray, label: str, errors: list) -> np.ndarray:
+    """Fail each row without a Cholesky factor; return the stack with every failed row set to I.
+
+    One stacked call clears a good stack, which comes back uncopied; only
+    when it raises are the rows factored one by one.
+    """
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
@@ -118,6 +122,15 @@ def flag_indefinite(errors: list, stack: np.ndarray, label: str) -> None:
                 np.linalg.cholesky(gamma)
             except np.linalg.LinAlgError:
                 errors[i] = errors[i] or NumericFailureError(f"{label} is not positive definite")
+    if not any(errors):
+        return stack
+    clean = stack.copy()
+    clean[[e is not None for e in errors]] = np.eye(stack.shape[-1])
+    return clean
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)  # True is no count
 
 
 def run_one(stage, data: np.ndarray, *args):
@@ -166,24 +179,27 @@ def beamsplitter_stack(stack: np.ndarray, mode_a: int, mode_b: int,
 
 
 def select_modes(data: np.ndarray, keep) -> np.ndarray:
-    """Principal submatrices of one matrix or of a stack on the kept modes, in order."""
+    """Principal submatrices of one matrix or of a stack on the kept modes, in order.
+
+    The one home of the mode-index rule: distinct integers in [0, n).
+    """
     n = data.shape[-1] // 2
     keep = list(keep)
     if len(keep) == 0:
         raise InvalidArgumentError("must keep at least one mode")
+    for m in keep:
+        if not (_is_integer(m) and 0 <= m < n):
+            raise InvalidArgumentError(f"mode index {m!r} is not an integer in [0, {n})")
     if len(set(keep)) != len(keep):
         raise InvalidArgumentError(f"duplicate mode index in {keep}")
-    for m in keep:
-        if not 0 <= m < n:
-            raise InvalidArgumentError(f"mode index {m} out of range for {n} modes")
     idx = np.array([q for m in keep for q in (2 * m, 2 * m + 1)])
     return data[..., idx[:, None], idx]
 
 
 def make_vacuum(n_modes: int) -> CovarianceMatrix:
     """The n-mode vacuum state: 2n x 2n identity."""
-    if n_modes < 1:
-        raise InvalidArgumentError("n_modes must be >= 1")
+    if not (_is_integer(n_modes) and n_modes >= 1):
+        raise InvalidArgumentError(f"n_modes must be an integer >= 1, got {n_modes!r}")
     return CovarianceMatrix(np.eye(2 * n_modes))
 
 
@@ -240,28 +256,25 @@ def symplectic_spectrum(stack: np.ndarray, errors: list) -> np.ndarray:
     """Symplectic eigenvalues per row, (N, n), descending: |eigenvalues| of Omega Gamma.
 
     Each occurs twice as +/-x and is kept once; one mode needs only
-    sqrt(det Gamma). A row that is not positive definite fails. Values within
-    ``SYMPLECTIC_TOL`` below 1 are clamped to 1, so pure states have zero entropy.
+    sqrt(det Gamma). A row that is not positive definite fails.
     """
+    stack = positive_definite(stack, "covariance matrix", errors)
     n = stack.shape[-1] // 2
     if n == 1:
+        # a matrix singular to rounding can factor and still round to det < 0
         det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
-        vals = np.sqrt(np.maximum(det, 0.0))[:, None]
-    else:
-        try:
-            eig = np.linalg.eigvals(_omega(n) @ stack)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailureError(f"eigensolve failed: {exc}") from exc
-        # conjugate pairs have bit-identical modulus; keep one per pair
-        vals = np.sort(np.abs(eig), axis=-1)[:, ::-2]
-    flag_indefinite(errors, stack, "covariance matrix")
-    vals = np.where((vals < 1.0) & (vals > 1.0 - SYMPLECTIC_TOL), 1.0, vals)
-    return np.sort(vals, axis=-1)[:, ::-1]
+        return np.sqrt(np.maximum(det, 0.0))[:, None]
+    # conjugate pairs have bit-identical modulus; keep one per pair
+    return np.sort(np.abs(np.linalg.eigvals(_omega(n) @ stack)), axis=-1)[:, ::-2]
 
 
 def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
-    """The n symplectic eigenvalues of a state, in descending order."""
-    return run_one(symplectic_spectrum, state.data)
+    """The n symplectic eigenvalues of a state, in descending order.
+
+    Values within ``SYMPLECTIC_TOL`` below 1 read as 1, so pure states report exactly 1.
+    """
+    vals = run_one(symplectic_spectrum, state.data)
+    return np.where((vals < 1.0) & (vals > 1.0 - SYMPLECTIC_TOL), 1.0, vals)
 
 
 def _unphysical(gamma: np.ndarray, low: float) -> PhysicalityReport:
@@ -273,7 +286,7 @@ def _unphysical(gamma: np.ndarray, low: float) -> PhysicalityReport:
         return PhysicalityReport(ok=False, min_symplectic=None, issues=(
             f"not positive definite: min eigenvalue {min_eig:.6g}",))
     return PhysicalityReport(ok=False, min_symplectic=min_sympl, issues=(
-        f"symplectic eigenvalue below shot noise: {min_sympl:.6g} "
+        f"symplectic eigenvalue below shot noise: {min_sympl:.15g} "
         f"(Gamma + i Omega has eigenvalue {low:.3g})",))
 
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, NumericFailureError,
-                     UndefinedResultError)
-from .gaussian import CovarianceMatrix, reduce, select_modes
+from .errors import InvalidArgumentError, UndefinedResultError
+from .gaussian import CovarianceMatrix, _is_integer, positive_definite, reduce, run_one, select_modes
 
 GENERATOR_ID = "philox4x64/v2"
 
@@ -63,14 +62,11 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
     Returns:
         A read-only (n_samples, 2n) array, columns in quadrature order.
     """
-    if not 2 <= n_samples <= MAX_SAMPLES:
-        raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples}")
-    if not 0 <= int(seed) < 2 ** 64:
-        raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    try:
-        factor = np.linalg.cholesky(state.data)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"covariance does not factor: {exc}") from exc
+    if not (_is_integer(n_samples) and 2 <= n_samples <= MAX_SAMPLES):
+        raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples!r}")
+    if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
+        raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    factor = np.linalg.cholesky(run_one(positive_definite, state.data, "covariance matrix"))
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(0,))
     rng = np.random.Generator(np.random.Philox(seq))
     samples = rng.standard_normal((n_samples, state.data.shape[0])) @ factor.T
@@ -85,9 +81,11 @@ def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
     the 4 converts SNU variance to photon number, so the mean is (V - 1)/2
     for a thermal mode of variance V and 0 for vacuum.
     """
+    if samples.ndim != 2 or samples.shape[1] % 2:
+        raise InvalidArgumentError(f"samples must be an (n, 2k) array, got shape {samples.shape}")
     n_modes = samples.shape[1] // 2
-    if not 0 <= mode < n_modes:
-        raise InvalidArgumentError(f"mode {mode} out of range for {n_modes} modes")
+    if not (_is_integer(mode) and 0 <= mode < n_modes):
+        raise InvalidArgumentError(f"mode {mode!r} is not an integer in [0, {n_modes})")
     x, p = samples[:, 2 * mode:2 * mode + 2].T
     return (x * x + p * p - 2.0) / 4.0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateError
-from .gaussian import (SYMPLECTIC_TOL, CovarianceMatrix, flag_indefinite, flag_rows, run_one,
+from .gaussian import (CovarianceMatrix, flag_rows, physicality_stack, positive_definite, run_one,
                        select_modes, symplectic_spectrum)
 
 _LN2 = float(np.log(2.0))
@@ -34,7 +34,8 @@ CLAMP_TOL = 1e-9
 class Partition:
     """Disjoint mode groups (A, B, S) inside one multimode state.
 
-    S may be empty (plain mutual information); A and B may not.
+    S may be empty (plain mutual information); A and B may not. Each index
+    is checked where a measure selects it (:func:`select_modes`).
     """
 
     subsystem_a: tuple[int, ...]
@@ -42,9 +43,7 @@ class Partition:
     subsystem_s: tuple[int, ...] = ()
 
     def __post_init__(self):
-        a = tuple(int(m) for m in self.subsystem_a)
-        b = tuple(int(m) for m in self.subsystem_b)
-        s = tuple(int(m) for m in self.subsystem_s)
+        a, b, s = tuple(self.subsystem_a), tuple(self.subsystem_b), tuple(self.subsystem_s)
         object.__setattr__(self, "subsystem_a", a)
         object.__setattr__(self, "subsystem_b", b)
         object.__setattr__(self, "subsystem_s", s)
@@ -76,7 +75,7 @@ def _log2det(stack: np.ndarray, label: str, errors: list) -> np.ndarray:
 
 def _shannon(stack: np.ndarray, errors: list) -> np.ndarray:
     value = 0.5 * (stack.shape[-1] * _LOG2_2PIE + _log2det(stack, "state", errors))
-    flag_indefinite(errors, stack, "state")
+    positive_definite(stack, "state", errors)
     return value
 
 
@@ -89,22 +88,23 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
     return float(run_one(_shannon, state.data))
 
 
-def _g(x: np.ndarray) -> np.ndarray:
-    # thermal-spectrum entropy term; x = 1 contributes exactly 0 (0 log 0 := 0)
+def _g(eigs: np.ndarray) -> np.ndarray:
+    # entropy of each row's symplectic spectrum; values up to 1 add exactly 0 (0 log 0 := 0)
+    x = np.maximum(eigs, 1.0)
     xp = (x + 1.0) / 2.0
     xm = (x - 1.0) / 2.0
     out = xp * np.log(xp)
     mask = xm > 0.0
     out[mask] -= xm[mask] * np.log(xm[mask])
-    return out / _LN2
+    return (out / _LN2).sum(axis=-1)
 
 
 def _von_neumann(stack: np.ndarray, errors: list) -> np.ndarray:
+    """Entropy of every row; a row that fails :func:`physicality_stack` fails here too."""
     eigs = symplectic_spectrum(stack, errors)
-    low = eigs[:, -1]
-    flag_rows(errors, low < 1.0 - SYMPLECTIC_TOL, lambda i: UnphysicalStateError(
-        f"symplectic eigenvalue {low[i]:.6g} below shot noise"))
-    return _g(np.maximum(eigs, 1.0)).sum(axis=-1)
+    flag_rows(errors, [not r.ok for r in physicality_stack(stack)], lambda i: UnphysicalStateError(
+        f"symplectic eigenvalue {eigs[i, -1]:.15g} below shot noise"))
+    return _g(eigs)
 
 
 def von_neumann_entropy(state: CovarianceMatrix) -> float:
@@ -135,25 +135,22 @@ def cmi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
       the Schur complement Gamma_AB|S = Gamma_AB - C Gamma_S^-1 C^T, whose
       diagonal blocks are Gamma_A|S and Gamma_B|S.
 
-    A row whose routes disagree, with a non-positive determinant, or whose
-    Gamma_ABS (hence every block above) is not positive definite reads nan
-    and gets a :class:`NumericFailureError` in ``errors``.
+    A row with a non-positive determinant, whose Gamma_ABS (hence every
+    block above) is not positive definite, or whose routes disagree reads
+    nan and gets a :class:`NumericFailureError` in ``errors``.
     """
     a, b, s = p.subsystem_a, p.subsystem_b, p.subsystem_s
     if not s:
         raise InvalidArgumentError("conditioning set S is empty; use mutual_information")
-    g_abs, g_s = select_modes(stack, a + b + s), select_modes(stack, s)
+    g_abs = select_modes(stack, a + b + s)
     from_dets = 0.5 * (
         _log2det(select_modes(stack, a + s), "Gamma_AS", errors)
         + _log2det(select_modes(stack, b + s), "Gamma_BS", errors)
-        - _log2det(g_s, "Gamma_S", errors) - _log2det(g_abs, "Gamma_ABS", errors))
+        - _log2det(select_modes(stack, s), "Gamma_S", errors) - _log2det(g_abs, "Gamma_ABS", errors))
+    g_abs = positive_definite(g_abs, "Gamma_ABS", errors)
     n_a, n_ab = 2 * len(a), 2 * len(a + b)
-    # solve only rows whose determinants are all positive: one singular
-    # Gamma_S would make the stacked solve raise for every row
-    ok = np.array([e is None for e in errors], dtype=bool)
-    cross = g_abs[ok, :n_ab, n_ab:]
-    cond = g_abs[:, :n_ab, :n_ab].copy()
-    cond[ok] -= cross @ np.linalg.solve(g_s[ok], cross.swapaxes(1, 2))
+    cross = g_abs[:, :n_ab, n_ab:]
+    cond = g_abs[:, :n_ab, :n_ab] - cross @ np.linalg.solve(g_abs[:, n_ab:, n_ab:], cross.swapaxes(1, 2))
     from_schur = 0.5 * (
         _log2det(cond[:, :n_a, :n_a], "Gamma_A|S", errors)
         + _log2det(cond[:, n_a:, n_a:], "Gamma_B|S", errors)
@@ -161,7 +158,6 @@ def cmi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
     flag_rows(errors, np.abs(from_dets - from_schur) > CLAMP_TOL, lambda i: NumericFailureError(
         f"CMI routes disagree: {float(from_dets[i])!r} (determinants) vs "
         f"{float(from_schur[i])!r} (Schur complements)"))
-    flag_indefinite(errors, g_abs, "Gamma_ABS")
     return _clamp_info(from_dets, "conditional mutual information", errors)
 
 
@@ -191,20 +187,19 @@ def _homodyne(stack: np.ndarray, measured_mode: int, angles: np.ndarray,
 
     Schur-complement update Gamma_rest - C (X Gamma_m X)^+ C^T, where the
     pseudo-inverse of the rank-1 piece is x x^T / q for the measured
-    direction x and q = x^T Gamma_m x. A row with q <= 0 fails.
+    direction x and q = x^T Gamma_m x > 0. A row that is not positive definite fails.
     """
     n = stack.shape[-1] // 2
     if n < 2:
         raise InvalidArgumentError("conditioning requires at least one unmeasured mode")
     # the unmeasured modes in their original order, then the measured one
     g = select_modes(stack, [m for m in range(n) if m != measured_mode] + [measured_mode])
+    g = positive_definite(g, "covariance matrix", errors)
     m = 2 * n - 2
     x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)[:, :, None]
-    q = (x.swapaxes(1, 2) @ g[:, m:, m:] @ x)[:, 0, 0]
-    flag_rows(errors, q <= 0.0, lambda i: NumericFailureError(
-        f"measured quadrature variance {q[i]:.6g} is not positive"))
+    q = x.swapaxes(1, 2) @ g[:, m:, m:] @ x
     cx = g[:, :m, m:] @ x
-    return g[:, :m, :m] - cx * cx.swapaxes(1, 2) / np.where(q > 0.0, q, np.inf)[:, None, None]
+    return g[:, :m, :m] - cx * cx.swapaxes(1, 2) / q
 
 
 def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
@@ -225,19 +220,12 @@ def _best_homodyne_angle(pair: np.ndarray, errors: list) -> np.ndarray:
     leaves mode 1 with det B - x^T C adj(B) C^T x / x^T A x. The minimizer
     is the top generalized eigenvector of (C adj(B) C^T, A), found as an
     ordinary symmetric eigenproblem after whitening by the Cholesky factor
-    L of A. L is written out for 2 x 2, so a row whose A is not positive
-    definite fails alone. The direction is reported as an angle in [0, pi).
+    L of A. A row whose pair is not positive definite fails alone. The
+    direction is reported as an angle in [0, pi).
     """
+    pair = positive_definite(pair, "covariance matrix", errors)
     a, b, c = pair[:, 0:2, 0:2], pair[:, 2:4, 2:4], pair[:, 0:2, 2:4]
-    pos = a[:, 0, 0] > 0.0
-    l00 = np.sqrt(np.where(pos, a[:, 0, 0], 1.0))
-    l10 = a[:, 1, 0] / l00
-    l11_sq = a[:, 1, 1] - l10 * l10
-    bad = ~(pos & (l11_sq > 0.0))
-    flag_rows(errors, bad, lambda i: NumericFailureError("measured mode's block is not positive definite"))
-    l11 = np.sqrt(np.where(bad, 1.0, l11_sq))
-    whiten = np.zeros_like(a)  # L^-1
-    whiten[:, 0, 0], whiten[:, 1, 0], whiten[:, 1, 1] = 1.0 / l00, -l10 / (l00 * l11), 1.0 / l11
+    whiten = np.linalg.inv(np.linalg.cholesky(a))  # L^-1
     adj_b = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
     _, vecs = np.linalg.eigh(whiten @ c @ adj_b @ c.swapaxes(1, 2) @ whiten.swapaxes(1, 2))
     x = (whiten.swapaxes(1, 2) @ vecs[:, :, -1:])[:, :, 0]
@@ -252,14 +240,15 @@ def discord_stack(stack: np.ndarray, a_mode: int, b_mode: int, errors: list) -> 
     D = S(Gamma_A) - S(Gamma_AB) + min over homodyne angle of S(Gamma_B|x_A),
     all von Neumann. The minimum over homodyne angles in [0, pi) is taken in
     closed form (see :func:`_best_homodyne_angle`), and B is conditioned
-    once, at that angle. Every field of the result is an (N,) array; a
-    failed row's value is nan.
+    once, at that angle. Only the pair is judged physical: its reduction and
+    its conditioned state are physical when it is. Every field of the
+    result is an (N,) array; a failed row's value is nan.
     """
     pair = select_modes(stack, [a_mode, b_mode])
-    s_a = _von_neumann(pair[:, 0:2, 0:2], errors)
+    s_a = _g(symplectic_spectrum(pair[:, 0:2, 0:2], errors))
     s_ab = _von_neumann(pair, errors)
     angle = _best_homodyne_angle(pair, errors)
-    s_cond = _von_neumann(_homodyne(pair, 0, angle, errors), errors)
+    s_cond = _g(symplectic_spectrum(_homodyne(pair, 0, angle, errors), errors))
     value = _clamp_info(s_a - s_ab + s_cond, "discord", errors)
     return DiscordResult(value=value, angle=angle, entropy_a=s_a, entropy_joint=s_ab,
                          conditional_entropy=s_cond)

@@ -83,7 +83,6 @@ class ScenarioState:
 
     state: CovarianceMatrix
     mode_labels: tuple[str, ...]
-    params: ScenarioParams
 
     def __post_init__(self):
         if len(self.mode_labels) != self.state.n_modes:
@@ -166,7 +165,7 @@ def build_scenario(name: str, params: ScenarioParams) -> ScenarioState:
     """One point: an N = 1 :func:`build_stack`, checked for physicality."""
     rows = SimpleNamespace(**{k: np.array([v]) for k, v in vars(params).items()})
     stack, labels = build_stack(name, rows)
-    return ScenarioState(state=CovarianceMatrix(stack[0]), mode_labels=labels, params=params)
+    return ScenarioState(state=CovarianceMatrix(stack[0]), mode_labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidArgumentError, NumericFailureError,
                      UnphysicalStateError, UsageError)
-from .gaussian import CovarianceMatrix, physicality_stack
+from .gaussian import CovarianceMatrix, _is_integer, physicality_stack
 from .hbt import MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, thermality_check
 from .info import Partition, cmi_stack, discord_stack, mi_stack
 from .scenarios import (SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS,
@@ -52,10 +52,6 @@ def _check_domain(field: str, name: str, value: float, key: str | None = None):
         ScenarioParams(**{name: value})
     except (InvalidArgumentError, UnphysicalStateError) as exc:
         raise _reject(field, str(exc), key) from None
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)  # True is no count
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 """Covariance-matrix primitives: constructors, beamsplitter, spectra."""
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,19 @@ def test_beamsplitter_spec_validation():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_vacuum_is_identity(n):
     assert np.array_equal(make_vacuum(n).data, np.eye(2 * n))
+
+
+def test_mode_indices_and_counts_must_be_integers():
+    # a float index used to end in a bare IndexError, and True read as mode 1
+    state = make_vacuum(2)
+    for keep in ([0.5], [True], [np.float64(1.0)]):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"mode index {keep[0]!r} is not an integer")):
+            reduce(state, keep)
+    with pytest.raises(InvalidArgumentError, match="mode index 0.5 is not an integer"):
+        apply_beamsplitter(state, 0.5, 1, 0.3)
+    with pytest.raises(InvalidArgumentError, match="n_modes must be an integer >= 1, got 1.5"):
+        make_vacuum(1.5)
+    assert np.array_equal(reduce(state, [np.int64(1)]).data, reduce(state, [1]).data)
 
 
 def test_vacuum_rejects_zero_modes():
@@ -248,6 +263,15 @@ def test_matrices_that_are_not_positive_definite_have_no_spectrum(n):
     # -3 I has det > 0 and |eigenvalues| of Omega Gamma equal to 3
     with pytest.raises(NumericFailureError, match="not positive definite"):
         symplectic_eigenvalues(CovarianceMatrix(-3.0 * np.eye(2 * n)))
+
+
+def test_a_factoring_matrix_whose_determinant_rounds_negative_reads_zero():
+    # singular up to rounding: the Cholesky factor exists, det rounds to -2.2e-16
+    gamma = np.array([[1.2895089397520012, -1.2866799860177112],
+                      [-1.2866799860177112, 1.283857238505793]])
+    np.linalg.cholesky(gamma)
+    assert gamma[0, 0] * gamma[1, 1] - gamma[0, 1] ** 2 < 0.0
+    assert list(symplectic_eigenvalues(CovarianceMatrix(gamma))) == [0.0]
 
 
 def test_singular_matrices_are_reported_not_raised():

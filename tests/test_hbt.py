@@ -73,6 +73,21 @@ def test_sampling_argument_errors():
         sample_quadratures(state, 100, seed=2 ** 64)
 
 
+def test_seeds_and_counts_must_be_integers():
+    # a float seed used to run silently as its integer part
+    state = make_thermal(2.0)
+    with pytest.raises(InvalidArgumentError, match="got 1.5"):
+        sample_quadratures(state, 100, seed=1.5)
+    with pytest.raises(InvalidArgumentError, match="got True"):
+        sample_quadratures(state, 100, seed=True)
+    with pytest.raises(InvalidArgumentError, match="got 2.5"):
+        sample_quadratures(state, 2.5, seed=1)
+    with pytest.raises(InvalidArgumentError, match="got 2.7"):
+        thermality_check(broadcast_state(), 0, 1, 2000, seed=2.7)
+    assert np.array_equal(sample_quadratures(state, 10, seed=np.uint64(3)),
+                          sample_quadratures(state, 10, seed=3))
+
+
 def test_sampling_rejects_indefinite_matrix():
     flat = CovarianceMatrix(np.diag([1.0, -1.0]))
     with pytest.raises(NumericFailureError):
@@ -98,6 +113,17 @@ def test_intensity_mode_out_of_range():
     run = sample_quadratures(make_vacuum(1), 100, seed=0)
     with pytest.raises(InvalidArgumentError):
         intensity(run, 1)
+
+
+def test_intensity_needs_two_columns_per_mode():
+    # a 1-D array used to end in a bare IndexError, an odd column count to drop a column
+    for samples in (np.zeros(5000), np.zeros((5000, 5))):
+        with pytest.raises(InvalidArgumentError, match=rf"got shape \({samples.shape[0]},"):
+            intensity(samples, 0)
+        with pytest.raises(InvalidArgumentError, match="must be an \\(n, 2k\\) array"):
+            g2_cross_estimate(samples, 0, 1)
+    with pytest.raises(InvalidArgumentError, match="mode 0.5 is not an integer"):
+        intensity(np.zeros((100, 4)), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,28 @@ def test_von_neumann_additive_over_products():
         von_neumann_entropy(a) + von_neumann_entropy(b), abs=1e-9)
 
 
+@pytest.mark.parametrize("nu, bound", [(1e4, 1e-6), (1e5, 1e-5), (1e6, 2e-3)])
+def test_bright_pure_states_are_physical_and_nearly_pure(nu, bound):
+    # the physicality test accepts these; the spectrum reads within ~eps nu^2
+    # of 1, which a fixed 1e-9 shot-noise slack used to refuse
+    states = [make_epr(nu)] + [build_scenario(name, ScenarioParams(nu=nu)).state
+                               for name in ("basic", "thermal_channel", "full")]
+    for state in states:
+        assert validate_physicality(state).ok
+        assert 0.0 <= von_neumann_entropy(state) < bound
+
+
+def test_von_neumann_takes_the_physicality_verdict():
+    # 1e-12 below shot noise fails validate_physicality, so it has no entropy
+    # either, and the message tells its eigenvalue apart from 1
+    state = CovarianceMatrix((1.0 - 1e-12) * np.eye(2))
+    report = validate_physicality(state)
+    assert not report.ok
+    assert report.issues[0].startswith("symplectic eigenvalue below shot noise: 0.999999999999 ")
+    with pytest.raises(UnphysicalStateError, match="^symplectic eigenvalue 0.999999999999 below shot noise$"):
+        von_neumann_entropy(state)
+
+
 def test_von_neumann_rejects_unphysical():
     with pytest.raises(UnphysicalStateError):
         von_neumann_entropy(CovarianceMatrix(np.diag([0.5, 0.5])))
@@ -109,6 +131,18 @@ def test_partition_validation():
     p = Partition((0,), (1,), (2,))
     with pytest.raises(InvalidArgumentError):
         conditional_mutual_information(make_vacuum(2), p)
+
+
+def test_partition_indices_are_checked_where_modes_are_selected():
+    # Partition((0.5,), (1,)) used to truncate 0.5 to mode 0 without a word
+    state = tensor(make_epr(2.0), make_thermal(2.0))
+    with pytest.raises(InvalidArgumentError, match="mode index 0.5 is not an integer"):
+        mutual_information(state, Partition((0.5,), (1,)))
+    with pytest.raises(InvalidArgumentError, match="mode index True is not an integer"):
+        conditional_mutual_information(state, Partition((0,), (True,), (2,)))
+    for measure in (lambda: homodyne_condition(state, 0.5, 0.0), lambda: gaussian_discord(state, 0, 1.0)):
+        with pytest.raises(InvalidArgumentError, match="is not an integer"):
+            measure()
 
 
 def test_cmi_requires_conditioning_set():
@@ -361,23 +395,26 @@ def test_mixed_batch_keeps_each_failure_in_its_row():
     not_pd_a = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     not_pd_b = np.diag([1.0, 1.0, -2.0, 1.0, 1.0, 1.0])
     below_shot_noise = 0.5 * np.eye(6)
-    stack = np.array([good[0], not_pd_a, good[1], below_shot_noise, not_pd_b, good[2]])
+    # exactly singular: its Gamma_S has no inverse, so no stacked solve may see it
+    singular = np.zeros((6, 6))
+    stack = np.array([good[0], not_pd_a, good[1], below_shot_noise, not_pd_b, good[2], singular])
 
     reports = physicality_stack(stack)
-    assert [r.ok for r in reports] == [True, False, True, False, False, True]
+    assert [r.ok for r in reports] == [True, False, True, False, False, True, False]
     assert reports[1].issues == ("not positive definite: min eigenvalue -1",)
     assert reports[3].issues[0].startswith("symplectic eigenvalue below shot noise: 0.5")
-    assert [r == validate_physicality(CovarianceMatrix(g)) for r, g in zip(reports, stack)] == [True] * 6
+    assert [r == validate_physicality(CovarianceMatrix(g)) for r, g in zip(reports, stack)] == [True] * 7
 
     cmi = _singles(cmi_stack, conditional_mutual_information, stack, Partition((0,), (1,), (2,)))
     assert [str(e) if e else None for e in cmi] == [
         None, "non-positive determinant for Gamma_AS", None, None,
-        "non-positive determinant for Gamma_BS", None]
+        "non-positive determinant for Gamma_BS", None, "non-positive determinant for Gamma_AS"]
     mi = _singles(mi_stack, mutual_information, stack, Partition((0,), (1,)))
-    assert [e is None for e in mi] == [True, False, True, True, False, True]
+    assert [e is None for e in mi] == [True, False, True, True, False, True, False]
     discord = _singles(discord_stack, gaussian_discord, stack, 0, 1)
     assert [type(e).__name__ if e else None for e in discord] == [
-        None, "NumericFailureError", None, "UnphysicalStateError", "NumericFailureError", None]
+        None, "NumericFailureError", None, "UnphysicalStateError", "NumericFailureError", None,
+        "NumericFailureError"]
     assert str(discord[3]) == "symplectic eigenvalue 0.5 below shot noise"
 
 
