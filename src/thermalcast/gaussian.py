@@ -20,13 +20,14 @@ Operations work on stacks: (N, 2n, 2n) arrays of N states, one per row.
 The one-state functions, which take plain values, are N = 1 calls into them.
 A stage that can fail on one row records an exception in that row's slot
 of an ``errors`` list (``None`` while the row is good) instead of raising,
-so a bad row never spoils the others. A stage flags, then computes on a
-clean stack: :func:`positive_definite` fails each row of the largest block
-it reads that has no Cholesky factor and sets every failed row to the
-identity, so no array call on the result raises or warns. All operations are pure.
+so a bad row never spoils the others. Stages check, kernels compute: a stage
+first runs :func:`positive_definite` on the largest block it reads, failing each
+row without a Cholesky factor and setting it to the identity; the kernels under
+it take that clean stack, check nothing, and never raise or warn. All operations are pure.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -133,6 +134,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)  # True is no count
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def run_one(stage, data: np.ndarray, *args):
     """Run ``stage(stack, *args, errors)`` on one matrix as an N = 1 stack; raise its failure."""
     errors = [None]
@@ -204,7 +209,9 @@ def make_vacuum(n_modes: int) -> CovarianceMatrix:
 
 
 def check_variance(label: str, value: float) -> None:
-    """Raise unless ``value`` lies in [1, MAX_VARIANCE] SNU; messages open with ``label``."""
+    """Raise unless ``value`` is a real number in [1, MAX_VARIANCE] SNU; messages open with ``label``."""
+    if not _is_real(value):
+        raise InvalidArgumentError(f"{label} must be a real number, got {value!r}")
     if value < 1.0:
         raise UnphysicalStateError(f"{label} must be >= 1 SNU, got {value}")
     if not value <= MAX_VARIANCE:  # also true for nan
@@ -237,10 +244,10 @@ def apply_beamsplitter(state: CovarianceMatrix, mode_a: int, mode_b: int,
                        transmittance: float) -> CovarianceMatrix:
     """Mix two modes of one state on a beamsplitter: Gamma' = S Gamma S^T."""
     select_modes(state.data, [mode_a, mode_b])
-    if not 0.0 <= transmittance <= 1.0:
-        raise InvalidArgumentError(f"transmittance must lie in [0, 1], got {transmittance}")
+    if not (_is_real(transmittance) and 0.0 <= transmittance <= 1.0):
+        raise InvalidArgumentError(f"transmittance must lie in [0, 1], got {transmittance!r}")
     return CovarianceMatrix(beamsplitter_stack(
-        state.data[None], mode_a, mode_b, np.array([transmittance]))[0])
+        state.data[None], mode_a, mode_b, np.array([float(transmittance)]))[0])
 
 
 def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> CovarianceMatrix:
@@ -252,13 +259,12 @@ def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> Covari
     return CovarianceMatrix(select_modes(state.data, keep))
 
 
-def symplectic_spectrum(stack: np.ndarray, errors: list) -> np.ndarray:
+def symplectic_spectrum(stack: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues per row, (N, n), descending: |eigenvalues| of Omega Gamma.
 
     Each occurs twice as +/-x and is kept once; one mode needs only
-    sqrt(det Gamma). A row that is not positive definite fails.
+    sqrt(det Gamma). Every row must be positive definite; the caller checks.
     """
-    stack = positive_definite(stack, "covariance matrix", errors)
     n = stack.shape[-1] // 2
     if n == 1:
         # a matrix singular to rounding can factor and still round to det < 0
@@ -273,18 +279,17 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
 
     Values within ``SYMPLECTIC_TOL`` below 1 read as 1, so pure states report exactly 1.
     """
-    vals = run_one(symplectic_spectrum, state.data)
+    vals = symplectic_spectrum(run_one(positive_definite, state.data, "covariance matrix")[None])[0]
     return np.where((vals < 1.0) & (vals > 1.0 - SYMPLECTIC_TOL), 1.0, vals)
 
 
 def _unphysical(gamma: np.ndarray, low: float) -> PhysicalityReport:
-    min_eig = float(np.linalg.eigvalsh(gamma)[0])
     errors = [None]
-    min_sympl = float(symplectic_spectrum(gamma[None], errors)[0, -1])
-    # the spectrum also fails a matrix whose rounded smallest eigenvalue is > 0
-    if min_eig <= 0.0 or errors[0] is not None:
+    positive_definite(gamma[None], "covariance matrix", errors)
+    if errors[0] is not None:
         return PhysicalityReport(ok=False, min_symplectic=None, issues=(
-            f"not positive definite: min eigenvalue {min_eig:.6g}",))
+            f"not positive definite: min eigenvalue {np.linalg.eigvalsh(gamma)[0]:.6g}",))
+    min_sympl = float(symplectic_spectrum(gamma[None])[0, -1])
     return PhysicalityReport(ok=False, min_symplectic=min_sympl, issues=(
         f"symplectic eigenvalue below shot noise: {min_sympl:.15g} "
         f"(Gamma + i Omega has eigenvalue {low:.3g})",))
@@ -296,8 +301,9 @@ def physicality_stack(stack: np.ndarray) -> list[PhysicalityReport]:
     One stacked Hermitian eigensolve decides; it implies Gamma > 0 and every
     symplectic eigenvalue >= 1 (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)).
     Its smallest eigenvalue may dip to -2 * dim * eps * lambda_max by rounding.
-    Only a failed row computes the spectra of Gamma that name the violated
-    condition; ``min_symplectic`` is set on a positive-definite failure only.
+    Only a failed row is looked at again: :func:`positive_definite` tells a Gamma
+    that is not positive definite from one with a symplectic eigenvalue below
+    shot noise; ``min_symplectic`` is set on a positive-definite failure only.
     """
     dim = stack.shape[-1]
     eigs = np.linalg.eigvalsh(stack + 1j * _omega(dim // 2))

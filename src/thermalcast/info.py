@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, flag_rows, physicality_stack, positive_definite, run_one,
-                       select_modes, symplectic_spectrum)
+from .gaussian import (CovarianceMatrix, _is_real, flag_rows, physicality_stack, positive_definite,
+                       run_one, select_modes, symplectic_spectrum)
 
 _LN2 = float(np.log(2.0))
 _LOG2_2PIE = float(np.log(2.0 * np.pi * np.e) / _LN2)
@@ -66,17 +66,15 @@ class DiscordResult:
 
 
 def _log2det(stack: np.ndarray, label: str, errors: list) -> np.ndarray:
-    """log2-determinant per row; a non-positive det fails the row and reads 0."""
+    """log2-determinant per row; det <= 0, left by a block singular to rounding
+    that still factors, fails the row and reads 0."""
     sign, logdet = np.linalg.slogdet(stack)
-    flag_rows(errors, sign <= 0.0, lambda i: NumericFailureError(
-        f"non-positive determinant for {label}"))
+    flag_rows(errors, sign <= 0.0, lambda i: NumericFailureError(f"{label} is not positive definite"))
     return np.where(sign > 0.0, logdet / _LN2, 0.0)
 
 
 def _shannon(stack: np.ndarray, errors: list) -> np.ndarray:
-    value = 0.5 * (stack.shape[-1] * _LOG2_2PIE + _log2det(stack, "state", errors))
-    positive_definite(stack, "state", errors)
-    return value
+    return 0.5 * (stack.shape[-1] * _LOG2_2PIE + _log2det(stack, "state", errors))
 
 
 def shannon_entropy(state: CovarianceMatrix) -> float:
@@ -85,7 +83,7 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
     H = (1/2) * log((2 pi e)^d * det Gamma) with d the full quadrature
     dimension (two per mode). Single vacuum mode: log2(2 pi e) ~ 4.094342.
     """
-    return float(run_one(_shannon, state.data))
+    return float(run_one(_shannon, run_one(positive_definite, state.data, "state")))
 
 
 def _g(eigs: np.ndarray) -> np.ndarray:
@@ -100,8 +98,8 @@ def _g(eigs: np.ndarray) -> np.ndarray:
 
 
 def _von_neumann(stack: np.ndarray, errors: list) -> np.ndarray:
-    """Entropy of every row; a row that fails :func:`physicality_stack` fails here too."""
-    eigs = symplectic_spectrum(stack, errors)
+    """Entropy of every positive-definite row; a row that fails :func:`physicality_stack` fails."""
+    eigs = symplectic_spectrum(stack)
     flag_rows(errors, [not r.ok for r in physicality_stack(stack)], lambda i: UnphysicalStateError(
         f"symplectic eigenvalue {eigs[i, -1]:.15g} below shot noise"))
     return _g(eigs)
@@ -112,7 +110,7 @@ def von_neumann_entropy(state: CovarianceMatrix) -> float:
 
     Zero for pure states (vacuum, EPR); thermal(2) gives ~1.377444.
     """
-    return float(run_one(_von_neumann, state.data))
+    return float(run_one(_von_neumann, run_one(positive_definite, state.data, "covariance matrix")))
 
 
 def _clamp_info(values: np.ndarray, label: str, errors: list) -> np.ndarray:
@@ -135,19 +133,18 @@ def cmi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
       the Schur complement Gamma_AB|S = Gamma_AB - C Gamma_S^-1 C^T, whose
       diagonal blocks are Gamma_A|S and Gamma_B|S.
 
-    A row with a non-positive determinant, whose Gamma_ABS (hence every
-    block above) is not positive definite, or whose routes disagree reads
-    nan and gets a :class:`NumericFailureError` in ``errors``.
+    Gamma_ABS is checked first; every block above is a principal submatrix
+    of it. A row whose Gamma_ABS is not positive definite, or whose routes
+    disagree, reads nan and gets a :class:`NumericFailureError` in ``errors``.
     """
     a, b, s = p.subsystem_a, p.subsystem_b, p.subsystem_s
     if not s:
         raise InvalidArgumentError("conditioning set S is empty; use mutual_information")
-    g_abs = select_modes(stack, a + b + s)
+    g_abs = positive_definite(select_modes(stack, a + b + s), "Gamma_ABS", errors)
     from_dets = 0.5 * (
         _log2det(select_modes(stack, a + s), "Gamma_AS", errors)
         + _log2det(select_modes(stack, b + s), "Gamma_BS", errors)
         - _log2det(select_modes(stack, s), "Gamma_S", errors) - _log2det(g_abs, "Gamma_ABS", errors))
-    g_abs = positive_definite(g_abs, "Gamma_ABS", errors)
     n_a, n_ab = 2 * len(a), 2 * len(a + b)
     cross = g_abs[:, :n_ab, n_ab:]
     cond = g_abs[:, :n_ab, :n_ab] - cross @ np.linalg.solve(g_abs[:, n_ab:, n_ab:], cross.swapaxes(1, 2))
@@ -170,9 +167,10 @@ def mi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
     """I(A:B) = H(A) + H(B) - H(AB) in bits for every row; requires an empty S."""
     if p.subsystem_s:
         raise InvalidArgumentError("mutual_information takes an empty conditioning set")
-    value = (_shannon(select_modes(stack, p.subsystem_a), errors)
-             + _shannon(select_modes(stack, p.subsystem_b), errors)
-             - _shannon(select_modes(stack, p.subsystem_a + p.subsystem_b), errors))
+    g_ab = positive_definite(select_modes(stack, p.subsystem_a + p.subsystem_b), "Gamma_AB", errors)
+    n_a = 2 * len(p.subsystem_a)
+    value = (_shannon(g_ab[:, :n_a, :n_a], errors) + _shannon(g_ab[:, n_a:, n_a:], errors)
+             - _shannon(g_ab, errors))
     return _clamp_info(value, "mutual information", errors)
 
 
@@ -181,20 +179,18 @@ def mutual_information(state: CovarianceMatrix, p: Partition) -> float:
     return float(run_one(mi_stack, state.data, p))
 
 
-def _homodyne(stack: np.ndarray, measured_mode: int, angles: np.ndarray,
-              errors: list) -> np.ndarray:
+def _homodyne(stack: np.ndarray, measured_mode: int, angles: np.ndarray) -> np.ndarray:
     """Remaining modes of every row after homodyning one mode at the row's angle.
 
     Schur-complement update Gamma_rest - C (X Gamma_m X)^+ C^T, where the
     pseudo-inverse of the rank-1 piece is x x^T / q for the measured
-    direction x and q = x^T Gamma_m x > 0. A row that is not positive definite fails.
+    direction x and q = x^T Gamma_m x > 0, as every row must be positive definite.
     """
     n = stack.shape[-1] // 2
     if n < 2:
         raise InvalidArgumentError("conditioning requires at least one unmeasured mode")
     # the unmeasured modes in their original order, then the measured one
     g = select_modes(stack, [m for m in range(n) if m != measured_mode] + [measured_mode])
-    g = positive_definite(g, "covariance matrix", errors)
     m = 2 * n - 2
     x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)[:, :, None]
     q = x.swapaxes(1, 2) @ g[:, m:, m:] @ x
@@ -208,22 +204,22 @@ def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
 
     ``angle`` in [0, pi) picks the measured quadrature: 0 measures x, pi/2 measures p.
     """
-    if not 0.0 <= angle < np.pi:
-        raise InvalidArgumentError(f"homodyne angle must lie in [0, pi), got {angle}")
-    return CovarianceMatrix(run_one(_homodyne, state.data, measured_mode, np.array([angle])))
+    if not (_is_real(angle) and 0.0 <= angle < np.pi):
+        raise InvalidArgumentError(f"homodyne angle must lie in [0, pi), got {angle!r}")
+    gamma = run_one(positive_definite, state.data, "covariance matrix")
+    return CovarianceMatrix(_homodyne(gamma[None], measured_mode, np.array([float(angle)]))[0])
 
 
-def _best_homodyne_angle(pair: np.ndarray, errors: list) -> np.ndarray:
+def _best_homodyne_angle(pair: np.ndarray) -> np.ndarray:
     """Homodyne angle on mode 0 of every row that minimizes the conditional det of mode 1.
 
     With A, B the diagonal blocks and C the cross block, a readout along x
     leaves mode 1 with det B - x^T C adj(B) C^T x / x^T A x. The minimizer
     is the top generalized eigenvector of (C adj(B) C^T, A), found as an
     ordinary symmetric eigenproblem after whitening by the Cholesky factor
-    L of A. A row whose pair is not positive definite fails alone. The
-    direction is reported as an angle in [0, pi).
+    L of A, so every pair must be positive definite. The direction is
+    reported as an angle in [0, pi).
     """
-    pair = positive_definite(pair, "covariance matrix", errors)
     a, b, c = pair[:, 0:2, 0:2], pair[:, 2:4, 2:4], pair[:, 0:2, 2:4]
     whiten = np.linalg.inv(np.linalg.cholesky(a))  # L^-1
     adj_b = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
@@ -240,15 +236,16 @@ def discord_stack(stack: np.ndarray, a_mode: int, b_mode: int, errors: list) -> 
     D = S(Gamma_A) - S(Gamma_AB) + min over homodyne angle of S(Gamma_B|x_A),
     all von Neumann. The minimum over homodyne angles in [0, pi) is taken in
     closed form (see :func:`_best_homodyne_angle`), and B is conditioned
-    once, at that angle. Only the pair is judged physical: its reduction and
-    its conditioned state are physical when it is. Every field of the
-    result is an (N,) array; a failed row's value is nan.
+    once, at that angle. The pair is checked and judged physical (then so are
+    its reduction and conditioned state); the computed conditioned state gets
+    its own check. Every field of the result is an (N,) array; a failed row's value is nan.
     """
-    pair = select_modes(stack, [a_mode, b_mode])
-    s_a = _g(symplectic_spectrum(pair[:, 0:2, 0:2], errors))
+    pair = positive_definite(select_modes(stack, [a_mode, b_mode]), "covariance matrix", errors)
+    s_a = _g(symplectic_spectrum(pair[:, 0:2, 0:2]))
     s_ab = _von_neumann(pair, errors)
-    angle = _best_homodyne_angle(pair, errors)
-    s_cond = _g(symplectic_spectrum(_homodyne(pair, 0, angle, errors), errors))
+    angle = _best_homodyne_angle(pair)
+    cond = positive_definite(_homodyne(pair, 0, angle), "covariance matrix", errors)
+    s_cond = _g(symplectic_spectrum(cond))
     value = _clamp_info(s_a - s_ab + s_cond, "discord", errors)
     return DiscordResult(value=value, angle=angle, entropy_a=s_a, entropy_joint=s_ab,
                          conditional_entropy=s_cond)

@@ -19,7 +19,6 @@ Mode labels, in build order:
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import ClassVar
@@ -27,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidArgumentError, UnphysicalStateError
-from .gaussian import (MAX_VARIANCE, CovarianceMatrix, beamsplitter_stack, check_variance,
+from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, beamsplitter_stack, check_variance,
                        direct_sum, epr_stack, select_modes, thermal_stack, validate_physicality)
 from .info import Partition
 
@@ -68,7 +67,7 @@ class ScenarioParams:
     def __post_init__(self):
         for name in VARIANCE_PARAMS + TRANSMITTANCE_PARAMS:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+            if not _is_real(value) or not np.isfinite(value):
                 raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
             if name in VARIANCE_PARAMS:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from thermalcast import (CovarianceMatrix, InvalidArgumentError, NumericFailureError,
-                         UnphysicalStateError, apply_beamsplitter, make_epr, make_thermal,
-                         make_vacuum, reduce, symplectic_eigenvalues, tensor,
+                         UnphysicalStateError, apply_beamsplitter, homodyne_condition, make_epr,
+                         make_thermal, make_vacuum, reduce, symplectic_eigenvalues, tensor,
                          validate_physicality)
 from thermalcast.gaussian import MAX_VARIANCE, _omega
 
@@ -110,6 +110,24 @@ def test_constructors_reject_variances_past_the_ceiling():
             make(bad)
     assert make_epr(MAX_VARIANCE).data[0, 0] == MAX_VARIANCE
     assert make_thermal(MAX_VARIANCE).data[0, 0] == MAX_VARIANCE
+
+
+def test_real_inputs_must_be_real_numbers():
+    # a string, None, a complex or an array is refused by name, and True is no number
+    epr, vacuum = make_epr(2.0), make_vacuum(2)
+    cases = [(make_thermal, bad) for bad in ("2", 1j, True, None, np.array([2.0, 3.0]))]
+    cases += [(make_epr, bad) for bad in (None, "2", True, np.array([2.0, 3.0]))]
+    cases += [(lambda t: apply_beamsplitter(vacuum, 0, 1, t), bad) for bad in ("0.5", True, None, 1j)]
+    cases += [(lambda angle: homodyne_condition(epr, 0, angle), bad) for bad in (None, True, "0", 1j)]
+    for call, bad in cases:
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"got {bad!r}")):
+            call(bad)
+    # numpy scalars are real numbers, computed on as floats
+    assert make_thermal(np.int64(2)).data[0, 0] == 2.0
+    assert np.array_equal(apply_beamsplitter(vacuum, 0, 1, np.float32(0.5)).data,
+                          apply_beamsplitter(vacuum, 0, 1, 0.5).data)
+    assert np.array_equal(homodyne_condition(epr, 0, np.float32(0.5)).data,
+                          homodyne_condition(epr, 0, float(np.float32(0.5))).data)
 
 
 def test_epr_blocks():
@@ -272,6 +290,10 @@ def test_a_factoring_matrix_whose_determinant_rounds_negative_reads_zero():
     np.linalg.cholesky(gamma)
     assert gamma[0, 0] * gamma[1, 1] - gamma[0, 1] ** 2 < 0.0
     assert list(symplectic_eigenvalues(CovarianceMatrix(gamma))) == [0.0]
+    # validate_physicality takes its verdict from the same Cholesky test
+    report = validate_physicality(CovarianceMatrix(gamma))
+    assert not report.ok and report.min_symplectic == 0.0
+    assert report.issues[0].startswith("symplectic eigenvalue below shot noise: 0 ")
 
 
 def test_singular_matrices_are_reported_not_raised():

@@ -1,5 +1,6 @@
 """Entropy, mutual information and discord against closed-form oracles."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from thermalcast import (CovarianceMatrix, InvalidArgumentError,
                          validate_physicality)
 from thermalcast.gaussian import physicality_stack
 from thermalcast.info import cmi_stack, discord_stack, mi_stack
+from thermalcast.scenarios import build_stack, information_partition
 
 
 def g_term(x: float) -> float:
@@ -55,7 +57,8 @@ def test_measures_refuse_matrices_that_are_not_positive_definite():
     # -I has det > 0 in every even dimension: only a definiteness check sees it
     cases = ((von_neumann_entropy, -3.0 * np.eye(4), ()), (shannon_entropy, -np.eye(2), ()),
              (mutual_information, -np.eye(4), (Partition((0,), (1,)),)),
-             (conditional_mutual_information, -np.eye(6), (Partition((0,), (1,), (2,)),)))
+             (conditional_mutual_information, -np.eye(6), (Partition((0,), (1,), (2,)),)),
+             (homodyne_condition, -np.eye(4), (0, 0.0)), (gaussian_discord, -np.eye(4), (0, 1)))
     for measure, gamma, args in cases:
         with pytest.raises(NumericFailureError, match="not positive definite"):
             measure(CovarianceMatrix(gamma), *args)
@@ -67,6 +70,35 @@ def test_indefinite_row_fails_alone():
     values = cmi_stack(stack, Partition((0,), (1,), (2,)), errors)
     assert [str(e) if e else None for e in errors] == [None, "Gamma_ABS is not positive definite", None]
     assert values[0] == values[2] == 0.0 and math.isnan(values[1])
+
+
+def test_each_stage_factors_its_largest_block_once(monkeypatch):
+    # a clean 50-row full stack: each stage checks one block, first, and the
+    # kernels underneath compute on it without a second factorization
+    params = {k: np.full(50, v) for k, v in vars(ScenarioParams(nu=3.0, eta_th=0.8, v_th=2.0)).items()}
+    params["eta_ab"] = np.linspace(0.05, 0.95, 50)
+    stack, labels = build_stack("full", SimpleNamespace(**params))
+    p = information_partition(labels)
+    calls = []
+    real = np.linalg.cholesky
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    counts = {}
+    for name, stage, args in (("discord", discord_stack, (p.subsystem_a[0], p.subsystem_b[0])),
+                              ("mi", mi_stack, (Partition(p.subsystem_a, p.subsystem_b),)),
+                              ("cmi", cmi_stack, (p,))):
+        errors = [None] * 50
+        calls.clear()
+        stage(stack, *args, errors)
+        assert errors == [None] * 50
+        counts[name] = len(calls)
+    # the pair, the whitening of its A block, the conditioned state
+    assert counts["discord"] <= 3
+    assert counts["mi"] == counts["cmi"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +439,8 @@ def test_mixed_batch_keeps_each_failure_in_its_row():
 
     cmi = _singles(cmi_stack, conditional_mutual_information, stack, Partition((0,), (1,), (2,)))
     assert [str(e) if e else None for e in cmi] == [
-        None, "non-positive determinant for Gamma_AS", None, None,
-        "non-positive determinant for Gamma_BS", None, "non-positive determinant for Gamma_AS"]
+        None, "Gamma_ABS is not positive definite", None, None,
+        "Gamma_ABS is not positive definite", None, "Gamma_ABS is not positive definite"]
     mi = _singles(mi_stack, mutual_information, stack, Partition((0,), (1,)))
     assert [e is None for e in mi] == [True, False, True, True, False, True, False]
     discord = _singles(discord_stack, gaussian_discord, stack, 0, 1)

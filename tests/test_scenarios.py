@@ -34,7 +34,7 @@ def test_params_validation():
     with pytest.raises(InvalidArgumentError):
         ScenarioParams(eta_th_b=-0.1)
     for name in ("nu", "eta_ab", "v_beta"):
-        for bad in (float("nan"), float("inf"), -float("inf"), "x", "2", None, [2.0], 1j):
+        for bad in (float("nan"), float("inf"), -float("inf"), "x", "2", None, [2.0], 1j, True):
             with pytest.raises(InvalidArgumentError, match="finite"):
                 ScenarioParams(**{name: bad})
     ceiling = ScenarioParams.MAX_VARIANCE
