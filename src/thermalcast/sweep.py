@@ -3,11 +3,11 @@
 A sweep varies one scenario parameter over an inclusive linear range and
 records the requested information measures at every point. The points, in
 ascending order of the swept value, form one (N, 2n, 2n) stack that is
-built, checked and measured by array calls; only g2 samples point by point.
+built and measured by array calls; only g2 samples point by point.
 
-A failure at one point flags that row and the sweep carries on: an
-unphysical state blanks the whole row, a failed output only its own cell.
-Only a sweep in which every point failed is treated as a failed run.
+A failure at one point flags that row and the sweep carries on: a failed
+output blanks only its own cell. Only a sweep in which every point failed
+is treated as a failed run.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidArgumentError, NumericFailureError,
                      UnphysicalStateError, UsageError)
-from .gaussian import CovarianceMatrix, _is_integer, physicality_stack
+from .gaussian import CovarianceMatrix, _is_integer
 from .hbt import MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, thermality_check
 from .info import Partition, cmi_stack, discord_stack, mi_stack
 from .scenarios import (SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS,
@@ -170,7 +170,7 @@ def _output_cells(out: str, spec: SweepSpec, stack: np.ndarray, p: Partition,
         try:
             report = thermality_check(CovarianceMatrix(gamma), a[0], b[0], spec.samples,
                                       _point_seed(spec.seed, int(index)))
-        except (NumericFailureError, UnphysicalStateError) as exc:
+        except NumericFailureError as exc:
             errors[i] = exc
             continue
         # no photons to correlate: the ratio is noise, not a g2 value
@@ -182,10 +182,9 @@ def _output_cells(out: str, spec: SweepSpec, stack: np.ndarray, p: Partition,
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every point of a sweep; rows come back in ascending order.
 
-    The points are one stack: built, checked for physicality and measured
-    by stacked array calls, one per output. Failures are contained: an
-    unphysical point blanks its whole row, a failed output only its own
-    cell, and either way the row's status names every reason.
+    The points are one stack, built and measured by stacked array calls,
+    one per output. A failed output blanks only its own cell, and the
+    row's status names every reason.
     """
     swept = spec.swept.values()
     order = np.argsort(swept, kind="stable")
@@ -194,14 +193,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     params[spec.swept.name] = swept[order]
     stack, labels = build_stack(spec.scenario, SimpleNamespace(**params))
     p = information_partition(labels)
-    reasons = [[] if r.ok else ["; ".join(r.issues)] for r in physicality_stack(stack)]
-    good = np.array([not r for r in reasons], dtype=bool)
+    reasons = [[] for _ in order]
     cells = {}
     for out in spec.outputs:
-        errors = [None] * int(good.sum())
-        cells[out] = np.full(len(order), np.nan)
-        cells[out][good] = _output_cells(out, spec, stack[good], p, order[good], errors)
-        for i, exc in zip(np.flatnonzero(good), errors):
+        errors = [None] * len(order)
+        cells[out] = _output_cells(out, spec, stack, p, order, errors)
+        for i, exc in enumerate(errors):
             if exc is not None:
                 reasons[i].append(str(exc))
     cols = {out: column.tolist() for out, column in cells.items()}

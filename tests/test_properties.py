@@ -1,8 +1,8 @@
 """Property tests.
 
 Config text becomes a runnable sweep or a clean error, every row of a
-stacked measure equals its one-state call, and any symmetric matrix gets
-finite measures or a named error.
+stacked measure equals its one-state call, every in-domain build is
+physical, and any symmetric matrix gets finite measures or a named error.
 """
 import math
 import tempfile
@@ -21,6 +21,7 @@ from thermalcast import (SCENARIO_NAMES, ConfigError, CovarianceMatrix, Partitio
                          conditional_mutual_information, emit_csv, gaussian_discord,
                          mutual_information, parse_config, run_sweep, shannon_entropy,
                          symplectic_eigenvalues, von_neumann_entropy)
+from thermalcast.gaussian import physicality_stack
 from thermalcast.info import cmi_stack, discord_stack, mi_stack
 from thermalcast.scenarios import VARIANCE_PARAMS, build_stack, information_partition
 from thermalcast.sweep import OUTPUT_NAMES, PARAM_NAMES
@@ -76,7 +77,7 @@ def config_lines(draw):
     return lines
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(config_lines())
 def test_config_text_parses_or_names_its_line(lines):
     text = "\n".join(line for _, line in lines)
@@ -113,7 +114,7 @@ def small_configs(draw):
     return "\n".join(lines)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(small_configs())
 def test_parsed_small_sweep_runs_and_emits(text):
     spec = parse_config(text)
@@ -144,7 +145,7 @@ def param_stacks(draw):
     return draw(st.sampled_from(SCENARIO_NAMES)), rows
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(param_stacks())
 def test_stacked_rows_equal_their_single_calls(case):
     name, rows = case
@@ -166,6 +167,26 @@ def test_stacked_rows_equal_their_single_calls(case):
                 continue
             alone = single(state, *args)
             assert value == pytest.approx(getattr(alone, "value", alone), abs=1e-12), (name, rows)
+
+
+def edge_or_between(name):
+    # the domain's edges drawn as often as its inside; variances log-uniform
+    if name in VARIANCE_PARAMS:
+        top = ScenarioParams.MAX_VARIANCE
+        return st.sampled_from([1.0, top]) | st.floats(0.0, math.log10(top)).map(lambda e: 10.0 ** e)
+    return st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(SCENARIO_NAMES),
+       st.lists(st.fixed_dictionaries({name: edge_or_between(name) for name in PARAM_NAMES}),
+                min_size=1, max_size=6))
+def test_every_in_domain_build_is_physical(name, rows):
+    # nothing re-checks a built state, so this is where physicality is held
+    stack, _ = build_stack(
+        name, SimpleNamespace(**{k: np.array([row[k] for row in rows]) for k in PARAM_NAMES}))
+    reports = physicality_stack(stack)
+    assert all(r.ok for r in reports), (name, rows, [r.issues for r in reports])
 
 
 @st.composite
@@ -193,7 +214,7 @@ def _measures(n_modes):
     return calls
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(symmetric_matrices())
 def test_any_symmetric_matrix_gets_finite_measures_or_a_named_error(case):
     gamma, positive_definite = case

@@ -1,5 +1,6 @@
 """Broadcast scenario builders: closed forms, limits, monotonic trends."""
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,14 @@ def test_params_validation():
         above = float(np.nextafter(ceiling, np.inf))
         with pytest.raises(InvalidArgumentError, match=rf"^{name} .* got {above!r}$"):
             ScenarioParams(**{name: above})
+    # any real number meets the rules: an exact fraction is stored as a float,
+    # and an int too large for a float is refused by the rule it breaks
+    nu = ScenarioParams(nu=Fraction(3, 2)).nu
+    assert nu == 1.5 and type(nu) is float
+    with pytest.raises(InvalidArgumentError, match=r"^nu is a variance and must be <= 1e\+06 SNU"):
+        ScenarioParams(nu=10**400)
+    with pytest.raises(InvalidArgumentError, match=r"^eta_ab is a transmittance and must lie in \[0, 1\]"):
+        ScenarioParams(eta_ab=10**400)
 
 
 def test_overflowing_params_are_reported_unphysical():
