@@ -31,6 +31,9 @@ MIN_G2_SAMPLES = 1000
 # Rows per draw: ten million rows of a 3-mode state already take 480 MB.
 MAX_SAMPLES = 10_000_000
 
+# OpenBLAS runs a gemm of rows * d * d <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread
+_ONE_THREAD_GEMM = 2 ** 18
+
 VERDICT_THERMAL = "thermal"
 VERDICT_NOT_THERMAL = "not-thermal"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -52,7 +55,8 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
 
     Rows are standard normals from one Philox stream, derived from
     ``SeedSequence(seed, spawn_key=(0,))``, times the transposed Cholesky
-    factor of Gamma.
+    factor of Gamma. They are drawn and transformed in row blocks that keep
+    BLAS on the calling thread, with the bytes of one whole-array product.
 
     Args:
         state: covariance to sample from; must factor (positive definite).
@@ -66,10 +70,22 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
         raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples!r}")
     if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
         raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    factor = np.linalg.cholesky(run_one(positive_definite, state.data, "covariance matrix"))
+    try:
+        factor = np.linalg.cholesky(state.data)
+    except np.linalg.LinAlgError:
+        run_one(positive_definite, state.data, "covariance matrix")  # words the failure
+        raise
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(0,))
     rng = np.random.Generator(np.random.Philox(seq))
-    samples = rng.standard_normal((n_samples, state.data.shape[0])) @ factor.T
+    dim = factor.shape[0]
+    # near-equal blocks, never of one row: numpy sends that to gemv, which rounds differently
+    n_blocks = min(-(-n_samples // max(_ONE_THREAD_GEMM // dim ** 2, 1)), n_samples // 2)
+    bounds = np.arange(n_blocks + 1) * n_samples // n_blocks
+    buffer = np.empty((-(-n_samples // n_blocks), dim))
+    samples = np.empty((n_samples, dim))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        block = rng.standard_normal(out=buffer[:stop - start])
+        np.matmul(block, factor.T, out=samples[start:stop])
     samples.setflags(write=False)
     return samples
 
@@ -96,10 +112,12 @@ def _jackknife_error(leave_out_estimates: np.ndarray) -> float:
     return float(np.sqrt((b - 1) / b * np.sum(centered ** 2)))
 
 
-def _mean_is_noise(series: np.ndarray) -> bool:
-    # mean indistinguishable from zero at 3 sigma: no photons to correlate
-    se_mean = series.std(ddof=1) / np.sqrt(series.size)
-    return series.mean() <= 3.0 * se_mean
+def _mean_is_noise(series: np.ndarray, mean: float) -> bool:
+    # mean indistinguishable from zero at 3 sigma: no photons; ddof=1 deviation as np.std forms it
+    centered = series - mean
+    centered *= centered
+    se_mean = np.sqrt(np.sum(centered) / (series.size - 1)) / np.sqrt(series.size)
+    return mean <= 3.0 * se_mean
 
 
 def _verdict(conclusive: bool, estimate: float, std_error: float) -> str:
@@ -126,6 +144,8 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
         raise InvalidArgumentError("cross-correlation needs two distinct modes")
     i_a = intensity(samples, mode_a)
     i_b = intensity(samples, mode_b)
+    mean_a, mean_b = i_a.mean(), i_b.mean()
+    conclusive = not (_mean_is_noise(i_a, mean_a) or _mean_is_noise(i_b, mean_b))
     prod = i_a * i_b
     # np.array_split's blocks: the first n % B hold one row more than the rest
     size, extra = divmod(n, JACKKNIFE_BLOCKS)
@@ -134,10 +154,9 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     sums = np.array([np.add.reduceat(row, starts) for row in (prod, i_a, i_b)])
     rest = n - np.diff(starts, append=n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        estimate = float(prod.mean() / (i_a.mean() * i_b.mean()))
+        estimate = float(prod.mean() / (mean_a * mean_b))
         ab, a, b = (sums.sum(axis=1, keepdims=True) - sums) / rest
         std_error = _jackknife_error(ab / (a * b))
-    conclusive = not (_mean_is_noise(i_a) or _mean_is_noise(i_b))
     return G2Report(g2_estimate=estimate, std_error=std_error, g2_analytic=None,
                     n_samples=n, verdict=_verdict(conclusive, estimate, std_error))
 

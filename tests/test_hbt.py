@@ -6,7 +6,7 @@ from thermalcast import (CovarianceMatrix, G2Report, InvalidArgumentError,
                          NumericFailureError, ScenarioParams,
                          UndefinedResultError, build_scenario,
                          g2_analytic, g2_cross_estimate, intensity,
-                         make_thermal, make_vacuum, reduce, sample_quadratures,
+                         make_epr, make_thermal, make_vacuum, reduce, sample_quadratures,
                          tensor, thermality_check,
                          VERDICT_INCONCLUSIVE, VERDICT_THERMAL)
 
@@ -41,12 +41,51 @@ def test_sampling_stream_is_pinned():
     # one Philox stream from SeedSequence(seed, spawn_key=(0,)), rows times L^T
     state = build_scenario("full", ScenarioParams(nu=3.0, eta_th=0.8, v_th=2.0, eta_th_a=0.9,
                                                   v_alpha=1.5, eta_th_b=0.7, v_beta=2.5)).state
-    for n, seed in ((1000, 0), (2001, 2 ** 64 - 1)):
+    pair = reduce(state, [1, 2])
+    # the last four span several row blocks and end one row past a block bound
+    # (1820 rows of 12 columns, 16384 rows of 4 columns)
+    for st, n, seed in ((state, 1000, 0), (state, 2001, 2 ** 64 - 1), (state, 1821, 5),
+                        (state, 5461, 6), (pair, 16_385, 7), (pair, 100_001, 8)):
+        d = st.data.shape[0]
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-        normals = np.random.Generator(np.random.Philox(seq)).standard_normal((n, 12))
-        expected = normals @ np.linalg.cholesky(state.data).T
-        got = sample_quadratures(state, n, seed=seed)
+        normals = np.random.Generator(np.random.Philox(seq)).standard_normal((n, d))
+        expected = normals @ np.linalg.cholesky(st.data).T
+        got = sample_quadratures(st, n, seed=seed)
         assert got.tobytes() == expected.tobytes()
+
+
+def test_sampling_keeps_each_product_under_the_one_thread_bound(monkeypatch):
+    # OpenBLAS keeps a gemm of rows * d * d <= 2**18 on the calling thread;
+    # a one-row product goes to gemv, which rounds differently
+    calls = []
+    matmul = np.matmul
+
+    def recording_matmul(a, b, **kwargs):
+        calls.append(a.shape)
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    full = build_scenario("full", ScenarioParams(nu=3.0, eta_th=0.8, v_th=2.0)).state
+    for state, n in ((reduce(full, [1, 2]), 1_000_000), (full, 200_000)):
+        calls.clear()
+        sample_quadratures(state, n, seed=1)
+        d = state.data.shape[0]
+        assert all(rows * d * d <= 2 ** 18 for rows, _ in calls)
+        assert all(rows > 1 for rows, _ in calls)
+        assert sum(rows for rows, _ in calls) == n
+
+
+def test_sampling_factors_the_state_once(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    sample_quadratures(make_epr(2.0), 1000, 1)
+    assert len(calls) == 1
 
 
 def test_sample_moments_track_the_state():
