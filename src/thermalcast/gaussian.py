@@ -85,6 +85,12 @@ class CovarianceMatrix:
         return self.data.shape[0] // 2
 
 
+def check_state(state) -> None:
+    """Raise unless ``state`` is a :class:`CovarianceMatrix`: a bare array skips its checks."""
+    if not isinstance(state, CovarianceMatrix):
+        raise InvalidArgumentError(f"state must be a CovarianceMatrix, got {type(state).__name__}")
+
+
 @cache
 def _omega(n_modes: int) -> np.ndarray:
     """The symplectic form for n modes, read-only: one matrix per mode count serves every stack."""

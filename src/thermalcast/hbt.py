@@ -7,8 +7,9 @@ intensities, estimate the normalized intensity correlation with a jackknife
 error bar, and compare against the exact Gaussian-moment value.
 
 Quadrature sampling is the only randomness in the package; samples are a
-read-only (n_samples, 2n) array. The generator is counter-based and named by
-``GENERATOR_ID`` in every output, so a seed pins the byte stream on any platform.
+read-only (n_samples, 2n) array. Each seed keys its own SFC64 stream through
+``SeedSequence``, and ``GENERATOR_ID`` names the generator in every g2 output,
+so a seed pins the byte stream on any platform.
 """
 from __future__ import annotations
 
@@ -17,9 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedResultError
-from .gaussian import CovarianceMatrix, _is_integer, positive_definite, reduce, run_one, select_modes
+from .gaussian import (CovarianceMatrix, _is_integer, check_state, positive_definite, reduce,
+                       run_one, select_modes)
 
-GENERATOR_ID = "philox4x64/v2"
+GENERATOR_ID = "sfc64/v3"
 
 # Delete-one-block jackknife; block count fixed so error bars are
 # reproducible and comparable across runs.
@@ -53,13 +55,13 @@ class G2Report:
 def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:
     """Draw zero-mean Gaussian quadrature samples with covariance Gamma.
 
-    Rows are standard normals from one Philox stream, derived from
+    Rows are standard normals from one SFC64 stream, seeded by
     ``SeedSequence(seed, spawn_key=(0,))``, times the transposed Cholesky
     factor of Gamma. They are drawn and transformed in row blocks that keep
     BLAS on the calling thread, with the bytes of one whole-array product.
 
     Args:
-        state: covariance to sample from; must factor (positive definite).
+        state: a ``CovarianceMatrix`` that factors (positive definite).
         n_samples: number of rows, from 2 to ``MAX_SAMPLES``.
         seed: 64-bit stream seed.
 
@@ -70,13 +72,14 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
         raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples!r}")
     if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
         raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    check_state(state)
     try:
         factor = np.linalg.cholesky(state.data)
     except np.linalg.LinAlgError:
         run_one(positive_definite, state.data, "covariance matrix")  # words the failure
         raise
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(0,))
-    rng = np.random.Generator(np.random.Philox(seq))
+    rng = np.random.Generator(np.random.SFC64(seq))
     dim = factor.shape[0]
     # near-equal blocks, never of one row: numpy sends that to gemv, which rounds differently
     n_blocks = min(-(-n_samples // max(_ONE_THREAD_GEMM // dim ** 2, 1)), n_samples // 2)
@@ -97,6 +100,8 @@ def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
     the 4 converts SNU variance to photon number, so the mean is (V - 1)/2
     for a thermal mode of variance V and 0 for vacuum.
     """
+    if not isinstance(samples, np.ndarray):
+        raise InvalidArgumentError(f"samples must be a numpy array, got {type(samples).__name__}")
     if samples.ndim != 2 or samples.shape[1] % 2:
         raise InvalidArgumentError(f"samples must be an (n, 2k) array, got shape {samples.shape}")
     n_modes = samples.shape[1] // 2
@@ -167,6 +172,7 @@ def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
     Pairs of quadratures expand by Isserlis' theorem:
     E[u^2 v^2] = G_uu G_vv + 2 G_uv^2. The modes must be distinct and in range.
     """
+    check_state(state)
     gamma = select_modes(state.data, [mode_a, mode_b])
     raw = 0.0
     for u in (0, 1):
@@ -194,6 +200,7 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
     marginal is the principal submatrix, so this is exact in distribution
     and draws four columns per sample however many modes the state has.
     """
+    check_state(state)
     pair = reduce(state, [mode_a, mode_b])
     samples = sample_quadratures(pair, n_samples, seed)
     report = g2_cross_estimate(samples, 0, 1)

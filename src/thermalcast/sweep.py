@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (ConfigError, InvalidArgumentError, NumericFailureError,
                      UnphysicalStateError, UsageError)
 from .gaussian import CovarianceMatrix, _is_integer
-from .hbt import MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, thermality_check
+from .hbt import GENERATOR_ID, MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, thermality_check
 from .info import Partition, cmi_stack, discord_stack, mi_stack
 from .scenarios import (SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS,
                         ScenarioParams, build_stack, information_partition)
@@ -237,7 +237,7 @@ def emit_csv(result: SweepResult, destination: str | Path):
         f"# seed: {'none' if spec.seed is None else spec.seed}",
     ]
     if "g2" in spec.outputs:
-        lines.append(f"# samples: {spec.samples}")
+        lines += [f"# samples: {spec.samples}", f"# generator: {GENERATOR_ID}"]
     lines.append(f"# points: {len(result.rows)} failed: {result.n_failed}")
     for row in result.rows:
         if not row.ok:

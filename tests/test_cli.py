@@ -101,7 +101,7 @@ def test_g2check_reports_thermal(capsys):
     out = capsys.readouterr().out
     assert "verdict: thermal" in out
     assert "g2 analytic: 2" in out
-    assert "generator: philox4x64/v2" in out
+    assert "generator: sfc64/v3" in out
     assert "params: nu=10" in out
 
 

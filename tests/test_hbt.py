@@ -38,7 +38,7 @@ def test_shard_plan_and_shape():
 
 
 def test_sampling_stream_is_pinned():
-    # one Philox stream from SeedSequence(seed, spawn_key=(0,)), rows times L^T
+    # one SFC64 stream from SeedSequence(seed, spawn_key=(0,)), rows times L^T
     state = build_scenario("full", ScenarioParams(nu=3.0, eta_th=0.8, v_th=2.0, eta_th_a=0.9,
                                                   v_alpha=1.5, eta_th_b=0.7, v_beta=2.5)).state
     pair = reduce(state, [1, 2])
@@ -48,10 +48,27 @@ def test_sampling_stream_is_pinned():
                         (state, 5461, 6), (pair, 16_385, 7), (pair, 100_001, 8)):
         d = st.data.shape[0]
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-        normals = np.random.Generator(np.random.Philox(seq)).standard_normal((n, d))
+        normals = np.random.Generator(np.random.SFC64(seq)).standard_normal((n, d))
         expected = normals @ np.linalg.cholesky(st.data).T
         got = sample_quadratures(st, n, seed=seed)
         assert got.tobytes() == expected.tobytes()
+
+
+def test_sampling_stream_matches_committed_literals():
+    # the vacuum's Cholesky factor is exactly I, so these are the raw normals;
+    # a numpy release that reseeds SFC64 or changes its ziggurat breaks this
+    run = sample_quadratures(make_vacuum(1), 3, seed=0)
+    assert run.tolist() == [[-0.5504811808293575, 0.5197080686753037],
+                            [0.23055672602603425, 0.5962049767396235],
+                            [-0.781511832030868, -1.5973617357447034]]
+
+
+def test_adjacent_seeds_draw_uncorrelated_columns():
+    # streams are separated only by SeedSequence: seeds k and k + 1 must not correlate
+    n = 100_000
+    runs = np.hstack([sample_quadratures(make_vacuum(2), n, seed=k) for k in (0, 1)])
+    corr = np.corrcoef(runs.T)
+    assert np.all(np.abs(corr[~np.eye(8, dtype=bool)]) <= 5.0 / np.sqrt(n))
 
 
 def test_sampling_keeps_each_product_under_the_one_thread_bound(monkeypatch):
@@ -127,6 +144,20 @@ def test_seeds_and_counts_must_be_integers():
                           sample_quadratures(state, 10, seed=3))
 
 
+def test_hbt_entry_points_refuse_a_bare_matrix():
+    # Cholesky reads only the lower triangle: this array used to sample covariance 2 I
+    lopsided = np.array([[2.0, 5.0], [0.0, 2.0]])
+    with pytest.raises(InvalidArgumentError, match="CovarianceMatrix, got ndarray"):
+        sample_quadratures(lopsided, 1000, 1)
+    with pytest.raises(InvalidArgumentError, match="CovarianceMatrix, got list"):
+        sample_quadratures([[1.0, 0.0], [0.0, 1.0]], 1000, 1)
+    two_modes = np.eye(4) * 3.0
+    with pytest.raises(InvalidArgumentError, match="CovarianceMatrix, got ndarray"):
+        g2_analytic(two_modes, 0, 1)
+    with pytest.raises(InvalidArgumentError, match="CovarianceMatrix, got ndarray"):
+        thermality_check(two_modes, 0, 1, 2000, seed=1)
+
+
 def test_sampling_rejects_indefinite_matrix():
     flat = CovarianceMatrix(np.diag([1.0, -1.0]))
     with pytest.raises(NumericFailureError):
@@ -163,6 +194,12 @@ def test_intensity_needs_two_columns_per_mode():
             g2_cross_estimate(samples, 0, 1)
     with pytest.raises(InvalidArgumentError, match="mode 0.5 is not an integer"):
         intensity(np.zeros((100, 4)), 0.5)
+    # a list used to end in a bare AttributeError on .ndim
+    rows = np.zeros((5000, 4)).tolist()
+    with pytest.raises(InvalidArgumentError, match="numpy array, got list"):
+        intensity(rows, 0)
+    with pytest.raises(InvalidArgumentError, match="numpy array, got list"):
+        g2_cross_estimate(rows, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,8 @@ def test_emit_csv_layout(tmp_path):
     assert any(ln == "# sweep: eta_ab:0.2:0.8:4" for ln in meta)
     assert any(ln == "# points: 4 failed: 0" for ln in meta)
     assert not any(ln.startswith("# failed:") for ln in meta)
+    # no g2, no sampling: neither the sample count nor the generator is written
+    assert not any(ln.startswith(("# samples:", "# generator:")) for ln in meta)
     header = lines[len(meta)]
     assert header == "eta_ab,cmi,discord"
     data = lines[len(meta) + 1:]
@@ -312,6 +314,16 @@ def test_emit_csv_layout(tmp_path):
     assert float(first[1]) == pytest.approx(result.rows[0].values["cmi"], rel=1e-11)
     # 12 significant digits survive the trip
     assert len(first[1].replace(".", "").replace("-", "").lstrip("0")) >= 11
+
+
+def test_emit_csv_names_the_generator_of_a_g2_run(tmp_path):
+    spec = small_spec(outputs=("cmi", "g2"), seed=5, samples=1000)
+    out = tmp_path / "g2.csv"
+    emit_csv(run_sweep(spec), out)
+    lines = out.read_text().splitlines()
+    at = lines.index("# samples: 1000")
+    assert lines[at + 1] == f"# generator: {thermalcast.hbt.GENERATOR_ID}"
+    assert lines[at + 2] == "# points: 4 failed: 0"
 
 
 def test_emit_csv_names_each_failed_row(tmp_path, monkeypatch):
