@@ -85,10 +85,11 @@ class CovarianceMatrix:
         return self.data.shape[0] // 2
 
 
-def check_state(state) -> None:
-    """Raise unless ``state`` is a :class:`CovarianceMatrix`: a bare array skips its checks."""
+def check_state(state) -> np.ndarray:
+    """``state.data`` of a :class:`CovarianceMatrix`; anything else raises: a bare array skips its checks."""
     if not isinstance(state, CovarianceMatrix):
         raise InvalidArgumentError(f"state must be a CovarianceMatrix, got {type(state).__name__}")
+    return state.data
 
 
 @cache
@@ -243,13 +244,13 @@ def make_epr(nu: float) -> CovarianceMatrix:
 
 def tensor(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:
     """Direct sum of two states; mode counts add, b's modes come last."""
-    return CovarianceMatrix(direct_sum(a.data[None], b.data[None])[0])
+    return CovarianceMatrix(direct_sum(check_state(a)[None], check_state(b)[None])[0])
 
 
 def apply_beamsplitter(state: CovarianceMatrix, mode_a: int, mode_b: int,
                        transmittance: float) -> CovarianceMatrix:
     """Mix two modes of one state on a beamsplitter: Gamma' = S Gamma S^T."""
-    select_modes(state.data, [mode_a, mode_b])
+    select_modes(check_state(state), [mode_a, mode_b])
     if not (_is_real(transmittance) and 0.0 <= transmittance <= 1.0):
         raise InvalidArgumentError(f"transmittance must lie in [0, 1], got {transmittance!r}")
     return CovarianceMatrix(beamsplitter_stack(
@@ -262,7 +263,7 @@ def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> Covari
     Serves both as partial trace (drop the unlisted modes) and as mode
     permutation (list all modes in a new order).
     """
-    return CovarianceMatrix(select_modes(state.data, keep))
+    return CovarianceMatrix(select_modes(check_state(state), keep))
 
 
 def symplectic_spectrum(stack: np.ndarray) -> np.ndarray:
@@ -285,7 +286,7 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
 
     Values within ``SYMPLECTIC_TOL`` below 1 read as 1, so pure states report exactly 1.
     """
-    vals = symplectic_spectrum(run_one(positive_definite, state.data, "covariance matrix")[None])[0]
+    vals = symplectic_spectrum(run_one(positive_definite, check_state(state), "covariance matrix")[None])[0]
     return np.where((vals < 1.0) & (vals > 1.0 - SYMPLECTIC_TOL), 1.0, vals)
 
 
@@ -321,4 +322,4 @@ def physicality_stack(stack: np.ndarray) -> list[PhysicalityReport]:
 
 def validate_physicality(state: CovarianceMatrix) -> PhysicalityReport:
     """The :func:`physicality_stack` report of one state; failure is reported, not raised."""
-    return physicality_stack(state.data[None])[0]
+    return physicality_stack(check_state(state)[None])[0]

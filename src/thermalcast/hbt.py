@@ -7,12 +7,14 @@ intensities, estimate the normalized intensity correlation with a jackknife
 error bar, and compare against the exact Gaussian-moment value.
 
 Quadrature sampling is the only randomness in the package; samples are a
-read-only (n_samples, 2n) array. Each seed keys its own SFC64 stream through
-``SeedSequence``, and ``GENERATOR_ID`` names the generator in every g2 output,
-so a seed pins the byte stream on any platform.
+read-only (n_samples, 2n) array. A seed keys one SFC64 substream per row block
+through ``SeedSequence``, and ``GENERATOR_ID`` names the generator in every g2
+output, so a seed pins the bytes on any platform and any number of CPUs.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +23,7 @@ from .errors import InvalidArgumentError, UndefinedResultError
 from .gaussian import (CovarianceMatrix, _is_integer, check_state, positive_definite, reduce,
                        run_one, select_modes)
 
-GENERATOR_ID = "sfc64/v3"
+GENERATOR_ID = "sfc64/v4"
 
 # Delete-one-block jackknife; block count fixed so error bars are
 # reproducible and comparable across runs.
@@ -35,6 +37,9 @@ MAX_SAMPLES = 10_000_000
 
 # OpenBLAS runs a gemm of rows * d * d <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread
 _ONE_THREAD_GEMM = 2 ** 18
+
+# Threads per draw: the CPUs this process may run on when imported; ``taskset`` narrows them
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 VERDICT_THERMAL = "thermal"
 VERDICT_NOT_THERMAL = "not-thermal"
@@ -55,10 +60,10 @@ class G2Report:
 def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:
     """Draw zero-mean Gaussian quadrature samples with covariance Gamma.
 
-    Rows are standard normals from one SFC64 stream, seeded by
-    ``SeedSequence(seed, spawn_key=(0,))``, times the transposed Cholesky
-    factor of Gamma. They are drawn and transformed in row blocks that keep
-    BLAS on the calling thread, with the bytes of one whole-array product.
+    Row block k holds standard normals from its own SFC64 stream,
+    ``SeedSequence(seed, spawn_key=(0, k))``, times the transposed Cholesky
+    factor of Gamma. Blocks are small enough to keep each BLAS product on one
+    thread and go to one thread per usable CPU; the bytes never depend on how many.
 
     Args:
         state: a ``CovarianceMatrix`` that factors (positive definite).
@@ -72,23 +77,37 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
         raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples!r}")
     if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
         raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    check_state(state)
     try:
-        factor = np.linalg.cholesky(state.data)
+        factor = np.linalg.cholesky(check_state(state))
     except np.linalg.LinAlgError:
         run_one(positive_definite, state.data, "covariance matrix")  # words the failure
         raise
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(0,))
-    rng = np.random.Generator(np.random.SFC64(seq))
     dim = factor.shape[0]
     # near-equal blocks, never of one row: numpy sends that to gemv, which rounds differently
     n_blocks = min(-(-n_samples // max(_ONE_THREAD_GEMM // dim ** 2, 1)), n_samples // 2)
     bounds = np.arange(n_blocks + 1) * n_samples // n_blocks
-    buffer = np.empty((-(-n_samples // n_blocks), dim))
     samples = np.empty((n_samples, dim))
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        block = rng.standard_normal(out=buffer[:stop - start])
-        np.matmul(block, factor.T, out=samples[start:stop])
+    blocks, failures = iter(range(n_blocks)), []
+
+    def fill():  # takes blocks until none is left; numpy drops the GIL in the draw and the gemm
+        buffer = np.empty((-(-n_samples // n_blocks), dim))
+        try:
+            for k in blocks:
+                seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(0, k))
+                block = np.random.Generator(np.random.SFC64(seq)).standard_normal(
+                    out=buffer[:bounds[k + 1] - bounds[k]])
+                np.matmul(block, factor.T, out=samples[bounds[k]:bounds[k + 1]])
+        except Exception as exc:
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=fill) for _ in range(min(_CPUS, n_blocks) - 1)]
+    for thread in helpers:
+        thread.start()
+    fill()
+    for thread in helpers:
+        thread.join()
+    if failures:
+        raise failures[0]
     samples.setflags(write=False)
     return samples
 
@@ -172,8 +191,7 @@ def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
     Pairs of quadratures expand by Isserlis' theorem:
     E[u^2 v^2] = G_uu G_vv + 2 G_uv^2. The modes must be distinct and in range.
     """
-    check_state(state)
-    gamma = select_modes(state.data, [mode_a, mode_b])
+    gamma = select_modes(check_state(state), [mode_a, mode_b])
     raw = 0.0
     for u in (0, 1):
         for v in (2, 3):
@@ -200,7 +218,6 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
     marginal is the principal submatrix, so this is exact in distribution
     and draws four columns per sample however many modes the state has.
     """
-    check_state(state)
     pair = reduce(state, [mode_a, mode_b])
     samples = sample_quadratures(pair, n_samples, seed)
     report = g2_cross_estimate(samples, 0, 1)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, _is_real, flag_rows, physicality_stack, positive_definite,
-                       run_one, select_modes, symplectic_spectrum)
+from .gaussian import (CovarianceMatrix, _is_real, check_state, flag_rows, physicality_stack,
+                       positive_definite, run_one, select_modes, symplectic_spectrum)
 
 _LN2 = float(np.log(2.0))
 _LOG2_2PIE = float(np.log(2.0 * np.pi * np.e) / _LN2)
@@ -83,7 +83,7 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
     H = (1/2) * log((2 pi e)^d * det Gamma) with d the full quadrature
     dimension (two per mode). Single vacuum mode: log2(2 pi e) ~ 4.094342.
     """
-    return float(run_one(_shannon, run_one(positive_definite, state.data, "state")))
+    return float(run_one(_shannon, run_one(positive_definite, check_state(state), "state")))
 
 
 def _g(eigs: np.ndarray) -> np.ndarray:
@@ -110,7 +110,7 @@ def von_neumann_entropy(state: CovarianceMatrix) -> float:
 
     Zero for pure states (vacuum, EPR); thermal(2) gives ~1.377444.
     """
-    return float(run_one(_von_neumann, run_one(positive_definite, state.data, "covariance matrix")))
+    return float(run_one(_von_neumann, run_one(positive_definite, check_state(state), "covariance matrix")))
 
 
 def _clamp_info(values: np.ndarray, label: str, errors: list) -> np.ndarray:
@@ -160,7 +160,7 @@ def cmi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
 
 def conditional_mutual_information(state: CovarianceMatrix, p: Partition) -> float:
     """I(A:B|S) in bits of one state; :func:`cmi_stack` on N = 1, raising its failure."""
-    return float(run_one(cmi_stack, state.data, p))
+    return float(run_one(cmi_stack, check_state(state), p))
 
 
 def mi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
@@ -176,7 +176,7 @@ def mi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
 
 def mutual_information(state: CovarianceMatrix, p: Partition) -> float:
     """I(A:B) in bits of one state; :func:`mi_stack` on N = 1, raising its failure."""
-    return float(run_one(mi_stack, state.data, p))
+    return float(run_one(mi_stack, check_state(state), p))
 
 
 def _homodyne(stack: np.ndarray, measured_mode: int, angles: np.ndarray) -> np.ndarray:
@@ -206,7 +206,7 @@ def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
     """
     if not (_is_real(angle) and 0.0 <= angle < np.pi):
         raise InvalidArgumentError(f"homodyne angle must lie in [0, pi), got {angle!r}")
-    gamma = run_one(positive_definite, state.data, "covariance matrix")
+    gamma = run_one(positive_definite, check_state(state), "covariance matrix")
     return CovarianceMatrix(_homodyne(gamma[None], measured_mode, np.array([float(angle)]))[0])
 
 
@@ -259,7 +259,7 @@ def gaussian_discord(state: CovarianceMatrix, a_mode: int, b_mode: int) -> Disco
     is then arbitrary.
     """
     errors = [None]
-    rows = discord_stack(state.data[None], a_mode, b_mode, errors)
+    rows = discord_stack(check_state(state)[None], a_mode, b_mode, errors)
     if errors[0] is not None:
         raise errors[0]
     return DiscordResult(**{name: float(v[0]) for name, v in vars(rows).items()})

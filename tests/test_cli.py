@@ -1,4 +1,9 @@
 """Command-line behavior: exit codes, file outputs, report text."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -101,7 +106,7 @@ def test_g2check_reports_thermal(capsys):
     out = capsys.readouterr().out
     assert "verdict: thermal" in out
     assert "g2 analytic: 2" in out
-    assert "generator: sfc64/v3" in out
+    assert "generator: sfc64/v4" in out
     assert "params: nu=10" in out
 
 
@@ -179,3 +184,12 @@ def test_all_failed_sweep_exits_two(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert out.exists()  # the table is still written for post-mortem
     capsys.readouterr()
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # every command pays its import; concurrent.futures alone adds 5-8 ms to that
+    src = str(Path(thermalcast.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, thermalcast.cli; print('concurrent.futures' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

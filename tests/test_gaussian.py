@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from thermalcast import (CovarianceMatrix, InvalidArgumentError, NumericFailureError,
-                         UnphysicalStateError, apply_beamsplitter, homodyne_condition, make_epr,
-                         make_thermal, make_vacuum, reduce, symplectic_eigenvalues, tensor,
-                         validate_physicality)
+from thermalcast import (CovarianceMatrix, InvalidArgumentError, NumericFailureError, Partition,
+                         UnphysicalStateError, apply_beamsplitter, conditional_mutual_information,
+                         gaussian_discord, homodyne_condition, make_epr, make_thermal, make_vacuum,
+                         mutual_information, reduce, shannon_entropy, symplectic_eigenvalues, tensor,
+                         validate_physicality, von_neumann_entropy)
 from thermalcast.gaussian import MAX_VARIANCE, _omega
 
 
@@ -303,3 +304,29 @@ def test_singular_matrices_are_reported_not_raised():
     for _ in range(50):
         v = rng.standard_normal((4, 3))
         assert not validate_physicality(CovarianceMatrix(v @ v.T)).ok
+
+
+BARE = np.eye(4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: symplectic_eigenvalues(BARE),
+    lambda: validate_physicality(BARE),
+    lambda: von_neumann_entropy(BARE),
+    lambda: shannon_entropy(BARE),
+    lambda: reduce(BARE, [0]),
+    lambda: tensor(BARE, make_vacuum(1)),
+    lambda: tensor(make_vacuum(1), BARE),
+    lambda: apply_beamsplitter(BARE, 0, 1, 0.5),
+    lambda: mutual_information(BARE, Partition((0,), (1,))),
+    lambda: conditional_mutual_information(np.eye(6), Partition((0,), (1,), (2,))),
+    lambda: gaussian_discord(BARE, 0, 1),
+    lambda: homodyne_condition(BARE, 0, 0.0),
+], ids=["symplectic_eigenvalues", "validate_physicality", "von_neumann_entropy",
+        "shannon_entropy", "reduce", "tensor_first", "tensor_second", "apply_beamsplitter",
+        "mutual_information", "conditional_mutual_information", "gaussian_discord",
+        "homodyne_condition"])
+def test_one_state_entry_points_refuse_a_bare_matrix(call):
+    # ndarray.data is a memoryview: these used to end in "memoryview: invalid slice key"
+    with pytest.raises(InvalidArgumentError, match="CovarianceMatrix, got ndarray"):
+        call()

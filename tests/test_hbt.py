@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import thermalcast.hbt as hbt
 from thermalcast import (CovarianceMatrix, G2Report, InvalidArgumentError,
                          NumericFailureError, ScenarioParams,
                          UndefinedResultError, build_scenario,
@@ -29,7 +30,7 @@ def test_sampling_is_deterministic():
 
 
 def test_shard_plan_and_shape():
-    # no shard plan: one stream fills every row of a (n_samples, 2n) record
+    # a (n_samples, 2n) read-only record; row blocks draw from their own substreams
     run = sample_quadratures(broadcast_state(), 1000, seed=7)
     assert run.shape == (1000, 6)
     assert not run.flags.writeable
@@ -37,8 +38,18 @@ def test_shard_plan_and_shape():
     assert np.array_equal(run, again)
 
 
+def block_normals(n, d, seed):
+    # the sampler's near-equal row blocks, block k from SFC64(SeedSequence(seed, spawn_key=(0, k)))
+    n_blocks = min(-(-n // max(2 ** 18 // d ** 2, 1)), n // 2)
+    bounds = np.arange(n_blocks + 1) * n // n_blocks
+    streams = (np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(0, k))))
+               for k in range(n_blocks))
+    return np.vstack([rng.standard_normal((stop - start, d))
+                      for rng, start, stop in zip(streams, bounds, bounds[1:])])
+
+
 def test_sampling_stream_is_pinned():
-    # one SFC64 stream from SeedSequence(seed, spawn_key=(0,)), rows times L^T
+    # each row block's substream, stacked, times L^T
     state = build_scenario("full", ScenarioParams(nu=3.0, eta_th=0.8, v_th=2.0, eta_th_a=0.9,
                                                   v_alpha=1.5, eta_th_b=0.7, v_beta=2.5)).state
     pair = reduce(state, [1, 2])
@@ -47,9 +58,7 @@ def test_sampling_stream_is_pinned():
     for st, n, seed in ((state, 1000, 0), (state, 2001, 2 ** 64 - 1), (state, 1821, 5),
                         (state, 5461, 6), (pair, 16_385, 7), (pair, 100_001, 8)):
         d = st.data.shape[0]
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
-        normals = np.random.Generator(np.random.SFC64(seq)).standard_normal((n, d))
-        expected = normals @ np.linalg.cholesky(st.data).T
+        expected = block_normals(n, d, seed) @ np.linalg.cholesky(st.data).T
         got = sample_quadratures(st, n, seed=seed)
         assert got.tobytes() == expected.tobytes()
 
@@ -58,9 +67,9 @@ def test_sampling_stream_matches_committed_literals():
     # the vacuum's Cholesky factor is exactly I, so these are the raw normals;
     # a numpy release that reseeds SFC64 or changes its ziggurat breaks this
     run = sample_quadratures(make_vacuum(1), 3, seed=0)
-    assert run.tolist() == [[-0.5504811808293575, 0.5197080686753037],
-                            [0.23055672602603425, 0.5962049767396235],
-                            [-0.781511832030868, -1.5973617357447034]]
+    assert run.tolist() == [[0.44910368521775595, -0.9300081152403062],
+                            [-0.7069444728572523, -1.116520311522898],
+                            [-0.49674855411347507, 0.6101738405301317]]
 
 
 def test_adjacent_seeds_draw_uncorrelated_columns():
@@ -69,6 +78,44 @@ def test_adjacent_seeds_draw_uncorrelated_columns():
     runs = np.hstack([sample_quadratures(make_vacuum(2), n, seed=k) for k in (0, 1)])
     corr = np.corrcoef(runs.T)
     assert np.all(np.abs(corr[~np.eye(8, dtype=bool)]) <= 5.0 / np.sqrt(n))
+
+
+def test_adjacent_blocks_draw_uncorrelated_rows():
+    # substreams (0, k) and (0, k + 1) of one seed must not correlate; a 1-mode
+    # vacuum takes 65,536-row blocks, so these are blocks 0 and 1
+    n = 65_536
+    first, second = np.split(sample_quadratures(make_vacuum(1), 2 * n, seed=0), 2)
+    corr = np.corrcoef(np.hstack([first, second]).T)
+    assert np.all(np.abs(corr[~np.eye(4, dtype=bool)]) <= 5.0 / np.sqrt(n))
+
+
+def test_sampling_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
+    full = build_scenario("full", ScenarioParams(nu=3.0, eta_th=0.8, v_th=2.0)).state
+    for state, n in ((reduce(full, [1, 2]), 1_000_000), (full, 200_000)):
+        default = sample_quadratures(state, n, seed=4)
+        for cpus in (1, 3):
+            monkeypatch.setattr(hbt, "_CPUS", cpus)
+            assert sample_quadratures(state, n, seed=4).tobytes() == default.tobytes()
+        monkeypatch.undo()
+
+
+def test_sampling_raises_a_failure_in_any_block(monkeypatch):
+    # the third product fails, on whichever thread runs it; no partial array comes back
+    calls = []
+    matmul = np.matmul
+
+    def failing_matmul(a, b, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 3:
+            raise MemoryError("block 3")
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", failing_matmul)
+    for cpus in (1, 2):
+        calls.clear()
+        monkeypatch.setattr(hbt, "_CPUS", cpus)
+        with pytest.raises(MemoryError, match="block 3"):
+            sample_quadratures(make_vacuum(2), 200_000, seed=1)
 
 
 def test_sampling_keeps_each_product_under_the_one_thread_bound(monkeypatch):
