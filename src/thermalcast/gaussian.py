@@ -22,8 +22,9 @@ A stage that can fail on one row records an exception in that row's slot
 of an ``errors`` list (``None`` while the row is good) instead of raising,
 so a bad row never spoils the others. Stages check, kernels compute: a stage
 first runs :func:`positive_definite` on the largest block it reads, failing each
-row without a Cholesky factor and setting it to the identity; the kernels under
-it take that clean stack, check nothing, and never raise or warn. All operations are pure.
+row without a Cholesky factor L and setting it and its L to the identity; the
+kernels under it take that clean stack or L (:func:`symplectic_spectrum`),
+check nothing, and never raise or warn. All operations are pure.
 """
 from __future__ import annotations
 
@@ -37,10 +38,6 @@ from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateEr
 
 # Relative tolerance for the symmetry check at construction time.
 SYMMETRY_TOL = 1e-12
-
-# Reported symplectic eigenvalues this far below 1 are treated as
-# floating-point noise and read as exactly 1.
-SYMPLECTIC_TOL = 1e-9
 
 # Largest variance in SNU. Up to here discord and MI stay within 2e-9 bits of
 # a 60-digit reference, and all arithmetic stays far from float overflow.
@@ -116,25 +113,23 @@ def flag_rows(errors: list, mask: np.ndarray, make) -> None:
             errors[i] = make(i)
 
 
-def positive_definite(stack: np.ndarray, label: str, errors: list) -> np.ndarray:
-    """Fail each row without a Cholesky factor; return the stack with every failed row set to I.
+def positive_definite(stack: np.ndarray, label: str, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """Fail each row without a Cholesky factor; return the stack and its factors L, failed rows I in both.
 
-    One stacked call clears a good stack, which comes back uncopied; only
+    One stacked call factors a good stack, which comes back uncopied; only
     when it raises are the rows factored one by one.
     """
     try:
-        np.linalg.cholesky(stack)
+        return stack, np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        for i, gamma in enumerate(stack):
-            try:
-                np.linalg.cholesky(gamma)
-            except np.linalg.LinAlgError:
-                errors[i] = errors[i] or NumericFailureError(f"{label} is not positive definite")
-    if not any(errors):
-        return stack
-    clean = stack.copy()
-    clean[[e is not None for e in errors]] = np.eye(stack.shape[-1])
-    return clean
+        clean, factor = stack.copy(), np.empty_like(stack)
+    for i, gamma in enumerate(stack):
+        try:
+            factor[i] = np.linalg.cholesky(gamma)
+        except np.linalg.LinAlgError:
+            errors[i] = errors[i] or NumericFailureError(f"{label} is not positive definite")
+            clean[i] = factor[i] = np.eye(stack.shape[-1])
+    return clean, factor
 
 
 def _is_integer(value) -> bool:
@@ -146,12 +141,12 @@ def _is_real(value) -> bool:
 
 
 def run_one(stage, data: np.ndarray, *args):
-    """Run ``stage(stack, *args, errors)`` on one matrix as an N = 1 stack; raise its failure."""
+    """Run ``stage(stack, *args, errors)`` on one matrix; raise its failure, or return its row(s)."""
     errors = [None]
     out = stage(data[None], *args, errors)
     if errors[0] is not None:
         raise errors[0]
-    return out[0]
+    return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
 
 
 def epr_stack(nu: np.ndarray) -> np.ndarray:
@@ -266,57 +261,54 @@ def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> Covari
     return CovarianceMatrix(select_modes(check_state(state), keep))
 
 
-def symplectic_spectrum(stack: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues per row, (N, n), descending: |eigenvalues| of Omega Gamma.
+def symplectic_spectrum(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Williamson stage: spectrum (N, n) descending, rounding tolerance (N,) and verdict (N,) per row.
 
-    Each occurs twice as +/-x and is kept once; one mode needs only
-    sqrt(det Gamma). Every row must be positive definite; the caller checks.
+    From Cholesky factors L of Gamma: i L^T Omega L is Hermitian with eigenvalues +/-nu_k (Weedbrook
+    et al., RMP 84, 621 (2012)); one mode has nu = L_00 L_11. Building, storing and factoring Gamma
+    each perturb it by about dim eps |Gamma|, which moves each nu (monotone and homogeneous in Gamma)
+    by at most dim eps kappa(Gamma) relative; the solve adds dim eps lambda_max, no more near nu = 1,
+    as lambda_min <= nu_min. So tol = 2 dim eps tr Gamma tr Gamma^-1 >= 2 dim eps kappa, the traces
+    being |L|_F^2 and |L^-1|_F^2. A physical state has Gamma >= S S^T, so tr Gamma^-1 <= tr Gamma:
+    capping tr Gamma^-1 there moves no physical verdict but keeps a matrix singular to rounding from
+    passing its nu ~ 0; at tol = 1 rounding bounds nothing, so tol stops there. Values within tol
+    of 1 read as 1; the verdict nu_min >= 1 is then Gamma + i Omega >= 0 (Simon, Mukunda & Dutta,
+    PRA 49, 1567 (1994)).
     """
-    n = stack.shape[-1] // 2
-    if n == 1:
-        # a matrix singular to rounding can factor and still round to det < 0
-        det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
-        return np.sqrt(np.maximum(det, 0.0))[:, None]
-    # conjugate pairs have bit-identical modulus; keep one per pair
-    return np.sort(np.abs(np.linalg.eigvals(_omega(n) @ stack)), axis=-1)[:, ::-2]
+    dim, n = factor.shape[-1], factor.shape[-1] // 2
+    # eigvalsh ascends, -nu_1 .. -nu_n, nu_n .. nu_1: the upper half, reversed
+    nu = ((factor[:, 0, 0] * factor[:, 1, 1])[:, None] if n == 1 else
+          np.linalg.eigvalsh(1j * (factor.swapaxes(1, 2) @ _omega(n) @ factor))[:, n:][:, ::-1])
+    with np.errstate(over="ignore"):  # only a hand-built extreme overflows, and tol stops at 1
+        trace = (factor * factor).sum(axis=(1, 2))
+        inv_trace = (np.linalg.inv(factor) ** 2).sum(axis=(1, 2))
+        tol = np.minimum(2.0 * dim * np.finfo(float).eps * trace * np.minimum(inv_trace, trace), 1.0)
+    nu = np.where(np.abs(nu - 1.0) <= tol[:, None], 1.0, nu)
+    return nu, tol, nu[:, -1] >= 1.0
 
 
 def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
-    """The n symplectic eigenvalues of a state, in descending order.
-
-    Values within ``SYMPLECTIC_TOL`` below 1 read as 1, so pure states report exactly 1.
-    """
-    vals = symplectic_spectrum(run_one(positive_definite, check_state(state), "covariance matrix")[None])[0]
-    return np.where((vals < 1.0) & (vals > 1.0 - SYMPLECTIC_TOL), 1.0, vals)
-
-
-def _unphysical(gamma: np.ndarray, low: float) -> PhysicalityReport:
-    errors = [None]
-    positive_definite(gamma[None], "covariance matrix", errors)
-    if errors[0] is not None:
-        return PhysicalityReport(ok=False, min_symplectic=None, issues=(
-            f"not positive definite: min eigenvalue {np.linalg.eigvalsh(gamma)[0]:.6g}",))
-    min_sympl = float(symplectic_spectrum(gamma[None])[0, -1])
-    return PhysicalityReport(ok=False, min_symplectic=min_sympl, issues=(
-        f"symplectic eigenvalue below shot noise: {min_sympl:.15g} "
-        f"(Gamma + i Omega has eigenvalue {low:.3g})",))
+    """The n symplectic eigenvalues of a state, in descending order; pure states report exactly 1."""
+    _, factor = run_one(positive_definite, check_state(state), "covariance matrix")
+    return symplectic_spectrum(factor[None])[0][0]
 
 
 def physicality_stack(stack: np.ndarray) -> list[PhysicalityReport]:
-    """Test the uncertainty relation Gamma + i Omega >= 0 on every row.
+    """Judge every row: positive definite, then the verdict of :func:`symplectic_spectrum`.
 
-    One stacked Hermitian eigensolve decides; it implies Gamma > 0 and every
-    symplectic eigenvalue >= 1 (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)).
-    Its smallest eigenvalue may dip to -2 * dim * eps * lambda_max by rounding.
-    Only a failed row is looked at again: :func:`positive_definite` tells a Gamma
-    that is not positive definite from one with a symplectic eigenvalue below
-    shot noise; ``min_symplectic`` is set on a positive-definite failure only.
+    A failed row says which test it failed; ``min_symplectic`` is set on a
+    positive-definite failure only.
     """
-    dim = stack.shape[-1]
-    eigs = np.linalg.eigvalsh(stack + 1j * _omega(dim // 2))
+    errors = [None] * len(stack)
+    _, factor = positive_definite(stack, "covariance matrix", errors)
+    nu, tol, ok = symplectic_spectrum(factor)
     reports = [PhysicalityReport(ok=True, issues=(), min_symplectic=None)] * len(stack)
-    for i in np.flatnonzero(~(eigs[:, 0] >= -2.0 * dim * np.finfo(float).eps * eigs[:, -1])):
-        reports[i] = _unphysical(stack[i], eigs[i, 0])
+    for i in np.flatnonzero(~ok):  # a failed row's factor is I, which passes
+        reports[i] = PhysicalityReport(ok=False, min_symplectic=float(nu[i, -1]), issues=(
+            f"symplectic eigenvalue below shot noise: {nu[i, -1]:.15g} (tolerance {tol[i]:.3g})",))
+    for i in np.flatnonzero([e is not None for e in errors]):
+        reports[i] = PhysicalityReport(ok=False, min_symplectic=None, issues=(
+            f"not positive definite: min eigenvalue {np.linalg.eigvalsh(stack[i])[0]:.6g}",))
     return reports
 
 

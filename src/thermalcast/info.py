@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, _is_real, check_state, flag_rows, physicality_stack,
-                       positive_definite, run_one, select_modes, symplectic_spectrum)
+from .gaussian import (CovarianceMatrix, _is_real, check_state, flag_rows, positive_definite,
+                       run_one, select_modes, symplectic_spectrum)
 
 _LN2 = float(np.log(2.0))
 _LOG2_2PIE = float(np.log(2.0 * np.pi * np.e) / _LN2)
@@ -83,7 +83,8 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
     H = (1/2) * log((2 pi e)^d * det Gamma) with d the full quadrature
     dimension (two per mode). Single vacuum mode: log2(2 pi e) ~ 4.094342.
     """
-    return float(run_one(_shannon, run_one(positive_definite, check_state(state), "state")))
+    gamma, _ = run_one(positive_definite, check_state(state), "state")
+    return float(run_one(_shannon, gamma))
 
 
 def _g(eigs: np.ndarray) -> np.ndarray:
@@ -97,10 +98,10 @@ def _g(eigs: np.ndarray) -> np.ndarray:
     return (out / _LN2).sum(axis=-1)
 
 
-def _von_neumann(stack: np.ndarray, errors: list) -> np.ndarray:
-    """Entropy of every positive-definite row; a row that fails :func:`physicality_stack` fails."""
-    eigs = symplectic_spectrum(stack)
-    flag_rows(errors, [not r.ok for r in physicality_stack(stack)], lambda i: UnphysicalStateError(
+def _von_neumann(factor: np.ndarray, errors: list) -> np.ndarray:
+    """Entropy of every row from its Cholesky factor; a row that fails the shot-noise verdict fails."""
+    eigs, _, ok = symplectic_spectrum(factor)
+    flag_rows(errors, ~ok, lambda i: UnphysicalStateError(
         f"symplectic eigenvalue {eigs[i, -1]:.15g} below shot noise"))
     return _g(eigs)
 
@@ -110,7 +111,8 @@ def von_neumann_entropy(state: CovarianceMatrix) -> float:
 
     Zero for pure states (vacuum, EPR); thermal(2) gives ~1.377444.
     """
-    return float(run_one(_von_neumann, run_one(positive_definite, check_state(state), "covariance matrix")))
+    _, factor = run_one(positive_definite, check_state(state), "covariance matrix")
+    return float(run_one(_von_neumann, factor))
 
 
 def _clamp_info(values: np.ndarray, label: str, errors: list) -> np.ndarray:
@@ -140,7 +142,7 @@ def cmi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
     a, b, s = p.subsystem_a, p.subsystem_b, p.subsystem_s
     if not s:
         raise InvalidArgumentError("conditioning set S is empty; use mutual_information")
-    g_abs = positive_definite(select_modes(stack, a + b + s), "Gamma_ABS", errors)
+    g_abs, _ = positive_definite(select_modes(stack, a + b + s), "Gamma_ABS", errors)
     from_dets = 0.5 * (
         _log2det(select_modes(stack, a + s), "Gamma_AS", errors)
         + _log2det(select_modes(stack, b + s), "Gamma_BS", errors)
@@ -167,7 +169,7 @@ def mi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
     """I(A:B) = H(A) + H(B) - H(AB) in bits for every row; requires an empty S."""
     if p.subsystem_s:
         raise InvalidArgumentError("mutual_information takes an empty conditioning set")
-    g_ab = positive_definite(select_modes(stack, p.subsystem_a + p.subsystem_b), "Gamma_AB", errors)
+    g_ab, _ = positive_definite(select_modes(stack, p.subsystem_a + p.subsystem_b), "Gamma_AB", errors)
     n_a = 2 * len(p.subsystem_a)
     value = (_shannon(g_ab[:, :n_a, :n_a], errors) + _shannon(g_ab[:, n_a:, n_a:], errors)
              - _shannon(g_ab, errors))
@@ -206,22 +208,22 @@ def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
     """
     if not (_is_real(angle) and 0.0 <= angle < np.pi):
         raise InvalidArgumentError(f"homodyne angle must lie in [0, pi), got {angle!r}")
-    gamma = run_one(positive_definite, check_state(state), "covariance matrix")
+    gamma, _ = run_one(positive_definite, check_state(state), "covariance matrix")
     return CovarianceMatrix(_homodyne(gamma[None], measured_mode, np.array([float(angle)]))[0])
 
 
-def _best_homodyne_angle(pair: np.ndarray) -> np.ndarray:
+def _best_homodyne_angle(pair: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Homodyne angle on mode 0 of every row that minimizes the conditional det of mode 1.
 
     With A, B the diagonal blocks and C the cross block, a readout along x
     leaves mode 1 with det B - x^T C adj(B) C^T x / x^T A x. The minimizer
     is the top generalized eigenvector of (C adj(B) C^T, A), found as an
-    ordinary symmetric eigenproblem after whitening by the Cholesky factor
-    L of A, so every pair must be positive definite. The direction is
-    reported as an angle in [0, pi).
+    ordinary symmetric eigenproblem after whitening by L_A^-1, where the
+    leading 2 x 2 block L_A of the pair's Cholesky ``factor`` factors A. The
+    direction is reported as an angle in [0, pi).
     """
-    a, b, c = pair[:, 0:2, 0:2], pair[:, 2:4, 2:4], pair[:, 0:2, 2:4]
-    whiten = np.linalg.inv(np.linalg.cholesky(a))  # L^-1
+    b, c = pair[:, 2:4, 2:4], pair[:, 0:2, 2:4]
+    whiten = np.linalg.inv(factor[:, 0:2, 0:2])
     adj_b = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
     _, vecs = np.linalg.eigh(whiten @ c @ adj_b @ c.swapaxes(1, 2) @ whiten.swapaxes(1, 2))
     x = (whiten.swapaxes(1, 2) @ vecs[:, :, -1:])[:, :, 0]
@@ -236,16 +238,16 @@ def discord_stack(stack: np.ndarray, a_mode: int, b_mode: int, errors: list) -> 
     D = S(Gamma_A) - S(Gamma_AB) + min over homodyne angle of S(Gamma_B|x_A),
     all von Neumann. The minimum over homodyne angles in [0, pi) is taken in
     closed form (see :func:`_best_homodyne_angle`), and B is conditioned
-    once, at that angle. The pair is checked and judged physical (then so are
-    its reduction and conditioned state); the computed conditioned state gets
-    its own check. Every field of the result is an (N,) array; a failed row's value is nan.
+    once, at that angle. The pair is factored once (A's factor is its leading block) and judged
+    physical, and so then are A and the conditioned state, which gets its own check. Every field
+    of the result is an (N,) array; a failed row's value is nan.
     """
-    pair = positive_definite(select_modes(stack, [a_mode, b_mode]), "covariance matrix", errors)
-    s_a = _g(symplectic_spectrum(pair[:, 0:2, 0:2]))
-    s_ab = _von_neumann(pair, errors)
-    angle = _best_homodyne_angle(pair)
-    cond = positive_definite(_homodyne(pair, 0, angle), "covariance matrix", errors)
-    s_cond = _g(symplectic_spectrum(cond))
+    pair, factor = positive_definite(select_modes(stack, [a_mode, b_mode]), "covariance matrix", errors)
+    s_a = _g(symplectic_spectrum(factor[:, 0:2, 0:2])[0])
+    s_ab = _von_neumann(factor, errors)
+    angle = _best_homodyne_angle(pair, factor)
+    _, cond = positive_definite(_homodyne(pair, 0, angle), "covariance matrix", errors)
+    s_cond = _g(symplectic_spectrum(cond)[0])
     value = _clamp_info(s_a - s_ab + s_cond, "discord", errors)
     return DiscordResult(value=value, angle=angle, entropy_a=s_a, entropy_joint=s_ab,
                          conditional_entropy=s_cond)

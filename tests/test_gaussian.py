@@ -268,6 +268,10 @@ def test_validate_physicality_has_no_shot_noise_slack():
     report = validate_physicality(CovarianceMatrix((1.0 - 1e-12) * np.eye(2)))
     assert not report.ok
     assert any("shot noise" in issue for issue in report.issues)
+    # a bright mode beside a dim one: brightness alone must not widen the dim mode's tolerance
+    report = validate_physicality(tensor(make_thermal(1e6), CovarianceMatrix((1.0 - 1e-6) * np.eye(2))))
+    assert not report.ok
+    assert any("shot noise" in issue for issue in report.issues)
     assert validate_physicality(make_epr(1e6)).ok
 
 
@@ -285,16 +289,40 @@ def test_matrices_that_are_not_positive_definite_have_no_spectrum(n):
 
 
 def test_a_factoring_matrix_whose_determinant_rounds_negative_reads_zero():
-    # singular up to rounding: the Cholesky factor exists, det rounds to -2.2e-16
+    # singular up to rounding: the Cholesky factor exists, det rounds to -2.2e-16,
+    # and the spectrum is the factor's L_00 L_11 (about 1.69e-8), never negative
     gamma = np.array([[1.2895089397520012, -1.2866799860177112],
                       [-1.2866799860177112, 1.283857238505793]])
-    np.linalg.cholesky(gamma)
+    factor = np.linalg.cholesky(gamma)
     assert gamma[0, 0] * gamma[1, 1] - gamma[0, 1] ** 2 < 0.0
-    assert list(symplectic_eigenvalues(CovarianceMatrix(gamma))) == [0.0]
-    # validate_physicality takes its verdict from the same Cholesky test
+    nu = factor[0, 0] * factor[1, 1]
+    assert list(symplectic_eigenvalues(CovarianceMatrix(gamma))) == [nu]
+    # validate_physicality takes its verdict from the same factor
     report = validate_physicality(CovarianceMatrix(gamma))
-    assert not report.ok and report.min_symplectic == 0.0
-    assert report.issues[0].startswith("symplectic eigenvalue below shot noise: 0 ")
+    assert not report.ok and report.min_symplectic == nu
+    assert report.issues[0].startswith(f"symplectic eigenvalue below shot noise: {nu:.15g} ")
+
+
+def test_rounding_tolerance_stops_at_one():
+    # kappa ~ 1e310 is past what rounding can bound; nu = 1e5 must still not read as 1,
+    # and a spectrum near the float range must not overflow (warnings are errors here)
+    assert list(symplectic_eigenvalues(CovarianceMatrix(np.diag([1e160, 1e-150])))) == [pytest.approx(1e5)]
+    assert symplectic_eigenvalues(CovarianceMatrix(np.diag([1e200, 1e200, 1e-200, 1e-200])))[0] == 1e200
+    assert not validate_physicality(CovarianceMatrix(1e-300 * np.eye(2))).ok
+
+
+def test_spectrum_consumers_never_call_eigvals(monkeypatch):
+    # the spectrum comes from the Cholesky factor and one Hermitian solve, never eigvals(Omega Gamma)
+    state = apply_beamsplitter(tensor(make_epr(3.0), make_thermal(2.0)), 1, 2, 0.4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert symplectic_eigenvalues(state)[-1] >= 1.0
+    assert validate_physicality(state).ok
+    assert von_neumann_entropy(state) > 0.0
+    assert gaussian_discord(state, 0, 1).value > 0.0
 
 
 def test_singular_matrices_are_reported_not_raised():

@@ -2,7 +2,8 @@
 
 Config text becomes a runnable sweep or a clean error, every row of a
 stacked measure equals its one-state call, every in-domain build is
-physical, and any symmetric matrix gets finite measures or a named error.
+physical (and pure when its noise is vacuum), and any symmetric matrix gets
+finite measures or a named error.
 """
 import math
 import tempfile
@@ -187,6 +188,12 @@ def test_every_in_domain_build_is_physical(name, rows):
         name, SimpleNamespace(**{k: np.array([row[k] for row in rows]) for k in PARAM_NAMES}))
     reports = physicality_stack(stack)
     assert all(r.ok for r in reports), (name, rows, [r.issues for r in reports])
+    for gamma, row in zip(stack, rows):
+        state = CovarianceMatrix(gamma)
+        assert np.all(symplectic_eigenvalues(state) >= 1.0), (name, row)
+        if all(row[k] == 1.0 for k in ("v_th", "v_alpha", "v_beta")):
+            # EPR, vacua and beamsplitters only: a pure state, entropy exactly 0
+            assert von_neumann_entropy(state) == 0.0, (name, row)
 
 
 @st.composite
