@@ -22,9 +22,8 @@ A stage that can fail on one row records an exception in that row's slot
 of an ``errors`` list (``None`` while the row is good) instead of raising,
 so a bad row never spoils the others. Stages check, kernels compute: a stage
 first runs :func:`positive_definite` on the largest block it reads, failing each
-row without a Cholesky factor L and setting it and its L to the identity; the
-kernels under it take that clean stack or L (:func:`symplectic_spectrum`),
-check nothing, and never raise or warn. All operations are pure.
+row without a Cholesky factor and setting it and its factor to I; the kernels under
+it take that clean stack or factor, check nothing, and never raise or warn. All operations are pure.
 """
 from __future__ import annotations
 
@@ -116,8 +115,7 @@ def flag_rows(errors: list, mask: np.ndarray, make) -> None:
 def positive_definite(stack: np.ndarray, label: str, errors: list) -> tuple[np.ndarray, np.ndarray]:
     """Fail each row without a Cholesky factor; return the stack and its factors L, failed rows I in both.
 
-    One stacked call factors a good stack, which comes back uncopied; only
-    when it raises are the rows factored one by one.
+    One stacked call factors a good stack, which comes back uncopied; if it raises, rows go one by one.
     """
     try:
         return stack, np.linalg.cholesky(stack)
@@ -141,12 +139,17 @@ def _is_real(value) -> bool:
 
 
 def run_one(stage, data: np.ndarray, *args):
-    """Run ``stage(stack, *args, errors)`` on one matrix; raise its failure, or return its row(s)."""
+    """Run ``stage(stack, *args, errors)`` on one matrix; raise its failure, or return its row."""
     errors = [None]
     out = stage(data[None], *args, errors)
     if errors[0] is not None:
         raise errors[0]
-    return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
+    return out[0]
+
+
+def _factor_one(data: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """One matrix and its Cholesky factor, by :func:`positive_definite`; raise its failure."""
+    return run_one(lambda stack, errors: list(zip(*positive_definite(stack, label, errors))), data)
 
 
 def epr_stack(nu: np.ndarray) -> np.ndarray:
@@ -262,42 +265,41 @@ def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> Covari
 
 
 def symplectic_spectrum(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Williamson stage: spectrum (N, n) descending, rounding tolerance (N,) and verdict (N,) per row.
+    """Williamson stage on Cholesky factors L of Gamma: spectrum (N, n) descending, and the rounding
+    tolerance (N,) and verdict (N,) of each row's smallest symplectic eigenvalue.
 
-    From Cholesky factors L of Gamma: i L^T Omega L is Hermitian with eigenvalues +/-nu_k (Weedbrook
-    et al., RMP 84, 621 (2012)); one mode has nu = L_00 L_11. Building, storing and factoring Gamma
-    each perturb it by about dim eps |Gamma|, which moves each nu (monotone and homogeneous in Gamma)
-    by at most dim eps kappa(Gamma) relative; the solve adds dim eps lambda_max, no more near nu = 1,
-    as lambda_min <= nu_min. So tol = 2 dim eps tr Gamma tr Gamma^-1 >= 2 dim eps kappa, the traces
-    being |L|_F^2 and |L^-1|_F^2. A physical state has Gamma >= S S^T, so tr Gamma^-1 <= tr Gamma:
-    capping tr Gamma^-1 there moves no physical verdict but keeps a matrix singular to rounding from
-    passing its nu ~ 0; at tol = 1 rounding bounds nothing, so tol stops there. Values within tol
-    of 1 read as 1; the verdict nu_min >= 1 is then Gamma + i Omega >= 0 (Simon, Mukunda & Dutta,
-    PRA 49, 1567 (1994)).
+    i L^T Omega L is Hermitian with eigenvalues +/-nu_k (Weedbrook et al., RMP 84, 621 (2012)); one
+    mode has nu = L_00 L_11. A perturbation E of Gamma moves nu_k by nu_k w^H E w, where u_k is the unit
+    eigenvector of +nu_k and w = L^-T u_k = i Omega L u_k / nu_k, so nu_k |w|^2 = |L u_k|^2 / nu_k >= 1.
+    Building, factoring and solving each perturb Gamma by about dim eps tr Gamma (tr Gamma = |L|_F^2),
+    so tol_k = 2 dim eps tr Gamma |L u_k|^2 / nu_k: a dim mode beside a bright one keeps its own
+    tolerance. Values within tol_k of 1 read as 1, but a tol_k of 1 or more bounds nothing, so that
+    value stays as computed and a matrix singular to rounding keeps its nu ~ 0. The verdict
+    nu_min >= 1 is then Gamma + i Omega >= 0 (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)).
     """
     dim, n = factor.shape[-1], factor.shape[-1] // 2
-    # eigvalsh ascends, -nu_1 .. -nu_n, nu_n .. nu_1: the upper half, reversed
-    nu = ((factor[:, 0, 0] * factor[:, 1, 1])[:, None] if n == 1 else
-          np.linalg.eigvalsh(1j * (factor.swapaxes(1, 2) @ _omega(n) @ factor))[:, n:][:, ::-1])
-    with np.errstate(over="ignore"):  # only a hand-built extreme overflows, and tol stops at 1
-        trace = (factor * factor).sum(axis=(1, 2))
-        inv_trace = (np.linalg.inv(factor) ** 2).sum(axis=(1, 2))
-        tol = np.minimum(2.0 * dim * np.finfo(float).eps * trace * np.minimum(inv_trace, trace), 1.0)
-    nu = np.where(np.abs(nu - 1.0) <= tol[:, None], 1.0, nu)
-    return nu, tol, nu[:, -1] >= 1.0
+    if n == 1:  # L^T Omega L = det(L) Omega, whose +1 eigenvector is (1, -i) / sqrt(2)
+        nu, vecs = (factor[:, 0, 0] * factor[:, 1, 1])[:, None], np.array([[1.0], [-1.0j]]) / np.sqrt(2.0)
+    else:  # eigh ascends, -nu_1 .. -nu_n, nu_n .. nu_1: the upper half
+        vals, vecs = np.linalg.eigh(1j * (factor.swapaxes(1, 2) @ _omega(n) @ factor))
+        nu, vecs = vals[:, n:], vecs[:, :, n:]
+    with np.errstate(over="ignore", divide="ignore"):  # only hand-built extremes; inf snaps nothing
+        gain = (np.abs(factor @ vecs) ** 2).sum(axis=1) / nu  # nu_k |w|^2
+        tol = 2.0 * dim * np.finfo(float).eps * (factor * factor).sum(axis=(1, 2))[:, None] * gain
+    nu = np.where((np.abs(nu - 1.0) <= tol) & (tol < 1.0), 1.0, nu)
+    rows, low = np.arange(len(nu)), nu.argmin(axis=1)
+    return -np.sort(-nu, axis=1), tol[rows, low], nu[rows, low] >= 1.0
 
 
 def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
     """The n symplectic eigenvalues of a state, in descending order; pure states report exactly 1."""
-    _, factor = run_one(positive_definite, check_state(state), "covariance matrix")
-    return symplectic_spectrum(factor[None])[0][0]
+    return symplectic_spectrum(_factor_one(check_state(state), "covariance matrix")[1][None])[0][0]
 
 
 def physicality_stack(stack: np.ndarray) -> list[PhysicalityReport]:
     """Judge every row: positive definite, then the verdict of :func:`symplectic_spectrum`.
 
-    A failed row says which test it failed; ``min_symplectic`` is set on a
-    positive-definite failure only.
+    A failed row says which test it failed; ``min_symplectic`` is set on a positive-definite failure only.
     """
     errors = [None] * len(stack)
     _, factor = positive_definite(stack, "covariance matrix", errors)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedResultError
-from .gaussian import (CovarianceMatrix, _is_integer, check_state, positive_definite, reduce,
-                       run_one, select_modes)
+from .gaussian import CovarianceMatrix, _factor_one, _is_integer, check_state, reduce, select_modes
 
 GENERATOR_ID = "sfc64/v4"
 
@@ -77,7 +76,7 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
         raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples!r}")
     if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
         raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    _, factor = run_one(positive_definite, check_state(state), "covariance matrix")
+    _, factor = _factor_one(check_state(state), "covariance matrix")
     dim = factor.shape[0]
     # near-equal blocks, never of one row: numpy sends that to gemv, which rounds differently
     n_blocks = min(-(-n_samples // max(_ONE_THREAD_GEMM // dim ** 2, 1)), n_samples // 2)

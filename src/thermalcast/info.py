@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, _is_real, check_state, flag_rows, positive_definite,
-                       run_one, select_modes, symplectic_spectrum)
+from .gaussian import (CovarianceMatrix, _factor_one, _is_real, check_state, flag_rows,
+                       positive_definite, run_one, select_modes, symplectic_spectrum)
 
 _LN2 = float(np.log(2.0))
 _LOG2_2PIE = float(np.log(2.0 * np.pi * np.e) / _LN2)
@@ -83,8 +83,7 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
     H = (1/2) * log((2 pi e)^d * det Gamma) with d the full quadrature
     dimension (two per mode). Single vacuum mode: log2(2 pi e) ~ 4.094342.
     """
-    gamma, _ = run_one(positive_definite, check_state(state), "state")
-    return float(run_one(_shannon, gamma))
+    return float(run_one(_shannon, _factor_one(check_state(state), "state")[0]))
 
 
 def _g(eigs: np.ndarray) -> np.ndarray:
@@ -111,8 +110,7 @@ def von_neumann_entropy(state: CovarianceMatrix) -> float:
 
     Zero for pure states (vacuum, EPR); thermal(2) gives ~1.377444.
     """
-    _, factor = run_one(positive_definite, check_state(state), "covariance matrix")
-    return float(run_one(_von_neumann, factor))
+    return float(run_one(_von_neumann, _factor_one(check_state(state), "covariance matrix")[1]))
 
 
 def _clamp_info(values: np.ndarray, label: str, errors: list) -> np.ndarray:
@@ -208,19 +206,17 @@ def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
     """
     if not (_is_real(angle) and 0.0 <= angle < np.pi):
         raise InvalidArgumentError(f"homodyne angle must lie in [0, pi), got {angle!r}")
-    gamma, _ = run_one(positive_definite, check_state(state), "covariance matrix")
+    gamma, _ = _factor_one(check_state(state), "covariance matrix")
     return CovarianceMatrix(_homodyne(gamma[None], measured_mode, np.array([float(angle)]))[0])
 
 
 def _best_homodyne_angle(pair: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Homodyne angle on mode 0 of every row that minimizes the conditional det of mode 1.
 
-    With A, B the diagonal blocks and C the cross block, a readout along x
-    leaves mode 1 with det B - x^T C adj(B) C^T x / x^T A x. The minimizer
-    is the top generalized eigenvector of (C adj(B) C^T, A), found as an
-    ordinary symmetric eigenproblem after whitening by L_A^-1, where the
-    leading 2 x 2 block L_A of the pair's Cholesky ``factor`` factors A. The
-    direction is reported as an angle in [0, pi).
+    With A, B the diagonal blocks and C the cross block, a readout along x leaves mode 1 with
+    det B - x^T C adj(B) C^T x / x^T A x. The minimizer is the top generalized eigenvector of
+    (C adj(B) C^T, A), found as an ordinary symmetric eigenproblem after whitening by L_A^-1, L_A
+    the leading 2 x 2 block of the pair's Cholesky ``factor``. It is reported as an angle in [0, pi).
     """
     b, c = pair[:, 2:4, 2:4], pair[:, 0:2, 2:4]
     whiten = np.linalg.inv(factor[:, 0:2, 0:2])

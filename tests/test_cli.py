@@ -96,12 +96,13 @@ def test_figure_checks_each_branch_as_one_stack(tmp_path, monkeypatch, capsys):
             return real(*args, **kwargs)
         return wrapped
 
-    for name in ("eigvalsh", "eigvals"):
+    for name in ("eigh", "eigvalsh", "eigvals"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     assert main(["figure", "--name", "fig6", "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.count("wrote") == 5
-    # one Hermitian solve per branch, from discord's pair; no general eigensolve
-    assert calls == ["eigvalsh"] * 5
+    # per branch, two Hermitian solves on discord's pair: its Williamson stage, then its
+    # homodyne angle; no general eigensolve
+    assert calls == ["eigh", "eigh"] * 5
 
 
 def test_g2check_reports_thermal(capsys):

@@ -272,6 +272,9 @@ def test_validate_physicality_has_no_shot_noise_slack():
     report = validate_physicality(tensor(make_thermal(1e6), CovarianceMatrix((1.0 - 1e-6) * np.eye(2))))
     assert not report.ok
     assert any("shot noise" in issue for issue in report.issues)
+    # nor a bright pair's wide tolerance, which belongs to its own modes alone
+    report = validate_physicality(tensor(make_epr(1e6), CovarianceMatrix(0.99 * np.eye(2))))
+    assert not report.ok and report.min_symplectic == pytest.approx(0.99)
     assert validate_physicality(make_epr(1e6)).ok
 
 
@@ -303,7 +306,7 @@ def test_a_factoring_matrix_whose_determinant_rounds_negative_reads_zero():
     assert report.issues[0].startswith(f"symplectic eigenvalue below shot noise: {nu:.15g} ")
 
 
-def test_rounding_tolerance_stops_at_one():
+def test_a_tolerance_past_one_snaps_nothing():
     # kappa ~ 1e310 is past what rounding can bound; nu = 1e5 must still not read as 1,
     # and a spectrum near the float range must not overflow (warnings are errors here)
     assert list(symplectic_eigenvalues(CovarianceMatrix(np.diag([1e160, 1e-150])))) == [pytest.approx(1e5)]
@@ -327,11 +330,14 @@ def test_spectrum_consumers_never_call_eigvals(monkeypatch):
 
 def test_singular_matrices_are_reported_not_raised():
     # rank-deficient: rounding leaves the smallest eigenvalue a hair either
-    # side of 0, and the Cholesky factorization can fail even above it
+    # side of 0, and the Cholesky factorization can fail even above it.
+    # Bright ones get a rounding tolerance past 1, which must not snap their nu ~ 0 to 1.
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        v = rng.standard_normal((4, 3))
-        assert not validate_physicality(CovarianceMatrix(v @ v.T)).ok
+    for scale in (1.0, 1e6):
+        for _ in range(50):
+            for rows, rank in ((4, 3), (6, 5)):
+                v = rng.standard_normal((rows, rank))
+                assert not validate_physicality(CovarianceMatrix(scale * v @ v.T)).ok, (scale, rows)
 
 
 BARE = np.eye(4)

@@ -133,6 +133,20 @@ def test_bright_pure_states_are_physical_and_nearly_pure(nu):
         assert von_neumann_entropy(state) == 0.0
 
 
+@pytest.mark.parametrize("name, noise", [
+    ("thermal_channel", dict(v_th=1.05)),
+    ("thermal_channel", dict(eta_th=0.7, v_th=1.05)),
+    ("full", dict(eta_th=0.7, v_th=1.02, eta_th_a=0.6, v_alpha=1.05, eta_th_b=0.5, v_beta=1.08)),
+    ("full", dict(eta_th=0.7, v_th=1.001, eta_th_a=0.6, v_alpha=1.0001, eta_th_b=0.5, v_beta=1.00001)),
+])
+def test_a_bright_source_leaves_the_noise_entropy_alone(name, noise):
+    # beamsplitters keep the input spectrum: 1, 1 from EPR(1e6), then the noise variances and vacua.
+    # The bright pair's rounding tolerance is wide; the noise modes must keep their own.
+    state = build_scenario(name, ScenarioParams(nu=1e6, **noise)).state
+    expected = sum(g_term(v) for key, v in noise.items() if key.startswith("v_"))
+    assert von_neumann_entropy(state) == pytest.approx(expected, abs=1e-9)
+
+
 def test_von_neumann_takes_the_physicality_verdict():
     # 1e-12 below shot noise fails validate_physicality, so it has no entropy
     # either, and the message tells its eigenvalue apart from 1
