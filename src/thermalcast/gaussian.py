@@ -72,7 +72,7 @@ class CovarianceMatrix:
         asym = float(np.abs(arr - arr.T).max())
         if asym > SYMMETRY_TOL * scale:
             raise InvalidArgumentError(f"covariance matrix is not symmetric: max asymmetry {asym:.3e}")
-        arr = (arr + arr.T) / 2.0
+        arr = arr / 2.0 + arr.T / 2.0  # halving first: no overflow near the float limit, exact for normal floats
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

@@ -107,6 +107,17 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
     return samples
 
 
+def _check_samples(samples: np.ndarray, *modes: int) -> None:
+    if not isinstance(samples, np.ndarray):
+        raise InvalidArgumentError(f"samples must be a numpy array, got {type(samples).__name__}")
+    if samples.ndim != 2 or samples.shape[1] % 2:
+        raise InvalidArgumentError(f"samples must be an (n, 2k) array, got shape {samples.shape}")
+    n_modes = samples.shape[1] // 2
+    for mode in modes:
+        if not (_is_integer(mode) and 0 <= mode < n_modes):
+            raise InvalidArgumentError(f"mode {mode!r} is not an integer in [0, {n_modes})")
+
+
 def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
     """Per-sample photon-number estimate of one mode.
 
@@ -114,37 +125,12 @@ def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
     the 4 converts SNU variance to photon number, so the mean is (V - 1)/2
     for a thermal mode of variance V and 0 for vacuum.
     """
-    if not isinstance(samples, np.ndarray):
-        raise InvalidArgumentError(f"samples must be a numpy array, got {type(samples).__name__}")
-    if samples.ndim != 2 or samples.shape[1] % 2:
-        raise InvalidArgumentError(f"samples must be an (n, 2k) array, got shape {samples.shape}")
-    n_modes = samples.shape[1] // 2
-    if not (_is_integer(mode) and 0 <= mode < n_modes):
-        raise InvalidArgumentError(f"mode {mode!r} is not an integer in [0, {n_modes})")
+    _check_samples(samples, mode)
     x, p = samples[:, 2 * mode:2 * mode + 2].T
-    return (x * x + p * p - 2.0) / 4.0
-
-
-def _jackknife_error(leave_out_estimates: np.ndarray) -> float:
-    b = len(leave_out_estimates)
-    centered = leave_out_estimates - leave_out_estimates.mean()
-    return float(np.sqrt((b - 1) / b * np.sum(centered ** 2)))
-
-
-def _mean_is_noise(series: np.ndarray, mean: float) -> bool:
-    # mean indistinguishable from zero at 3 sigma: no photons; ddof=1 deviation as np.std forms it
-    centered = series - mean
-    centered *= centered
-    se_mean = np.sqrt(np.sum(centered) / (series.size - 1)) / np.sqrt(series.size)
-    return mean <= 3.0 * se_mean
-
-
-def _verdict(conclusive: bool, estimate: float, std_error: float) -> str:
-    if not conclusive:
-        return VERDICT_INCONCLUSIVE
-    if estimate - 3.0 * std_error > 1.0:
-        return VERDICT_THERMAL
-    return VERDICT_NOT_THERMAL
+    out = x * x + p * p  # then in place: the rounding of (x * x + p * p - 2) / 4, two temporaries fewer
+    out -= 2.0
+    out /= 4.0
+    return out
 
 
 def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report:
@@ -161,23 +147,37 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
         raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n}")
     if mode_a == mode_b:
         raise InvalidArgumentError("cross-correlation needs two distinct modes")
-    i_a = intensity(samples, mode_a)
-    i_b = intensity(samples, mode_b)
-    mean_a, mean_b = i_a.mean(), i_b.mean()
-    conclusive = not (_mean_is_noise(i_a, mean_a) or _mean_is_noise(i_b, mean_b))
-    prod = i_a * i_b
+    _check_samples(samples, mode_a, mode_b)
     # np.array_split's blocks: the first n % B hold one row more than the rest
     size, extra = divmod(n, JACKKNIFE_BLOCKS)
-    starts = np.arange(JACKKNIFE_BLOCKS) * size + np.minimum(np.arange(JACKKNIFE_BLOCKS), extra)
-    # block sums per row: stacking the rows first would copy 3n floats
-    sums = np.array([np.add.reduceat(row, starts) for row in (prod, i_a, i_b)])
-    rest = n - np.diff(starts, append=n)
+    bounds = np.arange(JACKKNIFE_BLOCKS + 1) * size + np.minimum(np.arange(JACKKNIFE_BLOCKS + 1), extra)
+    # one pass, in groups of whole blocks of at most 2^14 rows (or one larger block) so that every
+    # temporary stays in L2; sums[:, j] holds block j's sums of I_a, I_b, I_a I_b, I_a^2 and I_b^2
+    sums = np.empty((5, JACKKNIFE_BLOCKS))
+    step = max(2 ** 14 // (size + 1), 1)
+    for first in range(0, JACKKNIFE_BLOCKS, step):
+        last = min(first + step, JACKKNIFE_BLOCKS)
+        rows = samples[bounds[first]:bounds[last]]
+        i_a, i_b = intensity(rows, mode_a), intensity(rows, mode_b)
+        for row, values in zip(sums, (i_a, i_b, i_a * i_b, i_a * i_a, i_b * i_b)):
+            row[first:last] = np.add.reduceat(values, bounds[first:last] - bounds[first])
+    counts = np.diff(bounds)
+    totals = sums.sum(axis=1)
+    means = totals / n
+    # squared deviations by Chan, Golub & LeVeque's pairwise update (Am. Stat. 37, 242 (1983)). A block's
+    # sum I^2 - m mean^2 cannot cancel: for a mode of covariance [[a, b], [b, c]] with a + c >= 2,
+    # var(I) = (2a^2 + 2c^2 + 4b^2)/16 >= ((a + c)/4)^2 > mean(I)^2, so std(I) > |mean(I)|.
+    block_means = sums[:2] / counts
+    deviations = np.sum(sums[3:] - sums[:2] * block_means + counts * (block_means - means[:2, None]) ** 2, axis=1)
+    conclusive = not np.any(means[:2] <= 3.0 * np.sqrt(deviations / (n - 1)) / np.sqrt(n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        estimate = float(prod.mean() / (mean_a * mean_b))
-        ab, a, b = (sums.sum(axis=1, keepdims=True) - sums) / rest
-        std_error = _jackknife_error(ab / (a * b))
-    return G2Report(g2_estimate=estimate, std_error=std_error, g2_analytic=None,
-                    n_samples=n, verdict=_verdict(conclusive, estimate, std_error))
+        estimate = float(means[2] / (means[0] * means[1]))
+        a, b, ab = (totals[:3, None] - sums[:3]) / (n - counts)
+        ratios = ab / (a * b)
+        std_error = float(np.sqrt((JACKKNIFE_BLOCKS - 1) / JACKKNIFE_BLOCKS * np.sum((ratios - ratios.mean()) ** 2)))
+    verdict = ((VERDICT_THERMAL if estimate - 3.0 * std_error > 1.0 else VERDICT_NOT_THERMAL)
+               if conclusive else VERDICT_INCONCLUSIVE)
+    return G2Report(g2_estimate=estimate, std_error=std_error, g2_analytic=None, n_samples=n, verdict=verdict)
 
 
 def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:

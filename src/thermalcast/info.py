@@ -87,13 +87,13 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
 
 
 def _g(eigs: np.ndarray) -> np.ndarray:
-    # entropy of each row's symplectic spectrum; values up to 1 add exactly 0 (0 log 0 := 0)
-    x = np.maximum(eigs, 1.0)
-    xp = (x + 1.0) / 2.0
-    xm = (x - 1.0) / 2.0
-    out = xp * np.log(xp)
+    # entropy of each row's symplectic spectrum; values up to 1 add exactly 0 (0 log 0 := 0).
+    # With xm = (v - 1)/2, (xm + 1) log(xm + 1) - xm log xm = log1p(xm) + xm log1p(1/xm):
+    # no two large terms cancel for a bright mode
+    xm = (np.maximum(eigs, 1.0) - 1.0) / 2.0
+    out = np.log1p(xm)
     mask = xm > 0.0
-    out[mask] -= xm[mask] * np.log(xm[mask])
+    out[mask] += xm[mask] * np.log1p(1.0 / xm[mask])
     return (out / _LN2).sum(axis=-1)
 
 

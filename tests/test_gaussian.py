@@ -41,6 +41,11 @@ def test_covariance_rejects_non_finite_entries():
             CovarianceMatrix(entries)
 
 
+def test_covariance_symmetrizes_entries_near_the_float_limit():
+    # (arr + arr.T) / 2 overflowed to inf, with a RuntimeWarning, from about 9e307
+    assert CovarianceMatrix(np.diag([1e308, 1e308])).data.tolist() == [[1e308, 0.0], [0.0, 1e308]]
+
+
 def test_covariance_rejects_complex_and_ragged_entries():
     # a complex entry used to be cast away with only a ComplexWarning
     for complex_entries in ([[2.0 + 1j, 0.0], [0.0, 2.0]], np.diag([2.0 + 1j, 2.0])):

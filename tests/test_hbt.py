@@ -1,4 +1,6 @@
 """Sampling determinism and intensity-correlation estimates."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from thermalcast import (CovarianceMatrix, G2Report, InvalidArgumentError,
                          g2_analytic, g2_cross_estimate, intensity,
                          make_epr, make_thermal, make_vacuum, reduce, sample_quadratures,
                          tensor, thermality_check,
-                         VERDICT_INCONCLUSIVE, VERDICT_THERMAL)
+                         VERDICT_INCONCLUSIVE, VERDICT_NOT_THERMAL, VERDICT_THERMAL)
 
 
 def broadcast_state(nu=2.0, eta_ab=0.5):
@@ -309,6 +311,65 @@ def test_estimate_argument_errors():
     big = sample_quadratures(broadcast_state(), 1000, seed=0)
     with pytest.raises(InvalidArgumentError):
         g2_cross_estimate(big, 1, 1)
+
+
+def reference_g2(samples, mode_a, mode_b):
+    # plain two-pass estimator: whole-array intensities, np.array_split blocks, np.std(ddof=1) noise test
+    n = len(samples)
+    i_a, i_b = ((samples[:, 2 * m] ** 2 + samples[:, 2 * m + 1] ** 2 - 2.0) / 4.0 for m in (mode_a, mode_b))
+    noise = any(i.mean() <= 3.0 * i.std(ddof=1) / np.sqrt(n) for i in (i_a, i_b))
+    estimate = np.mean(i_a * i_b) / (i_a.mean() * i_b.mean())
+    blocks = [np.array_split(x, hbt.JACKKNIFE_BLOCKS) for x in (i_a * i_b, i_a, i_b)]
+    sums = np.array([[block.sum() for block in split] for split in blocks])
+    rest = n - np.array([len(block) for block in blocks[0]])
+    ab, a, b = (sums.sum(axis=1, keepdims=True) - sums) / rest
+    ratios = ab / (a * b)
+    std_error = np.sqrt((len(ratios) - 1) / len(ratios) * np.sum((ratios - ratios.mean()) ** 2))
+    if noise:
+        verdict = VERDICT_INCONCLUSIVE
+    else:
+        verdict = VERDICT_THERMAL if estimate - 3.0 * std_error > 1.0 else VERDICT_NOT_THERMAL
+    # condition number of the three sums: a mean near zero makes the ratio sensitive to their rounding
+    kappa = sum(np.abs(x).sum() / abs(x.sum()) for x in (i_a * i_b, i_a, i_b))
+    return estimate, std_error, verdict, kappa
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 199_999, 200_000])
+def test_cross_estimate_matches_a_two_pass_reference(n):
+    # a thermal mode of variance v has mean I = (v - 1) / 2 and sd(I) = v / 2, so the near-vacuum
+    # modes sit at the 3 sigma noise boundary, mean I = 3 sd(I) / sqrt(n)
+    v = 1.0 / (1.0 - 3.0 / np.sqrt(n))
+    states = (broadcast_state(), tensor(make_thermal(3.0), tensor(make_thermal(5.0), make_thermal(5.0))),
+              tensor(make_vacuum(1), tensor(make_thermal(v), make_thermal(v))))
+    verdicts = []
+    for state in states:
+        verdicts.append([])
+        for sampled, modes in ((state, (1, 2)), (reduce(state, [1, 2]), (0, 1))):
+            for seed in (1, 2, 3):
+                samples = sample_quadratures(sampled, n, seed)
+                report = g2_cross_estimate(samples, *modes)
+                estimate, std_error, verdict, kappa = reference_g2(samples, *modes)
+                # 1e-14 whenever the sums are well conditioned (kappa <= 8 for the first two states)
+                bound = max(1e-14, 4.0 * np.finfo(float).eps * kappa)
+                assert abs(report.g2_estimate - estimate) <= bound * abs(estimate)
+                assert report.std_error == pytest.approx(std_error, rel=1e-12)
+                assert report.verdict == verdict
+                verdicts[-1].append(verdict)
+    assert set(verdicts[0]) <= {VERDICT_THERMAL, VERDICT_NOT_THERMAL} and VERDICT_THERMAL in verdicts[0]
+    assert set(verdicts[1]) == {VERDICT_NOT_THERMAL}
+    assert set(verdicts[2]) == {VERDICT_INCONCLUSIVE, VERDICT_NOT_THERMAL}
+
+
+def test_cross_estimate_holds_no_sample_length_temporaries():
+    # the whole-array estimator peaked at 24 MB here, beside the 32 MB sample array
+    samples = sample_quadratures(reduce(broadcast_state(), [1, 2]), 1_000_000, seed=1)
+    tracemalloc.start()
+    try:
+        g2_cross_estimate(samples, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_error_bar_shrinks_with_samples():

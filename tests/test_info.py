@@ -14,7 +14,7 @@ from thermalcast import (CovarianceMatrix, InvalidArgumentError,
                          ScenarioParams, tensor, von_neumann_entropy,
                          validate_physicality)
 from thermalcast.gaussian import physicality_stack
-from thermalcast.info import cmi_stack, discord_stack, mi_stack
+from thermalcast.info import _g, cmi_stack, discord_stack, mi_stack
 from thermalcast.scenarios import build_stack, information_partition
 
 
@@ -114,6 +114,20 @@ def test_von_neumann_pure_states_are_zero():
 def test_von_neumann_thermal_value():
     assert von_neumann_entropy(make_thermal(2.0)) == pytest.approx(g_term(2.0), abs=1e-12)
     assert g_term(2.0) == pytest.approx(1.5 * math.log2(1.5) + 0.5)
+
+
+# g(v) in bits at the exact float v, from 50-digit arithmetic (mpmath)
+G_REFERENCES = {1.05: 0.16956270984617355, 1040.0: 10.465062631608578, 1e6: 20.374263610212896,
+                1e12: 40.30583217953731, 1e16: 53.59354455908676}
+
+
+@pytest.mark.parametrize("v", list(G_REFERENCES))
+def test_entropy_of_a_bright_mode_keeps_its_digits(v):
+    # xp log xp - xm log xm cancelled two large terms: 3e-12 relative off at 1e6, 1.3e-5 at 1e12, 0.0 at 1e16
+    expected = G_REFERENCES[v]
+    assert abs(_g(np.array([v])) - expected) <= np.spacing(expected)
+    # the public path adds the rounding of the symplectic eigenvalue, L00 * L11
+    assert von_neumann_entropy(CovarianceMatrix(v * np.eye(2))) == pytest.approx(expected, rel=1e-14)
 
 
 def test_von_neumann_additive_over_products():
