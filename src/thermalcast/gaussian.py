@@ -69,9 +69,9 @@ class CovarianceMatrix:
         if not np.isfinite(arr).all():
             raise NumericFailureError("covariance matrix has non-finite entries")
         scale = max(1.0, float(np.abs(arr).max()))
-        asym = float(np.abs(arr - arr.T).max())
-        if asym > SYMMETRY_TOL * scale:
-            raise InvalidArgumentError(f"covariance matrix is not symmetric: max asymmetry {asym:.3e}")
+        half = float(np.abs(arr / 2.0 - arr.T / 2.0).max())  # halves: arr - arr.T can overflow
+        if half > SYMMETRY_TOL * scale / 2.0:
+            raise InvalidArgumentError(f"covariance matrix is not symmetric: max asymmetry {2.0 * half:.3e}")
         arr = arr / 2.0 + arr.T / 2.0  # halving first: no overflow near the float limit, exact for normal floats
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)

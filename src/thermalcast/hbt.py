@@ -6,10 +6,11 @@ draw quadrature samples from a covariance matrix, form per-sample
 intensities, estimate the normalized intensity correlation with a jackknife
 error bar, and compare against the exact Gaussian-moment value.
 
-Quadrature sampling is the only randomness in the package; samples are a
-read-only (n_samples, 2n) array. A seed keys one SFC64 substream per row block
-through ``SeedSequence``, and ``GENERATOR_ID`` names the generator in every g2
-output, so a seed pins the bytes on any platform and any number of CPUs.
+Quadrature sampling is the only randomness in the package. A seed keys one
+SFC64 substream per row block through ``SeedSequence``, and ``GENERATOR_ID``
+names the generator in every g2 output, so a seed pins the bytes on any
+platform and any number of CPUs. ``sample_quadratures`` stores the rows;
+``g2_stack`` sums each row block as it is drawn and stores none.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedResultError
-from .gaussian import CovarianceMatrix, _factor_one, _is_integer, check_state, reduce, select_modes
+from .gaussian import (CovarianceMatrix, _factor_one, _is_integer, check_state, positive_definite, reduce,
+                       run_one, select_modes)
 
 GENERATOR_ID = "sfc64/v4"
 
@@ -72,39 +74,62 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
     Returns:
         A read-only (n_samples, 2n) array, columns in quadrature order.
     """
+    _check_draw(n_samples, [seed])
+    _, factor = _factor_one(check_state(state), "covariance matrix")
+    samples = np.empty((n_samples, len(factor)))
+    _draw(n_samples, [seed], len(factor), lambda: lambda i, start, normals: np.matmul(
+        normals, factor.T, out=samples[start:start + len(normals)]))
+    samples.setflags(write=False)
+    return samples
+
+
+def _check_draw(n_samples: int, seeds) -> None:
     if not (_is_integer(n_samples) and 2 <= n_samples <= MAX_SAMPLES):
         raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples!r}")
-    if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
-        raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    _, factor = _factor_one(check_state(state), "covariance matrix")
-    dim = factor.shape[0]
-    # near-equal blocks, never of one row: numpy sends that to gemv, which rounds differently
-    n_blocks = min(-(-n_samples // max(_ONE_THREAD_GEMM // dim ** 2, 1)), n_samples // 2)
-    bounds = np.arange(n_blocks + 1) * n_samples // n_blocks
-    samples = np.empty((n_samples, dim))
-    blocks, failures = iter(range(n_blocks)), []
+    for seed in seeds:
+        if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
+            raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
-    def fill():  # takes blocks until none is left; numpy drops the GIL in the draw and the gemm
-        buffer = np.empty((-(-n_samples // n_blocks), dim))
+
+def _layout(n_samples: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sampler's row-block bounds for ``dim`` columns, the piece bounds and the jackknife bounds.
+
+    The jackknife blocks are ``np.array_split``'s, the first n % B one row longer. Pieces, the unit that
+    both g2 routes sum by, are the jackknife blocks cut at the row-block bounds.
+    """
+    # near-equal row blocks, never of one row: numpy sends that to gemv, which rounds differently
+    n_blocks = min(-(-n_samples // max(_ONE_THREAD_GEMM // dim ** 2, 1)), n_samples // 2)
+    rows = np.arange(n_blocks + 1) * n_samples // n_blocks
+    size, extra = divmod(n_samples, JACKKNIFE_BLOCKS)
+    jack = np.arange(JACKKNIFE_BLOCKS + 1) * size + np.minimum(np.arange(JACKKNIFE_BLOCKS + 1), extra)
+    return rows, np.union1d(rows, jack), jack
+
+
+def _draw(n_samples: int, seeds, dim: int, make_sink) -> None:
+    """Draw row block k of point i from ``SFC64(SeedSequence(seeds[i], spawn_key=(0, k)))`` on one of up
+    to ``_CPUS`` threads, the caller among them, which take the (i, k) in order. Each thread calls
+    ``make_sink()`` once, then ``sink(i, first row, normals)`` per block; the first failure is raised."""
+    rows = _layout(n_samples, dim)[0]
+    items, failures = iter([(i, k) for i in range(len(seeds)) for k in range(len(rows) - 1)]), []
+
+    def work():  # numpy drops the GIL in the draw and the gemm
         try:
-            for k in blocks:
-                seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(0, k))
-                block = np.random.Generator(np.random.SFC64(seq)).standard_normal(
-                    out=buffer[:bounds[k + 1] - bounds[k]])
-                np.matmul(block, factor.T, out=samples[bounds[k]:bounds[k + 1]])
+            buffer, sink = np.empty((np.diff(rows).max(), dim)), make_sink()
+            for i, k in items:
+                seq = np.random.SeedSequence(entropy=int(seeds[i]), spawn_key=(0, k))
+                sink(i, rows[k], np.random.Generator(np.random.SFC64(seq)).standard_normal(
+                    out=buffer[:rows[k + 1] - rows[k]]))
         except Exception as exc:
             failures.append(exc)
 
-    helpers = [threading.Thread(target=fill) for _ in range(min(_CPUS, n_blocks) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(_CPUS, len(seeds) * (len(rows) - 1)) - 1)]
     for thread in helpers:
         thread.start()
-    fill()
+    work()
     for thread in helpers:
         thread.join()
     if failures:
         raise failures[0]
-    samples.setflags(write=False)
-    return samples
 
 
 def _check_samples(samples: np.ndarray, *modes: int) -> None:
@@ -118,50 +143,43 @@ def _check_samples(samples: np.ndarray, *modes: int) -> None:
             raise InvalidArgumentError(f"mode {mode!r} is not an integer in [0, {n_modes})")
 
 
-def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
-    """Per-sample photon-number estimate of one mode.
-
-    (x^2 + p^2 - 2) / 4: the 2 removes one vacuum unit per quadrature and
-    the 4 converts SNU variance to photon number, so the mean is (V - 1)/2
-    for a thermal mode of variance V and 0 for vacuum.
-    """
-    _check_samples(samples, mode)
-    x, p = samples[:, 2 * mode:2 * mode + 2].T
-    out = x * x + p * p  # then in place: the rounding of (x * x + p * p - 2) / 4, two temporaries fewer
+def _intensities(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rule of :func:`intensity` on each (x^2, p^2) row pair of ``squares``, into ``out``."""
+    np.add(squares[0::2], squares[1::2], out=out)
     out -= 2.0
     out /= 4.0
     return out
 
 
-def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report:
-    """Estimate g2(0) between two modes: <I_a I_b> / (<I_a><I_b>).
+def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
+    """Per-sample photon-number estimate of one mode.
 
-    The standard error comes from a delete-one-block jackknife with
-    ``JACKKNIFE_BLOCKS`` blocks. A mean intensity consistent with zero at 3
-    sigma makes the ratio meaningless; that yields the inconclusive
-    verdict, never an exception. The analytic field is left unset; compare
-    against :func:`g2_analytic` or use :func:`thermality_check`.
+    (x^2 + p^2 - 2) / 4, rounded in that order: the 2 removes one vacuum unit
+    per quadrature and the 4 converts SNU variance to photon number, so the
+    mean is (V - 1)/2 for a thermal mode of variance V and 0 for vacuum.
     """
-    n = len(samples)
-    if n < MIN_G2_SAMPLES:
-        raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n}")
-    if mode_a == mode_b:
-        raise InvalidArgumentError("cross-correlation needs two distinct modes")
-    _check_samples(samples, mode_a, mode_b)
-    # np.array_split's blocks: the first n % B hold one row more than the rest
-    size, extra = divmod(n, JACKKNIFE_BLOCKS)
-    bounds = np.arange(JACKKNIFE_BLOCKS + 1) * size + np.minimum(np.arange(JACKKNIFE_BLOCKS + 1), extra)
-    # one pass, in groups of whole blocks of at most 2^14 rows (or one larger block) so that every
-    # temporary stays in L2; sums[:, j] holds block j's sums of I_a, I_b, I_a I_b, I_a^2 and I_b^2
-    sums = np.empty((5, JACKKNIFE_BLOCKS))
-    step = max(2 ** 14 // (size + 1), 1)
-    for first in range(0, JACKKNIFE_BLOCKS, step):
-        last = min(first + step, JACKKNIFE_BLOCKS)
-        rows = samples[bounds[first]:bounds[last]]
-        i_a, i_b = intensity(rows, mode_a), intensity(rows, mode_b)
-        for row, values in zip(sums, (i_a, i_b, i_a * i_b, i_a * i_a, i_b * i_b)):
-            row[first:last] = np.add.reduceat(values, bounds[first:last] - bounds[first])
-    counts = np.diff(bounds)
+    _check_samples(samples, mode)
+    return _intensities(np.square(samples[:, 2 * mode:2 * mode + 2].T), np.empty((1, len(samples))))[0]
+
+
+def _piece_sums(block, start, a, b, cuts, scratch, pieces) -> None:
+    """Per piece of ``block``, the rows from ``start`` on, the sums of I_a, I_b, I_a I_b, I_a^2 and I_b^2
+    into its column of ``pieces``; ``scratch`` has 9 rows of at least len(block)."""
+    first, last = np.searchsorted(cuts, [start, start + len(block)])
+    squares, vals = scratch[:4, :len(block)], scratch[4:, :len(block)]
+    np.square(block[:, 2 * a:2 * a + 2].T, out=squares[:2])
+    np.square(block[:, 2 * b:2 * b + 2].T, out=squares[2:])
+    _intensities(squares, vals[:2])
+    np.multiply(vals[0], vals[1], out=vals[2])
+    np.square(vals[:2], out=vals[3:])
+    np.add.reduceat(vals, cuts[first:last] - start, axis=1, out=pieces[:, first:last])
+
+
+def _report(pieces: np.ndarray, cuts: np.ndarray, bounds: np.ndarray) -> G2Report:
+    """Estimate, jackknife error and verdict from the five sums of each piece."""
+    n, counts = int(bounds[-1]), np.diff(bounds)
+    # sums[:, j] holds jackknife block j's sums of I_a, I_b, I_a I_b, I_a^2 and I_b^2
+    sums = np.add.reduceat(pieces, np.searchsorted(cuts, bounds[:-1]), axis=1)
     totals = sums.sum(axis=1)
     means = totals / n
     # squared deviations by Chan, Golub & LeVeque's pairwise update (Am. Stat. 37, 242 (1983)). A block's
@@ -178,6 +196,52 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     verdict = ((VERDICT_THERMAL if estimate - 3.0 * std_error > 1.0 else VERDICT_NOT_THERMAL)
                if conclusive else VERDICT_INCONCLUSIVE)
     return G2Report(g2_estimate=estimate, std_error=std_error, g2_analytic=None, n_samples=n, verdict=verdict)
+
+
+def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report:
+    """Estimate g2(0) between two modes: <I_a I_b> / (<I_a><I_b>).
+
+    The standard error comes from a delete-one-block jackknife with
+    ``JACKKNIFE_BLOCKS`` blocks. A mean intensity consistent with zero at 3
+    sigma makes the ratio meaningless; that yields the inconclusive
+    verdict, never an exception. The analytic field is left unset; compare
+    against :func:`g2_analytic` or use :func:`thermality_check`. The sums
+    run by the sampler's row blocks, as in :func:`g2_stack`, so both give
+    the same bits for the same draw.
+    """
+    n = len(samples)
+    if n < MIN_G2_SAMPLES:
+        raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n}")
+    if mode_a == mode_b:
+        raise InvalidArgumentError("cross-correlation needs two distinct modes")
+    _check_samples(samples, mode_a, mode_b)
+    rows, cuts, bounds = _layout(n, samples.shape[1])
+    pieces, scratch = np.empty((5, len(cuts) - 1)), np.empty((9, np.diff(rows).max()))
+    for start, stop in zip(rows, rows[1:]):
+        _piece_sums(samples[start:stop], start, mode_a, mode_b, cuts, scratch, pieces)
+    return _report(pieces, cuts, bounds)
+
+
+def g2_stack(stack: np.ndarray, n_samples: int, seeds, errors: list) -> list:
+    """Sample and estimate g2(0) for each receiver pair of an (N, 4, 4) stack: N reports, None on a failed row.
+
+    Pair i draws the row blocks ``sample_quadratures`` draws for ``seeds[i]``, but each goes straight to
+    the sums of its pieces on the thread that drew it, and every point's blocks share one pool.
+    """
+    _check_draw(n_samples, seeds)
+    if n_samples < MIN_G2_SAMPLES:
+        raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n_samples}")
+    _, factors = positive_definite(stack, "covariance matrix", errors)
+    rows, cuts, bounds = _layout(n_samples, 4)
+    m, pieces = np.diff(rows).max(), np.empty((len(stack), 5, len(cuts) - 1))
+
+    def make_sink():
+        quads, scratch = np.empty((m, 4)), np.empty((9, m))
+        return lambda i, start, normals: _piece_sums(np.matmul(normals, factors[i].T, out=quads[:len(normals)]),
+                                                     start, 0, 1, cuts, scratch, pieces[i])
+
+    _draw(n_samples, seeds, 4, make_sink)
+    return [None if exc else _report(sums, cuts, bounds) for exc, sums in zip(errors, pieces)]
 
 
 def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
@@ -214,8 +278,7 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
     and draws four columns per sample however many modes the state has.
     """
     pair = reduce(state, [mode_a, mode_b])
-    samples = sample_quadratures(pair, n_samples, seed)
-    report = g2_cross_estimate(samples, 0, 1)
+    report = run_one(g2_stack, pair.data, n_samples, [seed])
     try:
         exact = g2_analytic(pair, 0, 1)
     except UndefinedResultError:

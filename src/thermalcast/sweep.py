@@ -3,7 +3,7 @@
 A sweep varies one scenario parameter over an inclusive linear range and
 records the requested information measures at every point. The points, in
 ascending order of the swept value, form one (N, 2n, 2n) stack that is
-built and measured by array calls; only g2 samples point by point.
+built and measured by array calls.
 
 A failure at one point flags that row and the sweep carries on: a failed
 output blanks only its own cell. Only a sweep in which every point failed
@@ -19,10 +19,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (ConfigError, InvalidArgumentError, NumericFailureError,
-                     UnphysicalStateError, UsageError)
-from .gaussian import CovarianceMatrix, _is_integer
-from .hbt import GENERATOR_ID, MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, thermality_check
+from .errors import ConfigError, InvalidArgumentError, UnphysicalStateError, UsageError
+from .gaussian import _is_integer, select_modes
+from .hbt import GENERATOR_ID, MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, g2_stack
 from .info import Partition, cmi_stack, discord_stack, mi_stack
 from .scenarios import (SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS,
                         ScenarioParams, build_stack, information_partition)
@@ -164,19 +163,11 @@ def _output_cells(out: str, spec: SweepSpec, stack: np.ndarray, p: Partition,
         return mi_stack(stack, Partition(a, b), errors)
     if out == "discord":
         return discord_stack(stack, a[0], b[0], errors).value
-    # g2: sampling dominates, so points go one by one, each from its own stream
-    values = np.full(len(stack), np.nan)
-    for i, (gamma, index) in enumerate(zip(stack, indices)):
-        try:
-            report = thermality_check(CovarianceMatrix(gamma), a[0], b[0], spec.samples,
-                                      _point_seed(spec.seed, int(index)))
-        except NumericFailureError as exc:
-            errors[i] = exc
-            continue
-        # no photons to correlate: the ratio is noise, not a g2 value
-        if report.verdict != VERDICT_INCONCLUSIVE:
-            values[i] = report.g2_estimate
-    return values
+    # g2: one stacked stage samples every point, each from its own stream
+    reports = g2_stack(select_modes(stack, [a[0], b[0]]), spec.samples,
+                       [_point_seed(spec.seed, int(index)) for index in indices], errors)
+    # no photons to correlate: the ratio is noise, not a g2 value
+    return np.array([np.nan if r is None or r.verdict == VERDICT_INCONCLUSIVE else r.g2_estimate for r in reports])
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

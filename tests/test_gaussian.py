@@ -46,6 +46,12 @@ def test_covariance_symmetrizes_entries_near_the_float_limit():
     assert CovarianceMatrix(np.diag([1e308, 1e308])).data.tolist() == [[1e308, 0.0], [0.0, 1e308]]
 
 
+def test_covariance_rejects_asymmetry_near_the_float_limit():
+    # arr - arr.T overflowed to inf here, with a RuntimeWarning that -W error raised in place of the refusal
+    with pytest.raises(InvalidArgumentError, match="not symmetric"):
+        CovarianceMatrix(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+
 def test_covariance_rejects_complex_and_ragged_entries():
     # a complex entry used to be cast away with only a ComplexWarning
     for complex_entries in ([[2.0 + 1j, 0.0], [0.0, 2.0]], np.diag([2.0 + 1j, 2.0])):

@@ -1,4 +1,5 @@
 """Sampling determinism and intensity-correlation estimates."""
+import sys
 import tracemalloc
 
 import numpy as np
@@ -395,14 +396,61 @@ def test_thermality_check_coherent_source_has_no_analytic():
     assert report.verdict == VERDICT_INCONCLUSIVE
 
 
-def test_thermality_check_samples_only_the_receiver_pair():
+def test_thermality_check_samples_only_the_receiver_pair(monkeypatch):
+    # the fused stage and the stored route sum the same pieces of the same draw, on any number of threads;
+    # the counts take one row block, end one row past a block bound, and straddle 2^18 / 16 rows per block
     state = build_scenario("full", ScenarioParams(nu=5.0, eta_ab=0.4, eta_th=0.8, v_th=2.0,
                                                   eta_th_a=0.9, eta_th_b=0.7, v_beta=3.0)).state
     a, b = 3, 2
-    report = thermality_check(state, a, b, n_samples=5000, seed=8)
-    pair = sample_quadratures(reduce(state, [a, b]), 5000, seed=8)
-    expected = g2_cross_estimate(pair, 0, 1)
-    assert report.g2_estimate == expected.g2_estimate
-    assert report.std_error == expected.std_error
-    assert report.verdict == expected.verdict
-    assert report.g2_analytic == g2_analytic(state, a, b)
+    for n in (1000, 1001, 16_385, 199_999, 200_000, 1_000_001):
+        pair = sample_quadratures(reduce(state, [a, b]), n, seed=8)
+        expected = g2_cross_estimate(pair, 0, 1)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(hbt, "_CPUS", cpus)
+            report = thermality_check(state, a, b, n_samples=n, seed=8)
+            assert report.g2_estimate == expected.g2_estimate
+            assert report.std_error == expected.std_error
+            assert report.verdict == expected.verdict
+            assert report.n_samples == n
+            assert report.g2_analytic == g2_analytic(state, a, b)
+
+
+def test_thermality_check_stores_no_sample_array(monkeypatch):
+    # storing the 1M x 4 draw and then estimating peaked at 32.5 MB
+    monkeypatch.setattr(hbt, "_CPUS", 2)
+    state = broadcast_state()
+    tracemalloc.start()
+    try:
+        thermality_check(state, 1, 2, n_samples=1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_g2_stack_takes_every_block_once_under_thread_switches(monkeypatch):
+    # more threads than cores, switching every microsecond: a block lost or taken twice changes the sums
+    pairs = np.stack([reduce(broadcast_state(nu), [1, 2]).data for nu in (2.0, 3.0, 5.0, 8.0)])
+    monkeypatch.setattr(hbt, "_CPUS", 1)
+    expected = hbt.g2_stack(pairs, 40_000, [1, 2, 3, 4], [None] * 4)
+    monkeypatch.setattr(hbt, "_CPUS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reports = hbt.g2_stack(pairs, 40_000, [1, 2, 3, 4], [None] * 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == expected
+
+
+def test_g2_stack_fails_only_the_rows_that_do_not_factor():
+    # row 1 is not positive definite: its slot holds the failure, the other rows their own reports
+    good = reduce(broadcast_state(), [1, 2]).data
+    stack = np.stack([good, np.diag([1.0, -1.0, 1.0, 1.0]), 2.0 * good])
+    errors = [None] * 3
+    reports = hbt.g2_stack(stack, 2000, [4, 5, 6], errors)
+    assert reports[1] is None and isinstance(errors[1], NumericFailureError)
+    assert errors[0] is None and errors[2] is None
+    for i in (0, 2):
+        alone = g2_cross_estimate(sample_quadratures(CovarianceMatrix(stack[i]), 2000, seed=4 + i), 0, 1)
+        assert reports[i] == alone

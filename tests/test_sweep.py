@@ -1,5 +1,6 @@
 """Sweep specs, config parsing, CSV emission and figure presets."""
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -283,6 +284,38 @@ def test_g2_sweep_is_repeatable():
         assert a.values["g2"] == b.values["g2"]
     # distinct points draw from distinct streams
     assert first.rows[0].values["g2"] != first.rows[1].values["g2"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_g2_sweep_starts_one_pool_for_all_points(cpus, monkeypatch):
+    # one pool of _CPUS threads, the caller among them, takes every point's row blocks;
+    # the per-point stage started _CPUS - 1 threads for each of the 40 points
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(thermalcast.hbt, "_CPUS", cpus)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    spec = small_spec(scenario="full", fixed={"nu": 5.0}, outputs=("g2",), seed=9, samples=40_000,
+                      swept=SweptRange("eta_ab", 0.2, 0.8, 40))
+    result = run_sweep(spec)
+    assert result.n_failed == 0
+    assert len(started) <= cpus - 1
+
+
+def test_g2_sweep_csv_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    spec = small_spec(scenario="full", fixed={"nu": 5.0}, outputs=("g2",), seed=3, samples=50_000,
+                      swept=SweptRange("eta_ab", 0.2, 0.8, 6))
+    tables = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(thermalcast.hbt, "_CPUS", cpus)
+        out = tmp_path / f"cpus{cpus}.csv"
+        emit_csv(run_sweep(spec), out)
+        tables.append([ln for ln in out.read_text().splitlines() if not ln.startswith("# generated")])
+    assert tables[0] == tables[1] == tables[2]
 
 
 # ---------------------------------------------------------------------------
