@@ -1,8 +1,8 @@
 """Command-line front end: sweeps, figure presets and the g2 gate.
 
 Exit codes: 0 on success, 1 for usage or config errors, 2 when every point
-of a sweep failed numerically. Partial failures exit 0; the flagged rows
-are visible as nan cells and in the '# points:' metadata line.
+of the run (a sweep, or every preset a figure run names) failed numerically.
+Partial failures exit 0; the flagged rows show as nan cells and '# failed:' lines.
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--out", required=True, help="destination CSV path")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
-    p_fig = sub.add_parser("figure", help="run a named figure preset")
-    p_fig.add_argument("--name", required=True, choices=PRESET_NAMES)
+    p_fig = sub.add_parser("figure", help="run named figure presets in one process")
+    p_fig.add_argument("--name", required=True, nargs="+", choices=PRESET_NAMES + ("all",))
     p_fig.add_argument("--out-dir", required=True, help="directory for the CSV files")
     p_fig.set_defaults(handler=_cmd_figure)
 
@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
 
 def _report_file(result, destination: Path):
     emit_csv(result, destination)
-    print(f"wrote {destination} ({len(result.rows)} points, {result.n_failed} failed)")
+    print(f"wrote {destination} ({len(result.reasons)} points, {result.n_failed} failed)")
 
 
 def _cmd_sweep(args) -> int:
@@ -62,16 +62,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    preset = expand_preset(args.name)
+    names = PRESET_NAMES if "all" in args.name else dict.fromkeys(args.name)  # each preset once
+    presets = [expand_preset(name) for name in names]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     total = failed = 0
-    for tag, spec in preset.branches:
-        result = run_sweep(spec)
-        stem = preset.name if not tag else f"{preset.name}_{tag}"
-        _report_file(result, out_dir / f"{stem}.csv")
-        total += len(result.rows)
-        failed += result.n_failed
+    for preset in presets:
+        for tag, spec in preset.branches:
+            result = run_sweep(spec)
+            stem = preset.name if not tag else f"{preset.name}_{tag}"
+            _report_file(result, out_dir / f"{stem}.csv")
+            total += len(result.reasons)
+            failed += result.n_failed
     return 2 if total and failed == total else 0
 
 

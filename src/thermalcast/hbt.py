@@ -162,14 +162,12 @@ def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
     return _intensities(np.square(samples[:, 2 * mode:2 * mode + 2].T), np.empty((1, len(samples))))[0]
 
 
-def _piece_sums(block, start, a, b, cuts, scratch, pieces) -> None:
-    """Per piece of ``block``, the rows from ``start`` on, the sums of I_a, I_b, I_a I_b, I_a^2 and I_b^2
-    into its column of ``pieces``; ``scratch`` has 9 rows of at least len(block)."""
-    first, last = np.searchsorted(cuts, [start, start + len(block)])
-    squares, vals = scratch[:4, :len(block)], scratch[4:, :len(block)]
-    np.square(block[:, 2 * a:2 * a + 2].T, out=squares[:2])
-    np.square(block[:, 2 * b:2 * b + 2].T, out=squares[2:])
-    _intensities(squares, vals[:2])
+def _piece_sums(quads, start, cuts, scratch, pieces) -> None:
+    """Per piece of a row block from row ``start`` on, the sums of I_a, I_b, I_a I_b, I_a^2 and I_b^2 into its
+    column of ``pieces``. ``quads`` holds x_a, p_a, x_b, p_b as rows, squared in place; ``scratch`` 5 as long."""
+    first, last = np.searchsorted(cuts, [start, start + quads.shape[1]])
+    vals = scratch[:, :quads.shape[1]]
+    _intensities(np.square(quads, out=quads), vals[:2])
     np.multiply(vals[0], vals[1], out=vals[2])
     np.square(vals[:2], out=vals[3:])
     np.add.reduceat(vals, cuts[first:last] - start, axis=1, out=pieces[:, first:last])
@@ -216,9 +214,10 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
         raise InvalidArgumentError("cross-correlation needs two distinct modes")
     _check_samples(samples, mode_a, mode_b)
     rows, cuts, bounds = _layout(n, samples.shape[1])
-    pieces, scratch = np.empty((5, len(cuts) - 1)), np.empty((9, np.diff(rows).max()))
+    pieces, scratch = np.empty((5, len(cuts) - 1)), np.empty((5, np.diff(rows).max()))
+    cols = [2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1]
     for start, stop in zip(rows, rows[1:]):
-        _piece_sums(samples[start:stop], start, mode_a, mode_b, cuts, scratch, pieces)
+        _piece_sums(samples[start:stop, cols].T, start, cuts, scratch, pieces)
     return _report(pieces, cuts, bounds)
 
 
@@ -235,10 +234,10 @@ def g2_stack(stack: np.ndarray, n_samples: int, seeds, errors: list) -> list:
     rows, cuts, bounds = _layout(n_samples, 4)
     m, pieces = np.diff(rows).max(), np.empty((len(stack), 5, len(cuts) - 1))
 
-    def make_sink():
-        quads, scratch = np.empty((m, 4)), np.empty((9, m))
-        return lambda i, start, normals: _piece_sums(np.matmul(normals, factors[i].T, out=quads[:len(normals)]),
-                                                     start, 0, 1, cuts, scratch, pieces[i])
+    def make_sink():  # L N^T: the quadratures as contiguous rows
+        quads, scratch = np.empty((4, m)), np.empty((5, m))
+        return lambda i, start, normals: _piece_sums(np.matmul(factors[i], normals.T, out=quads[:, :len(normals)]),
+                                                     start, cuts, scratch, pieces[i])
 
     _draw(n_samples, seeds, 4, make_sink)
     return [None if exc else _report(sums, cuts, bounds) for exc, sums in zip(errors, pieces)]

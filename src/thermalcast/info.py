@@ -87,22 +87,22 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
 
 
 def _g(eigs: np.ndarray) -> np.ndarray:
-    # entropy of each row's symplectic spectrum; values up to 1 add exactly 0 (0 log 0 := 0).
+    # entropy of each symplectic eigenvalue; values up to 1 give exactly 0 (0 log 0 := 0).
     # With xm = (v - 1)/2, (xm + 1) log(xm + 1) - xm log xm = log1p(xm) + xm log1p(1/xm):
     # no two large terms cancel for a bright mode
     xm = (np.maximum(eigs, 1.0) - 1.0) / 2.0
     out = np.log1p(xm)
     mask = xm > 0.0
     out[mask] += xm[mask] * np.log1p(1.0 / xm[mask])
-    return (out / _LN2).sum(axis=-1)
+    return out / _LN2
 
 
-def _von_neumann(factor: np.ndarray, errors: list) -> np.ndarray:
-    """Entropy of every row from its Cholesky factor; a row that fails the shot-noise verdict fails."""
+def _physical_spectrum(factor: np.ndarray, errors: list) -> np.ndarray:
+    """Spectrum of every row from its Cholesky factor; a row that fails the shot-noise verdict fails."""
     eigs, _, ok = symplectic_spectrum(factor)
     flag_rows(errors, ~ok, lambda i: UnphysicalStateError(
         f"symplectic eigenvalue {eigs[i, -1]:.15g} below shot noise"))
-    return _g(eigs)
+    return eigs
 
 
 def von_neumann_entropy(state: CovarianceMatrix) -> float:
@@ -110,7 +110,7 @@ def von_neumann_entropy(state: CovarianceMatrix) -> float:
 
     Zero for pure states (vacuum, EPR); thermal(2) gives ~1.377444.
     """
-    return float(run_one(_von_neumann, _factor_one(check_state(state), "covariance matrix")[1]))
+    return float(_g(run_one(_physical_spectrum, _factor_one(check_state(state), "covariance matrix")[1])).sum())
 
 
 def _clamp_info(values: np.ndarray, label: str, errors: list) -> np.ndarray:
@@ -215,15 +215,17 @@ def _best_homodyne_angle(pair: np.ndarray, factor: np.ndarray) -> np.ndarray:
 
     With A, B the diagonal blocks and C the cross block, a readout along x leaves mode 1 with
     det B - x^T C adj(B) C^T x / x^T A x. The minimizer is the top generalized eigenvector of
-    (C adj(B) C^T, A), found as an ordinary symmetric eigenproblem after whitening by L_A^-1, L_A
-    the leading 2 x 2 block of the pair's Cholesky ``factor``. It is reported as an angle in [0, pi).
+    (C adj(B) C^T, A): x = W^T v, W = adj(L_A) = det(L_A) L_A^-1 for L_A the leading block of the
+    pair's Cholesky ``factor``, and v = (cos phi, sin phi), phi = atan2(2 M_01, M_00 - M_11) / 2, the
+    top eigenvector of the symmetric 2 x 2 M = W C adj(B) C^T W^T. It is reported in [0, pi).
     """
-    b, c = pair[:, 2:4, 2:4], pair[:, 0:2, 2:4]
-    whiten = np.linalg.inv(factor[:, 0:2, 0:2])
+    b, c, l_a = pair[:, 2:4, 2:4], pair[:, 0:2, 2:4], factor[:, 0:2, 0:2]
+    whiten = np.stack([l_a[:, 1, 1], -l_a[:, 0, 1], -l_a[:, 1, 0], l_a[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
     adj_b = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
-    _, vecs = np.linalg.eigh(whiten @ c @ adj_b @ c.swapaxes(1, 2) @ whiten.swapaxes(1, 2))
-    x = (whiten.swapaxes(1, 2) @ vecs[:, :, -1:])[:, :, 0]
-    angle = np.arctan2(x[:, 1], x[:, 0]) % np.pi
+    m = whiten @ c @ adj_b @ c.swapaxes(1, 2) @ whiten.swapaxes(1, 2)
+    phi = 0.5 * np.arctan2(2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
+    x0, x1 = l_a[:, 1, 1] * np.cos(phi) - l_a[:, 1, 0] * np.sin(phi), l_a[:, 0, 0] * np.sin(phi)  # W^T v
+    angle = np.arctan2(x1, x0) % np.pi
     # a direction a rounding error short of pi is the line at angle 0
     return np.where(angle >= np.pi, 0.0, angle)
 
@@ -234,16 +236,17 @@ def discord_stack(stack: np.ndarray, a_mode: int, b_mode: int, errors: list) -> 
     D = S(Gamma_A) - S(Gamma_AB) + min over homodyne angle of S(Gamma_B|x_A),
     all von Neumann. The minimum over homodyne angles in [0, pi) is taken in
     closed form (see :func:`_best_homodyne_angle`), and B is conditioned
-    once, at that angle. The pair is factored once (A's factor is its leading block) and judged
-    physical, and so then are A and the conditioned state, which gets its own check. Every field
-    of the result is an (N,) array; a failed row's value is nan.
+    once, at that angle. The pair is factored once and judged physical, so A is too (its factor is
+    the pair's leading block); the conditioned state gets its own check. Both one-mode spectra are
+    one stacked call. Every field of the result is an (N,) array; a failed row's value is nan.
     """
     pair, factor = positive_definite(select_modes(stack, [a_mode, b_mode]), "covariance matrix", errors)
-    s_a = _g(symplectic_spectrum(factor[:, 0:2, 0:2])[0])
-    s_ab = _von_neumann(factor, errors)
+    eigs_ab = _physical_spectrum(factor, errors)
     angle = _best_homodyne_angle(pair, factor)
     _, cond = positive_definite(_homodyne(pair, 0, angle), "covariance matrix", errors)
-    s_cond = _g(symplectic_spectrum(cond)[0])
+    one_mode = symplectic_spectrum(np.concatenate([factor[:, 0:2, 0:2], cond]))[0].reshape(2, -1)
+    terms = _g(np.concatenate([eigs_ab, one_mode.T], axis=1))
+    s_ab, s_a, s_cond = terms[:, 0] + terms[:, 1], terms[:, 2], terms[:, 3]
     value = _clamp_info(s_a - s_ab + s_cond, "discord", errors)
     return DiscordResult(value=value, angle=angle, entropy_a=s_a, entropy_joint=s_ab,
                          conditional_entropy=s_cond)

@@ -66,15 +66,19 @@ class ScenarioParams:
 
     def __post_init__(self):
         for name in VARIANCE_PARAMS + TRANSMITTANCE_PARAMS:
-            value = getattr(self, name)
-            # compared, not converted: a Fraction or a 400-digit int meets the rules below
-            if not (_is_real(value) and -np.inf < value < np.inf):
-                raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
-            if name in VARIANCE_PARAMS:
-                check_variance(f"{name} is a variance and", value)
-            if name in TRANSMITTANCE_PARAMS and not 0.0 <= value <= 1.0:
-                raise InvalidArgumentError(f"{name} is a transmittance and must lie in [0, 1], got {value}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, self.check_field(name, getattr(self, name)))
+
+    @staticmethod
+    def check_field(name: str, value) -> float:
+        """The domain rule of field ``name``: ``value`` as a float, or the complaint raised."""
+        # compared, not converted: a Fraction or a 400-digit int meets the rules below
+        if not (_is_real(value) and -np.inf < value < np.inf):
+            raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
+        if name in VARIANCE_PARAMS:
+            check_variance(f"{name} is a variance and", value)
+        if name in TRANSMITTANCE_PARAMS and not 0.0 <= value <= 1.0:
+            raise InvalidArgumentError(f"{name} is a transmittance and must lie in [0, 1], got {value}")
+        return float(value)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ def _check_domain(field: str, name: str, value: float, key: str | None = None):
     if name not in PARAM_NAMES:
         raise _reject(field, f"unknown parameter {name!r}", key)
     try:
-        ScenarioParams(**{name: value})
+        ScenarioParams.check_field(name, value)
     except (InvalidArgumentError, UnphysicalStateError) as exc:
         raise _reject(field, str(exc), key) from None
 
@@ -136,16 +136,28 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep by columns: swept values ascending, one float column per output, each row's failure reasons."""
+
     spec: SweepSpec
-    rows: tuple[SweepRow, ...]
+    swept: np.ndarray
+    columns: dict[str, np.ndarray]
+    reasons: tuple[tuple[str, ...], ...]
 
     @property
     def n_failed(self) -> int:
-        return sum(1 for row in self.rows if not row.ok)
+        return sum(map(bool, self.reasons))
 
     @property
     def all_failed(self) -> bool:
-        return self.n_failed == len(self.rows)
+        return self.n_failed == len(self.reasons)
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """The same result row by row, built on each read."""
+        cols = {out: column.tolist() for out, column in self.columns.items()}
+        return tuple(SweepRow(swept_value=value, values={out: col[i] for out, col in cols.items()},
+                              status="failed: " + "; ".join(why) if why else "ok")
+                     for i, (value, why) in enumerate(zip(self.swept.tolist(), self.reasons)))
 
 
 def _point_seed(base_seed: int, index: int) -> int:
@@ -171,11 +183,11 @@ def _output_cells(out: str, spec: SweepSpec, stack: np.ndarray, p: Partition,
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every point of a sweep; rows come back in ascending order.
+    """Evaluate every point of a sweep, in ascending order of the swept value.
 
     The points are one stack, built and measured by stacked array calls,
     one per output. A failed output blanks only its own cell, and the
-    row's status names every reason.
+    row's reasons name every failure, in output order.
     """
     swept = spec.swept.values()
     order = np.argsort(swept, kind="stable")
@@ -184,20 +196,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     params[spec.swept.name] = swept[order]
     stack, labels = build_stack(spec.scenario, SimpleNamespace(**params))
     p = information_partition(labels)
-    reasons = [[] for _ in order]
-    cells = {}
-    for out in spec.outputs:
-        errors = [None] * len(order)
-        cells[out] = _output_cells(out, spec, stack, p, order, errors)
-        for i, exc in enumerate(errors):
-            if exc is not None:
-                reasons[i].append(str(exc))
-    cols = {out: column.tolist() for out, column in cells.items()}
-    rows = tuple(
-        SweepRow(swept_value=value, values={out: col[i] for out, col in cols.items()},
-                 status="failed: " + "; ".join(reasons[i]) if reasons[i] else "ok")
-        for i, value in enumerate(swept[order].tolist()))
-    return SweepResult(spec=spec, rows=rows)
+    errors = {out: [None] * len(order) for out in spec.outputs}
+    cells = {out: _output_cells(out, spec, stack, p, order, errors[out]) for out in spec.outputs}
+    reasons = tuple(tuple(str(exc) for exc in point if exc) for point in zip(*errors.values()))
+    return SweepResult(spec, params[spec.swept.name], cells, reasons)
 
 
 def _format_value(value: float) -> str:
@@ -213,7 +215,7 @@ def emit_csv(result: SweepResult, destination: str | Path):
     the timestamp line. The table is written to a sibling file that then
     replaces ``destination``, so an interrupted write leaves the old file.
     """
-    if not result.rows:
+    if not result.reasons:
         raise UsageError("refusing to emit an empty table")
     from . import __version__
     spec = result.spec
@@ -229,20 +231,17 @@ def emit_csv(result: SweepResult, destination: str | Path):
     ]
     if "g2" in spec.outputs:
         lines += [f"# samples: {spec.samples}", f"# generator: {GENERATOR_ID}"]
-    lines.append(f"# points: {len(result.rows)} failed: {result.n_failed}")
-    for row in result.rows:
-        if not row.ok:
-            reason = row.status.removeprefix("failed: ").replace("\n", " ")
-            lines.append(f"# failed: {spec.swept.name}={_format_value(row.swept_value)}: {reason}")
+    lines.append(f"# points: {len(result.reasons)} failed: {result.n_failed}")
+    lines += [f"# failed: {spec.swept.name}={_format_value(value)}: " + "; ".join(why).replace("\n", " ")
+              for value, why in zip(result.swept.tolist(), result.reasons) if why]
     lines.append(",".join((spec.swept.name,) + spec.outputs))
-    for row in result.rows:
-        cells = [_format_value(row.swept_value)]
-        cells += [_format_value(row.values[out]) for out in spec.outputs]
-        lines.append(",".join(cells))
+    # every cell in _format_value's text, by one format over the row-major table
+    table = np.column_stack([result.swept] + [result.columns[out] for out in spec.outputs])
+    data = (",".join(["%.12g"] * table.shape[1]) + "\n") * len(table) % tuple(table.ravel().tolist())
     partial = Path(f"{destination}.{os.getpid()}.partial")
     try:
         with open(partial, "w", encoding="ascii", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write("\n".join(lines) + "\n" + data)
         os.replace(partial, destination)
     except BaseException:
         partial.unlink(missing_ok=True)

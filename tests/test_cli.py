@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import thermalcast.cli
-from thermalcast import SweepResult
+from thermalcast import SweepResult, SweepRow
 from thermalcast.cli import main
 
 CONFIG = """\
@@ -100,9 +100,73 @@ def test_figure_checks_each_branch_as_one_stack(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(np.linalg, name, counting(name))
     assert main(["figure", "--name", "fig6", "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.count("wrote") == 5
-    # per branch, two Hermitian solves on discord's pair: its Williamson stage, then its
-    # homodyne angle; no general eigensolve
-    assert calls == ["eigh", "eigh"] * 5
+    # per branch, one Hermitian solve: the Williamson stage of discord's pair. Its homodyne
+    # angle is a closed-form 2 x 2, and no general eigensolve runs
+    assert calls == ["eigh"] * 5
+
+
+def test_figure_makes_no_row_objects(tmp_path, monkeypatch, capsys):
+    # a sweep's results stay columns from the stack to the CSV; rows are a library view
+    made = []
+    real_init = SweepRow.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SweepRow, "__init__", counting)
+    assert main(["figure", "--name", "fig6", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.count("wrote") == 5
+    assert made == []
+    spec = thermalcast.cli.expand_preset("fig6").branches[0][1]
+    assert len(thermalcast.cli.run_sweep(spec).rows) == len(made) == 100
+
+
+def _tables(out_dir):
+    # every CSV of a directory without its timestamp line
+    return {path.name: [ln for ln in path.read_text().splitlines() if not ln.startswith("# generated")]
+            for path in sorted(out_dir.glob("*.csv"))}
+
+
+def test_figure_all_matches_separate_runs(tmp_path, capsys):
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    assert main(["figure", "--name", "all", "--out-dir", str(together)]) == 0
+    assert capsys.readouterr().out.count("wrote") == 16
+    for name in thermalcast.cli.PRESET_NAMES:
+        assert main(["figure", "--name", name, "--out-dir", str(apart)]) == 0
+    capsys.readouterr()
+    assert len(_tables(together)) == 16
+    assert _tables(together) == _tables(apart)
+    # a repeated name runs once
+    assert main(["figure", "--name", "fig4", "fig3", "fig4", "--out-dir", str(tmp_path / "two")]) == 0
+    assert capsys.readouterr().out.count("wrote") == 2
+    assert _tables(tmp_path / "two") == {k: v for k, v in _tables(apart).items() if k in ("fig3.csv", "fig4.csv")}
+
+
+def test_figure_unknown_name_in_a_list_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "figs"
+    assert main(["figure", "--name", "fig3", "fig99", "--out-dir", str(out_dir)]) == 1
+    assert "fig99" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_figure_exits_two_only_when_every_named_preset_failed(tmp_path, monkeypatch, capsys):
+    real_run = thermalcast.cli.run_sweep
+
+    def basic_fails(spec):
+        result = real_run(spec)
+        if spec.scenario != "basic":
+            return result
+        n = len(result.swept)
+        return SweepResult(spec=spec, swept=result.swept, columns={k: np.full(n, np.nan) for k in result.columns},
+                           reasons=(("synthetic",),) * n)
+
+    monkeypatch.setattr(thermalcast.cli, "run_sweep", basic_fails)
+    # fig3 and fig4 are basic broadcasts, fig6 a thermal channel
+    assert main(["figure", "--name", "fig3", "fig6", "--out-dir", str(tmp_path)]) == 0
+    assert main(["figure", "--name", "fig3", "fig4", "--out-dir", str(tmp_path)]) == 2
+    assert "# points: 99 failed: 99" in (tmp_path / "fig4.csv").read_text().splitlines()
+    capsys.readouterr()
 
 
 def test_g2check_reports_thermal(capsys):
@@ -178,11 +242,10 @@ def test_all_failed_sweep_exits_two(tmp_path, monkeypatch, capsys):
 
     def all_failed(spec):
         result = real_run(spec)
-        doomed = tuple(type(row)(swept_value=row.swept_value,
-                                 values={k: float("nan") for k in row.values},
-                                 status="failed: synthetic")
-                       for row in result.rows)
-        return SweepResult(spec=result.spec, rows=doomed)
+        n = len(result.swept)
+        return SweepResult(spec=result.spec, swept=result.swept,
+                           columns={k: np.full(n, np.nan) for k in result.columns},
+                           reasons=(("synthetic",),) * n)
 
     monkeypatch.setattr(thermalcast.cli, "run_sweep", all_failed)
     cfg = write_config(tmp_path)

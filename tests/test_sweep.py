@@ -425,9 +425,39 @@ def test_emit_csv_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
 
 def test_emit_csv_refuses_empty(tmp_path):
     result = run_sweep(small_spec())
-    empty = type(result)(spec=result.spec, rows=())
+    empty = type(result)(spec=result.spec, swept=np.empty(0),
+                         columns={out: np.empty(0) for out in result.columns}, reasons=())
     with pytest.raises(UsageError):
         emit_csv(empty, tmp_path / "never.csv")
+
+
+def test_emit_csv_from_columns_matches_the_per_row_text(tmp_path):
+    # the data rows come from one format over the columns; each cell must read as
+    # f"{value:.12g}" of the row view, the text every earlier table was written in
+    ties = [100000000000.5, 100000000001.5, 0.1234567890125, -2.5e-7, 999999999999.5]
+    special = [math.nan, -0.0, 0.0, 1e-300, 1e308, -1e308, math.inf, 5e-324]
+    rng = np.random.default_rng(20)
+    drawn = (rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)).tolist()
+    cells = np.array(ties + special + drawn + [1.0, 2.0, 3.0])
+    n = len(cells) // 2
+    spec = small_spec()
+    reasons = [()] * n
+    reasons[3] = ("first", "second\nline")
+    result = thermalcast.SweepResult(spec=spec, swept=np.linspace(0.2, 0.8, n),
+                                     columns={"cmi": cells[:n], "discord": cells[n:]},
+                                     reasons=tuple(reasons))
+    out = tmp_path / "columns.csv"
+    emit_csv(result, out)
+    lines = out.read_text().splitlines()
+    expected = [",".join(f"{v:.12g}" for v in [row.swept_value] + [row.values[o] for o in spec.outputs])
+                for row in result.rows]
+    assert lines[-n:] == expected
+    assert lines[-n - 1] == "eta_ab,cmi,discord"
+    assert [lines[-n + i].split(",")[1] for i in (5, 6, 8)] == ["nan", "-0", "1e-300"]
+    failed = [ln for ln in lines if ln.startswith("# failed:")]
+    assert failed == [f"# failed: eta_ab={result.rows[3].swept_value:.12g}: first; second line"]
+    assert f"# points: {n} failed: 1" in lines
+    assert not result.rows[3].ok and result.rows[3].status == "failed: first; second\nline"
 
 
 def test_emit_csv_marks_failures_as_nan(tmp_path, monkeypatch):
