@@ -252,6 +252,28 @@ def discord_stack(stack: np.ndarray, a_mode: int, b_mode: int, errors: list) -> 
                          conditional_entropy=s_cond)
 
 
+def pair_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, errors: dict) -> dict:
+    """CMI, MI and discord D(B|A) in bits from :func:`~thermalcast.scenarios.pair_entries`, per key of ``errors``.
+
+    With q = c^2 / d, MI = log2(1 + q) as sent and CMI given E; the pair's spectrum is that of [[a, c], [c, b]],
+    and homodyning A leaves B with b / sqrt(1 + q) at every angle. A non-finite cell is nan and fails its row.
+    """
+    q = c * c / d
+    info = np.log1p(q) / _LN2
+    a, b, q = a[0], b[0], q[0]
+    # nu_1 = (a + b) / 2 + hypot((a - b) / 2, c) and nu_2 = d / nu_1, each free of cancellation
+    big, half_gap = np.maximum(a, b), np.abs(a - b) / 2.0
+    nu_1 = big + (np.hypot(half_gap, c[0]) - half_gap)
+    terms = _g(np.stack([a, b / np.sqrt(1.0 + q), nu_1, np.minimum(a, b) * (big / nu_1) / (1.0 + q)]))
+    # (S(A) + S(B|x_A)) - S(AB), rounding dust clamped to 0; at c = 0 both sums add the same two terms
+    measures = {"cmi": info[1], "mi": info[0], "discord": np.maximum(terms[0] + terms[1] - (terms[2] + terms[3]), 0.0)}
+    for name, name_errors in errors.items():
+        values, bad = measures[name], ~np.isfinite(measures[name])
+        flag_rows(name_errors, bad, lambda i: NumericFailureError(f"{name} = {values[i]} is not finite"))
+        values[bad] = np.nan
+    return {name: measures[name] for name in errors}
+
+
 def gaussian_discord(state: CovarianceMatrix, a_mode: int, b_mode: int) -> DiscordResult:
     """Discord of one state; :func:`discord_stack` on N = 1, raising its failure.
 

@@ -8,8 +8,8 @@ each receiver arm (``eta_th_a``/``v_alpha``, ``eta_th_b``/``v_beta``).
 
 Every topology exists twice: as a compositional build out of EPR, direct
 sum and beamsplitter primitives on parameter stacks (one row per point),
-and as closed-form matrix entries written out by hand. The two must agree
-entrywise; tests hold them to 1e-12. Keep both routes intact when editing.
+and as closed-form matrix entries written out by hand, which tests hold
+entrywise to the build at 1e-12; keep both. Sweeps use :func:`pair_entries`.
 
 Mode labels, in build order:
 
@@ -171,6 +171,26 @@ def build_scenario(name: str, params: ScenarioParams) -> ScenarioState:
     rows = SimpleNamespace(**{k: np.array([v]) for k, v in vars(params).items()})
     stack, labels = build_stack(name, rows)
     return ScenarioState(state=CovarianceMatrix(stack[0]), mode_labels=labels)
+
+
+def pair_entries(name: str, p) -> tuple[np.ndarray, ...]:
+    """(a, b, c, d) of the receivers' block [[a I, c I], [c I, b I]], d = ab - c^2, for (N,) parameter arrays.
+
+    Each is (2, N), at the splitter's input variance v = eta_th nu + (1 - eta_th) v_th and at w = eta_th / nu
+    + (1 - eta_th) v_th, that arm given E. d sums non-negative terms and c = 0 exactly for a vacuum source.
+    """
+    if name not in _BUILDS:
+        raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    th = 1.0 if name == "basic" else p.eta_th
+    eta_a, eta_b = (p.eta_th_a, p.eta_th_b) if name == "full" else (1.0, 1.0)
+    t, v_a, v_b = p.eta_ab, p.v_alpha, p.v_beta
+    v = np.stack([th * p.nu + (1.0 - th) * p.v_th, th / p.nu + (1.0 - th) * p.v_th])
+    excess = th * np.stack([p.nu - 1.0, (1.0 - p.nu) / p.nu]) + (1.0 - th) * (p.v_th - 1.0)  # v - 1
+    to_a, to_b = (1.0 - t) * v + t, t * v + 1.0 - t  # each receiver's share, before its own channel
+    d = (eta_a * eta_b * v + eta_a * (1.0 - eta_b) * v_b * to_a + (1.0 - eta_a) * eta_b * v_a * to_b
+         + (1.0 - eta_a) * (1.0 - eta_b) * v_a * v_b)
+    return (eta_a * to_a + (1.0 - eta_a) * v_a, eta_b * to_b + (1.0 - eta_b) * v_b,
+            -np.sqrt(eta_a * eta_b * t * (1.0 - t)) * excess, d)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A sweep varies one scenario parameter over an inclusive linear range and
 records the requested information measures at every point. The points, in
-ascending order of the swept value, form one (N, 2n, 2n) stack that is
-built and measured by array calls.
+ascending order of the swept value, are evaluated together in closed
+form: a few array calls per sweep, none per point.
 
 A failure at one point flags that row and the sweep carries on: a failed
 output blanks only its own cell. Only a sweep in which every point failed
@@ -20,11 +20,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, UnphysicalStateError, UsageError
-from .gaussian import _is_integer, select_modes
+from .gaussian import _is_integer
 from .hbt import GENERATOR_ID, MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, g2_stack
-from .info import Partition, cmi_stack, discord_stack, mi_stack
-from .scenarios import (SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS,
-                        ScenarioParams, build_stack, information_partition)
+from .info import pair_measures
+from .scenarios import SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS, ScenarioParams, pair_entries
 
 PARAM_NAMES = VARIANCE_PARAMS + TRANSMITTANCE_PARAMS
 
@@ -166,27 +165,11 @@ def _point_seed(base_seed: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _output_cells(out: str, spec: SweepSpec, stack: np.ndarray, p: Partition,
-                  indices: np.ndarray, errors: list) -> np.ndarray:
-    a, b = p.subsystem_a, p.subsystem_b
-    if out == "cmi":
-        return cmi_stack(stack, p, errors)
-    if out == "mi":
-        return mi_stack(stack, Partition(a, b), errors)
-    if out == "discord":
-        return discord_stack(stack, a[0], b[0], errors).value
-    # g2: one stacked stage samples every point, each from its own stream
-    reports = g2_stack(select_modes(stack, [a[0], b[0]]), spec.samples,
-                       [_point_seed(spec.seed, int(index)) for index in indices], errors)
-    # no photons to correlate: the ratio is noise, not a g2 value
-    return np.array([np.nan if r is None or r.verdict == VERDICT_INCONCLUSIVE else r.g2_estimate for r in reports])
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every point of a sweep, in ascending order of the swept value.
 
-    The points are one stack, built and measured by stacked array calls,
-    one per output. A failed output blanks only its own cell, and the
+    Every point's receiver pair is the topology's closed form (:func:`pair_entries`), and each
+    output one array call over all points. A failed output blanks only its own cell, and the
     row's reasons name every failure, in output order.
     """
     swept = spec.swept.values()
@@ -194,12 +177,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     params = {name: np.full(len(order), float(spec.fixed.get(name, getattr(ScenarioParams, name))))
               for name in PARAM_NAMES}
     params[spec.swept.name] = swept[order]
-    stack, labels = build_stack(spec.scenario, SimpleNamespace(**params))
-    p = information_partition(labels)
+    entries = pair_entries(spec.scenario, SimpleNamespace(**params))
     errors = {out: [None] * len(order) for out in spec.outputs}
-    cells = {out: _output_cells(out, spec, stack, p, order, errors[out]) for out in spec.outputs}
+    cells = pair_measures(*entries, {out: errors[out] for out in spec.outputs if out != "g2"})
+    if "g2" in errors:  # each point samples its pair [[a I, c I], [c I, b I]] from its own stream
+        a, b, c = (entry[0] for entry in entries[:3])
+        pair = (np.stack([a, c, c, b], axis=-1).reshape(-1, 2, 1, 2, 1) * np.eye(2)[:, None, :]).reshape(-1, 4, 4)
+        reports = g2_stack(pair, spec.samples, [_point_seed(spec.seed, int(i)) for i in order], errors["g2"])
+        # no photons to correlate: the ratio is noise, not a g2 value
+        cells["g2"] = np.array([r.g2_estimate if r and r.verdict != VERDICT_INCONCLUSIVE else np.nan for r in reports])
     reasons = tuple(tuple(str(exc) for exc in point if exc) for point in zip(*errors.values()))
-    return SweepResult(spec, params[spec.swept.name], cells, reasons)
+    return SweepResult(spec, params[spec.swept.name], {out: cells[out] for out in spec.outputs}, reasons)
 
 
 def _format_value(value: float) -> str:

@@ -100,9 +100,8 @@ def test_figure_checks_each_branch_as_one_stack(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(np.linalg, name, counting(name))
     assert main(["figure", "--name", "fig6", "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.count("wrote") == 5
-    # per branch, one Hermitian solve: the Williamson stage of discord's pair. Its homodyne
-    # angle is a closed-form 2 x 2, and no general eigensolve runs
-    assert calls == ["eigh"] * 5
+    # every output of every branch is a closed form in the pair's entries: no eigensolve at all
+    assert calls == []
 
 
 def test_figure_makes_no_row_objects(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,9 @@
 """Property tests.
 
 Config text becomes a runnable sweep or a clean error, every row of a
-stacked measure equals its one-state call, every in-domain build is
-physical (and pure when its noise is vacuum), and any symmetric matrix gets
-finite measures or a named error.
+stacked measure equals its one-state call, a sweep's closed forms match the
+general route, every in-domain build is physical (and pure when its noise is
+vacuum), and any symmetric matrix gets finite measures or a named error.
 """
 import math
 import tempfile
@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermalcast import (SCENARIO_NAMES, ConfigError, CovarianceMatrix, Partition,
-                         ScenarioParams, SweepSpec, ThermalcastError,
+                         ScenarioParams, SweepSpec, SweptRange, ThermalcastError,
                          conditional_mutual_information, emit_csv, gaussian_discord,
                          mutual_information, parse_config, run_sweep, shannon_entropy,
                          symplectic_eigenvalues, von_neumann_entropy)
 from thermalcast.gaussian import physicality_stack
-from thermalcast.info import cmi_stack, discord_stack, mi_stack
+from thermalcast.info import CLAMP_TOL, cmi_stack, discord_stack, mi_stack
 from thermalcast.scenarios import VARIANCE_PARAMS, build_stack, information_partition
 from thermalcast.sweep import OUTPUT_NAMES, PARAM_NAMES
 
@@ -168,6 +168,31 @@ def test_stacked_rows_equal_their_single_calls(case):
                 continue
             alone = single(state, *args)
             assert value == pytest.approx(getattr(alone, "value", alone), abs=1e-12), (name, rows)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(SCENARIO_NAMES),
+       st.fixed_dictionaries({name: st.sampled_from([1.0]) | st.floats(0.0, 3.0).map(lambda e: 10.0 ** e)
+                              if name in VARIANCE_PARAMS else st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+                              for name in PARAM_NAMES if name != "nu"}),
+       st.lists(st.floats(0.0, 3.0).map(lambda e: 10.0 ** e), min_size=2, max_size=2))
+def test_sweep_closed_form_matches_the_general_route(name, fixed, nus):
+    # run_sweep's closed forms against the full build and the general stacked measures, nu and
+    # every variance up to 1e3; above that the general route is the less accurate one
+    result = run_sweep(SweepSpec(scenario=name, swept=SweptRange("nu", *nus, 2), fixed=fixed,
+                                 outputs=("cmi", "mi", "discord")))
+    assert result.n_failed == 0
+    params = {k: np.full(2, fixed.get(k, getattr(ScenarioParams, k))) for k in PARAM_NAMES}
+    stack, labels = build_stack(name, SimpleNamespace(**dict(params, nu=result.swept)))
+    p = information_partition(labels)
+    for out, stage, args in (("cmi", cmi_stack, (p,)),
+                             ("mi", mi_stack, (Partition(p.subsystem_a, p.subsystem_b),)),
+                             ("discord", discord_stack, (p.subsystem_a[0], p.subsystem_b[0]))):
+        errors = [None, None]
+        values = stage(stack, *args, errors)
+        assert errors == [None, None], (out, errors)
+        gap = np.abs(result.columns[out] - getattr(values, "value", values))
+        assert np.all(gap <= CLAMP_TOL), (out, gap)
 
 
 def edge_or_between(name):

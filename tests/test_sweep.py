@@ -1,15 +1,16 @@
 """Sweep specs, config parsing, CSV emission and figure presets."""
+import json
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import thermalcast.hbt
 import thermalcast.sweep
-from thermalcast import (ConfigError, NumericFailureError, ScenarioParams, SweepSpec,
-                         SweptRange, UsageError, build_scenario, emit_csv, expand_preset,
-                         gaussian_discord, parse_config, run_sweep)
+from thermalcast import (SCENARIO_NAMES, ConfigError, NumericFailureError, SweepSpec, SweptRange,
+                         UsageError, emit_csv, expand_preset, parse_config, run_sweep)
 
 GOOD_CONFIG = """\
 scenario=basic
@@ -180,26 +181,27 @@ def test_run_sweep_descending_range_still_ascends():
         assert got.values["cmi"] == pytest.approx(want.values["cmi"], abs=1e-12)
 
 
-def _failing_cmi(monkeypatch, fails, message):
-    # wrap the stacked CMI so that rows picked by fails(row) fail with message
-    real = thermalcast.sweep.cmi_stack
+def _failing_output(monkeypatch, spec, output, fails, message):
+    # wrap the closed-form measures so that output fails with message at each point whose
+    # swept value meets fails(value); the points are in ascending order of that value
+    real = thermalcast.sweep.pair_measures
+    swept = np.sort(spec.swept.values())
 
-    def patched(stack, partition, errors):
-        values = real(stack, partition, errors)
-        for i, gamma in enumerate(stack):
-            if fails(gamma):
-                errors[i] = NumericFailureError(message)
-                values[i] = math.nan
-        return values
+    def patched(a, b, c, d, errors):
+        cells = real(a, b, c, d, errors)
+        for i, value in enumerate(swept):
+            if fails(value):
+                errors[output][i] = NumericFailureError(message)
+                cells[output][i] = math.nan
+        return cells
 
-    monkeypatch.setattr(thermalcast.sweep, "cmi_stack", patched)
+    monkeypatch.setattr(thermalcast.sweep, "pair_measures", patched)
 
 
 def test_run_sweep_contains_point_failures(monkeypatch):
-    # receiver B carries variance 1 + eta for nu = 2; single out eta = 0.4
-    _failing_cmi(monkeypatch, lambda gamma: abs(gamma[2, 2] - 1.4) < 1e-9,
-                 "synthetic disagreement")
-    result = run_sweep(small_spec())
+    spec = small_spec()
+    _failing_output(monkeypatch, spec, "cmi", lambda eta: abs(eta - 0.4) < 1e-9, "synthetic disagreement")
+    result = run_sweep(spec)
     assert result.n_failed == 1
     assert not result.all_failed
     bad = result.rows[1]
@@ -210,41 +212,61 @@ def test_run_sweep_contains_point_failures(monkeypatch):
 
 
 def test_failed_outputs_join_their_reasons(monkeypatch):
-    _failing_cmi(monkeypatch, lambda gamma: abs(gamma[2, 2] - 1.4) < 1e-9, "first")
-    real = thermalcast.sweep.discord_stack
-
-    def discord_fails_too(stack, a_mode, b_mode, errors):
-        result = real(stack, a_mode, b_mode, errors)
-        errors[1] = NumericFailureError("second")
-        result.value[1] = math.nan
-        return result
-
-    monkeypatch.setattr(thermalcast.sweep, "discord_stack", discord_fails_too)
-    result = run_sweep(small_spec())
+    spec = small_spec()
+    # discord is made to fail first: the reasons still come in output order
+    _failing_output(monkeypatch, spec, "discord", lambda eta: abs(eta - 0.4) < 1e-9, "second")
+    _failing_output(monkeypatch, spec, "cmi", lambda eta: abs(eta - 0.4) < 1e-9, "first")
+    result = run_sweep(spec)
     assert result.n_failed == 1
     assert result.rows[1].status == "failed: first; second"
     assert all(math.isnan(v) for v in result.rows[1].values.values())
 
 
-def test_bright_cmi_refusal_keeps_discord(tmp_path):
-    # CMI refuses every point here ("CMI routes disagree"), while discord
-    # is within 2e-9 bits of a 60-digit reference: its cells must survive
-    spec = parse_config("scenario=basic\nnu=1000000\nsweep=eta_ab:0.1:0.9:5\n"
-                        "outputs=cmi,discord\n")
+def test_run_sweep_flags_a_non_finite_cell(monkeypatch):
+    # the one check behind the closed forms: a cell that comes out nan or inf fails its row by name
+    real = thermalcast.sweep.pair_entries
+
+    def entries(name, p):
+        a, b, c, d = real(name, p)
+        c[:, 2] = np.inf  # an overflow at the third point
+        return a, b, c, d
+
+    monkeypatch.setattr(thermalcast.sweep, "pair_entries", entries)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = run_sweep(small_spec(outputs=("mi", "discord")))
+    assert [bool(why) for why in result.reasons] == [False, False, True, False]
+    assert result.reasons[2] == ("mi = inf is not finite", "discord = nan is not finite")
+    assert math.isnan(result.columns["mi"][2]) and math.isnan(result.columns["discord"][2])
+
+
+BRIGHT = json.loads(Path(__file__).with_name("bright_references.json").read_text())
+
+
+@pytest.mark.parametrize("case", BRIGHT["cases"],
+                         ids=lambda case: f"{case['scenario']}-{case['fixed']['nu']:g}")
+def test_bright_sweeps_match_fifty_digit_references(case):
+    # 50-digit references from the full matrix (tests/make_bright_references.py). 1e-12 relative
+    # keeps the 12 digits a CSV prints; 1e-14 bits is a few eps on entropy terms of up to about
+    # 20 bits that cancel to a small value
+    lines = [f"scenario={case['scenario']}", f"sweep={BRIGHT['sweep']}", "outputs=cmi,mi,discord"]
+    result = run_sweep(parse_config("\n".join(lines + [f"{k}={v!r}" for k, v in case["fixed"].items()])))
+    assert result.n_failed == 0
+    refs = np.array(case["cmi_mi_discord"], dtype=float)
+    for out, ref in zip(("cmi", "mi", "discord"), refs.T):
+        gap = np.abs(result.columns[out] - ref)
+        assert np.all(gap <= 1e-12 * np.abs(ref) + 1e-14), (out, result.columns[out], ref)
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_a_vacuum_source_shares_exactly_nothing(scenario):
+    # nu = 1 with a vacuum idler in the channel: the receivers are uncorrelated (c = 0), so every
+    # measure is exactly 0, whatever noise each receiver's own channel adds
+    fixed = {"nu": 1.0, "eta_th": 0.6, "eta_th_a": 0.3, "v_alpha": 10.0, "eta_th_b": 0.8, "v_beta": 3.7}
+    spec = SweepSpec(scenario=scenario, swept=SweptRange("eta_ab", 0.0, 1.0, 11), fixed=fixed,
+                     outputs=("cmi", "mi", "discord"))
     result = run_sweep(spec)
-    assert result.all_failed
-    for row in result.rows:
-        assert row.status.startswith("failed: CMI routes disagree")
-        assert math.isnan(row.values["cmi"])
-        scenario = build_scenario("basic", ScenarioParams(nu=1e6, eta_ab=row.swept_value))
-        alone = gaussian_discord(scenario.state, 2, 1).value
-        assert row.values["discord"] == pytest.approx(alone, abs=1e-12)
-    out = tmp_path / "bright.csv"
-    emit_csv(result, out)
-    lines = out.read_text().splitlines()
-    assert "# points: 5 failed: 5" in lines
-    assert sum(ln.startswith("# failed: eta_ab=") for ln in lines) == 5
-    assert all(ln.split(",")[1] == "nan" and ln.split(",")[2] != "nan" for ln in lines[-5:])
+    assert {out: column.tolist() for out, column in result.columns.items()} == {
+        out: [0.0] * 11 for out in ("cmi", "mi", "discord")}
 
 
 def test_run_sweep_contains_overflowing_points():
@@ -360,14 +382,14 @@ def test_emit_csv_names_the_generator_of_a_g2_run(tmp_path):
 
 
 def test_emit_csv_names_each_failed_row(tmp_path, monkeypatch):
-    # mode E carries the source variance nu
-    _failing_cmi(monkeypatch, lambda gamma: gamma[0, 0] > 1e5, "CMI routes disagree:\nsynthetic")
-    result = run_sweep(small_spec(swept=SweptRange("nu", 2.0, 1e6, 2), fixed={}))
+    spec = small_spec(swept=SweptRange("nu", 2.0, 1e6, 2), fixed={})
+    _failing_output(monkeypatch, spec, "cmi", lambda nu: nu > 1e5, "synthetic failure:\nsecond line")
+    result = run_sweep(spec)
     out = tmp_path / "failed.csv"
     emit_csv(result, out)
     lines = out.read_text().splitlines()
     failed = [ln for ln in lines if ln.startswith("# failed:")]
-    assert failed == ["# failed: nu=1000000: CMI routes disagree: synthetic"]
+    assert failed == ["# failed: nu=1000000: synthetic failure: second line"]
     assert lines.index(failed[0]) == lines.index("# points: 2 failed: 1") + 1
     assert lines[-3] == "nu,cmi,discord"
     nu, cmi, discord = lines[-1].split(",")
@@ -461,8 +483,9 @@ def test_emit_csv_from_columns_matches_the_per_row_text(tmp_path):
 
 
 def test_emit_csv_marks_failures_as_nan(tmp_path, monkeypatch):
-    _failing_cmi(monkeypatch, lambda gamma: True, "synthetic")
-    result = run_sweep(small_spec(outputs=("cmi",)))
+    spec = small_spec(outputs=("cmi",))
+    _failing_output(monkeypatch, spec, "cmi", lambda value: True, "synthetic")
+    result = run_sweep(spec)
     assert result.all_failed
     out = tmp_path / "failed.csv"
     emit_csv(result, out)
