@@ -10,9 +10,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ThermalcastError, UsageError
-from .hbt import GENERATOR_ID, thermality_check
-from .scenarios import SCENARIO_NAMES, ScenarioParams, build_scenario
+import numpy as np
+
+from .errors import ThermalcastError, UndefinedResultError, UsageError
+from .gaussian import run_one
+from .hbt import GENERATOR_ID, g2_analytic, g2_pairs
+from .scenarios import SCENARIO_NAMES, ScenarioParams, build_scenario, pair_entries
 from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, emit_csv,
                     expand_preset, parse_config, run_sweep)
 
@@ -80,14 +83,16 @@ def _cmd_figure(args) -> int:
 def _cmd_g2check(args) -> int:
     params = ScenarioParams(**{name: getattr(args, name) for name in PARAM_NAMES})
     scenario = build_scenario(args.scenario, params)
-    report = thermality_check(
-        scenario.state, scenario.mode_index("A"), scenario.mode_index("B"),
-        n_samples=args.samples, seed=args.seed)
+    pair = np.array([entry[0] for entry in pair_entries(args.scenario, params)])  # receivers' (a, b, c, d)
+    report = run_one(g2_pairs, pair, args.samples, [args.seed])
+    try:
+        analytic = f"{g2_analytic(scenario.state, scenario.mode_index('A'), scenario.mode_index('B')):.6g}"
+    except UndefinedResultError:
+        analytic = "undefined"
     print(f"scenario: {args.scenario}")
     print("params: " + " ".join(f"{name}={getattr(args, name):g}" for name in PARAM_NAMES))
     print(f"g2 estimate: {report.g2_estimate:.6g} +/- {report.std_error:.3g} "
           f"({report.n_samples} samples, jackknife)")
-    analytic = "undefined" if report.g2_analytic is None else f"{report.g2_analytic:.6g}"
     print(f"g2 analytic: {analytic}")
     print(f"verdict: {report.verdict}")
     print(f"seed: {args.seed}  generator: {GENERATOR_ID}")

@@ -6,11 +6,12 @@ draw quadrature samples from a covariance matrix, form per-sample
 intensities, estimate the normalized intensity correlation with a jackknife
 error bar, and compare against the exact Gaussian-moment value.
 
-Quadrature sampling is the only randomness in the package. A seed keys one
-SFC64 substream per row block through ``SeedSequence``, and ``GENERATOR_ID``
+Sampling is the only randomness in the package. A seed keys one SFC64
+substream per row block through ``SeedSequence``, and ``GENERATOR_ID``
 names the generator in every g2 output, so a seed pins the bytes on any
 platform and any number of CPUs. ``sample_quadratures`` stores the rows;
-``g2_stack`` sums each row block as it is drawn and stores none.
+``g2_stack`` sums each block as it is drawn, and ``g2_pairs`` (sweeps and
+``g2check``) draws a pair's quadratures from one exponential and two normals.
 """
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UndefinedResultError
-from .gaussian import (CovarianceMatrix, _factor_one, _is_integer, check_state, positive_definite, reduce,
-                       run_one, select_modes)
+from .errors import InvalidArgumentError, NumericFailureError, UndefinedResultError
+from .gaussian import (CovarianceMatrix, _factor_one, _is_integer, check_state, flag_rows, positive_definite,
+                       reduce, run_one, select_modes)
 
-GENERATOR_ID = "sfc64/v4"
+GENERATOR_ID = "sfc64/v5"
 
 # Delete-one-block jackknife; block count fixed so error bars are
 # reproducible and comparable across runs.
@@ -77,8 +78,8 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
     _check_draw(n_samples, [seed])
     _, factor = _factor_one(check_state(state), "covariance matrix")
     samples = np.empty((n_samples, len(factor)))
-    _draw(n_samples, [seed], len(factor), lambda: lambda i, start, normals: np.matmul(
-        normals, factor.T, out=samples[start:start + len(normals)]))
+    _draw(n_samples, [seed], len(factor), lambda m: lambda i, start, stop, rng: np.matmul(
+        rng.standard_normal(out=samples[start:stop]), factor.T, out=samples[start:stop]))  # numpy buffers the overlap
     samples.setflags(write=False)
     return samples
 
@@ -106,19 +107,18 @@ def _layout(n_samples: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _draw(n_samples: int, seeds, dim: int, make_sink) -> None:
-    """Draw row block k of point i from ``SFC64(SeedSequence(seeds[i], spawn_key=(0, k)))`` on one of up
-    to ``_CPUS`` threads, the caller among them, which take the (i, k) in order. Each thread calls
-    ``make_sink()`` once, then ``sink(i, first row, normals)`` per block; the first failure is raised."""
+    """Hand rows [start, stop) of block k of point i and ``SFC64(SeedSequence(seeds[i], spawn_key=(0, k)))`` to one of
+    up to ``_CPUS`` threads, the caller among them, which take the (i, k) in order. Each calls ``make_sink(m)``, m rows
+    at most, once, then ``sink(i, start, stop, rng)`` per block; the first failure is raised."""
     rows = _layout(n_samples, dim)[0]
     items, failures = iter([(i, k) for i in range(len(seeds)) for k in range(len(rows) - 1)]), []
 
-    def work():  # numpy drops the GIL in the draw and the gemm
+    def work():  # numpy drops the GIL in the draws and the arithmetic
         try:
-            buffer, sink = np.empty((np.diff(rows).max(), dim)), make_sink()
+            sink = make_sink(np.diff(rows).max())
             for i, k in items:
                 seq = np.random.SeedSequence(entropy=int(seeds[i]), spawn_key=(0, k))
-                sink(i, rows[k], np.random.Generator(np.random.SFC64(seq)).standard_normal(
-                    out=buffer[:rows[k + 1] - rows[k]]))
+                sink(i, rows[k], rows[k + 1], np.random.Generator(np.random.SFC64(seq)))
         except Exception as exc:
             failures.append(exc)
 
@@ -143,11 +143,13 @@ def _check_samples(samples: np.ndarray, *modes: int) -> None:
             raise InvalidArgumentError(f"mode {mode!r} is not an integer in [0, {n_modes})")
 
 
-def _intensities(squares: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The rule of :func:`intensity` on each (x^2, p^2) row pair of ``squares``, into ``out``."""
-    np.add(squares[0::2], squares[1::2], out=out)
-    out -= 2.0
-    out /= 4.0
+def _intensities(quads: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rule of :func:`intensity` on each (x, p) row pair of ``quads``, squared in place, into out's first rows."""
+    head = out[:len(quads) // 2]
+    np.square(quads, out=quads)
+    np.add(quads[0::2], quads[1::2], out=head)
+    head -= 2.0
+    head /= 4.0
     return out
 
 
@@ -159,15 +161,13 @@ def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
     mean is (V - 1)/2 for a thermal mode of variance V and 0 for vacuum.
     """
     _check_samples(samples, mode)
-    return _intensities(np.square(samples[:, 2 * mode:2 * mode + 2].T), np.empty((1, len(samples))))[0]
+    return _intensities(samples[:, 2 * mode:2 * mode + 2].T.copy(), np.empty((1, len(samples))))[0]
 
 
-def _piece_sums(quads, start, cuts, scratch, pieces) -> None:
+def _piece_sums(vals, start, cuts, pieces) -> None:
     """Per piece of a row block from row ``start`` on, the sums of I_a, I_b, I_a I_b, I_a^2 and I_b^2 into its
-    column of ``pieces``. ``quads`` holds x_a, p_a, x_b, p_b as rows, squared in place; ``scratch`` 5 as long."""
-    first, last = np.searchsorted(cuts, [start, start + quads.shape[1]])
-    vals = scratch[:, :quads.shape[1]]
-    _intensities(np.square(quads, out=quads), vals[:2])
+    column of ``pieces``. ``vals`` holds I_a and I_b as its first two rows, and three more to work in."""
+    first, last = np.searchsorted(cuts, [start, start + vals.shape[1]])
     np.multiply(vals[0], vals[1], out=vals[2])
     np.square(vals[:2], out=vals[3:])
     np.add.reduceat(vals, cuts[first:last] - start, axis=1, out=pieces[:, first:last])
@@ -217,30 +217,64 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     pieces, scratch = np.empty((5, len(cuts) - 1)), np.empty((5, np.diff(rows).max()))
     cols = [2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1]
     for start, stop in zip(rows, rows[1:]):
-        _piece_sums(samples[start:stop, cols].T, start, cuts, scratch, pieces)
+        _piece_sums(_intensities(samples[start:stop, cols].T, scratch[:, :stop - start]), start, cuts, pieces)
     return _report(pieces, cuts, bounds)
+
+
+def _g2_sums(n_samples: int, seeds, errors: list, fill) -> list:
+    """Draw every pair's row blocks in one pool straight to their piece sums; a report per pair, None on a row failed
+    in ``errors``, which draws nothing. ``fill(i, rng, vals, work)`` puts a block's I_a, I_b into ``vals[:2]``."""
+    _check_draw(n_samples, seeds)
+    if n_samples < MIN_G2_SAMPLES:
+        raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n_samples}")
+    rows, cuts, bounds = _layout(n_samples, 4)
+    pieces = np.empty((len(seeds), 5, len(cuts) - 1))
+
+    def make_sink(m):  # per thread: five rows for the sums, eight that fill may draw into
+        scratch = np.empty((13, m))
+        return lambda i, start, stop, rng: errors[i] or _piece_sums(
+            fill(i, rng, scratch[:5, :stop - start], scratch[5:]), start, cuts, pieces[i])
+
+    _draw(n_samples, seeds, 4, make_sink)
+    return [None if exc else _report(sums, cuts, bounds) for exc, sums in zip(errors, pieces)]
 
 
 def g2_stack(stack: np.ndarray, n_samples: int, seeds, errors: list) -> list:
     """Sample and estimate g2(0) for each receiver pair of an (N, 4, 4) stack: N reports, None on a failed row.
-
-    Pair i draws the row blocks ``sample_quadratures`` draws for ``seeds[i]``, but each goes straight to
-    the sums of its pieces on the thread that drew it, and every point's blocks share one pool.
-    """
-    _check_draw(n_samples, seeds)
-    if n_samples < MIN_G2_SAMPLES:
-        raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n_samples}")
+    Pair i draws the row blocks ``sample_quadratures`` draws for ``seeds[i]``, and stores none."""
     _, factors = positive_definite(stack, "covariance matrix", errors)
-    rows, cuts, bounds = _layout(n_samples, 4)
-    m, pieces = np.diff(rows).max(), np.empty((len(stack), 5, len(cuts) - 1))
 
-    def make_sink():  # L N^T: the quadratures as contiguous rows
-        quads, scratch = np.empty((4, m)), np.empty((5, m))
-        return lambda i, start, normals: _piece_sums(np.matmul(factors[i], normals.T, out=quads[:, :len(normals)]),
-                                                     start, cuts, scratch, pieces[i])
+    def fill(i, rng, vals, work):  # L N^T: the quadratures as contiguous rows
+        normals = rng.standard_normal(out=work[:4].reshape(-1)[:4 * vals.shape[1]].reshape(-1, 4))
+        return _intensities(np.matmul(factors[i], normals.T, out=work[4:, :vals.shape[1]]), vals)
 
-    _draw(n_samples, seeds, 4, make_sink)
-    return [None if exc else _report(sums, cuts, bounds) for exc, sums in zip(errors, pieces)]
+    return _g2_sums(n_samples, seeds, errors, fill)
+
+
+def g2_pairs(pairs: np.ndarray, n_samples: int, seeds, errors: list) -> list:
+    """:func:`g2_stack` for the pairs [[a I, c I], [c I, b I]] of an (N, 4) stack of (a, b, c, d = ab - c^2), failing
+    a row with a non-finite entry, a <= 0 or d <= 0. Turned by z_a's phase, z = x + i p has the pair's law as
+    x_a = sqrt(2 a E), p_a = 0, x_b = c sqrt(2 E / a) + sqrt(d / a) n1 and p_b = sqrt(d / a) n2 for E ~ Exp(1) and
+    n1, n2 ~ N(0, 1); a row block draws its E, n1 and n2 in that order from the substream g2_stack draws from."""
+    a, c, d = pairs[:, 0], pairs[:, 2], pairs[:, 3]
+    flag_rows(errors, ~(np.isfinite(pairs).all(axis=1) & (a > 0) & (d > 0)),
+              lambda i: NumericFailureError("covariance matrix is not positive definite"))
+    with np.errstate(divide="ignore", invalid="ignore"):  # failed rows draw nothing
+        factors = np.stack([np.sqrt(2.0 * a), c * np.sqrt(2.0 / a), np.sqrt(d / a)], axis=1)
+
+    def fill(i, rng, vals, work):  # the turned quadratures as contiguous rows
+        n, (root_2a, shift, spread) = vals.shape[1], factors[i]
+        quads = work[:4, :n]
+        root_e = np.sqrt(rng.standard_exponential(out=quads[0]), out=quads[0])
+        rng.standard_normal(out=quads[2])
+        rng.standard_normal(out=quads[3])
+        quads[2:] *= spread
+        quads[2] += np.multiply(root_e, shift, out=quads[1])
+        quads[0] *= root_2a
+        quads[1] = 0.0
+        return _intensities(quads, vals)
+
+    return _g2_sums(n_samples, seeds, errors, fill)
 
 
 def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:

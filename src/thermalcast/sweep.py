@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, UnphysicalStateError, UsageError
 from .gaussian import _is_integer
-from .hbt import GENERATOR_ID, MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, g2_stack
+from .hbt import GENERATOR_ID, MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, g2_pairs
 from .info import pair_measures
 from .scenarios import SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS, ScenarioParams, pair_entries
 
@@ -181,9 +181,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     errors = {out: [None] * len(order) for out in spec.outputs}
     cells = pair_measures(*entries, {out: errors[out] for out in spec.outputs if out != "g2"})
     if "g2" in errors:  # each point samples its pair [[a I, c I], [c I, b I]] from its own stream
-        a, b, c = (entry[0] for entry in entries[:3])
-        pair = (np.stack([a, c, c, b], axis=-1).reshape(-1, 2, 1, 2, 1) * np.eye(2)[:, None, :]).reshape(-1, 4, 4)
-        reports = g2_stack(pair, spec.samples, [_point_seed(spec.seed, int(i)) for i in order], errors["g2"])
+        pairs = np.stack([entry[0] for entry in entries], axis=-1)
+        reports = g2_pairs(pairs, spec.samples, [_point_seed(spec.seed, int(i)) for i in order], errors["g2"])
         # no photons to correlate: the ratio is noise, not a g2 value
         cells["g2"] = np.array([r.g2_estimate if r and r.verdict != VERDICT_INCONCLUSIVE else np.nan for r in reports])
     reasons = tuple(tuple(str(exc) for exc in point if exc) for point in zip(*errors.values()))

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import thermalcast.cli
-from thermalcast import SweepResult, SweepRow
+import thermalcast.hbt
+from thermalcast import ScenarioParams, SweepResult, SweepRow, build_scenario, g2_analytic
 from thermalcast.cli import main
+from thermalcast.scenarios import pair_entries
 
 CONFIG = """\
 scenario=basic
@@ -175,8 +177,24 @@ def test_g2check_reports_thermal(capsys):
     out = capsys.readouterr().out
     assert "verdict: thermal" in out
     assert "g2 analytic: 2" in out
-    assert "generator: sfc64/v4" in out
+    assert "generator: sfc64/v5" in out
     assert "params: nu=10" in out
+
+
+def test_g2check_samples_the_pair_kernel_at_its_parameters(capsys):
+    # the estimate is the pair kernel's on the topology's (a, b, c, d); the exact value comes from the built state
+    argv = ["--scenario", "full", "--nu", "5", "--eta-th", "0.8", "--v-th", "2", "--eta-th-a", "0.9",
+            "--v-alpha", "1.5", "--samples", "5000", "--seed", "3"]
+    assert main(["g2check"] + argv) == 0
+    out = capsys.readouterr().out
+    params = ScenarioParams(nu=5.0, eta_th=0.8, v_th=2.0, eta_th_a=0.9, v_alpha=1.5)
+    pair = np.array([entry[0] for entry in pair_entries("full", params)])
+    report = thermalcast.hbt.g2_pairs(pair[None], 5000, [3], [None])[0]
+    assert f"g2 estimate: {report.g2_estimate:.6g} +/- {report.std_error:.3g} (5000 samples" in out
+    state = build_scenario("full", params)
+    exact = g2_analytic(state.state, state.mode_index("A"), state.mode_index("B"))
+    assert f"g2 analytic: {exact:.6g}\n" in out
+    assert f"verdict: {report.verdict}\n" in out
 
 
 def test_g2check_coherent_source_is_inconclusive(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import thermalcast.hbt as hbt
+from thermalcast.scenarios import pair_entries
 from thermalcast import (CovarianceMatrix, G2Report, InvalidArgumentError,
                          NumericFailureError, ScenarioParams,
                          UndefinedResultError, build_scenario,
@@ -428,19 +429,28 @@ def test_thermality_check_stores_no_sample_array(monkeypatch):
     assert peak < 8 * 2 ** 20
 
 
-def test_g2_stack_takes_every_block_once_under_thread_switches(monkeypatch):
+def takes_every_block_once(monkeypatch, stage, pairs):
     # more threads than cores, switching every microsecond: a block lost or taken twice changes the sums
-    pairs = np.stack([reduce(broadcast_state(nu), [1, 2]).data for nu in (2.0, 3.0, 5.0, 8.0)])
     monkeypatch.setattr(hbt, "_CPUS", 1)
-    expected = hbt.g2_stack(pairs, 40_000, [1, 2, 3, 4], [None] * 4)
+    expected = stage(pairs, 40_000, [1, 2, 3, 4], [None] * 4)
     monkeypatch.setattr(hbt, "_CPUS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        reports = hbt.g2_stack(pairs, 40_000, [1, 2, 3, 4], [None] * 4)
+        reports = stage(pairs, 40_000, [1, 2, 3, 4], [None] * 4)
     finally:
         sys.setswitchinterval(interval)
     assert reports == expected
+
+
+def test_g2_stack_takes_every_block_once_under_thread_switches(monkeypatch):
+    pairs = np.stack([reduce(broadcast_state(nu), [1, 2]).data for nu in (2.0, 3.0, 5.0, 8.0)])
+    takes_every_block_once(monkeypatch, hbt.g2_stack, pairs)
+
+
+def test_g2_pairs_takes_every_block_once_under_thread_switches(monkeypatch):
+    pairs = np.stack([entries_of("basic", nu=nu) for nu in (2.0, 3.0, 5.0, 8.0)])
+    takes_every_block_once(monkeypatch, hbt.g2_pairs, pairs)
 
 
 def test_g2_stack_fails_only_the_rows_that_do_not_factor():
@@ -454,3 +464,94 @@ def test_g2_stack_fails_only_the_rows_that_do_not_factor():
     for i in (0, 2):
         alone = g2_cross_estimate(sample_quadratures(CovarianceMatrix(stack[i]), 2000, seed=4 + i), 0, 1)
         assert reports[i] == alone
+
+
+# ---------------------------------------------------------------------------
+# The pair kernel: a receiver pair [[a I, c I], [c I, b I]] drawn from one exponential and two normals per row
+
+
+def entries_of(scenario, **params):
+    # the receivers' (a, b, c, d) at the source, as the sweep and g2check take them
+    return np.array([entry[0] for entry in pair_entries(scenario, ScenarioParams(**params))])
+
+
+def pair_state(entries):
+    a, b, c, _ = entries
+    return CovarianceMatrix(np.kron([[a, c], [c, b]], np.eye(2)))
+
+
+PAIR_CASES = [
+    ("basic", dict(nu=2.0, eta_ab=0.5)),
+    ("thermal_channel", dict(nu=5.0, eta_ab=0.3, eta_th=0.7, v_th=2.0)),
+    # a vacuum source: c = 0, the receivers hold only their channels' noise
+    ("full", dict(nu=1.0, eta_th_a=0.5, v_alpha=3.0, eta_th_b=0.6, v_beta=2.0)),
+    # a dim pair: a = 1.1, a mean of 0.05 photons at A
+    ("basic", dict(nu=2.0, eta_ab=0.9)),
+    ("full", dict(nu=1e3, eta_ab=0.4, eta_th=0.8, v_th=2.0, eta_th_a=0.9, v_alpha=1.5, eta_th_b=0.7, v_beta=2.5)),
+]
+
+
+@pytest.mark.parametrize("scenario,params", PAIR_CASES)
+def test_g2_pairs_is_exact_in_distribution(scenario, params, monkeypatch):
+    # the five pooled sample means against Isserlis' theorem, each report against g2_analytic, and the mean error
+    # bar against the four-normal route's over the same 40 seeds (one seed's jackknife error scatters by ~7%)
+    entries = entries_of(scenario, **params)
+    a, b, c, _ = entries
+    if scenario == "full" and params["nu"] == 1.0:
+        assert c == 0.0
+    state, k, n = pair_state(entries), 40, 10_000
+    totals, report = [], hbt._report
+    monkeypatch.setattr(hbt, "_report",
+                        lambda pieces, *rest: totals.append(pieces.sum(axis=1)) or report(pieces, *rest))
+    reports = hbt.g2_pairs(np.tile(entries, (k, 1)), n, list(range(k)), [None] * k)
+    means = np.sum(totals, axis=0) / (k * n)
+    # E[I_a], E[I_b], E[I_a I_b], E[I_a^2], E[I_b^2] with I = (x^2 + p^2 - 2) / 4
+    exact = np.array([(a - 1) / 2, (b - 1) / 2, (a * b + c * c - a - b + 1) / 4,
+                      (2 * a * a - 2 * a + 1) / 4, (2 * b * b - 2 * b + 1) / 4])
+    # standard errors from the spread of the same five terms on a four-normal draw
+    ref = sample_quadratures(state, 100_000, seed=99)
+    i_a, i_b = (ref[:, 0] ** 2 + ref[:, 1] ** 2 - 2) / 4, (ref[:, 2] ** 2 + ref[:, 3] ** 2 - 2) / 4
+    errors = np.std([i_a, i_b, i_a * i_b, i_a ** 2, i_b ** 2], axis=1) / np.sqrt(k * n)
+    assert np.all(np.abs(means - exact) <= 5.0 * errors)
+    analytic = g2_analytic(state, 0, 1)
+    assert all(abs(r.g2_estimate - analytic) <= 5.0 * r.std_error for r in reports)
+    checks = [thermality_check(state, 0, 1, n, seed) for seed in range(k)]
+    ratio = np.mean([r.std_error for r in reports]) / np.mean([r.std_error for r in checks])
+    assert 0.9 <= ratio <= 1.1
+
+
+def test_g2_pairs_fails_only_the_rows_that_are_not_positive_definite(monkeypatch):
+    # a non-finite entry, a <= 0 or d <= 0 fails its row, which draws nothing; the others match their runs alone
+    good = [1.5, 1.5, -0.5, 2.0]
+    pairs = np.array([good, [np.nan, 1.5, -0.5, 2.0], [1.5, np.inf, -0.5, 2.0], [0.0, 1.5, 0.0, 0.0],
+                      [-1.0, 1.5, -0.5, -1.75], [1.5, 1.5, -1.5, 0.0], [1.5, 1.0, 1.5, -0.75], [3.0, 3.0, -1.0, 8.0]])
+    seeds, errors, blocks = list(range(4, 4 + len(pairs))), [None] * len(pairs), []
+    piece_sums = hbt._piece_sums
+    monkeypatch.setattr(hbt, "_piece_sums", lambda vals, *rest: blocks.append(vals.shape) or piece_sums(vals, *rest))
+    reports = hbt.g2_pairs(pairs, 2000, seeds, errors)
+    assert len(blocks) == 2  # 2000 rows are one block per pair
+    for i in range(1, 7):
+        assert reports[i] is None and isinstance(errors[i], NumericFailureError)
+    for i in (0, 7):
+        assert errors[i] is None
+        assert reports[i] == hbt.g2_pairs(pairs[i:i + 1], 2000, [seeds[i]], [None])[0]
+
+
+def test_g2_pairs_stream_matches_committed_literals(monkeypatch):
+    # row block 0 of seed 0 draws E for its rows, then n1, then n2: the first three (I_a, I_b) of the basic pair
+    # at nu = 2, eta_ab = 0.5, (a, b, c, d) = (1.5, 1.5, -0.5, 2); a change to the draw or its order breaks this
+    blocks = []
+    piece_sums = hbt._piece_sums
+    monkeypatch.setattr(hbt, "_piece_sums",
+                        lambda vals, *rest: blocks.append(vals[:2].copy()) or piece_sums(vals, *rest))
+    a, b, c, d = entries_of("basic", nu=2.0, eta_ab=0.5)
+    assert (a, b, c, d) == (1.5, 1.5, -0.5, 2.0)
+    hbt.g2_pairs(np.array([[a, b, c, d]]), 1000, [0], [None])
+    assert blocks[0][:, :3].T.tolist() == [[-0.24859846585511164, 0.49976423813082294],
+                                           [0.9377043995874166, -0.07587977747260571],
+                                           [-0.2029052601736725, -0.2787373795714636]]
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=0, spawn_key=(0, 0))))
+    e = rng.standard_exponential(1000)
+    n1, n2 = rng.standard_normal(2000).reshape(2, 1000)
+    z_b = (c * np.sqrt(2.0 * e / a) + np.sqrt(d / a) * n1) ** 2 + d / a * n2 ** 2
+    assert np.allclose(blocks[0], [(2.0 * a * e - 2.0) / 4.0, (z_b - 2.0) / 4.0], rtol=1e-12, atol=1e-15)

@@ -297,6 +297,28 @@ def test_g2_cells_of_an_inconclusive_verdict_are_nan(tmp_path):
     assert [ln.split(",")[1:] for ln in data] == [["0", "nan"]] * 4
 
 
+def test_a_g2_pair_that_does_not_factor_fails_only_its_row(tmp_path, monkeypatch):
+    # d <= 0 at the second point: its g2 cell is nan with a '# failed:' line, and the other cells are unchanged
+    spec = small_spec(outputs=("g2",), seed=11, samples=2000)
+    clean = run_sweep(spec).columns["g2"]
+    real = thermalcast.sweep.pair_entries
+
+    def broken(name, params):
+        a, b, c, d = real(name, params)
+        d[0, 1] = -1.0
+        return a, b, c, d
+
+    monkeypatch.setattr(thermalcast.sweep, "pair_entries", broken)
+    result = run_sweep(spec)
+    assert result.reasons[1] == ("covariance matrix is not positive definite",)
+    assert result.n_failed == 1
+    g2 = result.columns["g2"]
+    assert math.isnan(g2[1]) and np.array_equal(np.delete(g2, 1), np.delete(clean, 1))
+    out = tmp_path / "failed.csv"
+    emit_csv(result, out)
+    assert "# failed: eta_ab=0.4: covariance matrix is not positive definite" in out.read_text().splitlines()
+
+
 def test_g2_sweep_is_repeatable():
     spec = small_spec(outputs=("g2",), seed=123, samples=2000,
                       swept=SweptRange("eta_ab", 0.3, 0.7, 2))
