@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ThermalcastError, UndefinedResultError, UsageError
+from .errors import ThermalcastError, UsageError
 from .gaussian import run_one
-from .hbt import GENERATOR_ID, g2_analytic, g2_pairs
-from .scenarios import SCENARIO_NAMES, ScenarioParams, build_scenario, pair_entries
+from .hbt import GENERATOR_ID, VERDICT_INCONCLUSIVE, g2_pairs
+from .scenarios import SCENARIO_NAMES, ScenarioParams, pair_entries
 from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, emit_csv,
                     expand_preset, parse_config, run_sweep)
 
@@ -82,17 +82,14 @@ def _cmd_figure(args) -> int:
 
 def _cmd_g2check(args) -> int:
     params = ScenarioParams(**{name: getattr(args, name) for name in PARAM_NAMES})
-    scenario = build_scenario(args.scenario, params)
-    pair = np.array([entry[0] for entry in pair_entries(args.scenario, params)])  # receivers' (a, b, c, d)
-    report = run_one(g2_pairs, pair, args.samples, [args.seed])
-    try:
-        analytic = f"{g2_analytic(scenario.state, scenario.mode_index('A'), scenario.mode_index('B')):.6g}"
-    except UndefinedResultError:
-        analytic = "undefined"
+    a, b, c, d = (entry[0] for entry in pair_entries(args.scenario, params))  # receivers' [[a I, c I], [c I, b I]]
+    report = run_one(g2_pairs, np.array([a, b, c, d]), args.samples, [args.seed])
+    # g2_analytic's value and rule: undefined at a mean photon number (a - 1)/2 or (b - 1)/2 of 1e-12 or less
+    analytic = "undefined" if min(a - 1.0, b - 1.0) / 2.0 <= 1e-12 else f"{1.0 + c * c / ((a - 1.0) * (b - 1.0)):.6g}"
+    estimate = np.nan if report.verdict == VERDICT_INCONCLUSIVE else report.g2_estimate  # as a sweep writes it
     print(f"scenario: {args.scenario}")
     print("params: " + " ".join(f"{name}={getattr(args, name):g}" for name in PARAM_NAMES))
-    print(f"g2 estimate: {report.g2_estimate:.6g} +/- {report.std_error:.3g} "
-          f"({report.n_samples} samples, jackknife)")
+    print(f"g2 estimate: {estimate:.6g} +/- {report.std_error:.3g} ({report.n_samples} samples, jackknife)")
     print(f"g2 analytic: {analytic}")
     print(f"verdict: {report.verdict}")
     print(f"seed: {args.seed}  generator: {GENERATOR_ID}")

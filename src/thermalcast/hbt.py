@@ -9,9 +9,9 @@ error bar, and compare against the exact Gaussian-moment value.
 Sampling is the only randomness in the package. A seed keys one SFC64
 substream per row block through ``SeedSequence``, and ``GENERATOR_ID``
 names the generator in every g2 output, so a seed pins the bytes on any
-platform and any number of CPUs. ``sample_quadratures`` stores the rows;
-``g2_stack`` sums each block as it is drawn, and ``g2_pairs`` (sweeps and
-``g2check``) draws a pair's quadratures from one exponential and two normals.
+platform and any number of CPUs. ``sample_quadratures`` stores the rows and
+``g2_stack`` sums each as drawn, on blocks that keep BLAS on one thread;
+``g2_pairs`` (sweeps, ``g2check``) forms a pair's intensities on its own blocks.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .errors import InvalidArgumentError, NumericFailureError, UndefinedResultEr
 from .gaussian import (CovarianceMatrix, _factor_one, _is_integer, check_state, flag_rows, positive_definite,
                        reduce, run_one, select_modes)
 
-GENERATOR_ID = "sfc64/v5"
+GENERATOR_ID = "sfc64/v6"
 
 # Delete-one-block jackknife; block count fixed so error bars are
 # reproducible and comparable across runs.
@@ -78,7 +78,8 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
     _check_draw(n_samples, [seed])
     _, factor = _factor_one(check_state(state), "covariance matrix")
     samples = np.empty((n_samples, len(factor)))
-    _draw(n_samples, [seed], len(factor), lambda m: lambda i, start, stop, rng: np.matmul(
+    rows = _layout(n_samples, _ONE_THREAD_GEMM // len(factor) ** 2)[0]
+    _draw(rows, [seed], lambda m: lambda i, start, stop, rng: np.matmul(
         rng.standard_normal(out=samples[start:stop]), factor.T, out=samples[start:stop]))  # numpy buffers the overlap
     samples.setflags(write=False)
     return samples
@@ -92,25 +93,24 @@ def _check_draw(n_samples: int, seeds) -> None:
             raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
-def _layout(n_samples: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sampler's row-block bounds for ``dim`` columns, the piece bounds and the jackknife bounds.
+def _layout(n_samples: int, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds of near-equal row blocks of at most ``block`` rows, the piece bounds and the jackknife bounds.
 
     The jackknife blocks are ``np.array_split``'s, the first n % B one row longer. Pieces, the unit that
-    both g2 routes sum by, are the jackknife blocks cut at the row-block bounds.
+    every g2 route sums by, are the jackknife blocks cut at the row-block bounds.
     """
-    # near-equal row blocks, never of one row: numpy sends that to gemv, which rounds differently
-    n_blocks = min(-(-n_samples // max(_ONE_THREAD_GEMM // dim ** 2, 1)), n_samples // 2)
+    # never a block of one row: the general route's product would go to gemv, which rounds differently
+    n_blocks = min(-(-n_samples // max(block, 1)), n_samples // 2)
     rows = np.arange(n_blocks + 1) * n_samples // n_blocks
     size, extra = divmod(n_samples, JACKKNIFE_BLOCKS)
     jack = np.arange(JACKKNIFE_BLOCKS + 1) * size + np.minimum(np.arange(JACKKNIFE_BLOCKS + 1), extra)
     return rows, np.union1d(rows, jack), jack
 
 
-def _draw(n_samples: int, seeds, dim: int, make_sink) -> None:
-    """Hand rows [start, stop) of block k of point i and ``SFC64(SeedSequence(seeds[i], spawn_key=(0, k)))`` to one of
-    up to ``_CPUS`` threads, the caller among them, which take the (i, k) in order. Each calls ``make_sink(m)``, m rows
-    at most, once, then ``sink(i, start, stop, rng)`` per block; the first failure is raised."""
-    rows = _layout(n_samples, dim)[0]
+def _draw(rows: np.ndarray, seeds, make_sink) -> None:
+    """Hand rows [start, stop) = [rows[k], rows[k + 1]) of point i and ``SFC64(SeedSequence(seeds[i], spawn_key=(0,
+    k)))`` to one of up to ``_CPUS`` threads, the caller among them, which take the (i, k) in order. Each calls
+    ``make_sink(m)``, m rows at most, once, then ``sink(i, start, stop, rng)`` per block; the first failure raises."""
     items, failures = iter([(i, k) for i in range(len(seeds)) for k in range(len(rows) - 1)]), []
 
     def work():  # numpy drops the GIL in the draws and the arithmetic
@@ -213,7 +213,7 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     if mode_a == mode_b:
         raise InvalidArgumentError("cross-correlation needs two distinct modes")
     _check_samples(samples, mode_a, mode_b)
-    rows, cuts, bounds = _layout(n, samples.shape[1])
+    rows, cuts, bounds = _layout(n, _ONE_THREAD_GEMM // samples.shape[1] ** 2)
     pieces, scratch = np.empty((5, len(cuts) - 1)), np.empty((5, np.diff(rows).max()))
     cols = [2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1]
     for start, stop in zip(rows, rows[1:]):
@@ -221,21 +221,21 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     return _report(pieces, cuts, bounds)
 
 
-def _g2_sums(n_samples: int, seeds, errors: list, fill) -> list:
-    """Draw every pair's row blocks in one pool straight to their piece sums; a report per pair, None on a row failed
-    in ``errors``, which draws nothing. ``fill(i, rng, vals, work)`` puts a block's I_a, I_b into ``vals[:2]``."""
+def _g2_sums(n_samples: int, seeds, errors: list, block: int, width: int, fill) -> list:
+    """Each pair's blocks of at most ``block`` rows, in one pool, to piece sums: a report per pair, None on a row
+    failed in ``errors`` (it draws nothing). ``fill(i, rng, vals)`` takes ``width`` rows, returns 5, I_a first."""
     _check_draw(n_samples, seeds)
     if n_samples < MIN_G2_SAMPLES:
         raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n_samples}")
-    rows, cuts, bounds = _layout(n_samples, 4)
+    rows, cuts, bounds = _layout(n_samples, block)
     pieces = np.empty((len(seeds), 5, len(cuts) - 1))
 
-    def make_sink(m):  # per thread: five rows for the sums, eight that fill may draw into
-        scratch = np.empty((13, m))
+    def make_sink(m):  # per thread: one buffer, cut into ``width`` rows of each block's length
+        scratch = np.empty(width * m)
         return lambda i, start, stop, rng: errors[i] or _piece_sums(
-            fill(i, rng, scratch[:5, :stop - start], scratch[5:]), start, cuts, pieces[i])
+            fill(i, rng, scratch[:width * (stop - start)].reshape(width, -1)), start, cuts, pieces[i])
 
-    _draw(n_samples, seeds, 4, make_sink)
+    _draw(rows, seeds, make_sink)
     return [None if exc else _report(sums, cuts, bounds) for exc, sums in zip(errors, pieces)]
 
 
@@ -244,37 +244,37 @@ def g2_stack(stack: np.ndarray, n_samples: int, seeds, errors: list) -> list:
     Pair i draws the row blocks ``sample_quadratures`` draws for ``seeds[i]``, and stores none."""
     _, factors = positive_definite(stack, "covariance matrix", errors)
 
-    def fill(i, rng, vals, work):  # L N^T: the quadratures as contiguous rows
-        normals = rng.standard_normal(out=work[:4].reshape(-1)[:4 * vals.shape[1]].reshape(-1, 4))
-        return _intensities(np.matmul(factors[i], normals.T, out=work[4:, :vals.shape[1]]), vals)
+    def fill(i, rng, vals):  # five rows for the sums, then N and L N^T: the quadratures as contiguous rows
+        normals = rng.standard_normal(out=vals[5:9].reshape(-1, 4))
+        return _intensities(np.matmul(factors[i], normals.T, out=vals[9:]), vals[:5])
 
-    return _g2_sums(n_samples, seeds, errors, fill)
+    return _g2_sums(n_samples, seeds, errors, _ONE_THREAD_GEMM // 4 ** 2, 13, fill)
 
 
 def g2_pairs(pairs: np.ndarray, n_samples: int, seeds, errors: list) -> list:
     """:func:`g2_stack` for the pairs [[a I, c I], [c I, b I]] of an (N, 4) stack of (a, b, c, d = ab - c^2), failing
-    a row with a non-finite entry, a <= 0 or d <= 0. Turned by z_a's phase, z = x + i p has the pair's law as
-    x_a = sqrt(2 a E), p_a = 0, x_b = c sqrt(2 E / a) + sqrt(d / a) n1 and p_b = sqrt(d / a) n2 for E ~ Exp(1) and
-    n1, n2 ~ N(0, 1); a row block draws its E, n1 and n2 in that order from the substream g2_stack draws from."""
+    a row with a non-finite entry, a <= 0 or d <= 0. Turned by z_a's phase, z = x + i p gives the intensities the law
+    of I_a = (a/2) E - 1/2 and I_b = (mu sqrt(E) + sigma n1)^2 + (sigma n2)^2 - 1/2, mu = c / sqrt(2a), sigma =
+    sqrt(d / a) / 2, E ~ Exp(1), n1, n2 ~ N(0, 1); a block draws E, n1, n2 in turn from g2_stack's substream."""
     a, c, d = pairs[:, 0], pairs[:, 2], pairs[:, 3]
     flag_rows(errors, ~(np.isfinite(pairs).all(axis=1) & (a > 0) & (d > 0)),
               lambda i: NumericFailureError("covariance matrix is not positive definite"))
     with np.errstate(divide="ignore", invalid="ignore"):  # failed rows draw nothing
-        factors = np.stack([np.sqrt(2.0 * a), c * np.sqrt(2.0 / a), np.sqrt(d / a)], axis=1)
+        coefs = np.stack([a / 2.0, c / np.sqrt(2.0 * a), np.sqrt(d / a) / 2.0], axis=1)
 
-    def fill(i, rng, vals, work):  # the turned quadratures as contiguous rows
-        n, (root_2a, shift, spread) = vals.shape[1], factors[i]
-        quads = work[:4, :n]
-        root_e = np.sqrt(rng.standard_exponential(out=quads[0]), out=quads[0])
-        rng.standard_normal(out=quads[2])
-        rng.standard_normal(out=quads[3])
-        quads[2:] *= spread
-        quads[2] += np.multiply(root_e, shift, out=quads[1])
-        quads[0] *= root_2a
-        quads[1] = 0.0
-        return _intensities(quads, vals)
+    def fill(i, rng, vals):  # rows E, then I_b, n1 and n2, formed in place
+        half_a, mu, sigma = coefs[i]
+        rng.standard_exponential(out=vals[0])
+        np.multiply(rng.standard_normal(out=vals[2:4]), sigma, out=vals[2:4])
+        np.multiply(np.sqrt(vals[0], out=vals[1]), mu, out=vals[1])
+        vals[1] += vals[2]
+        np.square(vals[1::2], out=vals[1::2])
+        vals[1] += vals[3]
+        vals[0] *= half_a
+        vals[:2] -= 0.5
+        return vals
 
-    return _g2_sums(n_samples, seeds, errors, fill)
+    return _g2_sums(n_samples, seeds, errors, 2 ** 15, 5, fill)  # 5 rows of 2^15 per thread: 1.25 MiB, within L2
 
 
 def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:

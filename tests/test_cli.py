@@ -177,7 +177,7 @@ def test_g2check_reports_thermal(capsys):
     out = capsys.readouterr().out
     assert "verdict: thermal" in out
     assert "g2 analytic: 2" in out
-    assert "generator: sfc64/v5" in out
+    assert "generator: sfc64/v6" in out
     assert "params: nu=10" in out
 
 
@@ -203,6 +203,15 @@ def test_g2check_coherent_source_is_inconclusive(capsys):
     out = capsys.readouterr().out
     assert "verdict: inconclusive" in out
     assert "g2 analytic: undefined" in out
+
+
+def test_g2check_prints_nan_for_an_inconclusive_estimate(capsys):
+    # a vacuum source: the ratio of two noise means is no g2 value, so the estimate reads nan, as a sweep writes it
+    assert main(["g2check", "--seed", "4", "--samples", "2000"]) == 0
+    pair = np.array([entry[0] for entry in pair_entries("basic", ScenarioParams())])
+    report = thermalcast.hbt.g2_pairs(pair[None], 2000, [4], [None])[0]
+    assert report.verdict == "inconclusive" and np.isfinite(report.g2_estimate)
+    assert f"g2 estimate: nan +/- {report.std_error:.3g} (2000 samples, jackknife)\n" in capsys.readouterr().out
 
 
 def test_g2check_rejects_tiny_sample_count(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import thermalcast.hbt as hbt
+from thermalcast.cli import main
 from thermalcast.scenarios import pair_entries
 from thermalcast import (CovarianceMatrix, G2Report, InvalidArgumentError,
                          NumericFailureError, ScenarioParams,
@@ -520,6 +521,18 @@ def test_g2_pairs_is_exact_in_distribution(scenario, params, monkeypatch):
     assert 0.9 <= ratio <= 1.1
 
 
+@pytest.mark.parametrize("scenario,params", PAIR_CASES)
+def test_g2check_exact_value_is_g2_analytic_from_the_sampled_entries(scenario, params, capsys):
+    # g2check prints 1 + c^2 / ((a - 1)(b - 1)) of the (a, b, c, d) it samples and builds no scenario matrix
+    a, b, c, _ = entries_of(scenario, **params)
+    exact = 1.0 + c * c / ((a - 1.0) * (b - 1.0))
+    built = build_scenario(scenario, ScenarioParams(**params))
+    assert exact == pytest.approx(g2_analytic(built.state, built.mode_index("A"), built.mode_index("B")), rel=1e-12)
+    argv = [f"--{name.replace('_', '-')}={value!r}" for name, value in params.items()]
+    assert main(["g2check", "--scenario", scenario, "--samples", "1000", "--seed", "1"] + argv) == 0
+    assert f"g2 analytic: {exact:.6g}\n" in capsys.readouterr().out
+
+
 def test_g2_pairs_fails_only_the_rows_that_are_not_positive_definite(monkeypatch):
     # a non-finite entry, a <= 0 or d <= 0 fails its row, which draws nothing; the others match their runs alone
     good = [1.5, 1.5, -0.5, 2.0]
@@ -547,11 +560,48 @@ def test_g2_pairs_stream_matches_committed_literals(monkeypatch):
     a, b, c, d = entries_of("basic", nu=2.0, eta_ab=0.5)
     assert (a, b, c, d) == (1.5, 1.5, -0.5, 2.0)
     hbt.g2_pairs(np.array([[a, b, c, d]]), 1000, [0], [None])
-    assert blocks[0][:, :3].T.tolist() == [[-0.24859846585511164, 0.49976423813082294],
-                                           [0.9377043995874166, -0.07587977747260571],
-                                           [-0.2029052601736725, -0.2787373795714636]]
+    assert blocks[0][:, :3].T.tolist() == [[-0.2485984658551117, 0.4997642381308228],
+                                           [0.9377043995874168, -0.07587977747260566],
+                                           [-0.20290526017367244, -0.2787373795714636]]
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=0, spawn_key=(0, 0))))
     e = rng.standard_exponential(1000)
     n1, n2 = rng.standard_normal(2000).reshape(2, 1000)
-    z_b = (c * np.sqrt(2.0 * e / a) + np.sqrt(d / a) * n1) ** 2 + d / a * n2 ** 2
-    assert np.allclose(blocks[0], [(2.0 * a * e - 2.0) / 4.0, (z_b - 2.0) / 4.0], rtol=1e-12, atol=1e-15)
+    mu, sigma = c / np.sqrt(2.0 * a), np.sqrt(d / a) / 2.0
+    i_b = (mu * np.sqrt(e) + sigma * n1) ** 2 + (sigma * n2) ** 2 - 0.5
+    assert np.allclose(blocks[0], [a / 2.0 * e - 0.5, i_b], rtol=1e-12, atol=1e-15)
+
+
+def test_g2_pairs_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
+    # the pair kernel's own near-equal blocks of at most 2^15 rows: 2^15 - 1 rows are one block, 2^15 + 1 are two
+    entries = entries_of("full", nu=5.0, eta_ab=0.4, eta_th=0.8, v_th=2.0, eta_th_a=0.9, v_alpha=1.5)
+    sizes, piece_sums = [], hbt._piece_sums
+    monkeypatch.setattr(hbt, "_piece_sums", lambda vals, *rest: sizes.append(vals.shape[1]) or piece_sums(vals, *rest))
+    for n, n_blocks in ((1000, 1), (32_767, 1), (32_769, 2), (200_000, 7), (1_000_001, 31)):
+        sizes.clear()
+        monkeypatch.setattr(hbt, "_CPUS", 1)
+        expected = hbt.g2_pairs(entries[None], n, [8], [None])[0]
+        assert len(sizes) == n_blocks and max(sizes) <= 2 ** 15 and expected.n_samples == n
+        for cpus in (2, 3):
+            monkeypatch.setattr(hbt, "_CPUS", cpus)
+            assert hbt.g2_pairs(entries[None], n, [8], [None])[0] == expected
+
+
+def test_g2_pairs_holds_only_its_per_thread_blocks(monkeypatch):
+    # five rows of 2^15 per thread are 1.25 MiB; the general route's thirteen rows of 2^14 would be 1.6 MiB
+    monkeypatch.setattr(hbt, "_CPUS", 2)
+    entries = entries_of("basic", nu=2.0, eta_ab=0.5)
+    hbt.g2_pairs(entries[None], 1000, [1], [None])  # a process's first np.union1d imports numpy.ma, about 2 MB
+    tracemalloc.start()
+    try:
+        hbt.g2_pairs(entries[None], 1_000_000, [1], [None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
+@pytest.mark.parametrize("pair", [(1e-300, 1.0, 0.0, 1e-300), (1e150, 1e150, 0.0, 1e300), (5e-324, 1.0, 0.0, 5e-324)])
+def test_g2_pairs_gives_extreme_accepted_pairs_a_finite_report(pair):
+    # no factor divides by a root of d, or by anything else an accepted pair can make 0 or send past the float range
+    report = hbt.g2_pairs(np.array([pair]), 10_000, [3], [None])[0]
+    assert np.isfinite(report.g2_estimate) and np.isfinite(report.std_error)
