@@ -65,16 +65,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    names = PRESET_NAMES if "all" in args.name else dict.fromkeys(args.name)  # each preset once
-    presets = [expand_preset(name) for name in names]
+    names = PRESET_NAMES if "all" in args.name else args.name
+    presets = {name: expand_preset(name) for name in names}  # each preset once, all expanded before --out-dir exists
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     total = failed = 0
-    for preset in presets:
-        for tag, spec in preset.branches:
+    for name, branches in presets.items():
+        for tag, spec in branches:
             result = run_sweep(spec)
-            stem = preset.name if not tag else f"{preset.name}_{tag}"
-            _report_file(result, out_dir / f"{stem}.csv")
+            _report_file(result, out_dir / (f"{name}_{tag}.csv" if tag else f"{name}.csv"))
             total += len(result.reasons)
             failed += result.n_failed
     return 2 if total and failed == total else 0
@@ -82,15 +81,13 @@ def _cmd_figure(args) -> int:
 
 def _cmd_g2check(args) -> int:
     params = ScenarioParams(**{name: getattr(args, name) for name in PARAM_NAMES})
-    a, b, c, d = (entry[0] for entry in pair_entries(args.scenario, params))  # receivers' [[a I, c I], [c I, b I]]
-    report = run_one(g2_pairs, np.array([a, b, c, d]), args.samples, [args.seed])
-    # g2_analytic's value and rule: undefined at a mean photon number (a - 1)/2 or (b - 1)/2 of 1e-12 or less
-    analytic = "undefined" if min(a - 1.0, b - 1.0) / 2.0 <= 1e-12 else f"{1.0 + c * c / ((a - 1.0) * (b - 1.0)):.6g}"
+    entries = np.array([entry[0] for entry in pair_entries(args.scenario, params)])  # the receivers' (a, b, c, d)
+    report = run_one(g2_pairs, entries, args.samples, [args.seed])
     estimate = np.nan if report.verdict == VERDICT_INCONCLUSIVE else report.g2_estimate  # as a sweep writes it
     print(f"scenario: {args.scenario}")
     print("params: " + " ".join(f"{name}={getattr(args, name):g}" for name in PARAM_NAMES))
     print(f"g2 estimate: {estimate:.6g} +/- {report.std_error:.3g} ({report.n_samples} samples, jackknife)")
-    print(f"g2 analytic: {analytic}")
+    print("g2 analytic: " + ("undefined" if report.g2_analytic is None else f"{report.g2_analytic:.6g}"))
     print(f"verdict: {report.verdict}")
     print(f"seed: {args.seed}  generator: {GENERATOR_ID}")
     return 0

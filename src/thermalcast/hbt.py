@@ -10,7 +10,7 @@ Sampling is the only randomness in the package. A seed keys one SFC64
 substream per row block through ``SeedSequence``, and ``GENERATOR_ID``
 names the generator in every g2 output, so a seed pins the bytes on any
 platform and any number of CPUs. ``sample_quadratures`` stores the rows and
-``g2_stack`` sums each as drawn, on blocks that keep BLAS on one thread;
+``thermality_check`` sums each as drawn, on blocks that keep BLAS on one thread;
 ``g2_pairs`` (sweeps, ``g2check``) forms a pair's intensities on its own blocks.
 """
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UndefinedResultError
-from .gaussian import (CovarianceMatrix, _factor_one, _is_integer, check_state, flag_rows, positive_definite,
-                       reduce, run_one, select_modes)
+from .gaussian import (CovarianceMatrix, _factor_one, _is_integer, check_state, flag_rows, reduce, run_one,
+                       select_modes)
 
 GENERATOR_ID = "sfc64/v6"
 
@@ -36,6 +36,14 @@ MIN_G2_SAMPLES = 1000
 
 # Rows per draw: ten million rows of a 3-mode state already take 480 MB.
 MAX_SAMPLES = 10_000_000
+
+# Largest |entry| g2 takes. A mode with entries up to C has E[I^2] <= (8 C^2 + (2 C)^2) / 16 = 3 C^2 / 4, so MAX_SAMPLES
+# rows sum I_a^2, I_b^2 or I_a I_b to at most a quarter of the float range at C^2 = max / (3 MAX_SAMPLES), C = 2.45e150.
+_MAX_G2_ENTRY = float(np.sqrt(np.finfo(float).max / (3 * MAX_SAMPLES)))
+
+# g2 is undefined where a mean photon number is at most this: rounding leaves a vacuum mode +/-1e-16 of
+# dust, and dividing by that would amplify noise, not report physics.
+_VACUUM_PHOTONS = 1e-12
 
 # OpenBLAS runs a gemm of rows * d * d <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread
 _ONE_THREAD_GEMM = 2 ** 18
@@ -104,7 +112,8 @@ def _layout(n_samples: int, block: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     rows = np.arange(n_blocks + 1) * n_samples // n_blocks
     size, extra = divmod(n_samples, JACKKNIFE_BLOCKS)
     jack = np.arange(JACKKNIFE_BLOCKS + 1) * size + np.minimum(np.arange(JACKKNIFE_BLOCKS + 1), extra)
-    return rows, np.union1d(rows, jack), jack
+    merged = np.sort(np.concatenate([rows, jack]))  # not np.union1d: its np.unique imports numpy.ma, about 10 ms
+    return rows, merged[np.diff(merged, prepend=-1) > 0], jack
 
 
 def _draw(rows: np.ndarray, seeds, make_sink) -> None:
@@ -204,8 +213,8 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     sigma makes the ratio meaningless; that yields the inconclusive
     verdict, never an exception. The analytic field is left unset; compare
     against :func:`g2_analytic` or use :func:`thermality_check`. The sums
-    run by the sampler's row blocks, as in :func:`g2_stack`, so both give
-    the same bits for the same draw.
+    run by the sampler's row blocks, as in :func:`thermality_check`, so both
+    give the same bits for the same draw.
     """
     n = len(samples)
     if n < MIN_G2_SAMPLES:
@@ -239,26 +248,24 @@ def _g2_sums(n_samples: int, seeds, errors: list, block: int, width: int, fill) 
     return [None if exc else _report(sums, cuts, bounds) for exc, sums in zip(errors, pieces)]
 
 
-def g2_stack(stack: np.ndarray, n_samples: int, seeds, errors: list) -> list:
-    """Sample and estimate g2(0) for each receiver pair of an (N, 4, 4) stack: N reports, None on a failed row.
-    Pair i draws the row blocks ``sample_quadratures`` draws for ``seeds[i]``, and stores none."""
-    _, factors = positive_definite(stack, "covariance matrix", errors)
-
-    def fill(i, rng, vals):  # five rows for the sums, then N and L N^T: the quadratures as contiguous rows
-        normals = rng.standard_normal(out=vals[5:9].reshape(-1, 4))
-        return _intensities(np.matmul(factors[i], normals.T, out=vals[9:]), vals[:5])
-
-    return _g2_sums(n_samples, seeds, errors, _ONE_THREAD_GEMM // 4 ** 2, 13, fill)
+def _flag_huge(stack: np.ndarray, errors: list) -> np.ndarray:
+    """Fail each row of ``stack`` holding an entry past ``_MAX_G2_ENTRY`` in magnitude; return the stack."""
+    peak = np.abs(stack).reshape(len(stack), -1).max(axis=1)
+    flag_rows(errors, peak > _MAX_G2_ENTRY, lambda i: NumericFailureError(
+        f"variance {peak[i]:.6g} is past {_MAX_G2_ENTRY:.3g}, where the g2 sums overflow"))
+    return stack
 
 
 def g2_pairs(pairs: np.ndarray, n_samples: int, seeds, errors: list) -> list:
-    """:func:`g2_stack` for the pairs [[a I, c I], [c I, b I]] of an (N, 4) stack of (a, b, c, d = ab - c^2), failing
-    a row with a non-finite entry, a <= 0 or d <= 0. Turned by z_a's phase, z = x + i p gives the intensities the law
-    of I_a = (a/2) E - 1/2 and I_b = (mu sqrt(E) + sigma n1)^2 + (sigma n2)^2 - 1/2, mu = c / sqrt(2a), sigma =
-    sqrt(d / a) / 2, E ~ Exp(1), n1, n2 ~ N(0, 1); a block draws E, n1, n2 in turn from g2_stack's substream."""
+    """:func:`thermality_check` for the pairs [[a I, c I], [c I, b I]] of an (N, 4) stack of (a, b, c, d = ab - c^2),
+    failing a row that is not positive definite or past the g2 range; g2_analytic is 1 + c^2 / ((a - 1)(b - 1)) or None.
+    Turned by z_a's phase, z = x + i p gives the intensities the law of I_a = (a/2) E - 1/2 and I_b = (mu sqrt(E) +
+    sigma n1)^2 + (sigma n2)^2 - 1/2, mu = c / sqrt(2a), sigma = sqrt(d / a) / 2, E ~ Exp(1), n1, n2 ~ N(0, 1), drawn in
+    turn from the same substreams."""
     a, c, d = pairs[:, 0], pairs[:, 2], pairs[:, 3]
     flag_rows(errors, ~(np.isfinite(pairs).all(axis=1) & (a > 0) & (d > 0)),
               lambda i: NumericFailureError("covariance matrix is not positive definite"))
+    _flag_huge(pairs[:, :3], errors)
     with np.errstate(divide="ignore", invalid="ignore"):  # failed rows draw nothing
         coefs = np.stack([a / 2.0, c / np.sqrt(2.0 * a), np.sqrt(d / a) / 2.0], axis=1)
 
@@ -274,7 +281,10 @@ def g2_pairs(pairs: np.ndarray, n_samples: int, seeds, errors: list) -> list:
         vals[:2] -= 0.5
         return vals
 
-    return _g2_sums(n_samples, seeds, errors, 2 ** 15, 5, fill)  # 5 rows of 2^15 per thread: 1.25 MiB, within L2
+    reports = _g2_sums(n_samples, seeds, errors, 2 ** 15, 5, fill)  # 5 rows of 2^15 per thread: 1.25 MiB, within L2
+    return [report and replace(report, g2_analytic=None if min(a - 1.0, b - 1.0) / 2.0 <= _VACUUM_PHOTONS
+                               else 1.0 + c * c / ((a - 1.0) * (b - 1.0)))
+            for report, (a, b, c, _) in zip(reports, pairs.tolist())]
 
 
 def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
@@ -283,7 +293,7 @@ def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
     Pairs of quadratures expand by Isserlis' theorem:
     E[u^2 v^2] = G_uu G_vv + 2 G_uv^2. The modes must be distinct and in range.
     """
-    gamma = select_modes(check_state(state), [mode_a, mode_b])
+    gamma = run_one(_flag_huge, select_modes(check_state(state), [mode_a, mode_b]))
     raw = 0.0
     for u in (0, 1):
         for v in (2, 3):
@@ -293,9 +303,7 @@ def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
     mean_prod = (raw - 2.0 * trace_a - 2.0 * trace_b + 4.0) / 16.0
     nbar_a = (trace_a - 2.0) / 4.0
     nbar_b = (trace_b - 2.0) / 4.0
-    # a mode that is vacuum up to rounding leaves +/-1e-16 of dust in the
-    # trace; dividing by that would amplify noise, not report physics
-    if nbar_a <= 1e-12 or nbar_b <= 1e-12:
+    if min(nbar_a, nbar_b) <= _VACUUM_PHOTONS:
         raise UndefinedResultError("zero mean intensity, g2 is undefined")
     return mean_prod / (nbar_a * nbar_b)
 
@@ -311,7 +319,13 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
     and draws four columns per sample however many modes the state has.
     """
     pair = reduce(state, [mode_a, mode_b])
-    report = run_one(g2_stack, pair.data, n_samples, [seed])
+    _, factor = _factor_one(run_one(_flag_huge, pair.data), "covariance matrix")
+
+    def fill(i, rng, vals):  # five rows for the sums, then N and L N^T: the quadratures as contiguous rows
+        normals = rng.standard_normal(out=vals[5:9].reshape(-1, 4))
+        return _intensities(np.matmul(factor, normals.T, out=vals[9:]), vals[:5])
+
+    report = _g2_sums(n_samples, [seed], [None], _ONE_THREAD_GEMM // 4 ** 2, 13, fill)[0]
     try:
         exact = g2_analytic(pair, 0, 1)
     except UndefinedResultError:

@@ -121,19 +121,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One evaluated sweep point. ``status`` is "ok" or "failed: <why>"."""
-
-    swept_value: float
-    values: dict[str, float]
-    status: str
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """A sweep by columns: swept values ascending, one float column per output, each row's failure reasons."""
 
@@ -149,14 +136,6 @@ class SweepResult:
     @property
     def all_failed(self) -> bool:
         return self.n_failed == len(self.reasons)
-
-    @property
-    def rows(self) -> tuple[SweepRow, ...]:
-        """The same result row by row, built on each read."""
-        cols = {out: column.tolist() for out, column in self.columns.items()}
-        return tuple(SweepRow(swept_value=value, values={out: col[i] for out, col in cols.items()},
-                              status="failed: " + "; ".join(why) if why else "ok")
-                     for i, (value, why) in enumerate(zip(self.swept.tolist(), self.reasons)))
 
 
 def _point_seed(base_seed: int, index: int) -> int:
@@ -304,17 +283,6 @@ def parse_config(text: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # Figure presets: named sweep bundles reproducing the reference datasets.
 
-@dataclass(frozen=True)
-class FigurePreset:
-    """A named bundle of sweeps; ``branches`` pairs a tag with a spec.
-
-    The tag goes into output filenames (empty for single-sweep presets).
-    """
-
-    name: str
-    branches: tuple[tuple[str, SweepSpec], ...]
-
-
 PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 # Splitter sweeps stop short of 0 and 1: a fully one-sided splitter leaves
@@ -325,8 +293,10 @@ _ETA_AB_RANGE = SweptRange(name="eta_ab", start=0.01, stop=0.99, count=99)
 _ETA_TH_RANGE = SweptRange(name="eta_th", start=0.01, stop=1.0, count=100)
 
 
-def expand_preset(name: str) -> FigurePreset:
-    """Deterministic expansion of a preset name into concrete sweeps.
+def expand_preset(name: str) -> tuple[tuple[str, SweepSpec], ...]:
+    """Deterministic expansion of a preset name into its branches: (tag, sweep) pairs.
+
+    The tag goes into output filenames (empty for single-sweep presets).
 
     fig3/fig4/fig5: basic broadcast vs splitter ratio at source variance
     1, 2 and 1040. fig6: thermal channel vs channel transmittance, one
@@ -334,31 +304,24 @@ def expand_preset(name: str) -> FigurePreset:
     transmittance 0.3, one branch per (source variance, channel variance)
     pair; the swept axis is the splitter ratio.
     """
-    if name == "fig3":
-        return FigurePreset(name, (("", SweepSpec(
-            scenario="basic", swept=_ETA_AB_RANGE, fixed={"nu": 1.0},
-            outputs=("cmi", "mi", "discord"))),))
-    if name in ("fig4", "fig5"):
-        nu = 2.0 if name == "fig4" else 1040.0
-        return FigurePreset(name, (("", SweepSpec(
-            scenario="basic", swept=_ETA_AB_RANGE, fixed={"nu": nu},
-            outputs=("cmi", "discord"))),))
+    if name in ("fig3", "fig4", "fig5"):
+        nu = {"fig3": 1.0, "fig4": 2.0, "fig5": 1040.0}[name]
+        outputs = ("cmi", "mi", "discord") if name == "fig3" else ("cmi", "discord")
+        return (("", SweepSpec(scenario="basic", swept=_ETA_AB_RANGE, fixed={"nu": nu}, outputs=outputs)),)
     if name == "fig6":
-        branches = tuple(
+        return tuple(
             (f"vth{v_th:g}", SweepSpec(
                 scenario="thermal_channel", swept=_ETA_TH_RANGE,
                 fixed={"nu": 2.0, "eta_ab": 0.5, "v_th": float(v_th)},
                 outputs=("cmi", "discord")))
             for v_th in (1, 2, 10, 100, 500))
-        return FigurePreset(name, branches)
     if name in ("fig7", "fig8"):
         output = "cmi" if name == "fig7" else "discord"
-        branches = tuple(
+        return tuple(
             (f"nu{nu:g}_v{v:g}", SweepSpec(
                 scenario="full", swept=_ETA_AB_RANGE,
                 fixed={"nu": float(nu), "eta_th_a": 0.3, "eta_th_b": 0.3,
                        "v_alpha": float(v), "v_beta": float(v)},
                 outputs=(output,)))
             for nu, v in ((1, 1), (2, 1), (1, 10), (2, 10)))
-        return FigurePreset(name, branches)
     raise UsageError(f"unknown preset {name!r}, choose from {PRESET_NAMES}")

@@ -9,7 +9,7 @@ import pytest
 
 import thermalcast.cli
 import thermalcast.hbt
-from thermalcast import ScenarioParams, SweepResult, SweepRow, build_scenario, g2_analytic
+from thermalcast import ScenarioParams, SweepResult, build_scenario, g2_analytic
 from thermalcast.cli import main
 from thermalcast.scenarios import pair_entries
 
@@ -104,23 +104,6 @@ def test_figure_checks_each_branch_as_one_stack(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.count("wrote") == 5
     # every output of every branch is a closed form in the pair's entries: no eigensolve at all
     assert calls == []
-
-
-def test_figure_makes_no_row_objects(tmp_path, monkeypatch, capsys):
-    # a sweep's results stay columns from the stack to the CSV; rows are a library view
-    made = []
-    real_init = SweepRow.__init__
-
-    def counting(self, *args, **kwargs):
-        made.append(1)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SweepRow, "__init__", counting)
-    assert main(["figure", "--name", "fig6", "--out-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.count("wrote") == 5
-    assert made == []
-    spec = thermalcast.cli.expand_preset("fig6").branches[0][1]
-    assert len(thermalcast.cli.run_sweep(spec).rows) == len(made) == 100
 
 
 def _tables(out_dir):
@@ -281,10 +264,20 @@ def test_all_failed_sweep_exits_two(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cli_import_leaves_concurrent_futures_unloaded():
-    # every command pays its import; concurrent.futures alone adds 5-8 ms to that
+def _loaded_after(command, module):
+    # whether running ``command`` in a fresh interpreter that imported thermalcast.cli loads ``module``
     src = str(Path(thermalcast.cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, thermalcast.cli; print('concurrent.futures' in sys.modules)"
+    probe = f"import sys, thermalcast.cli; {command}; print({module!r} in sys.modules)"
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    return run.stdout.splitlines()[-1] == "True"
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # every command pays its import; concurrent.futures alone adds 5-8 ms to that
+    assert not _loaded_after("pass", "concurrent.futures")
+
+
+def test_g2check_leaves_numpy_ma_unloaded():
+    # a process's first np.unique (np.union1d calls it) imports numpy.ma: 9-18 ms and 1.3 MB per g2 run
+    assert not _loaded_after("thermalcast.cli.main(['g2check', '--seed', '1', '--samples', '1000'])", "numpy.ma")

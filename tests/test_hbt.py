@@ -1,4 +1,5 @@
 """Sampling determinism and intensity-correlation estimates."""
+import re
 import sys
 import tracemalloc
 
@@ -444,9 +445,11 @@ def takes_every_block_once(monkeypatch, stage, pairs):
     assert reports == expected
 
 
-def test_g2_stack_takes_every_block_once_under_thread_switches(monkeypatch):
-    pairs = np.stack([reduce(broadcast_state(nu), [1, 2]).data for nu in (2.0, 3.0, 5.0, 8.0)])
-    takes_every_block_once(monkeypatch, hbt.g2_stack, pairs)
+def test_thermality_check_takes_every_block_once_under_thread_switches(monkeypatch):
+    def stage(states, n_samples, seeds, errors):
+        return [thermality_check(state, 1, 2, n_samples, seed) for state, seed in zip(states, seeds)]
+
+    takes_every_block_once(monkeypatch, stage, [broadcast_state(nu) for nu in (2.0, 3.0, 5.0, 8.0)])
 
 
 def test_g2_pairs_takes_every_block_once_under_thread_switches(monkeypatch):
@@ -454,17 +457,12 @@ def test_g2_pairs_takes_every_block_once_under_thread_switches(monkeypatch):
     takes_every_block_once(monkeypatch, hbt.g2_pairs, pairs)
 
 
-def test_g2_stack_fails_only_the_rows_that_do_not_factor():
-    # row 1 is not positive definite: its slot holds the failure, the other rows their own reports
-    good = reduce(broadcast_state(), [1, 2]).data
-    stack = np.stack([good, np.diag([1.0, -1.0, 1.0, 1.0]), 2.0 * good])
-    errors = [None] * 3
-    reports = hbt.g2_stack(stack, 2000, [4, 5, 6], errors)
-    assert reports[1] is None and isinstance(errors[1], NumericFailureError)
-    assert errors[0] is None and errors[2] is None
-    for i in (0, 2):
-        alone = g2_cross_estimate(sample_quadratures(CovarianceMatrix(stack[i]), 2000, seed=4 + i), 0, 1)
-        assert reports[i] == alone
+def test_thermality_check_refuses_a_pair_that_does_not_factor(monkeypatch):
+    # modes 1 and 2 are not positive definite together, though mode 0 is fine: the check names the pair and draws nothing
+    monkeypatch.setattr(hbt, "_draw", lambda *args: pytest.fail("a block was drawn"))
+    state = CovarianceMatrix(np.diag([2.0, 2.0, 1.0, -1.0, 1.0, 1.0]))
+    with pytest.raises(NumericFailureError, match="^covariance matrix is not positive definite$"):
+        thermality_check(state, 1, 2, n_samples=2000, seed=4)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +588,7 @@ def test_g2_pairs_holds_only_its_per_thread_blocks(monkeypatch):
     # five rows of 2^15 per thread are 1.25 MiB; the general route's thirteen rows of 2^14 would be 1.6 MiB
     monkeypatch.setattr(hbt, "_CPUS", 2)
     entries = entries_of("basic", nu=2.0, eta_ab=0.5)
-    hbt.g2_pairs(entries[None], 1000, [1], [None])  # a process's first np.union1d imports numpy.ma, about 2 MB
+    hbt.g2_pairs(entries[None], 1000, [1], [None])
     tracemalloc.start()
     try:
         hbt.g2_pairs(entries[None], 1_000_000, [1], [None])
@@ -605,3 +603,17 @@ def test_g2_pairs_gives_extreme_accepted_pairs_a_finite_report(pair):
     # no factor divides by a root of d, or by anything else an accepted pair can make 0 or send past the float range
     report = hbt.g2_pairs(np.array([pair]), 10_000, [3], [None])[0]
     assert np.isfinite(report.g2_estimate) and np.isfinite(report.std_error)
+
+
+@pytest.mark.parametrize("v", [1e154, 1e200])
+def test_g2_refuses_a_pair_whose_sums_would_overflow(v, monkeypatch):
+    # MAX_SAMPLES squared intensities of a variance past about 2.45e150 can sum past the float range
+    message = f"variance {v:g} is past 2.45e+150, where the g2 sums overflow"
+    errors = [None]
+    assert hbt.g2_pairs(np.array([[v, v, 0.0, 1e308]]), 10_000, [5], errors) == [None]
+    assert isinstance(errors[0], NumericFailureError) and str(errors[0]) == message
+    monkeypatch.setattr(hbt, "_draw", lambda *args: pytest.fail("a block was drawn"))
+    state = CovarianceMatrix(np.kron([[v, v / 2], [v / 2, v]], np.eye(2)))
+    for check in (lambda: thermality_check(state, 0, 1, 10_000, 5), lambda: g2_analytic(state, 0, 1)):
+        with pytest.raises(NumericFailureError, match=f"^{re.escape(message)}$"):
+            check()

@@ -129,11 +129,12 @@ def test_parsed_small_sweep_runs_and_emits(text):
             return
         data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert len(data) == 1 + spec.swept.count
-    for row in result.rows:
+    for i, why in enumerate(result.reasons):
         # a row flagged failed has a nan cell; every other nan is an inconclusive g2
-        assert row.ok or any(map(math.isnan, row.values.values())), row
-        cells = [value for out, value in row.values.items() if out != "g2"]
-        assert not row.ok or all(map(math.isfinite, cells)), row
+        values = {out: float(column[i]) for out, column in result.columns.items()}
+        assert not why or any(map(math.isnan, values.values())), (why, values)
+        cells = [value for out, value in values.items() if out != "g2"]
+        assert why or all(map(math.isfinite, cells)), values
 
 
 @st.composite

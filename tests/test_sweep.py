@@ -74,7 +74,7 @@ def test_spec_validation_names_the_field(overrides, field):
 
 def test_spec_takes_integer_types_and_hands_fixed_values_to_params():
     spec = small_spec(swept=SweptRange("eta_ab", 0.2, 0.8, np.int64(4)))
-    assert len(run_sweep(spec).rows) == 4
+    assert len(run_sweep(spec).reasons) == 4
     with pytest.raises(UsageError, match="^fixed: nu must be a finite number, got 'abc'$"):
         small_spec(fixed={"nu": "abc"})
 
@@ -161,24 +161,23 @@ def test_parse_missing_required_key(missing):
 
 def test_run_sweep_rows_ascend():
     result = run_sweep(small_spec())
-    swept = [row.swept_value for row in result.rows]
+    swept = result.swept.tolist()
     assert swept == sorted(swept)
-    assert len(result.rows) == 4
+    assert len(swept) == len(result.reasons) == 4
     assert result.n_failed == 0
-    for row in result.rows:
-        assert set(row.values) == {"cmi", "discord"}
-        assert math.isfinite(row.values["cmi"])
+    assert set(result.columns) == {"cmi", "discord"}
+    assert all(len(column) == 4 for column in result.columns.values())
+    assert np.isfinite(result.columns["cmi"]).all()
 
 
 def test_run_sweep_descending_range_still_ascends():
     spec = small_spec(swept=SweptRange("eta_ab", 0.8, 0.2, 4))
-    rows = run_sweep(spec).rows
-    assert [row.swept_value for row in rows] == sorted(r.swept_value for r in rows)
+    result = run_sweep(spec)
+    assert result.swept.tolist() == sorted(result.swept.tolist())
     # same physics as the ascending spec, point by point
-    forward = run_sweep(small_spec()).rows
-    for got, want in zip(rows, forward):
-        assert got.swept_value == pytest.approx(want.swept_value)
-        assert got.values["cmi"] == pytest.approx(want.values["cmi"], abs=1e-12)
+    forward = run_sweep(small_spec())
+    assert result.swept == pytest.approx(forward.swept)
+    assert result.columns["cmi"] == pytest.approx(forward.columns["cmi"], abs=1e-12)
 
 
 def _failing_output(monkeypatch, spec, output, fails, message):
@@ -204,11 +203,10 @@ def test_run_sweep_contains_point_failures(monkeypatch):
     result = run_sweep(spec)
     assert result.n_failed == 1
     assert not result.all_failed
-    bad = result.rows[1]
-    assert bad.status == "failed: synthetic disagreement"
+    assert result.reasons[1] == ("synthetic disagreement",)
     # only the failed output's cell is blanked
-    assert math.isnan(bad.values["cmi"]) and math.isfinite(bad.values["discord"])
-    assert result.rows[0].ok and result.rows[2].ok
+    assert math.isnan(result.columns["cmi"][1]) and math.isfinite(result.columns["discord"][1])
+    assert result.reasons[0] == result.reasons[2] == ()
 
 
 def test_failed_outputs_join_their_reasons(monkeypatch):
@@ -218,8 +216,8 @@ def test_failed_outputs_join_their_reasons(monkeypatch):
     _failing_output(monkeypatch, spec, "cmi", lambda eta: abs(eta - 0.4) < 1e-9, "first")
     result = run_sweep(spec)
     assert result.n_failed == 1
-    assert result.rows[1].status == "failed: first; second"
-    assert all(math.isnan(v) for v in result.rows[1].values.values())
+    assert result.reasons[1] == ("first", "second")
+    assert all(math.isnan(column[1]) for column in result.columns.values())
 
 
 def test_run_sweep_flags_a_non_finite_cell(monkeypatch):
@@ -289,8 +287,8 @@ def test_g2_cells_of_an_inconclusive_verdict_are_nan(tmp_path):
                         "seed=1\nsamples=1000\n")
     result = run_sweep(spec)
     assert result.n_failed == 0
-    assert all(math.isnan(row.values["g2"]) for row in result.rows)
-    assert all(row.values["cmi"] == 0.0 for row in result.rows)
+    assert np.isnan(result.columns["g2"]).all()
+    assert (result.columns["cmi"] == 0.0).all()
     out = tmp_path / "dark.csv"
     emit_csv(result, out)
     data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
@@ -324,10 +322,9 @@ def test_g2_sweep_is_repeatable():
                       swept=SweptRange("eta_ab", 0.3, 0.7, 2))
     first = run_sweep(spec)
     second = run_sweep(spec)
-    for a, b in zip(first.rows, second.rows):
-        assert a.values["g2"] == b.values["g2"]
+    assert np.array_equal(first.columns["g2"], second.columns["g2"])
     # distinct points draw from distinct streams
-    assert first.rows[0].values["g2"] != first.rows[1].values["g2"]
+    assert first.columns["g2"][0] != first.columns["g2"][1]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -388,7 +385,7 @@ def test_emit_csv_layout(tmp_path):
     assert len(data) == 4
     first = data[0].split(",")
     assert first[0] == "0.2"
-    assert float(first[1]) == pytest.approx(result.rows[0].values["cmi"], rel=1e-11)
+    assert float(first[1]) == pytest.approx(result.columns["cmi"][0], rel=1e-11)
     # 12 significant digits survive the trip
     assert len(first[1].replace(".", "").replace("-", "").lstrip("0")) >= 11
 
@@ -477,7 +474,7 @@ def test_emit_csv_refuses_empty(tmp_path):
 
 def test_emit_csv_from_columns_matches_the_per_row_text(tmp_path):
     # the data rows come from one format over the columns; each cell must read as
-    # f"{value:.12g}" of the row view, the text every earlier table was written in
+    # f"{value:.12g}" of its value, the text every earlier table was written in
     ties = [100000000000.5, 100000000001.5, 0.1234567890125, -2.5e-7, 999999999999.5]
     special = [math.nan, -0.0, 0.0, 1e-300, 1e308, -1e308, math.inf, 5e-324]
     rng = np.random.default_rng(20)
@@ -493,15 +490,15 @@ def test_emit_csv_from_columns_matches_the_per_row_text(tmp_path):
     out = tmp_path / "columns.csv"
     emit_csv(result, out)
     lines = out.read_text().splitlines()
-    expected = [",".join(f"{v:.12g}" for v in [row.swept_value] + [row.values[o] for o in spec.outputs])
-                for row in result.rows]
+    columns = [result.columns[o].tolist() for o in spec.outputs]
+    expected = [",".join(f"{v:.12g}" for v in [value] + [column[i] for column in columns])
+                for i, value in enumerate(result.swept.tolist())]
     assert lines[-n:] == expected
     assert lines[-n - 1] == "eta_ab,cmi,discord"
     assert [lines[-n + i].split(",")[1] for i in (5, 6, 8)] == ["nan", "-0", "1e-300"]
     failed = [ln for ln in lines if ln.startswith("# failed:")]
-    assert failed == [f"# failed: eta_ab={result.rows[3].swept_value:.12g}: first; second line"]
+    assert failed == [f"# failed: eta_ab={result.swept[3]:.12g}: first; second line"]
     assert f"# points: {n} failed: 1" in lines
-    assert not result.rows[3].ok and result.rows[3].status == "failed: first; second\nline"
 
 
 def test_emit_csv_marks_failures_as_nan(tmp_path, monkeypatch):
@@ -522,18 +519,18 @@ def test_emit_csv_marks_failures_as_nan(tmp_path, monkeypatch):
 
 def test_presets_cover_the_reference_figures():
     fig3 = expand_preset("fig3")
-    assert [tag for tag, _ in fig3.branches] == [""]
-    spec3 = fig3.branches[0][1]
+    assert [tag for tag, _ in fig3] == [""]
+    spec3 = fig3[0][1]
     assert spec3.scenario == "basic" and spec3.fixed == {"nu": 1.0}
     assert spec3.outputs == ("cmi", "mi", "discord")
     assert spec3.swept == SweptRange("eta_ab", 0.01, 0.99, 99)
 
-    assert expand_preset("fig4").branches[0][1].fixed == {"nu": 2.0}
-    assert expand_preset("fig5").branches[0][1].fixed == {"nu": 1040.0}
+    assert expand_preset("fig4")[0][1].fixed == {"nu": 2.0}
+    assert expand_preset("fig5")[0][1].fixed == {"nu": 1040.0}
 
     fig6 = expand_preset("fig6")
-    assert [tag for tag, _ in fig6.branches] == ["vth1", "vth2", "vth10", "vth100", "vth500"]
-    for tag, spec in fig6.branches:
+    assert [tag for tag, _ in fig6] == ["vth1", "vth2", "vth10", "vth100", "vth500"]
+    for tag, spec in fig6:
         assert spec.scenario == "thermal_channel"
         assert spec.swept == SweptRange("eta_th", 0.01, 1.0, 100)
         assert spec.fixed["nu"] == 2.0 and spec.fixed["eta_ab"] == 0.5
@@ -541,8 +538,8 @@ def test_presets_cover_the_reference_figures():
 
     for name, output in (("fig7", "cmi"), ("fig8", "discord")):
         preset = expand_preset(name)
-        assert [tag for tag, _ in preset.branches] == ["nu1_v1", "nu2_v1", "nu1_v10", "nu2_v10"]
-        for _, spec in preset.branches:
+        assert [tag for tag, _ in preset] == ["nu1_v1", "nu2_v1", "nu1_v10", "nu2_v10"]
+        for _, spec in preset:
             assert spec.scenario == "full"
             assert spec.outputs == (output,)
             assert spec.fixed["eta_th_a"] == 0.3 and spec.fixed["eta_th_b"] == 0.3
