@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ThermalcastError, UsageError
-from .gaussian import run_one
-from .hbt import GENERATOR_ID, VERDICT_INCONCLUSIVE, g2_pairs
+from .hbt import GENERATOR_ID, VERDICT_INCONCLUSIVE, g2_pairs, run_one
 from .scenarios import SCENARIO_NAMES, ScenarioParams, pair_entries
 from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, emit_csv,
                     expand_preset, parse_config, run_sweep)

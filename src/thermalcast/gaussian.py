@@ -16,14 +16,10 @@ Conventions used throughout the package:
   applied identically to both quadratures. The transmitted beam lands in the
   slot of ``mode_a``, the reflected beam in the slot of ``mode_b``.
 
-Operations work on stacks: (N, 2n, 2n) arrays of N states, one per row.
-The one-state functions, which take plain values, are N = 1 calls into them.
-A stage that can fail on one row records an exception in that row's slot
-of an ``errors`` list (``None`` while the row is good) instead of raising,
-so a bad row never spoils the others. Stages check, kernels compute: a stage
-first runs :func:`positive_definite` on the largest block it reads, failing each
-row without a Cholesky factor and setting it and its factor to I; the kernels under
-it take that clean stack or factor, check nothing, and never raise or warn. All operations are pure.
+Every operation takes one matrix and raises its first failure. Stages check, kernels compute: a
+stage first factors the largest block it reads (:func:`_cholesky`, which raises "<label> is not
+positive definite"), and the kernels under it check nothing and never raise or warn. All
+operations are pure; only the sweep's closed forms stack points, failing rows by :func:`flag_rows`.
 """
 from __future__ import annotations
 
@@ -90,7 +86,7 @@ def check_state(state) -> np.ndarray:
 
 @cache
 def _omega(n_modes: int) -> np.ndarray:
-    """The symplectic form for n modes, read-only: one matrix per mode count serves every stack."""
+    """The symplectic form for n modes, read-only: one matrix per mode count serves every call."""
     mat = np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
     mat.setflags(write=False)
     return mat
@@ -112,22 +108,12 @@ def flag_rows(errors: list, mask: np.ndarray, make) -> None:
             errors[i] = make(i)
 
 
-def positive_definite(stack: np.ndarray, label: str, errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """Fail each row without a Cholesky factor; return the stack and its factors L, failed rows I in both.
-
-    One stacked call factors a good stack, which comes back uncopied; if it raises, rows go one by one.
-    """
+def _cholesky(data: np.ndarray, label: str) -> np.ndarray:
+    """The Cholesky factor L of one matrix; raise "<label> is not positive definite" without one."""
     try:
-        return stack, np.linalg.cholesky(stack)
+        return np.linalg.cholesky(data)
     except np.linalg.LinAlgError:
-        clean, factor = stack.copy(), np.empty_like(stack)
-    for i, gamma in enumerate(stack):
-        try:
-            factor[i] = np.linalg.cholesky(gamma)
-        except np.linalg.LinAlgError:
-            errors[i] = errors[i] or NumericFailureError(f"{label} is not positive definite")
-            clean[i] = factor[i] = np.eye(stack.shape[-1])
-    return clean, factor
+        raise NumericFailureError(f"{label} is not positive definite") from None
 
 
 def _is_integer(value) -> bool:
@@ -138,62 +124,42 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def run_one(stage, data: np.ndarray, *args):
-    """Run ``stage(stack, *args, errors)`` on one matrix; raise its failure, or return its row."""
-    errors = [None]
-    out = stage(data[None], *args, errors)
-    if errors[0] is not None:
-        raise errors[0]
-    return out[0]
-
-
-def _factor_one(data: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """One matrix and its Cholesky factor, by :func:`positive_definite`; raise its failure."""
-    return run_one(lambda stack, errors: list(zip(*positive_definite(stack, label, errors))), data)
-
-
-def epr_stack(nu: np.ndarray) -> np.ndarray:
-    """Two-mode squeezed vacua, (N, 4, 4), for local variances ``nu`` (N,)."""
+def epr(nu: float) -> np.ndarray:
+    """Two-mode squeezed vacuum, 4 x 4, of local variance ``nu``."""
     z = np.sqrt(nu * nu - 1.0)
-    out = nu[:, None, None] * np.eye(4)
-    out[:, 0, 2] = out[:, 2, 0] = z
-    out[:, 1, 3] = out[:, 3, 1] = -z
+    out = nu * np.eye(4)
+    out[0, 2] = out[2, 0] = z
+    out[1, 3] = out[3, 1] = -z
     return out
 
 
-def thermal_stack(variance: np.ndarray) -> np.ndarray:
-    """Single thermal modes diag(V, V), (N, 2, 2), for variances (N,)."""
-    return variance[:, None, None] * np.eye(2)
-
-
-def direct_sum(*stacks: np.ndarray) -> np.ndarray:
-    """Row-wise direct sum of stacks; later stacks' modes come last."""
-    dims = np.cumsum([0] + [s.shape[-1] for s in stacks])
-    out = np.zeros((len(stacks[0]), dims[-1], dims[-1]))
-    for s, lo, hi in zip(stacks, dims, dims[1:]):
-        out[:, lo:hi, lo:hi] = s
+def direct_sum(*blocks: np.ndarray) -> np.ndarray:
+    """Direct sum of matrices; later blocks' modes come last."""
+    dims = np.cumsum([0] + [len(block) for block in blocks])
+    out = np.zeros((dims[-1], dims[-1]))
+    for block, lo, hi in zip(blocks, dims, dims[1:]):
+        out[lo:hi, lo:hi] = block
     return out
 
 
-def beamsplitter_stack(stack: np.ndarray, mode_a: int, mode_b: int,
-                       eta: np.ndarray) -> np.ndarray:
-    """Gamma' = S Gamma S^T per row, S the module docstring's mix of two modes at ``eta``."""
-    t, r = np.sqrt(eta)[:, None, None], np.sqrt(1.0 - eta)[:, None, None]
+def beamsplitter(data: np.ndarray, mode_a: int, mode_b: int, eta: float) -> np.ndarray:
+    """Gamma' = S Gamma S^T, S the module docstring's mix of two modes at ``eta``."""
+    t, r = np.sqrt(eta), np.sqrt(1.0 - eta)
     a, b = slice(2 * mode_a, 2 * mode_a + 2), slice(2 * mode_b, 2 * mode_b + 2)
-    out = stack.copy()
-    ra, rb = stack[:, a, :], stack[:, b, :]
-    out[:, a, :], out[:, b, :] = t * ra + r * rb, t * rb - r * ra
-    ca, cb = out[:, :, a].copy(), out[:, :, b].copy()
-    out[:, :, a], out[:, :, b] = t * ca + r * cb, t * cb - r * ca
-    return (out + out.swapaxes(1, 2)) / 2.0
+    out = data.copy()
+    ra, rb = data[a, :], data[b, :]
+    out[a, :], out[b, :] = t * ra + r * rb, t * rb - r * ra
+    ca, cb = out[:, a].copy(), out[:, b].copy()
+    out[:, a], out[:, b] = t * ca + r * cb, t * cb - r * ca
+    return out / 2.0 + out.T / 2.0  # halving first: no overflow near the float limit
 
 
 def select_modes(data: np.ndarray, keep) -> np.ndarray:
-    """Principal submatrices of one matrix or of a stack on the kept modes, in order.
+    """Principal submatrix of one matrix on the kept modes, in order.
 
     The one home of the mode-index rule: distinct integers in [0, n).
     """
-    n = data.shape[-1] // 2
+    n = len(data) // 2
     keep = list(keep)
     if len(keep) == 0:
         raise InvalidArgumentError("must keep at least one mode")
@@ -203,7 +169,7 @@ def select_modes(data: np.ndarray, keep) -> np.ndarray:
     if len(set(keep)) != len(keep):
         raise InvalidArgumentError(f"duplicate mode index in {keep}")
     idx = np.array([q for m in keep for q in (2 * m, 2 * m + 1)])
-    return data[..., idx[:, None], idx]
+    return data[idx[:, None], idx]
 
 
 def make_vacuum(n_modes: int) -> CovarianceMatrix:
@@ -226,7 +192,7 @@ def check_variance(label: str, value: float) -> None:
 def make_thermal(variance: float) -> CovarianceMatrix:
     """A single thermal mode diag(V, V); V = 1 is the vacuum."""
     check_variance("thermal variance", variance)
-    return CovarianceMatrix(thermal_stack(np.array([float(variance)]))[0])
+    return CovarianceMatrix(float(variance) * np.eye(2))
 
 
 def make_epr(nu: float) -> CovarianceMatrix:
@@ -237,12 +203,12 @@ def make_epr(nu: float) -> CovarianceMatrix:
     state is pure.
     """
     check_variance("EPR variance", nu)
-    return CovarianceMatrix(epr_stack(np.array([float(nu)]))[0])
+    return CovarianceMatrix(epr(float(nu)))
 
 
 def tensor(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:
     """Direct sum of two states; mode counts add, b's modes come last."""
-    return CovarianceMatrix(direct_sum(check_state(a)[None], check_state(b)[None])[0])
+    return CovarianceMatrix(direct_sum(check_state(a), check_state(b)))
 
 
 def apply_beamsplitter(state: CovarianceMatrix, mode_a: int, mode_b: int,
@@ -251,8 +217,8 @@ def apply_beamsplitter(state: CovarianceMatrix, mode_a: int, mode_b: int,
     select_modes(check_state(state), [mode_a, mode_b])
     if not (_is_real(transmittance) and 0.0 <= transmittance <= 1.0):
         raise InvalidArgumentError(f"transmittance must lie in [0, 1], got {transmittance!r}")
-    return CovarianceMatrix(beamsplitter_stack(
-        state.data[None], mode_a, mode_b, np.array([float(transmittance)]))[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # a mix past the float range is refused as non-finite
+        return CovarianceMatrix(beamsplitter(state.data, mode_a, mode_b, float(transmittance)))
 
 
 def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> CovarianceMatrix:
@@ -264,9 +230,9 @@ def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> Covari
     return CovarianceMatrix(select_modes(check_state(state), keep))
 
 
-def symplectic_spectrum(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Williamson stage on Cholesky factors L of Gamma: spectrum (N, n) descending, and the rounding
-    tolerance (N,) and verdict (N,) of each row's smallest symplectic eigenvalue.
+def symplectic_spectrum(factor: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Williamson stage on the Cholesky factor L of Gamma: spectrum (n,) descending, and the rounding
+    tolerance and verdict of the smallest symplectic eigenvalue.
 
     i L^T Omega L is Hermitian with eigenvalues +/-nu_k (Weedbrook et al., RMP 84, 621 (2012)); one
     mode has nu = L_00 L_11. A perturbation E of Gamma moves nu_k by nu_k w^H E w, where u_k is the unit
@@ -277,43 +243,38 @@ def symplectic_spectrum(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     value stays as computed and a matrix singular to rounding keeps its nu ~ 0. The verdict
     nu_min >= 1 is then Gamma + i Omega >= 0 (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)).
     """
-    dim, n = factor.shape[-1], factor.shape[-1] // 2
+    dim, n = len(factor), len(factor) // 2
     if n == 1:  # L^T Omega L = det(L) Omega, whose +1 eigenvector is (1, -i) / sqrt(2)
-        nu, vecs = (factor[:, 0, 0] * factor[:, 1, 1])[:, None], np.array([[1.0], [-1.0j]]) / np.sqrt(2.0)
+        nu, vecs = np.array([factor[0, 0] * factor[1, 1]]), np.array([[1.0], [-1.0j]]) / np.sqrt(2.0)
     else:  # eigh ascends, -nu_1 .. -nu_n, nu_n .. nu_1: the upper half
-        vals, vecs = np.linalg.eigh(1j * (factor.swapaxes(1, 2) @ _omega(n) @ factor))
-        nu, vecs = vals[:, n:], vecs[:, :, n:]
+        vals, vecs = np.linalg.eigh(1j * (factor.T @ _omega(n) @ factor))
+        nu, vecs = vals[n:], vecs[:, n:]
     with np.errstate(over="ignore", divide="ignore"):  # only hand-built extremes; inf snaps nothing
-        gain = (np.abs(factor @ vecs) ** 2).sum(axis=1) / nu  # nu_k |w|^2
-        tol = 2.0 * dim * np.finfo(float).eps * (factor * factor).sum(axis=(1, 2))[:, None] * gain
+        gain = (np.abs(factor @ vecs) ** 2).sum(axis=0) / nu  # nu_k |w|^2
+        tol = 2.0 * dim * np.finfo(float).eps * (factor * factor).sum() * gain
     nu = np.where((np.abs(nu - 1.0) <= tol) & (tol < 1.0), 1.0, nu)
-    rows, low = np.arange(len(nu)), nu.argmin(axis=1)
-    return -np.sort(-nu, axis=1), tol[rows, low], nu[rows, low] >= 1.0
+    low = nu.argmin()
+    return -np.sort(-nu), tol[low], nu[low] >= 1.0
 
 
 def symplectic_eigenvalues(state: CovarianceMatrix) -> np.ndarray:
     """The n symplectic eigenvalues of a state, in descending order; pure states report exactly 1."""
-    return symplectic_spectrum(_factor_one(check_state(state), "covariance matrix")[1][None])[0][0]
-
-
-def physicality_stack(stack: np.ndarray) -> list[PhysicalityReport]:
-    """Judge every row: positive definite, then the verdict of :func:`symplectic_spectrum`.
-
-    A failed row says which test it failed; ``min_symplectic`` is set on a positive-definite failure only.
-    """
-    errors = [None] * len(stack)
-    _, factor = positive_definite(stack, "covariance matrix", errors)
-    nu, tol, ok = symplectic_spectrum(factor)
-    reports = [PhysicalityReport(ok=True, issues=(), min_symplectic=None)] * len(stack)
-    for i in np.flatnonzero(~ok):  # a failed row's factor is I, which passes
-        reports[i] = PhysicalityReport(ok=False, min_symplectic=float(nu[i, -1]), issues=(
-            f"symplectic eigenvalue below shot noise: {nu[i, -1]:.15g} (tolerance {tol[i]:.3g})",))
-    for i in np.flatnonzero([e is not None for e in errors]):
-        reports[i] = PhysicalityReport(ok=False, min_symplectic=None, issues=(
-            f"not positive definite: min eigenvalue {np.linalg.eigvalsh(stack[i])[0]:.6g}",))
-    return reports
+    return symplectic_spectrum(_cholesky(check_state(state), "covariance matrix"))[0]
 
 
 def validate_physicality(state: CovarianceMatrix) -> PhysicalityReport:
-    """The :func:`physicality_stack` report of one state; failure is reported, not raised."""
-    return physicality_stack(check_state(state)[None])[0]
+    """Judge one state: positive definite, then the verdict of :func:`symplectic_spectrum`.
+
+    Failure is reported, not raised: the report says which test failed, and ``min_symplectic``
+    is set on a shot-noise failure only.
+    """
+    data = check_state(state)
+    try:
+        nu, tol, ok = symplectic_spectrum(_cholesky(data, "covariance matrix"))
+    except NumericFailureError:
+        return PhysicalityReport(ok=False, min_symplectic=None, issues=(
+            f"not positive definite: min eigenvalue {np.linalg.eigvalsh(data)[0]:.6g}",))
+    if ok:
+        return PhysicalityReport(ok=True, issues=(), min_symplectic=None)
+    return PhysicalityReport(ok=False, min_symplectic=float(nu[-1]), issues=(
+        f"symplectic eigenvalue below shot noise: {nu[-1]:.15g} (tolerance {tol:.3g})",))

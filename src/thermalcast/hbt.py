@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UndefinedResultError
-from .gaussian import (CovarianceMatrix, _factor_one, _is_integer, check_state, flag_rows, reduce, run_one,
-                       select_modes)
+from .gaussian import CovarianceMatrix, _cholesky, _is_integer, check_state, flag_rows, reduce, select_modes
 
 GENERATOR_ID = "sfc64/v6"
 
@@ -84,7 +83,7 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
         A read-only (n_samples, 2n) array, columns in quadrature order.
     """
     _check_draw(n_samples, [seed])
-    _, factor = _factor_one(check_state(state), "covariance matrix")
+    factor = _cholesky(check_state(state), "covariance matrix")
     samples = np.empty((n_samples, len(factor)))
     rows = _layout(n_samples, _ONE_THREAD_GEMM // len(factor) ** 2)[0]
     _draw(rows, [seed], lambda m: lambda i, start, stop, rng: np.matmul(
@@ -248,6 +247,15 @@ def _g2_sums(n_samples: int, seeds, errors: list, block: int, width: int, fill) 
     return [None if exc else _report(sums, cuts, bounds) for exc, sums in zip(errors, pieces)]
 
 
+def run_one(stage, data: np.ndarray, *args):
+    """Run the stacked g2 ``stage(stack, *args, errors)`` on one input; raise its failure, or return its row."""
+    errors = [None]
+    out = stage(data[None], *args, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return out[0]
+
+
 def _flag_huge(stack: np.ndarray, errors: list) -> np.ndarray:
     """Fail each row of ``stack`` holding an entry past ``_MAX_G2_ENTRY`` in magnitude; return the stack."""
     peak = np.abs(stack).reshape(len(stack), -1).max(axis=1)
@@ -258,7 +266,8 @@ def _flag_huge(stack: np.ndarray, errors: list) -> np.ndarray:
 
 def g2_pairs(pairs: np.ndarray, n_samples: int, seeds, errors: list) -> list:
     """:func:`thermality_check` for the pairs [[a I, c I], [c I, b I]] of an (N, 4) stack of (a, b, c, d = ab - c^2),
-    failing a row that is not positive definite or past the g2 range; g2_analytic is 1 + c^2 / ((a - 1)(b - 1)) or None.
+    failing a row that is not positive definite, or whose a, b, c or B variance as drawn, (c^2 + d) / a, is past
+    the g2 range; g2_analytic is 1 + c^2 / ((a - 1)(b - 1)) or None.
     Turned by z_a's phase, z = x + i p gives the intensities the law of I_a = (a/2) E - 1/2 and I_b = (mu sqrt(E) +
     sigma n1)^2 + (sigma n2)^2 - 1/2, mu = c / sqrt(2a), sigma = sqrt(d / a) / 2, E ~ Exp(1), n1, n2 ~ N(0, 1), drawn in
     turn from the same substreams."""
@@ -266,7 +275,8 @@ def g2_pairs(pairs: np.ndarray, n_samples: int, seeds, errors: list) -> list:
     flag_rows(errors, ~(np.isfinite(pairs).all(axis=1) & (a > 0) & (d > 0)),
               lambda i: NumericFailureError("covariance matrix is not positive definite"))
     _flag_huge(pairs[:, :3], errors)
-    with np.errstate(divide="ignore", invalid="ignore"):  # failed rows draw nothing
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # failed rows draw nothing
+        _flag_huge(((c * c + d) / a)[:, None], errors)  # an overflow reads inf, past the range
         coefs = np.stack([a / 2.0, c / np.sqrt(2.0 * a), np.sqrt(d / a) / 2.0], axis=1)
 
     def fill(i, rng, vals):  # rows E, then I_b, n1 and n2, formed in place
@@ -319,7 +329,7 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
     and draws four columns per sample however many modes the state has.
     """
     pair = reduce(state, [mode_a, mode_b])
-    _, factor = _factor_one(run_one(_flag_huge, pair.data), "covariance matrix")
+    factor = _cholesky(run_one(_flag_huge, pair.data), "covariance matrix")
 
     def fill(i, rng, vals):  # five rows for the sums, then N and L N^T: the quadratures as contiguous rows
         normals = rng.standard_normal(out=vals[5:9].reshape(-1, 4))

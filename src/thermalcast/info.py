@@ -8,9 +8,8 @@ Two entropy notions coexist here and must not be mixed up:
 * :func:`von_neumann_entropy` is the quantum entropy from the symplectic
   spectrum. Discord is built from this one.
 
-Everything is reported in bits. Each measure has a stacked form that
-takes an (N, 2n, 2n) stack and a per-row ``errors`` list (see
-:mod:`thermalcast.gaussian`), and a one-state form that is its N = 1 call.
+Everything is reported in bits. Each measure takes one state and raises its
+first failure; only :func:`pair_measures`, the sweep's closed form, stacks points.
 """
 from __future__ import annotations
 
@@ -19,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, _factor_one, _is_real, check_state, flag_rows,
-                       positive_definite, run_one, select_modes, symplectic_spectrum)
+from .gaussian import (CovarianceMatrix, _cholesky, _is_real, check_state, flag_rows, select_modes,
+                       symplectic_spectrum)
 
 _LN2 = float(np.log(2.0))
 _LOG2_2PIE = float(np.log(2.0 * np.pi * np.e) / _LN2)
@@ -34,8 +33,9 @@ CLAMP_TOL = 1e-9
 class Partition:
     """Disjoint mode groups (A, B, S) inside one multimode state.
 
-    S may be empty (plain mutual information); A and B may not. Each index
-    is checked where a measure selects it (:func:`select_modes`).
+    Each group is a sequence of mode indices. S may be empty (plain mutual
+    information); A and B may not. Each index is checked where a measure
+    selects it (:func:`select_modes`).
     """
 
     subsystem_a: tuple[int, ...]
@@ -43,10 +43,14 @@ class Partition:
     subsystem_s: tuple[int, ...] = ()
 
     def __post_init__(self):
-        a, b, s = tuple(self.subsystem_a), tuple(self.subsystem_b), tuple(self.subsystem_s)
-        object.__setattr__(self, "subsystem_a", a)
-        object.__setattr__(self, "subsystem_b", b)
-        object.__setattr__(self, "subsystem_s", s)
+        for name in ("subsystem_a", "subsystem_b", "subsystem_s"):
+            group = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(group))
+                hash(getattr(self, name))  # a group of lists would fail the overlap check below
+            except TypeError:
+                raise InvalidArgumentError(f"{name} must be a sequence of mode indices, got {group!r}") from None
+        a, b, s = self.subsystem_a, self.subsystem_b, self.subsystem_s
         if not a or not b:
             raise InvalidArgumentError("subsystems A and B must be non-empty")
         combined = a + b + s
@@ -65,16 +69,23 @@ class DiscordResult:
     conditional_entropy: float
 
 
-def _log2det(stack: np.ndarray, label: str, errors: list) -> np.ndarray:
-    """log2-determinant per row; det <= 0, left by a block singular to rounding
-    that still factors, fails the row and reads 0."""
-    sign, logdet = np.linalg.slogdet(stack)
-    flag_rows(errors, sign <= 0.0, lambda i: NumericFailureError(f"{label} is not positive definite"))
-    return np.where(sign > 0.0, logdet / _LN2, 0.0)
+def _groups(p) -> tuple[tuple[int, ...], ...]:
+    """(A, B, S) of a :class:`Partition`; anything else raises, naming its type."""
+    if not isinstance(p, Partition):
+        raise InvalidArgumentError(f"partition must be a Partition, got {type(p).__name__}")
+    return p.subsystem_a, p.subsystem_b, p.subsystem_s
 
 
-def _shannon(stack: np.ndarray, errors: list) -> np.ndarray:
-    return 0.5 * (stack.shape[-1] * _LOG2_2PIE + _log2det(stack, "state", errors))
+def _log2det(data: np.ndarray, label: str) -> float:
+    """log2-determinant; det <= 0, left by a block singular to rounding that still factors, raises."""
+    sign, logdet = np.linalg.slogdet(data)
+    if sign <= 0.0:
+        raise NumericFailureError(f"{label} is not positive definite")
+    return logdet / _LN2
+
+
+def _shannon(data: np.ndarray) -> float:
+    return 0.5 * (len(data) * _LOG2_2PIE + _log2det(data, "state"))
 
 
 def shannon_entropy(state: CovarianceMatrix) -> float:
@@ -83,7 +94,9 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
     H = (1/2) * log((2 pi e)^d * det Gamma) with d the full quadrature
     dimension (two per mode). Single vacuum mode: log2(2 pi e) ~ 4.094342.
     """
-    return float(run_one(_shannon, _factor_one(check_state(state), "state")[0]))
+    data = check_state(state)
+    _cholesky(data, "state")
+    return float(_shannon(data))
 
 
 def _g(eigs: np.ndarray) -> np.ndarray:
@@ -97,11 +110,11 @@ def _g(eigs: np.ndarray) -> np.ndarray:
     return out / _LN2
 
 
-def _physical_spectrum(factor: np.ndarray, errors: list) -> np.ndarray:
-    """Spectrum of every row from its Cholesky factor; a row that fails the shot-noise verdict fails."""
+def _physical_spectrum(factor: np.ndarray) -> np.ndarray:
+    """Spectrum from the Cholesky factor; a state that fails the shot-noise verdict raises."""
     eigs, _, ok = symplectic_spectrum(factor)
-    flag_rows(errors, ~ok, lambda i: UnphysicalStateError(
-        f"symplectic eigenvalue {eigs[i, -1]:.15g} below shot noise"))
+    if not ok:
+        raise UnphysicalStateError(f"symplectic eigenvalue {eigs[-1]:.15g} below shot noise")
     return eigs
 
 
@@ -110,20 +123,18 @@ def von_neumann_entropy(state: CovarianceMatrix) -> float:
 
     Zero for pure states (vacuum, EPR); thermal(2) gives ~1.377444.
     """
-    return float(_g(run_one(_physical_spectrum, _factor_one(check_state(state), "covariance matrix")[1])).sum())
+    return float(_g(_physical_spectrum(_cholesky(check_state(state), "covariance matrix"))).sum())
 
 
-def _clamp_info(values: np.ndarray, label: str, errors: list) -> np.ndarray:
-    """Clamp dust below zero to 0 and fail rows below ``-CLAMP_TOL``; failed rows read nan."""
-    flag_rows(errors, values < -CLAMP_TOL, lambda i: NumericFailureError(
-        f"{label} = {values[i]:.3e} is negative beyond tolerance"))
-    values = np.where(values < 0.0, 0.0, values)
-    values[np.array([e is not None for e in errors], dtype=bool)] = np.nan
-    return values
+def _clamp_info(value: float, label: str) -> float:
+    """Clamp dust below zero to 0; below ``-CLAMP_TOL`` raise."""
+    if value < -CLAMP_TOL:
+        raise NumericFailureError(f"{label} = {value:.3e} is negative beyond tolerance")
+    return 0.0 if value < 0.0 else float(value)
 
 
-def cmi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
-    """I(A:B|S) in bits for every row, S non-empty.
+def conditional_mutual_information(state: CovarianceMatrix, p: Partition) -> float:
+    """I(A:B|S) in bits of one state, S non-empty.
 
     Evaluated two independent ways and cross-checked to ``CLAMP_TOL``:
 
@@ -134,68 +145,58 @@ def cmi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
       diagonal blocks are Gamma_A|S and Gamma_B|S.
 
     Gamma_ABS is checked first; every block above is a principal submatrix
-    of it. A row whose Gamma_ABS is not positive definite, or whose routes
-    disagree, reads nan and gets a :class:`NumericFailureError` in ``errors``.
+    of it. A Gamma_ABS that is not positive definite, or routes that
+    disagree, raise :class:`NumericFailureError`.
     """
-    a, b, s = p.subsystem_a, p.subsystem_b, p.subsystem_s
+    data, (a, b, s) = check_state(state), _groups(p)
     if not s:
         raise InvalidArgumentError("conditioning set S is empty; use mutual_information")
-    g_abs, _ = positive_definite(select_modes(stack, a + b + s), "Gamma_ABS", errors)
+    g_abs = select_modes(data, a + b + s)
+    _cholesky(g_abs, "Gamma_ABS")
     from_dets = 0.5 * (
-        _log2det(select_modes(stack, a + s), "Gamma_AS", errors)
-        + _log2det(select_modes(stack, b + s), "Gamma_BS", errors)
-        - _log2det(select_modes(stack, s), "Gamma_S", errors) - _log2det(g_abs, "Gamma_ABS", errors))
+        _log2det(select_modes(data, a + s), "Gamma_AS") + _log2det(select_modes(data, b + s), "Gamma_BS")
+        - _log2det(select_modes(data, s), "Gamma_S") - _log2det(g_abs, "Gamma_ABS"))
     n_a, n_ab = 2 * len(a), 2 * len(a + b)
-    cross = g_abs[:, :n_ab, n_ab:]
-    cond = g_abs[:, :n_ab, :n_ab] - cross @ np.linalg.solve(g_abs[:, n_ab:, n_ab:], cross.swapaxes(1, 2))
+    cross = g_abs[:n_ab, n_ab:]
+    cond = g_abs[:n_ab, :n_ab] - cross @ np.linalg.solve(g_abs[n_ab:, n_ab:], cross.T)
     from_schur = 0.5 * (
-        _log2det(cond[:, :n_a, :n_a], "Gamma_A|S", errors)
-        + _log2det(cond[:, n_a:, n_a:], "Gamma_B|S", errors)
-        - _log2det(cond, "Gamma_AB|S", errors))
-    flag_rows(errors, np.abs(from_dets - from_schur) > CLAMP_TOL, lambda i: NumericFailureError(
-        f"CMI routes disagree: {float(from_dets[i])!r} (determinants) vs "
-        f"{float(from_schur[i])!r} (Schur complements)"))
-    return _clamp_info(from_dets, "conditional mutual information", errors)
-
-
-def conditional_mutual_information(state: CovarianceMatrix, p: Partition) -> float:
-    """I(A:B|S) in bits of one state; :func:`cmi_stack` on N = 1, raising its failure."""
-    return float(run_one(cmi_stack, check_state(state), p))
-
-
-def mi_stack(stack: np.ndarray, p: Partition, errors: list) -> np.ndarray:
-    """I(A:B) = H(A) + H(B) - H(AB) in bits for every row; requires an empty S."""
-    if p.subsystem_s:
-        raise InvalidArgumentError("mutual_information takes an empty conditioning set")
-    g_ab, _ = positive_definite(select_modes(stack, p.subsystem_a + p.subsystem_b), "Gamma_AB", errors)
-    n_a = 2 * len(p.subsystem_a)
-    value = (_shannon(g_ab[:, :n_a, :n_a], errors) + _shannon(g_ab[:, n_a:, n_a:], errors)
-             - _shannon(g_ab, errors))
-    return _clamp_info(value, "mutual information", errors)
+        _log2det(cond[:n_a, :n_a], "Gamma_A|S") + _log2det(cond[n_a:, n_a:], "Gamma_B|S")
+        - _log2det(cond, "Gamma_AB|S"))
+    if abs(from_dets - from_schur) > CLAMP_TOL:
+        raise NumericFailureError(f"CMI routes disagree: {float(from_dets)!r} (determinants) vs "
+                                  f"{float(from_schur)!r} (Schur complements)")
+    return _clamp_info(from_dets, "conditional mutual information")
 
 
 def mutual_information(state: CovarianceMatrix, p: Partition) -> float:
-    """I(A:B) in bits of one state; :func:`mi_stack` on N = 1, raising its failure."""
-    return float(run_one(mi_stack, check_state(state), p))
+    """I(A:B) = H(A) + H(B) - H(AB) in bits of one state; requires an empty S."""
+    data, (a, b, s) = check_state(state), _groups(p)
+    if s:
+        raise InvalidArgumentError("mutual_information takes an empty conditioning set")
+    g_ab = select_modes(data, a + b)
+    _cholesky(g_ab, "Gamma_AB")
+    n_a = 2 * len(a)
+    return _clamp_info(_shannon(g_ab[:n_a, :n_a]) + _shannon(g_ab[n_a:, n_a:]) - _shannon(g_ab),
+                       "mutual information")
 
 
-def _homodyne(stack: np.ndarray, measured_mode: int, angles: np.ndarray) -> np.ndarray:
-    """Remaining modes of every row after homodyning one mode at the row's angle.
+def _homodyne(data: np.ndarray, measured_mode: int, angle: float) -> np.ndarray:
+    """Remaining modes after homodyning one mode at ``angle``.
 
     Schur-complement update Gamma_rest - C (X Gamma_m X)^+ C^T, where the
     pseudo-inverse of the rank-1 piece is x x^T / q for the measured
-    direction x and q = x^T Gamma_m x > 0, as every row must be positive definite.
+    direction x and q = x^T Gamma_m x > 0, as the state must be positive definite.
     """
-    n = stack.shape[-1] // 2
+    n = len(data) // 2
     if n < 2:
         raise InvalidArgumentError("conditioning requires at least one unmeasured mode")
     # the unmeasured modes in their original order, then the measured one
-    g = select_modes(stack, [m for m in range(n) if m != measured_mode] + [measured_mode])
+    g = select_modes(data, [m for m in range(n) if m != measured_mode] + [measured_mode])
     m = 2 * n - 2
-    x = np.stack([np.cos(angles), np.sin(angles)], axis=-1)[:, :, None]
-    q = x.swapaxes(1, 2) @ g[:, m:, m:] @ x
-    cx = g[:, :m, m:] @ x
-    return g[:, :m, :m] - cx * cx.swapaxes(1, 2) / q
+    x = np.array([[np.cos(angle)], [np.sin(angle)]])
+    q = x.T @ g[m:, m:] @ x
+    cx = g[:m, m:] @ x
+    return g[:m, :m] - cx * cx.T / q
 
 
 def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
@@ -206,12 +207,13 @@ def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
     """
     if not (_is_real(angle) and 0.0 <= angle < np.pi):
         raise InvalidArgumentError(f"homodyne angle must lie in [0, pi), got {angle!r}")
-    gamma, _ = _factor_one(check_state(state), "covariance matrix")
-    return CovarianceMatrix(_homodyne(gamma[None], measured_mode, np.array([float(angle)]))[0])
+    data = check_state(state)
+    _cholesky(data, "covariance matrix")
+    return CovarianceMatrix(_homodyne(data, measured_mode, float(angle)))
 
 
-def _best_homodyne_angle(pair: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Homodyne angle on mode 0 of every row that minimizes the conditional det of mode 1.
+def _best_homodyne_angle(pair: np.ndarray, factor: np.ndarray) -> float:
+    """Homodyne angle on mode 0 of the pair that minimizes the conditional det of mode 1.
 
     With A, B the diagonal blocks and C the cross block, a readout along x leaves mode 1 with
     det B - x^T C adj(B) C^T x / x^T A x. The minimizer is the top generalized eigenvector of
@@ -219,37 +221,15 @@ def _best_homodyne_angle(pair: np.ndarray, factor: np.ndarray) -> np.ndarray:
     pair's Cholesky ``factor``, and v = (cos phi, sin phi), phi = atan2(2 M_01, M_00 - M_11) / 2, the
     top eigenvector of the symmetric 2 x 2 M = W C adj(B) C^T W^T. It is reported in [0, pi).
     """
-    b, c, l_a = pair[:, 2:4, 2:4], pair[:, 0:2, 2:4], factor[:, 0:2, 0:2]
-    whiten = np.stack([l_a[:, 1, 1], -l_a[:, 0, 1], -l_a[:, 1, 0], l_a[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
-    adj_b = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
-    m = whiten @ c @ adj_b @ c.swapaxes(1, 2) @ whiten.swapaxes(1, 2)
-    phi = 0.5 * np.arctan2(2.0 * m[:, 0, 1], m[:, 0, 0] - m[:, 1, 1])
-    x0, x1 = l_a[:, 1, 1] * np.cos(phi) - l_a[:, 1, 0] * np.sin(phi), l_a[:, 0, 0] * np.sin(phi)  # W^T v
+    b, c, l_a = pair[2:4, 2:4], pair[0:2, 2:4], factor[0:2, 0:2]
+    whiten = np.array([[l_a[1, 1], -l_a[0, 1]], [-l_a[1, 0], l_a[0, 0]]])
+    adj_b = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
+    m = whiten @ c @ adj_b @ c.T @ whiten.T
+    phi = 0.5 * np.arctan2(2.0 * m[0, 1], m[0, 0] - m[1, 1])
+    x0, x1 = l_a[1, 1] * np.cos(phi) - l_a[1, 0] * np.sin(phi), l_a[0, 0] * np.sin(phi)  # W^T v
     angle = np.arctan2(x1, x0) % np.pi
     # a direction a rounding error short of pi is the line at angle 0
-    return np.where(angle >= np.pi, 0.0, angle)
-
-
-def discord_stack(stack: np.ndarray, a_mode: int, b_mode: int, errors: list) -> DiscordResult:
-    """Gaussian discord D(B|A) of every row: A is homodyned, B is inferred.
-
-    D = S(Gamma_A) - S(Gamma_AB) + min over homodyne angle of S(Gamma_B|x_A),
-    all von Neumann. The minimum over homodyne angles in [0, pi) is taken in
-    closed form (see :func:`_best_homodyne_angle`), and B is conditioned
-    once, at that angle. The pair is factored once and judged physical, so A is too (its factor is
-    the pair's leading block); the conditioned state gets its own check. Both one-mode spectra are
-    one stacked call. Every field of the result is an (N,) array; a failed row's value is nan.
-    """
-    pair, factor = positive_definite(select_modes(stack, [a_mode, b_mode]), "covariance matrix", errors)
-    eigs_ab = _physical_spectrum(factor, errors)
-    angle = _best_homodyne_angle(pair, factor)
-    _, cond = positive_definite(_homodyne(pair, 0, angle), "covariance matrix", errors)
-    one_mode = symplectic_spectrum(np.concatenate([factor[:, 0:2, 0:2], cond]))[0].reshape(2, -1)
-    terms = _g(np.concatenate([eigs_ab, one_mode.T], axis=1))
-    s_ab, s_a, s_cond = terms[:, 0] + terms[:, 1], terms[:, 2], terms[:, 3]
-    value = _clamp_info(s_a - s_ab + s_cond, "discord", errors)
-    return DiscordResult(value=value, angle=angle, entropy_a=s_a, entropy_joint=s_ab,
-                         conditional_entropy=s_cond)
+    return 0.0 if angle >= np.pi else float(angle)
 
 
 def pair_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, errors: dict) -> dict:
@@ -275,14 +255,22 @@ def pair_measures(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, er
 
 
 def gaussian_discord(state: CovarianceMatrix, a_mode: int, b_mode: int) -> DiscordResult:
-    """Discord of one state; :func:`discord_stack` on N = 1, raising its failure.
+    """Gaussian discord D(B|A) of one state: A is homodyned, B is inferred.
 
-    ``angle`` is in [0, pi). States whose blocks are proportional to the
-    identity have an angle-free conditional entropy, so the reported angle
-    is then arbitrary.
+    D = S(Gamma_A) - S(Gamma_AB) + min over homodyne angle of S(Gamma_B|x_A), all von Neumann. The
+    minimum over angles in [0, pi) is taken in closed form (see :func:`_best_homodyne_angle`), and B is
+    conditioned once, at that angle, which is reported in [0, pi); where every block is proportional to
+    the identity, the conditional entropy is angle-free and the angle arbitrary. The pair is factored
+    once and judged physical, so A is too (its factor is the pair's leading block); the conditioned
+    state gets its own check.
     """
-    errors = [None]
-    rows = discord_stack(check_state(state)[None], a_mode, b_mode, errors)
-    if errors[0] is not None:
-        raise errors[0]
-    return DiscordResult(**{name: float(v[0]) for name, v in vars(rows).items()})
+    pair = select_modes(check_state(state), [a_mode, b_mode])
+    factor = _cholesky(pair, "covariance matrix")
+    eigs_ab = _physical_spectrum(factor)
+    angle = _best_homodyne_angle(pair, factor)
+    cond = _cholesky(_homodyne(pair, 0, angle), "covariance matrix")
+    one_mode = [symplectic_spectrum(f)[0][0] for f in (factor[0:2, 0:2], cond)]
+    terms = _g(np.concatenate([eigs_ab, one_mode]))
+    s_ab, s_a, s_cond = terms[0] + terms[1], terms[2], terms[3]
+    return DiscordResult(value=_clamp_info(s_a - s_ab + s_cond, "discord"), angle=angle,
+                         entropy_a=float(s_a), entropy_joint=float(s_ab), conditional_entropy=float(s_cond))

@@ -7,9 +7,8 @@ Optional thermal channels sit in front of the splitter (transmittance
 each receiver arm (``eta_th_a``/``v_alpha``, ``eta_th_b``/``v_beta``).
 
 Every topology exists twice: as a compositional build out of EPR, direct
-sum and beamsplitter primitives on parameter stacks (one row per point),
-and as closed-form matrix entries written out by hand, which tests hold
-entrywise to the build at 1e-12; keep both. Sweeps use :func:`pair_entries`.
+sum and beamsplitter primitives, and as closed-form matrix entries written
+out by hand, which tests hold entrywise to the build at 1e-12; keep both. Sweeps use :func:`pair_entries`.
 
 Mode labels, in build order:
 
@@ -20,14 +19,13 @@ Mode labels, in build order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, beamsplitter_stack, check_variance,
-                       direct_sum, epr_stack, select_modes, thermal_stack)
+from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, beamsplitter, check_variance, direct_sum, epr,
+                       select_modes)
 from .info import Partition
 
 MODE_E = "E"
@@ -100,52 +98,41 @@ class ScenarioState:
             raise InvalidArgumentError(f"duplicate mode labels in {self.mode_labels}")
 
     def mode_index(self, label: str) -> int:
-        return _mode_index(self.mode_labels, label)
+        try:
+            return self.mode_labels.index(label)
+        except ValueError:
+            raise InvalidArgumentError(f"no mode labeled {label!r} in {self.mode_labels}") from None
 
     def information_partition(self) -> Partition:
-        """A vs B, conditioned on E; see :func:`information_partition`."""
-        return information_partition(self.mode_labels)
+        """A vs B, conditioned on the source mode E alone.
+
+        The channel idlers (V, V_a, V_b) are environment: nobody reads them, so
+        they are traced out of every information quantity.
+        """
+        return Partition(*((self.mode_index(label),) for label in (MODE_A, MODE_B, MODE_E)))
 
 
-def _mode_index(labels: tuple[str, ...], label: str) -> int:
-    try:
-        return labels.index(label)
-    except ValueError:
-        raise InvalidArgumentError(f"no mode labeled {label!r} in {labels}") from None
+# Compositional builds: one matrix from the fields of a ScenarioParams; thermal(V) is V I.
 
-
-def information_partition(labels: tuple[str, ...]) -> Partition:
-    """A vs B, conditioned on the source mode E alone.
-
-    The channel idlers (V, V_a, V_b) are environment: nobody reads them, so
-    they are traced out of every information quantity.
-    """
-    return Partition(*((_mode_index(labels, label),) for label in (MODE_A, MODE_B, MODE_E)))
-
-
-# Compositional builds on parameter stacks: ``p`` carries every ScenarioParams
-# field as an (N,) array, one row per point.
-
-def _basic(p) -> np.ndarray:
+def _basic(p: ScenarioParams) -> np.ndarray:
     """Noiseless broadcast: the EPR arm split between B (transmitted) and A."""
-    state = direct_sum(epr_stack(p.nu), thermal_stack(np.ones_like(p.nu)))
-    return beamsplitter_stack(state, 1, 2, p.eta_ab)
+    return beamsplitter(direct_sum(epr(p.nu), np.eye(2)), 1, 2, p.eta_ab)
 
 
-def _thermal_channel(p) -> np.ndarray:
+def _thermal_channel(p: ScenarioParams) -> np.ndarray:
     """The sent arm first mixes with thermal(v_th) at eta_th; V keeps the discarded output."""
-    state = direct_sum(epr_stack(p.nu), thermal_stack(p.v_th), thermal_stack(np.ones_like(p.nu)))
-    state = beamsplitter_stack(state, 1, 2, p.eta_th)
-    state = beamsplitter_stack(state, 1, 3, p.eta_ab)
+    state = direct_sum(epr(p.nu), p.v_th * np.eye(2), np.eye(2))
+    state = beamsplitter(state, 1, 2, p.eta_th)
+    state = beamsplitter(state, 1, 3, p.eta_ab)
     # built as (E, B, V, A); present the channel idler before the receivers
     return select_modes(state, [0, 2, 1, 3])
 
 
-def _full(p) -> np.ndarray:
+def _full(p: ScenarioParams) -> np.ndarray:
     """Thermal channel, then arm A mixes with thermal(v_alpha) at eta_th_a, B likewise."""
-    state = direct_sum(_thermal_channel(p), thermal_stack(p.v_alpha), thermal_stack(p.v_beta))
-    state = beamsplitter_stack(state, 3, 4, p.eta_th_a)
-    return beamsplitter_stack(state, 2, 5, p.eta_th_b)
+    state = direct_sum(_thermal_channel(p), p.v_alpha * np.eye(2), p.v_beta * np.eye(2))
+    state = beamsplitter(state, 3, 4, p.eta_th_a)
+    return beamsplitter(state, 2, 5, p.eta_th_b)
 
 
 _BUILDS = {
@@ -155,22 +142,12 @@ _BUILDS = {
 }
 
 
-def build_stack(name: str, p) -> tuple[np.ndarray, tuple[str, ...]]:
-    """(stack, mode labels) of a topology for (N,) arrays of in-domain parameters.
-
-    Every row is physical by construction (EPR and thermal modes through beamsplitters).
-    """
+def build_scenario(name: str, params: ScenarioParams) -> ScenarioState:
+    """One point of a topology, physical by construction (EPR and thermal modes through beamsplitters)."""
     if name not in _BUILDS:
         raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
     build, labels = _BUILDS[name]
-    return build(p), labels
-
-
-def build_scenario(name: str, params: ScenarioParams) -> ScenarioState:
-    """One point: an N = 1 :func:`build_stack`."""
-    rows = SimpleNamespace(**{k: np.array([v]) for k, v in vars(params).items()})
-    stack, labels = build_stack(name, rows)
-    return ScenarioState(state=CovarianceMatrix(stack[0]), mode_labels=labels)
+    return ScenarioState(state=CovarianceMatrix(build(params)), mode_labels=labels)
 
 
 def pair_entries(name: str, p) -> tuple[np.ndarray, ...]:
@@ -178,9 +155,8 @@ def pair_entries(name: str, p) -> tuple[np.ndarray, ...]:
 
     Each is (2, N), at the splitter's input variance v = eta_th nu + (1 - eta_th) v_th and at w = eta_th / nu
     + (1 - eta_th) v_th, that arm given E. d sums non-negative terms and c = 0 exactly for a vacuum source.
+    Callers check ``name`` (:class:`~thermalcast.sweep.SweepSpec`, the CLI's choices).
     """
-    if name not in _BUILDS:
-        raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
     th = 1.0 if name == "basic" else p.eta_th
     eta_a, eta_b = (p.eta_th_a, p.eta_th_b) if name == "full" else (1.0, 1.0)
     t, v_a, v_b = p.eta_ab, p.v_alpha, p.v_beta

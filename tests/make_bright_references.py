@@ -9,7 +9,7 @@ from the repository root::
 Each case is a sweep of ``eta_ab`` over 0.1:0.9:5 at a bright source (nu = 1e4 or 1e6) on one
 topology. The float64 values the sweep evaluates (``numpy.linspace``) are taken as exact inputs.
 Each state is the full covariance matrix, built at 80 digits by the same EPR, thermal-mode and
-beamsplitter network as ``scenarios.build_stack``, with none of the sweep's closed forms:
+beamsplitter network as ``scenarios.build_scenario``, with none of the sweep's closed forms:
 
 * CMI = 1/2 log2(det G_AE det G_BE / (det G_E det G_ABE)), MI = 1/2 log2(det G_A det G_B / det G_AB);
 * discord D(B|A) = S(A) - S(AB) + min over homodyne angles of S(B | x_A), with the pair's

@@ -46,6 +46,15 @@ def test_covariance_symmetrizes_entries_near_the_float_limit():
     assert CovarianceMatrix(np.diag([1e308, 1e308])).data.tolist() == [[1e308, 0.0], [0.0, 1e308]]
 
 
+def test_beamsplitter_mixes_entries_near_the_float_limit():
+    # (out + out.T) / 2 overflowed on this finite mix and refused it as non-finite
+    mixed = apply_beamsplitter(CovarianceMatrix(np.diag([1e308] * 4)), 0, 1, 0.5)
+    np.testing.assert_allclose(mixed.data / 1e308, np.eye(4), rtol=1e-15, atol=0.0)
+    # true entries of 2e308 are past the float range: refused, with no RuntimeWarning on the way
+    with pytest.raises(NumericFailureError, match="^covariance matrix has non-finite entries$"):
+        apply_beamsplitter(CovarianceMatrix(np.kron(np.full((2, 2), 1e308), np.eye(2))), 0, 1, 0.5)
+
+
 def test_covariance_rejects_asymmetry_near_the_float_limit():
     # arr - arr.T overflowed to inf here, with a RuntimeWarning that -W error raised in place of the refusal
     with pytest.raises(InvalidArgumentError, match="not symmetric"):

@@ -605,6 +605,19 @@ def test_g2_pairs_gives_extreme_accepted_pairs_a_finite_report(pair):
     assert np.isfinite(report.g2_estimate) and np.isfinite(report.std_error)
 
 
+@pytest.mark.parametrize("pair", [(1.0, 1.0, 0.0, 1e308), (2.0, 2.0, 0.0, 1e300)])
+def test_g2_refuses_a_pair_whose_drawn_b_variance_is_past_the_range(pair, monkeypatch):
+    # a, b and c are in range, but B is drawn with variance (c^2 + d) / a: squaring its draws overflowed
+    drawn = []
+    piece_sums = hbt._piece_sums
+    monkeypatch.setattr(hbt, "_piece_sums", lambda *args: drawn.append(1) or piece_sums(*args))
+    errors = [None]
+    assert hbt.g2_pairs(np.array([pair]), 10_000, [5], errors) == [None] and not drawn
+    variance = (pair[2] ** 2 + pair[3]) / pair[0]
+    assert isinstance(errors[0], NumericFailureError)
+    assert str(errors[0]) == f"variance {variance:.6g} is past 2.45e+150, where the g2 sums overflow"
+
+
 @pytest.mark.parametrize("v", [1e154, 1e200])
 def test_g2_refuses_a_pair_whose_sums_would_overflow(v, monkeypatch):
     # MAX_SAMPLES squared intensities of a variance past about 2.45e150 can sum past the float range

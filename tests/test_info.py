@@ -1,21 +1,18 @@
 """Entropy, mutual information and discord against closed-form oracles."""
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from thermalcast import (CovarianceMatrix, InvalidArgumentError,
-                         NumericFailureError, Partition, UnphysicalStateError,
+from thermalcast import (CovarianceMatrix, DiscordResult, InvalidArgumentError,
+                         NumericFailureError, Partition, ThermalcastError, UnphysicalStateError,
                          build_scenario, conditional_mutual_information,
                          gaussian_discord, homodyne_condition,
                          make_epr, make_thermal, make_vacuum,
                          mutual_information, reduce, shannon_entropy,
                          ScenarioParams, tensor, von_neumann_entropy,
                          validate_physicality)
-from thermalcast.gaussian import physicality_stack
-from thermalcast.info import _g, cmi_stack, discord_stack, mi_stack
-from thermalcast.scenarios import build_stack, information_partition
+from thermalcast.info import _g
 
 
 def g_term(x: float) -> float:
@@ -64,21 +61,11 @@ def test_measures_refuse_matrices_that_are_not_positive_definite():
             measure(CovarianceMatrix(gamma), *args)
 
 
-def test_indefinite_row_fails_alone():
-    stack = np.array([np.eye(6), -np.eye(6), 2.0 * np.eye(6)])
-    errors = [None] * 3
-    values = cmi_stack(stack, Partition((0,), (1,), (2,)), errors)
-    assert [str(e) if e else None for e in errors] == [None, "Gamma_ABS is not positive definite", None]
-    assert values[0] == values[2] == 0.0 and math.isnan(values[1])
-
-
 def test_each_stage_factors_its_largest_block_once(monkeypatch):
-    # a clean 50-row full stack: each stage checks one block, first, and the
+    # full states at 50 splitter ratios: each measure checks one block, first, and the
     # kernels underneath compute on it without a second factorization
-    params = {k: np.full(50, v) for k, v in vars(ScenarioParams(nu=3.0, eta_th=0.8, v_th=2.0)).items()}
-    params["eta_ab"] = np.linspace(0.05, 0.95, 50)
-    stack, labels = build_stack("full", SimpleNamespace(**params))
-    p = information_partition(labels)
+    scenarios = [build_scenario("full", ScenarioParams(nu=3.0, eta_ab=eta, eta_th=0.8, v_th=2.0))
+                 for eta in np.linspace(0.05, 0.95, 50)]
     calls = []
     real = np.linalg.cholesky
 
@@ -87,18 +74,18 @@ def test_each_stage_factors_its_largest_block_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
-    counts = {}
-    for name, stage, args in (("discord", discord_stack, (p.subsystem_a[0], p.subsystem_b[0])),
-                              ("mi", mi_stack, (Partition(p.subsystem_a, p.subsystem_b),)),
-                              ("cmi", cmi_stack, (p,))):
-        errors = [None] * 50
-        calls.clear()
-        stage(stack, *args, errors)
-        assert errors == [None] * 50
-        counts[name] = len(calls)
-    # the pair, whose factor also whitens its A block, and the conditioned state
-    assert counts["discord"] == 2
-    assert counts["mi"] == counts["cmi"] == 1
+    for scenario in scenarios:
+        p = scenario.information_partition()
+        counts = {}
+        for name, measure, args in (("discord", gaussian_discord, (p.subsystem_a[0], p.subsystem_b[0])),
+                                    ("mi", mutual_information, (Partition(p.subsystem_a, p.subsystem_b),)),
+                                    ("cmi", conditional_mutual_information, (p,))):
+            calls.clear()
+            measure(scenario.state, *args)
+            counts[name] = len(calls)
+        # the pair, whose factor also whitens its A block, and the conditioned state
+        assert counts["discord"] == 2
+        assert counts["mi"] == counts["cmi"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +178,15 @@ def test_partition_validation():
     p = Partition((0,), (1,), (2,))
     with pytest.raises(InvalidArgumentError):
         conditional_mutual_information(make_vacuum(2), p)
+    # a group that is no sequence of indices, or a partition that is no Partition, is named
+    for groups, message in ((((0,), 1), "subsystem_b must be a sequence of mode indices, got 1"),
+                            ((0, 1), "subsystem_a must be a sequence of mode indices, got 0"),
+                            ((([0],), (1,)), r"subsystem_a must be a sequence of mode indices, got \(\[0\],\)")):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            Partition(*groups)
+    for measure in (conditional_mutual_information, mutual_information):
+        with pytest.raises(InvalidArgumentError, match="^partition must be a Partition, got tuple$"):
+            measure(make_vacuum(3), ((0,), (1,), (2,)))
 
 
 def test_partition_indices_are_checked_where_modes_are_selected():
@@ -428,25 +424,18 @@ def test_discord_boundary_angles_on_broadcast_states():
 
 
 # ---------------------------------------------------------------------------
-# Stacked evaluation: failures stay in their own row
+# Failures of one-state measures name their cause
 
 
-def _singles(stage, single, stack, *args):
-    # the stacked stage and its N = 1 call, row by row
-    errors = [None] * len(stack)
-    values = stage(stack, *args, errors)
-    values = getattr(values, "value", values)
-    for gamma, value, err in zip(stack, values, errors):
-        state = CovarianceMatrix(gamma)
-        if err is None:
-            alone = single(state, *args)
-            assert value == getattr(alone, "value", alone)
-        else:
-            assert math.isnan(value)
-            with pytest.raises(type(err)) as caught:
-                single(state, *args)
-            assert str(caught.value) == str(err)
-    return errors
+def _outcomes(measure, matrices, *args):
+    # each matrix's value, or the exception its measure raised
+    out = []
+    for gamma in matrices:
+        try:
+            out.append(measure(CovarianceMatrix(gamma), *args))
+        except ThermalcastError as exc:
+            out.append(exc)
+    return out
 
 
 def test_mixed_batch_keeps_each_failure_in_its_row():
@@ -455,27 +444,28 @@ def test_mixed_batch_keeps_each_failure_in_its_row():
     not_pd_a = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     not_pd_b = np.diag([1.0, 1.0, -2.0, 1.0, 1.0, 1.0])
     below_shot_noise = 0.5 * np.eye(6)
-    # exactly singular: its Gamma_S has no inverse, so no stacked solve may see it
+    # exactly singular: its Gamma_S has no inverse, so no solve may see it
     singular = np.zeros((6, 6))
-    stack = np.array([good[0], not_pd_a, good[1], below_shot_noise, not_pd_b, good[2], singular])
+    matrices = [good[0], not_pd_a, good[1], below_shot_noise, not_pd_b, good[2], singular]
 
-    reports = physicality_stack(stack)
+    reports = [validate_physicality(CovarianceMatrix(g)) for g in matrices]
     assert [r.ok for r in reports] == [True, False, True, False, False, True, False]
     assert reports[1].issues == ("not positive definite: min eigenvalue -1",)
     assert reports[3].issues[0].startswith("symplectic eigenvalue below shot noise: 0.5")
-    assert [r == validate_physicality(CovarianceMatrix(g)) for r, g in zip(reports, stack)] == [True] * 7
 
-    cmi = _singles(cmi_stack, conditional_mutual_information, stack, Partition((0,), (1,), (2,)))
-    assert [str(e) if e else None for e in cmi] == [
+    cmi = _outcomes(conditional_mutual_information, matrices, Partition((0,), (1,), (2,)))
+    assert [str(e) if isinstance(e, Exception) else None for e in cmi] == [
         None, "Gamma_ABS is not positive definite", None, None,
         "Gamma_ABS is not positive definite", None, "Gamma_ABS is not positive definite"]
-    mi = _singles(mi_stack, mutual_information, stack, Partition((0,), (1,)))
-    assert [e is None for e in mi] == [True, False, True, True, False, True, False]
-    discord = _singles(discord_stack, gaussian_discord, stack, 0, 1)
-    assert [type(e).__name__ if e else None for e in discord] == [
+    mi = _outcomes(mutual_information, matrices, Partition((0,), (1,)))
+    assert [isinstance(e, Exception) for e in mi] == [False, True, False, False, True, False, True]
+    discord = _outcomes(gaussian_discord, matrices, 0, 1)
+    assert [type(e).__name__ if isinstance(e, Exception) else None for e in discord] == [
         None, "NumericFailureError", None, "UnphysicalStateError", "NumericFailureError", None,
         "NumericFailureError"]
     assert str(discord[3]) == "symplectic eigenvalue 0.5 below shot noise"
+    for value in cmi + mi + [d.value for d in discord if isinstance(d, DiscordResult)]:
+        assert isinstance(value, Exception) or (math.isfinite(value) and value >= 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,26 @@
 """Property tests.
 
-Config text becomes a runnable sweep or a clean error, every row of a
-stacked measure equals its one-state call, a sweep's closed forms match the
-general route, every in-domain build is physical (and pure when its noise is
-vacuum), and any symmetric matrix gets finite measures or a named error.
+Config text becomes a runnable sweep or a clean error, a sweep's closed
+forms match the general route, every in-domain build is physical (and pure
+when its noise is vacuum), and any symmetric matrix gets finite measures or
+a named error.
 """
 import math
 import tempfile
 import warnings
 from pathlib import Path
 
-from types import SimpleNamespace
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermalcast import (SCENARIO_NAMES, ConfigError, CovarianceMatrix, Partition,
-                         ScenarioParams, SweepSpec, SweptRange, ThermalcastError,
+                         ScenarioParams, SweepSpec, SweptRange, ThermalcastError, build_scenario,
                          conditional_mutual_information, emit_csv, gaussian_discord,
                          mutual_information, parse_config, run_sweep, shannon_entropy,
-                         symplectic_eigenvalues, von_neumann_entropy)
-from thermalcast.gaussian import physicality_stack
-from thermalcast.info import CLAMP_TOL, cmi_stack, discord_stack, mi_stack
-from thermalcast.scenarios import VARIANCE_PARAMS, build_stack, information_partition
+                         symplectic_eigenvalues, validate_physicality, von_neumann_entropy)
+from thermalcast.info import CLAMP_TOL
+from thermalcast.scenarios import VARIANCE_PARAMS
 from thermalcast.sweep import OUTPUT_NAMES, PARAM_NAMES
 
 REQUIRED = ("scenario", "sweep", "outputs")
@@ -137,40 +133,6 @@ def test_parsed_small_sweep_runs_and_emits(text):
         assert why or all(map(math.isfinite, cells)), values
 
 
-@st.composite
-def param_stacks(draw):
-    # 1 to 6 in-domain points of one topology; variances log-uniform up to the ceiling
-    top = math.log10(ScenarioParams.MAX_VARIANCE)
-    rows = draw(st.lists(st.fixed_dictionaries(
-        {name: st.floats(0.0, top).map(lambda e: 10.0 ** e) if name in VARIANCE_PARAMS
-         else st.floats(0.0, 1.0) for name in PARAM_NAMES}), min_size=1, max_size=6))
-    return draw(st.sampled_from(SCENARIO_NAMES)), rows
-
-
-@settings(max_examples=60)
-@given(param_stacks())
-def test_stacked_rows_equal_their_single_calls(case):
-    name, rows = case
-    stack, labels = build_stack(
-        name, SimpleNamespace(**{k: np.array([row[k] for row in rows]) for k in PARAM_NAMES}))
-    p = information_partition(labels)
-    pair = Partition(p.subsystem_a, p.subsystem_b)
-    for stage, single, args in ((cmi_stack, conditional_mutual_information, (p,)),
-                                (mi_stack, mutual_information, (pair,)),
-                                (discord_stack, gaussian_discord, (p.subsystem_a[0], p.subsystem_b[0]))):
-        errors = [None] * len(stack)
-        values = stage(stack, *args, errors)
-        values = getattr(values, "value", values)
-        for gamma, value, err in zip(stack, values, errors):
-            state = CovarianceMatrix(gamma)
-            if err is not None:
-                with pytest.raises(type(err)):
-                    single(state, *args)
-                continue
-            alone = single(state, *args)
-            assert value == pytest.approx(getattr(alone, "value", alone), abs=1e-12), (name, rows)
-
-
 @settings(max_examples=100)
 @given(st.sampled_from(SCENARIO_NAMES),
        st.fixed_dictionaries({name: st.sampled_from([1.0]) | st.floats(0.0, 3.0).map(lambda e: 10.0 ** e)
@@ -178,22 +140,20 @@ def test_stacked_rows_equal_their_single_calls(case):
                               for name in PARAM_NAMES if name != "nu"}),
        st.lists(st.floats(0.0, 3.0).map(lambda e: 10.0 ** e), min_size=2, max_size=2))
 def test_sweep_closed_form_matches_the_general_route(name, fixed, nus):
-    # run_sweep's closed forms against the full build and the general stacked measures, nu and
+    # run_sweep's closed forms against the full build and the general one-state measures, nu and
     # every variance up to 1e3; above that the general route is the less accurate one
     result = run_sweep(SweepSpec(scenario=name, swept=SweptRange("nu", *nus, 2), fixed=fixed,
                                  outputs=("cmi", "mi", "discord")))
     assert result.n_failed == 0
-    params = {k: np.full(2, fixed.get(k, getattr(ScenarioParams, k))) for k in PARAM_NAMES}
-    stack, labels = build_stack(name, SimpleNamespace(**dict(params, nu=result.swept)))
-    p = information_partition(labels)
-    for out, stage, args in (("cmi", cmi_stack, (p,)),
-                             ("mi", mi_stack, (Partition(p.subsystem_a, p.subsystem_b),)),
-                             ("discord", discord_stack, (p.subsystem_a[0], p.subsystem_b[0]))):
-        errors = [None, None]
-        values = stage(stack, *args, errors)
-        assert errors == [None, None], (out, errors)
-        gap = np.abs(result.columns[out] - getattr(values, "value", values))
-        assert np.all(gap <= CLAMP_TOL), (out, gap)
+    for i, nu in enumerate(result.swept.tolist()):
+        scenario = build_scenario(name, ScenarioParams(**dict(fixed, nu=nu)))
+        p = scenario.information_partition()
+        for out, measure, args in (("cmi", conditional_mutual_information, (p,)),
+                                   ("mi", mutual_information, (Partition(p.subsystem_a, p.subsystem_b),)),
+                                   ("discord", gaussian_discord, (p.subsystem_a[0], p.subsystem_b[0]))):
+            value = measure(scenario.state, *args)
+            gap = abs(result.columns[out][i] - getattr(value, "value", value))
+            assert gap <= CLAMP_TOL, (out, gap)
 
 
 def edge_or_between(name):
@@ -210,12 +170,10 @@ def edge_or_between(name):
                 min_size=1, max_size=6))
 def test_every_in_domain_build_is_physical(name, rows):
     # nothing re-checks a built state, so this is where physicality is held
-    stack, _ = build_stack(
-        name, SimpleNamespace(**{k: np.array([row[k] for row in rows]) for k in PARAM_NAMES}))
-    reports = physicality_stack(stack)
-    assert all(r.ok for r in reports), (name, rows, [r.issues for r in reports])
-    for gamma, row in zip(stack, rows):
-        state = CovarianceMatrix(gamma)
+    for row in rows:
+        state = build_scenario(name, ScenarioParams(**row)).state
+        report = validate_physicality(state)
+        assert report.ok, (name, row, report.issues)
         assert np.all(symplectic_eigenvalues(state) >= 1.0), (name, row)
         if all(row[k] == 1.0 for k in ("v_th", "v_alpha", "v_beta")):
             # EPR, vacua and beamsplitters only: a pure state, entropy exactly 0
