@@ -20,7 +20,7 @@ from .info import (DiscordResult, Partition, conditional_mutual_information,
 from .scenarios import (SCENARIO_NAMES, ScenarioParams, ScenarioState,
                         basic_closed_form, block_of, build_scenario,
                         full_closed_form_blocks, thermal_channel_closed_form)
-from .sweep import SweepResult, SweepSpec, SweptRange, emit_csv, expand_preset, parse_config, run_sweep
+from .sweep import SweepResult, SweepSpec, SweptRange, emit_csv, expand_preset, parse_config, run_sweep, run_sweeps
 
 __version__ = "0.1.0"
 
@@ -46,5 +46,5 @@ __all__ = [
     "VERDICT_THERMAL", "VERDICT_NOT_THERMAL", "VERDICT_INCONCLUSIVE",
     # sweeps
     "SweptRange", "SweepSpec", "SweepResult",
-    "run_sweep", "emit_csv", "parse_config", "expand_preset",
+    "run_sweep", "run_sweeps", "emit_csv", "parse_config", "expand_preset",
 ]

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import ThermalcastError, UsageError
 from .hbt import GENERATOR_ID, VERDICT_INCONCLUSIVE, g2_pairs, run_one
 from .scenarios import SCENARIO_NAMES, ScenarioParams, pair_entries
-from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, emit_csv,
-                    expand_preset, parse_config, run_sweep)
+from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, SweepSpec, emit_csv,
+                    expand_preset, parse_config, run_sweeps)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,31 +51,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _report_file(result, destination: Path):
-    emit_csv(result, destination)
-    print(f"wrote {destination} ({len(result.reasons)} points, {result.n_failed} failed)")
+def _write_sweeps(files: list[tuple[Path, SweepSpec]]) -> int:
+    results = run_sweeps([spec for _, spec in files])
+    for (destination, _), result in zip(files, results):
+        emit_csv(result, destination)
+        print(f"wrote {destination} ({len(result.reasons)} points, {result.n_failed} failed)")
+    return 2 if all(result.all_failed for result in results) else 0
 
 
 def _cmd_sweep(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
-    result = run_sweep(parse_config(text))
-    _report_file(result, Path(args.out))
-    return 2 if result.all_failed else 0
+    return _write_sweeps([(Path(args.out), parse_config(Path(args.config).read_text(encoding="utf-8")))])
 
 
 def _cmd_figure(args) -> int:
-    names = PRESET_NAMES if "all" in args.name else args.name
-    presets = {name: expand_preset(name) for name in names}  # each preset once, all expanded before --out-dir exists
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    total = failed = 0
-    for name, branches in presets.items():
-        for tag, spec in branches:
-            result = run_sweep(spec)
-            _report_file(result, out_dir / (f"{name}_{tag}.csv" if tag else f"{name}.csv"))
-            total += len(result.reasons)
-            failed += result.n_failed
-    return 2 if total and failed == total else 0
+    names = dict.fromkeys(PRESET_NAMES if "all" in args.name else args.name)  # each preset once
+    files = [(Path(args.out_dir, f"{name}_{tag}.csv" if tag else f"{name}.csv"), spec)
+             for name in names for tag, spec in expand_preset(name)]
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # only after every name has expanded
+    return _write_sweeps(files)
 
 
 def _cmd_g2check(args) -> int:

@@ -79,6 +79,12 @@ class ScenarioParams:
         return float(value)
 
 
+def _check_params(params) -> ScenarioParams:
+    if not isinstance(params, ScenarioParams):  # a look-alike would skip the domain rules
+        raise InvalidArgumentError(f"params must be a ScenarioParams, got {type(params).__name__}")
+    return params
+
+
 @dataclass(frozen=True)
 class ScenarioState:
     """A built topology: joint state plus the meaning of each mode slot.
@@ -147,7 +153,7 @@ def build_scenario(name: str, params: ScenarioParams) -> ScenarioState:
     if name not in _BUILDS:
         raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
     build, labels = _BUILDS[name]
-    return ScenarioState(state=CovarianceMatrix(build(params)), mode_labels=labels)
+    return ScenarioState(state=CovarianceMatrix(build(_check_params(params))), mode_labels=labels)
 
 
 def pair_entries(name: str, p) -> tuple[np.ndarray, ...]:
@@ -180,7 +186,7 @@ _Z2 = np.diag([1.0, -1.0])
 
 def basic_closed_form(params: ScenarioParams) -> CovarianceMatrix:
     """Entrywise expression for the basic topology, order (E, B, A)."""
-    nu, eta = params.nu, params.eta_ab
+    nu, eta = _check_params(params).nu, params.eta_ab
     z = np.sqrt(nu * nu - 1.0)
     mu = np.sqrt(1.0 - eta)
     se = np.sqrt(eta)
@@ -203,7 +209,7 @@ def thermal_channel_closed_form(params: ScenarioParams) -> CovarianceMatrix:
     v_ab = eta_th * nu + (1 - eta_th) * v_th is the variance of the arm that
     reaches the A/B splitter; every block below is a function of it.
     """
-    nu, eta_ab, eta_th, v_th = params.nu, params.eta_ab, params.eta_th, params.v_th
+    nu, eta_ab, eta_th, v_th = _check_params(params).nu, params.eta_ab, params.eta_th, params.v_th
     z = np.sqrt(nu * nu - 1.0)
     m_th, s_th = np.sqrt(1.0 - eta_th), np.sqrt(eta_th)
     m_ab, s_ab = np.sqrt(1.0 - eta_ab), np.sqrt(eta_ab)
@@ -236,7 +242,7 @@ def full_closed_form_blocks(params: ScenarioParams) -> dict[str, np.ndarray]:
     involving E, A and B are expressed here; the idler rows come from the
     compositional build.
     """
-    nu, eta_ab, eta_th, v_th = params.nu, params.eta_ab, params.eta_th, params.v_th
+    nu, eta_ab, eta_th, v_th = _check_params(params).nu, params.eta_ab, params.eta_th, params.v_th
     z = np.sqrt(nu * nu - 1.0)
     s_th = np.sqrt(eta_th)
     m_ab, s_ab = np.sqrt(1.0 - eta_ab), np.sqrt(eta_ab)

@@ -2,8 +2,8 @@
 
 A sweep varies one scenario parameter over an inclusive linear range and
 records the requested information measures at every point. The points, in
-ascending order of the swept value, are evaluated together in closed
-form: a few array calls per sweep, none per point.
+ascending order of the swept value, are evaluated in closed form with those
+of every sweep of the same scenario run with them: one pass, none per point.
 
 A failure at one point flags that row and the sweep carries on: a failed
 output blanks only its own cell. Only a sweep in which every point failed
@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime as _dt
 import os
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -145,27 +146,42 @@ def _point_seed(base_seed: int, index: int) -> int:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every point of a sweep, in ascending order of the swept value.
+    """Evaluate every point of one sweep, in ascending order of the swept value: :func:`run_sweeps` of one."""
+    return run_sweeps([spec])[0]
 
-    Every point's receiver pair is the topology's closed form (:func:`pair_entries`), and each
-    output one array call over all points. A failed output blanks only its own cell, and the
-    row's reasons name every failure, in output order.
+
+def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
+    """Evaluate sweeps, each in ascending order of its swept value, in one pass per scenario and g2 sample count.
+
+    A pass stacks its sweeps' points, so each output is one array call over their receiver pairs in closed form
+    (:func:`pair_entries`). A failed output blanks only its own cell; a row's reasons name its own sweep's failures.
     """
-    swept = spec.swept.values()
-    order = np.argsort(swept, kind="stable")
-    params = {name: np.full(len(order), float(spec.fixed.get(name, getattr(ScenarioParams, name))))
-              for name in PARAM_NAMES}
-    params[spec.swept.name] = swept[order]
-    entries = pair_entries(spec.scenario, SimpleNamespace(**params))
-    errors = {out: [None] * len(order) for out in spec.outputs}
-    cells = pair_measures(*entries, {out: errors[out] for out in spec.outputs if out != "g2"})
-    if "g2" in errors:  # each point samples its pair [[a I, c I], [c I, b I]] from its own stream
-        pairs = np.stack([entry[0] for entry in entries], axis=-1)
-        reports = g2_pairs(pairs, spec.samples, [_point_seed(spec.seed, int(i)) for i in order], errors["g2"])
-        # no photons to correlate: the ratio is noise, not a g2 value
-        cells["g2"] = np.array([r.g2_estimate if r and r.verdict != VERDICT_INCONCLUSIVE else np.nan for r in reports])
-    reasons = tuple(tuple(str(exc) for exc in point if exc) for point in zip(*errors.values()))
-    return SweepResult(spec, params[spec.swept.name], {out: cells[out] for out in spec.outputs}, reasons)
+    results = [None] * len(specs)
+    for key in dict.fromkeys((spec.scenario, spec.samples) for spec in specs):
+        group = [(i, spec) for i, spec in enumerate(specs) if (spec.scenario, spec.samples) == key]
+        bounds = [0, *accumulate(spec.swept.count for _, spec in group)]
+        params = {name: np.repeat([float(spec.fixed.get(name, getattr(ScenarioParams, name))) for _, spec in group],
+                                  np.diff(bounds)) for name in PARAM_NAMES}
+        for (_, spec), lo, hi in zip(group, bounds, bounds[1:]):
+            params[spec.swept.name][lo:hi] = np.sort(spec.swept.values(), kind="stable")
+        entries = pair_entries(key[0], SimpleNamespace(**params))
+        errors = {out: [None] * bounds[-1] for _, spec in group for out in spec.outputs}
+        cells = pair_measures(*entries, {out: errors[out] for out in errors if out != "g2"})
+        if "g2" in errors:  # each point samples its pair [[a I, c I], [c I, b I]] from its own stream
+            seeds = [_point_seed(spec.seed, int(k))
+                     for _, spec in group for k in np.argsort(spec.swept.values(), kind="stable")]
+            reports = g2_pairs(np.stack([entry[0] for entry in entries], axis=-1), key[1], seeds, errors["g2"])
+            # no photons to correlate: the ratio is noise, not a g2 value
+            cells["g2"] = np.array([r.g2_estimate if r and r.verdict != VERDICT_INCONCLUSIVE else np.nan
+                                    for r in reports])
+        for (i, spec), lo, hi in zip(group, bounds, bounds[1:]):
+            reasons = [()] * (hi - lo)
+            for out in spec.outputs:  # in output order; compress visits only the rows that hold a failure
+                for k in compress(range(hi - lo), errors[out][lo:hi]):
+                    reasons[k] += (str(errors[out][lo + k]),)
+            columns = {out: cells[out][lo:hi] for out in spec.outputs}
+            results[i] = SweepResult(spec, params[spec.swept.name][lo:hi], columns, tuple(reasons))
+    return results
 
 
 def _format_value(value: float) -> str:
@@ -198,8 +214,8 @@ def emit_csv(result: SweepResult, destination: str | Path):
     if "g2" in spec.outputs:
         lines += [f"# samples: {spec.samples}", f"# generator: {GENERATOR_ID}"]
     lines.append(f"# points: {len(result.reasons)} failed: {result.n_failed}")
-    lines += [f"# failed: {spec.swept.name}={_format_value(value)}: " + "; ".join(why).replace("\n", " ")
-              for value, why in zip(result.swept.tolist(), result.reasons) if why]
+    lines += [f"# failed: {spec.swept.name}={_format_value(result.swept[k])}: " + "; ".join(why).replace("\n", " ")
+              for k, why in compress(enumerate(result.reasons), result.reasons)]  # the failed rows only
     lines.append(",".join((spec.swept.name,) + spec.outputs))
     # every cell in _format_value's text, by one format over the row-major table
     table = np.column_stack([result.swept] + [result.columns[out] for out in spec.outputs])

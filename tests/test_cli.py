@@ -121,10 +121,15 @@ def test_figure_all_matches_separate_runs(tmp_path, capsys):
     capsys.readouterr()
     assert len(_tables(together)) == 16
     assert _tables(together) == _tables(apart)
-    # a repeated name runs once
-    assert main(["figure", "--name", "fig4", "fig3", "fig4", "--out-dir", str(tmp_path / "two")]) == 0
-    assert capsys.readouterr().out.count("wrote") == 2
-    assert _tables(tmp_path / "two") == {k: v for k, v in _tables(apart).items() if k in ("fig3.csv", "fig4.csv")}
+    # a repeated name runs once; the presets of one scenario share a pass whatever their order, and the
+    # files are written in the order the names came
+    names = ["fig8", "fig4", "fig3", "fig7", "fig4"]
+    assert main(["figure", "--name", *names, "--out-dir", str(tmp_path / "some")]) == 0
+    wrote = [Path(line.split()[1]).name for line in capsys.readouterr().out.splitlines()]
+    assert wrote == [f"{name}_{tag}.csv" if tag else f"{name}.csv"
+                     for name in dict.fromkeys(names) for tag, _ in thermalcast.cli.expand_preset(name)]
+    assert len(wrote) == 10
+    assert _tables(tmp_path / "some") == {k: v for k, v in _tables(apart).items() if k in wrote}
 
 
 def test_figure_unknown_name_in_a_list_writes_nothing(tmp_path, capsys):
@@ -135,17 +140,17 @@ def test_figure_unknown_name_in_a_list_writes_nothing(tmp_path, capsys):
 
 
 def test_figure_exits_two_only_when_every_named_preset_failed(tmp_path, monkeypatch, capsys):
-    real_run = thermalcast.cli.run_sweep
+    real_run = thermalcast.cli.run_sweeps
 
-    def basic_fails(spec):
-        result = real_run(spec)
-        if spec.scenario != "basic":
-            return result
+    def fail(result):
         n = len(result.swept)
-        return SweepResult(spec=spec, swept=result.swept, columns={k: np.full(n, np.nan) for k in result.columns},
-                           reasons=(("synthetic",),) * n)
+        return SweepResult(spec=result.spec, swept=result.swept,
+                           columns={k: np.full(n, np.nan) for k in result.columns}, reasons=(("synthetic",),) * n)
 
-    monkeypatch.setattr(thermalcast.cli, "run_sweep", basic_fails)
+    def basic_fails(specs):  # figure evaluates all its branches in one call
+        return [fail(result) if result.spec.scenario == "basic" else result for result in real_run(specs)]
+
+    monkeypatch.setattr(thermalcast.cli, "run_sweeps", basic_fails)
     # fig3 and fig4 are basic broadcasts, fig6 a thermal channel
     assert main(["figure", "--name", "fig3", "fig6", "--out-dir", str(tmp_path)]) == 0
     assert main(["figure", "--name", "fig3", "fig4", "--out-dir", str(tmp_path)]) == 2
@@ -247,16 +252,16 @@ def test_g2check_names_a_variance_above_the_ceiling(argv, name, capsys):
 
 
 def test_all_failed_sweep_exits_two(tmp_path, monkeypatch, capsys):
-    real_run = thermalcast.cli.run_sweep
+    real_run = thermalcast.cli.run_sweeps
 
-    def all_failed(spec):
-        result = real_run(spec)
+    def all_failed(specs):  # the sweep command evaluates through the same call as figure
+        [result] = real_run(specs)
         n = len(result.swept)
-        return SweepResult(spec=result.spec, swept=result.swept,
-                           columns={k: np.full(n, np.nan) for k in result.columns},
-                           reasons=(("synthetic",),) * n)
+        return [SweepResult(spec=result.spec, swept=result.swept,
+                            columns={k: np.full(n, np.nan) for k in result.columns},
+                            reasons=(("synthetic",),) * n)]
 
-    monkeypatch.setattr(thermalcast.cli, "run_sweep", all_failed)
+    monkeypatch.setattr(thermalcast.cli, "run_sweeps", all_failed)
     cfg = write_config(tmp_path)
     out = tmp_path / "doomed.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2

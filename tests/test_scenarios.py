@@ -1,5 +1,7 @@
 """Broadcast scenario builders: closed forms, limits, monotonic trends."""
+import functools
 import itertools
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +54,18 @@ def test_params_validation():
         ScenarioParams(nu=10**400)
     with pytest.raises(InvalidArgumentError, match=r"^eta_ab is a transmittance and must lie in \[0, 1\]"):
         ScenarioParams(eta_ab=10**400)
+
+
+@pytest.mark.filterwarnings("error")
+def test_builds_and_closed_forms_take_only_scenario_params():
+    # a dict raised AttributeError, and a look-alike object skipped the domain rules: nu = 0.5 warned
+    # from sqrt and built nan
+    look_alike = types.SimpleNamespace(**{**vars(ScenarioParams()), "nu": 0.5})
+    for params, kind in (({"nu": 2.0}, "dict"), (look_alike, "SimpleNamespace"), (None, "NoneType")):
+        for build in [functools.partial(build_scenario, name) for name in ("basic", "thermal_channel", "full")] + [
+                basic_closed_form, thermal_channel_closed_form, full_closed_form_blocks]:
+            with pytest.raises(InvalidArgumentError, match=f"^params must be a ScenarioParams, got {kind}$"):
+                build(params)
 
 
 def test_overflowing_params_are_reported_unphysical():

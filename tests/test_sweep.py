@@ -9,8 +9,10 @@ import pytest
 
 import thermalcast.hbt
 import thermalcast.sweep
-from thermalcast import (SCENARIO_NAMES, ConfigError, NumericFailureError, SweepSpec, SweptRange,
-                         UsageError, emit_csv, expand_preset, parse_config, run_sweep)
+from thermalcast import (SCENARIO_NAMES, ConfigError, NumericFailureError, ScenarioParams, SweepSpec, SweptRange,
+                         UsageError, emit_csv, expand_preset, parse_config, run_sweep, run_sweeps)
+from thermalcast.scenarios import pair_entries
+from thermalcast.sweep import PRESET_NAMES
 
 GOOD_CONFIG = """\
 scenario=basic
@@ -235,6 +237,69 @@ def test_run_sweep_flags_a_non_finite_cell(monkeypatch):
     assert [bool(why) for why in result.reasons] == [False, False, True, False]
     assert result.reasons[2] == ("mi = inf is not finite", "discord = nan is not finite")
     assert math.isnan(result.columns["mi"][2]) and math.isnan(result.columns["discord"][2])
+
+
+def _same_bits(together, alone):
+    assert together.spec is alone.spec
+    assert together.swept.tobytes() == alone.swept.tobytes()
+    assert list(together.columns) == list(alone.spec.outputs)
+    assert {out: column.tobytes() for out, column in together.columns.items()} == {
+        out: column.tobytes() for out, column in alone.columns.items()}
+    assert together.reasons == alone.reasons
+
+
+def test_one_pass_per_scenario_matches_each_sweep_alone(monkeypatch):
+    # all 16 preset branches, then g2 sweeps: two share a pass (same scenario and sample count), with
+    # a descending range whose seeds follow each point's index, and a third samples on its own
+    g2 = [small_spec(outputs=("g2", "mi"), seed=5, samples=1000),
+          small_spec(outputs=("cmi", "g2"), seed=6, samples=1000, swept=SweptRange("nu", 9.0, 3.0, 3), fixed={}),
+          small_spec(outputs=("g2",), seed=5, samples=1200)]
+    specs = [spec for name in PRESET_NAMES for _, spec in expand_preset(name)] + g2
+    real, passes = thermalcast.sweep.pair_measures, []
+
+    def counted(a, b, c, d, errors):
+        passes.append((len(a[0]), sorted(errors)))
+        return real(a, b, c, d, errors)
+
+    monkeypatch.setattr(thermalcast.sweep, "pair_measures", counted)
+    together = run_sweeps(specs)
+    assert passes == [(3 * 99, ["cmi", "discord", "mi"]), (5 * 100, ["cmi", "discord"]),
+                      (8 * 99, ["cmi", "discord"]), (4 + 3, ["cmi", "mi"]), (4, [])]
+    for spec, result in zip(specs, together):
+        _same_bits(result, run_sweep(spec))
+    # each g2 point keeps the stream of its index in the range: the descending sweep's rows are points 2, 1, 0
+    pairs = np.array([[entry[0] for entry in pair_entries("basic", ScenarioParams(nu=nu, eta_ab=0.5))]
+                      for nu in (3.0, 6.0, 9.0)])
+    seeds = [thermalcast.sweep._point_seed(6, i) for i in (2, 1, 0)]
+    reports = thermalcast.hbt.g2_pairs(pairs, 1000, seeds, [None] * 3)
+    assert together[-2].columns["g2"].tolist() == [report.g2_estimate for report in reports]
+
+
+def test_a_pass_names_each_failure_only_in_its_own_sweep(monkeypatch):
+    # fig3 (cmi, mi, discord) and fig4 (cmi, discord) share one basic pass: rows 0-98 and 99-197.
+    # Every output fails on both sides of the boundary, and mi alone at fig4's second point
+    real = thermalcast.sweep.pair_measures
+    failing = {"cmi": (98, 99), "mi": (98, 99, 100), "discord": (98, 99)}
+
+    def patched(a, b, c, d, errors):
+        cells = real(a, b, c, d, errors)
+        for out, rows in failing.items():
+            for k in rows:
+                errors[out][k] = NumericFailureError(f"{out} fails at row {k} of the pass")
+                cells[out][k] = math.nan
+        return cells
+
+    monkeypatch.setattr(thermalcast.sweep, "pair_measures", patched)
+    [(_, fig3)], [(_, fig4)] = expand_preset("fig3"), expand_preset("fig4")
+    three, four = run_sweeps([fig3, fig4])
+    assert three.reasons[98] == tuple(f"{out} fails at row 98 of the pass" for out in ("cmi", "mi", "discord"))
+    assert four.reasons[0] == ("cmi fails at row 99 of the pass", "discord fails at row 99 of the pass")
+    assert four.reasons[1] == ()  # fig4 has no mi column
+    assert (three.n_failed, four.n_failed) == (1, 1)
+    assert all(math.isnan(column[-1]) for column in three.columns.values())
+    assert all(math.isnan(column[0]) for column in four.columns.values())
+    assert not any(np.isnan(column[:-1]).any() for column in three.columns.values())
+    assert not any(np.isnan(column[1:]).any() for column in four.columns.values())
 
 
 BRIGHT = json.loads(Path(__file__).with_name("bright_references.json").read_text())
