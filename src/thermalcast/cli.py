@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ThermalcastError, UsageError
 from .hbt import GENERATOR_ID, VERDICT_INCONCLUSIVE, g2_pairs, run_one
-from .scenarios import SCENARIO_NAMES, ScenarioParams, pair_entries
-from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, SweepSpec, emit_csv,
+from .scenarios import ScenarioParams, pair_entries
+from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, SweepSpec, _format_value, emit_csv,
                     expand_preset, parse_config, run_sweeps)
 
 
@@ -39,14 +39,13 @@ def _build_parser() -> _Parser:
     p_fig.add_argument("--out-dir", required=True, help="directory for the CSV files")
     p_fig.set_defaults(handler=_cmd_figure)
 
-    p_g2 = sub.add_parser("g2check", help="sample a scenario and test thermality via g2(0)")
-    p_g2.add_argument("--scenario", choices=SCENARIO_NAMES, default="basic")
+    p_g2 = sub.add_parser("g2check", help="sample the broadcast's receiver pair and test thermality via g2(0)")
     p_g2.add_argument("--samples", type=int, default=DEFAULT_G2_SAMPLES)
     p_g2.add_argument("--seed", type=int, required=True)
     for name in PARAM_NAMES:
         p_g2.add_argument(f"--{name.replace('_', '-')}", type=float, dest=name,
                           default=getattr(ScenarioParams, name),
-                          help=f"scenario parameter {name}")
+                          help=f"broadcast parameter {name}")
     p_g2.set_defaults(handler=_cmd_g2check)
     return parser
 
@@ -73,11 +72,10 @@ def _cmd_figure(args) -> int:
 
 def _cmd_g2check(args) -> int:
     params = ScenarioParams(**{name: getattr(args, name) for name in PARAM_NAMES})
-    entries = np.array([entry[0] for entry in pair_entries(args.scenario, params)])  # the receivers' (a, b, c, d)
+    entries = np.array([entry[0] for entry in pair_entries(params)])  # the receivers' (a, b, c, d)
     report = run_one(g2_pairs, entries, args.samples, [args.seed])
     estimate = np.nan if report.verdict == VERDICT_INCONCLUSIVE else report.g2_estimate  # as a sweep writes it
-    print(f"scenario: {args.scenario}")
-    print("params: " + " ".join(f"{name}={getattr(args, name):g}" for name in PARAM_NAMES))
+    print("params: " + " ".join(f"{name}={_format_value(getattr(params, name))}" for name in PARAM_NAMES))
     print(f"g2 estimate: {estimate:.6g} +/- {report.std_error:.3g} ({report.n_samples} samples, jackknife)")
     print("g2 analytic: " + ("undefined" if report.g2_analytic is None else f"{report.g2_analytic:.6g}"))
     print(f"verdict: {report.verdict}")

@@ -6,9 +6,9 @@ Optional thermal channels sit in front of the splitter (transmittance
 ``eta_th`` against a thermal mode of variance ``v_th``) and behind it on
 each receiver arm (``eta_th_a``/``v_alpha``, ``eta_th_b``/``v_beta``).
 
-Every topology exists twice: as a compositional build out of EPR, direct
-sum and beamsplitter primitives, and as closed-form matrix entries written
-out by hand, which tests hold entrywise to the build at 1e-12; keep both. Sweeps use :func:`pair_entries`.
+Every topology exists twice: as a compositional build out of EPR, direct sum and beamsplitter primitives,
+and as closed-form matrix entries written out by hand, which tests hold entrywise to the build at 1e-12;
+keep both. Sweeps use :func:`pair_entries`, one formula for all three: a channel left transparent drops out.
 
 Mode labels, in build order:
 
@@ -35,10 +35,14 @@ MODE_A = "A"
 MODE_VA = "V_a"
 MODE_VB = "V_b"
 
-SCENARIO_NAMES = ("basic", "thermal_channel", "full")
+# The parameters each topology reads; a sweep refuses any other.
+SCENARIO_PARAMS = {"basic": ("nu", "eta_ab"), "thermal_channel": ("nu", "eta_ab", "eta_th", "v_th"),
+                   "full": ("nu", "eta_ab", "eta_th", "v_th", "eta_th_a", "v_alpha", "eta_th_b", "v_beta")}
+SCENARIO_NAMES = tuple(SCENARIO_PARAMS)
 
 VARIANCE_PARAMS = ("nu", "v_th", "v_alpha", "v_beta")
 TRANSMITTANCE_PARAMS = ("eta_ab", "eta_th", "eta_th_a", "eta_th_b")
+PARAM_NAMES = VARIANCE_PARAMS + TRANSMITTANCE_PARAMS
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class ScenarioParams:
     v_beta: float = 1.0
 
     def __post_init__(self):
-        for name in VARIANCE_PARAMS + TRANSMITTANCE_PARAMS:
+        for name in PARAM_NAMES:
             object.__setattr__(self, name, self.check_field(name, getattr(self, name)))
 
     @staticmethod
@@ -156,16 +160,13 @@ def build_scenario(name: str, params: ScenarioParams) -> ScenarioState:
     return ScenarioState(state=CovarianceMatrix(build(_check_params(params))), mode_labels=labels)
 
 
-def pair_entries(name: str, p) -> tuple[np.ndarray, ...]:
+def pair_entries(p) -> tuple[np.ndarray, ...]:
     """(a, b, c, d) of the receivers' block [[a I, c I], [c I, b I]], d = ab - c^2, for (N,) parameter arrays.
 
     Each is (2, N), at the splitter's input variance v = eta_th nu + (1 - eta_th) v_th and at w = eta_th / nu
     + (1 - eta_th) v_th, that arm given E. d sums non-negative terms and c = 0 exactly for a vacuum source.
-    Callers check ``name`` (:class:`~thermalcast.sweep.SweepSpec`, the CLI's choices).
     """
-    th = 1.0 if name == "basic" else p.eta_th
-    eta_a, eta_b = (p.eta_th_a, p.eta_th_b) if name == "full" else (1.0, 1.0)
-    t, v_a, v_b = p.eta_ab, p.v_alpha, p.v_beta
+    th, eta_a, eta_b, t, v_a, v_b = p.eta_th, p.eta_th_a, p.eta_th_b, p.eta_ab, p.v_alpha, p.v_beta
     v = np.stack([th * p.nu + (1.0 - th) * p.v_th, th / p.nu + (1.0 - th) * p.v_th])
     excess = th * np.stack([p.nu - 1.0, (1.0 - p.nu) / p.nu]) + (1.0 - th) * (p.v_th - 1.0)  # v - 1
     to_a, to_b = (1.0 - t) * v + t, t * v + 1.0 - t  # each receiver's share, before its own channel

@@ -1,9 +1,9 @@
 """Parameter sweeps over the broadcast topologies, and their CSV output.
 
-A sweep varies one scenario parameter over an inclusive linear range and
-records the requested information measures at every point. The points, in
-ascending order of the swept value, are evaluated in closed form with those
-of every sweep of the same scenario run with them: one pass, none per point.
+A sweep varies one parameter of its scenario over an inclusive linear range and records the requested
+information measures at every point; a parameter the scenario does not read is refused. The points, in
+ascending order of the swept value, are evaluated in closed form with those of every sweep run with them,
+whatever its scenario: one pass, none per point.
 
 A failure at one point flags that row and the sweep carries on: a failed
 output blanks only its own cell. Only a sweep in which every point failed
@@ -24,9 +24,7 @@ from .errors import ConfigError, InvalidArgumentError, UnphysicalStateError, Usa
 from .gaussian import _is_integer
 from .hbt import GENERATOR_ID, MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, g2_pairs
 from .info import pair_measures
-from .scenarios import SCENARIO_NAMES, TRANSMITTANCE_PARAMS, VARIANCE_PARAMS, ScenarioParams, pair_entries
-
-PARAM_NAMES = VARIANCE_PARAMS + TRANSMITTANCE_PARAMS
+from .scenarios import PARAM_NAMES, SCENARIO_NAMES, SCENARIO_PARAMS, ScenarioParams, pair_entries
 
 OUTPUT_NAMES = ("cmi", "mi", "discord", "g2")
 
@@ -43,10 +41,12 @@ def _reject(field: str, message: str, key: str | None = None) -> UsageError:
     return exc
 
 
-def _check_domain(field: str, name: str, value: float, key: str | None = None):
-    """Raise the :class:`ScenarioParams` complaint about one parameter, if any."""
+def _check_domain(field: str, scenario: str, name: str, value: float, key: str | None = None):
+    """Raise the complaint about one parameter of ``scenario``, if any: foreign, or outside :class:`ScenarioParams`."""
     if name not in PARAM_NAMES:
         raise _reject(field, f"unknown parameter {name!r}", key)
+    if name not in SCENARIO_PARAMS[scenario]:  # it would be ignored silently
+        raise _reject(field, f"scenario {scenario!r} does not read parameter {name!r}", key)
     try:
         ScenarioParams.check_field(name, value)
     except (InvalidArgumentError, UnphysicalStateError) as exc:
@@ -73,6 +73,7 @@ class SweptRange:
 class SweepSpec:
     """A fully specified sweep; construction checks every run rule.
 
+    A fixed or swept parameter must be one its scenario reads (``SCENARIO_PARAMS``).
     ``seed`` is required exactly when ``g2`` is among the outputs (it is
     the only stochastic output) and rejected otherwise, so a config states
     its reproducibility contract explicitly. ``samples`` is likewise only
@@ -89,12 +90,15 @@ class SweepSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIO_NAMES:
             raise _reject("scenario", f"unknown value {self.scenario!r}, choose from {SCENARIO_NAMES}")
+        for name, kind in (("swept", SweptRange), ("fixed", dict), ("outputs", tuple)):
+            if not isinstance(getattr(self, name), kind):  # a look-alike fails far from here, or not at all
+                raise _reject(name, f"must be a {kind.__name__}, got {type(getattr(self, name)).__name__}")
         for endpoint in (self.swept.start, self.swept.stop):
-            _check_domain("sweep", self.swept.name, endpoint)
+            _check_domain("sweep", self.scenario, self.swept.name, endpoint)
         if not _is_integer(self.swept.count) or not 2 <= self.swept.count <= MAX_POINTS:
             raise _reject("sweep", f"step count must be an integer in [2, {MAX_POINTS}], got {self.swept.count}")
         for name, value in self.fixed.items():
-            _check_domain("fixed", name, value, key=name)
+            _check_domain("fixed", self.scenario, name, value, key=name)
         if self.swept.name in self.fixed:
             raise _reject("sweep", f"parameter {self.swept.name!r} is also fixed", key=self.swept.name)
         if not self.outputs:
@@ -151,26 +155,26 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
-    """Evaluate sweeps, each in ascending order of its swept value, in one pass per scenario and g2 sample count.
+    """Evaluate sweeps, each in ascending order of its swept value, in one pass per g2 sample count.
 
-    A pass stacks its sweeps' points, so each output is one array call over their receiver pairs in closed form
-    (:func:`pair_entries`). A failed output blanks only its own cell; a row's reasons name its own sweep's failures.
+    A pass stacks its sweeps' points, of any scenario, so each output is one array call over their receiver pairs
+    in closed form (:func:`pair_entries`). A failed output blanks only its own cell; a row's reasons name its own.
     """
     results = [None] * len(specs)
-    for key in dict.fromkeys((spec.scenario, spec.samples) for spec in specs):
-        group = [(i, spec) for i, spec in enumerate(specs) if (spec.scenario, spec.samples) == key]
+    for samples in dict.fromkeys(spec.samples for spec in specs):
+        group = [(i, spec) for i, spec in enumerate(specs) if spec.samples == samples]
         bounds = [0, *accumulate(spec.swept.count for _, spec in group)]
         params = {name: np.repeat([float(spec.fixed.get(name, getattr(ScenarioParams, name))) for _, spec in group],
                                   np.diff(bounds)) for name in PARAM_NAMES}
         for (_, spec), lo, hi in zip(group, bounds, bounds[1:]):
             params[spec.swept.name][lo:hi] = np.sort(spec.swept.values(), kind="stable")
-        entries = pair_entries(key[0], SimpleNamespace(**params))
+        entries = pair_entries(SimpleNamespace(**params))
         errors = {out: [None] * bounds[-1] for _, spec in group for out in spec.outputs}
         cells = pair_measures(*entries, {out: errors[out] for out in errors if out != "g2"})
         if "g2" in errors:  # each point samples its pair [[a I, c I], [c I, b I]] from its own stream
             seeds = [_point_seed(spec.seed, int(k))
                      for _, spec in group for k in np.argsort(spec.swept.values(), kind="stable")]
-            reports = g2_pairs(np.stack([entry[0] for entry in entries], axis=-1), key[1], seeds, errors["g2"])
+            reports = g2_pairs(np.stack([entry[0] for entry in entries], axis=-1), samples, seeds, errors["g2"])
             # no photons to correlate: the ratio is noise, not a g2 value
             cells["g2"] = np.array([r.g2_estimate if r and r.verdict != VERDICT_INCONCLUSIVE else np.nan
                                     for r in reports])
@@ -255,9 +259,11 @@ def parse_config(text: str) -> SweepSpec:
     """Parse a sweep config into a :class:`SweepSpec`; complaints name their line.
 
     Only syntax is checked here; a :class:`SweepSpec` rule is reported on
-    the line of the key it names. Unknown and duplicate keys are errors: a
-    silently ignored typo in a parameter name would change the physics.
+    the line of the key it names. Unknown and duplicate keys, and parameters its
+    scenario does not read, are errors: an ignored parameter would change the physics.
     """
+    if not isinstance(text, str):
+        raise ConfigError(f"config text must be a str, got {type(text).__name__}")
     seen: dict[str, int] = {}
     fields: dict[str, object] = {}
     fixed: dict[str, float] = {}
@@ -268,9 +274,7 @@ def parse_config(text: str) -> SweepSpec:
             continue
         if "=" not in line:
             raise ConfigError(f"expected key=value, got {line!r}", line_no)
-        key, _, raw_value = line.partition("=")
-        key = key.strip()
-        value = raw_value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key in seen:
             raise ConfigError(f"duplicate key {key!r} (first set on line {seen[key]})", line_no)
         seen[key] = line_no

@@ -121,7 +121,7 @@ def test_figure_all_matches_separate_runs(tmp_path, capsys):
     capsys.readouterr()
     assert len(_tables(together)) == 16
     assert _tables(together) == _tables(apart)
-    # a repeated name runs once; the presets of one scenario share a pass whatever their order, and the
+    # a repeated name runs once; the presets share one pass whatever their order, and the
     # files are written in the order the names came
     names = ["fig8", "fig4", "fig3", "fig7", "fig4"]
     assert main(["figure", "--name", *names, "--out-dir", str(tmp_path / "some")]) == 0
@@ -159,7 +159,7 @@ def test_figure_exits_two_only_when_every_named_preset_failed(tmp_path, monkeypa
 
 
 def test_g2check_reports_thermal(capsys):
-    code = main(["g2check", "--scenario", "basic", "--nu", "10",
+    code = main(["g2check", "--nu", "10",
                  "--samples", "20000", "--seed", "4"])
     assert code == 0
     out = capsys.readouterr().out
@@ -167,22 +167,46 @@ def test_g2check_reports_thermal(capsys):
     assert "g2 analytic: 2" in out
     assert "generator: sfc64/v6" in out
     assert "params: nu=10" in out
+    # the echo keeps the 12 digits a CSV's '# fixed:' line keeps, so it reproduces the run
+    assert main(["g2check", "--nu", "10.0000001", "--eta-ab", "0.123456789", "--samples", "2000", "--seed", "4"]) == 0
+    params = capsys.readouterr().out.splitlines()[0].split()
+    assert params[:2] == ["params:", "nu=10.0000001"] and "eta_ab=0.123456789" in params
 
 
 def test_g2check_samples_the_pair_kernel_at_its_parameters(capsys):
     # the estimate is the pair kernel's on the topology's (a, b, c, d); the exact value comes from the built state
-    argv = ["--scenario", "full", "--nu", "5", "--eta-th", "0.8", "--v-th", "2", "--eta-th-a", "0.9",
+    argv = ["--nu", "5", "--eta-th", "0.8", "--v-th", "2", "--eta-th-a", "0.9",
             "--v-alpha", "1.5", "--samples", "5000", "--seed", "3"]
     assert main(["g2check"] + argv) == 0
     out = capsys.readouterr().out
     params = ScenarioParams(nu=5.0, eta_th=0.8, v_th=2.0, eta_th_a=0.9, v_alpha=1.5)
-    pair = np.array([entry[0] for entry in pair_entries("full", params)])
+    pair = np.array([entry[0] for entry in pair_entries(params)])
     report = thermalcast.hbt.g2_pairs(pair[None], 5000, [3], [None])[0]
     assert f"g2 estimate: {report.g2_estimate:.6g} +/- {report.std_error:.3g} (5000 samples" in out
     state = build_scenario("full", params)
     exact = g2_analytic(state.state, state.mode_index("A"), state.mode_index("B"))
     assert f"g2 analytic: {exact:.6g}\n" in out
     assert f"verdict: {report.verdict}\n" in out
+
+
+def test_g2check_reads_its_topology_from_the_flags(capsys):
+    # flags left at their defaults are transparent: a channel in front of the splitter alone is the thermal_channel
+    # pair, and its exact value is that build's
+    argv = ["g2check", "--nu", "5", "--eta-th", "0.8", "--v-th", "2", "--samples", "5000", "--seed", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    params = ScenarioParams(nu=5.0, eta_th=0.8, v_th=2.0)
+    report = thermalcast.hbt.g2_pairs(np.array([[entry[0] for entry in pair_entries(params)]]), 5000, [3], [None])[0]
+    assert f"g2 estimate: {report.g2_estimate:.6g} +/- {report.std_error:.3g} (5000 samples" in out
+    state = build_scenario("thermal_channel", params)
+    exact = g2_analytic(state.state, state.mode_index("A"), state.mode_index("B"))
+    assert f"g2 analytic: {exact:.6g}\n" in out
+    assert "scenario" not in out
+
+
+def test_g2check_has_no_scenario_option(capsys):
+    assert main(["g2check", "--scenario", "basic", "--seed", "4"]) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: --scenario basic")
 
 
 def test_g2check_coherent_source_is_inconclusive(capsys):
@@ -196,7 +220,7 @@ def test_g2check_coherent_source_is_inconclusive(capsys):
 def test_g2check_prints_nan_for_an_inconclusive_estimate(capsys):
     # a vacuum source: the ratio of two noise means is no g2 value, so the estimate reads nan, as a sweep writes it
     assert main(["g2check", "--seed", "4", "--samples", "2000"]) == 0
-    pair = np.array([entry[0] for entry in pair_entries("basic", ScenarioParams())])
+    pair = np.array([entry[0] for entry in pair_entries(ScenarioParams())])
     report = thermalcast.hbt.g2_pairs(pair[None], 2000, [4], [None])[0]
     assert report.verdict == "inconclusive" and np.isfinite(report.g2_estimate)
     assert f"g2 estimate: nan +/- {report.std_error:.3g} (2000 samples, jackknife)\n" in capsys.readouterr().out
@@ -240,9 +264,9 @@ def test_g2check_accepts_a_bright_source(capsys):
 
 
 @pytest.mark.parametrize("argv,name", [
-    (["--scenario", "full", "--v-alpha", "1e200", "--eta-th-a", "0", "--samples", "2000"],
+    (["--v-alpha", "1e200", "--eta-th-a", "0", "--samples", "2000"],
      "v_alpha"),
-    (["--scenario", "thermal_channel", "--v-th", "1e308", "--eta-th", "0.5"], "v_th"),
+    (["--v-th", "1e308", "--eta-th", "0.5"], "v_th"),
 ])
 def test_g2check_names_a_variance_above_the_ceiling(argv, name, capsys):
     assert main(["g2check", "--seed", "1"] + argv) == 1

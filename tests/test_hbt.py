@@ -453,7 +453,7 @@ def test_thermality_check_takes_every_block_once_under_thread_switches(monkeypat
 
 
 def test_g2_pairs_takes_every_block_once_under_thread_switches(monkeypatch):
-    pairs = np.stack([entries_of("basic", nu=nu) for nu in (2.0, 3.0, 5.0, 8.0)])
+    pairs = np.stack([entries_of(nu=nu) for nu in (2.0, 3.0, 5.0, 8.0)])
     takes_every_block_once(monkeypatch, hbt.g2_pairs, pairs)
 
 
@@ -469,9 +469,9 @@ def test_thermality_check_refuses_a_pair_that_does_not_factor(monkeypatch):
 # The pair kernel: a receiver pair [[a I, c I], [c I, b I]] drawn from one exponential and two normals per row
 
 
-def entries_of(scenario, **params):
+def entries_of(**params):
     # the receivers' (a, b, c, d) at the source, as the sweep and g2check take them
-    return np.array([entry[0] for entry in pair_entries(scenario, ScenarioParams(**params))])
+    return np.array([entry[0] for entry in pair_entries(ScenarioParams(**params))])
 
 
 def pair_state(entries):
@@ -494,7 +494,7 @@ PAIR_CASES = [
 def test_g2_pairs_is_exact_in_distribution(scenario, params, monkeypatch):
     # the five pooled sample means against Isserlis' theorem, each report against g2_analytic, and the mean error
     # bar against the four-normal route's over the same 40 seeds (one seed's jackknife error scatters by ~7%)
-    entries = entries_of(scenario, **params)
+    entries = entries_of(**params)
     a, b, c, _ = entries
     if scenario == "full" and params["nu"] == 1.0:
         assert c == 0.0
@@ -522,12 +522,12 @@ def test_g2_pairs_is_exact_in_distribution(scenario, params, monkeypatch):
 @pytest.mark.parametrize("scenario,params", PAIR_CASES)
 def test_g2check_exact_value_is_g2_analytic_from_the_sampled_entries(scenario, params, capsys):
     # g2check prints 1 + c^2 / ((a - 1)(b - 1)) of the (a, b, c, d) it samples and builds no scenario matrix
-    a, b, c, _ = entries_of(scenario, **params)
+    a, b, c, _ = entries_of(**params)
     exact = 1.0 + c * c / ((a - 1.0) * (b - 1.0))
     built = build_scenario(scenario, ScenarioParams(**params))
     assert exact == pytest.approx(g2_analytic(built.state, built.mode_index("A"), built.mode_index("B")), rel=1e-12)
     argv = [f"--{name.replace('_', '-')}={value!r}" for name, value in params.items()]
-    assert main(["g2check", "--scenario", scenario, "--samples", "1000", "--seed", "1"] + argv) == 0
+    assert main(["g2check", "--samples", "1000", "--seed", "1"] + argv) == 0
     assert f"g2 analytic: {exact:.6g}\n" in capsys.readouterr().out
 
 
@@ -555,7 +555,7 @@ def test_g2_pairs_stream_matches_committed_literals(monkeypatch):
     piece_sums = hbt._piece_sums
     monkeypatch.setattr(hbt, "_piece_sums",
                         lambda vals, *rest: blocks.append(vals[:2].copy()) or piece_sums(vals, *rest))
-    a, b, c, d = entries_of("basic", nu=2.0, eta_ab=0.5)
+    a, b, c, d = entries_of(nu=2.0, eta_ab=0.5)
     assert (a, b, c, d) == (1.5, 1.5, -0.5, 2.0)
     hbt.g2_pairs(np.array([[a, b, c, d]]), 1000, [0], [None])
     assert blocks[0][:, :3].T.tolist() == [[-0.2485984658551117, 0.4997642381308228],
@@ -571,7 +571,7 @@ def test_g2_pairs_stream_matches_committed_literals(monkeypatch):
 
 def test_g2_pairs_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
     # the pair kernel's own near-equal blocks of at most 2^15 rows: 2^15 - 1 rows are one block, 2^15 + 1 are two
-    entries = entries_of("full", nu=5.0, eta_ab=0.4, eta_th=0.8, v_th=2.0, eta_th_a=0.9, v_alpha=1.5)
+    entries = entries_of(nu=5.0, eta_ab=0.4, eta_th=0.8, v_th=2.0, eta_th_a=0.9, v_alpha=1.5)
     sizes, piece_sums = [], hbt._piece_sums
     monkeypatch.setattr(hbt, "_piece_sums", lambda vals, *rest: sizes.append(vals.shape[1]) or piece_sums(vals, *rest))
     for n, n_blocks in ((1000, 1), (32_767, 1), (32_769, 2), (200_000, 7), (1_000_001, 31)):
@@ -587,7 +587,7 @@ def test_g2_pairs_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
 def test_g2_pairs_holds_only_its_per_thread_blocks(monkeypatch):
     # five rows of 2^15 per thread are 1.25 MiB; the general route's thirteen rows of 2^14 would be 1.6 MiB
     monkeypatch.setattr(hbt, "_CPUS", 2)
-    entries = entries_of("basic", nu=2.0, eta_ab=0.5)
+    entries = entries_of(nu=2.0, eta_ab=0.5)
     hbt.g2_pairs(entries[None], 1000, [1], [None])
     tracemalloc.start()
     try:

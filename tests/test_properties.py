@@ -20,7 +20,7 @@ from thermalcast import (SCENARIO_NAMES, ConfigError, CovarianceMatrix, Partitio
                          mutual_information, parse_config, run_sweep, shannon_entropy,
                          symplectic_eigenvalues, validate_physicality, von_neumann_entropy)
 from thermalcast.info import CLAMP_TOL
-from thermalcast.scenarios import VARIANCE_PARAMS
+from thermalcast.scenarios import SCENARIO_PARAMS, VARIANCE_PARAMS
 from thermalcast.sweep import OUTPUT_NAMES, PARAM_NAMES
 
 REQUIRED = ("scenario", "sweep", "outputs")
@@ -96,11 +96,13 @@ def in_domain(name):
 
 @st.composite
 def small_configs(draw):
+    # the scenario's own parameters only: a config that sets any other is refused
     outputs = draw(st.lists(st.sampled_from(OUTPUT_NAMES), min_size=1, max_size=4, unique=True))
-    swept = draw(st.sampled_from(PARAM_NAMES))
-    others = [name for name in PARAM_NAMES if name != swept]
+    scenario = draw(st.sampled_from(SCENARIO_NAMES))
+    swept = draw(st.sampled_from(SCENARIO_PARAMS[scenario]))
+    others = [name for name in SCENARIO_PARAMS[scenario] if name != swept]
     fixed = draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
-    lines = [f"scenario={draw(st.sampled_from(SCENARIO_NAMES))}",
+    lines = [f"scenario={scenario}",
              f"sweep={swept}:{draw(in_domain(swept))}:{draw(in_domain(swept))}:"
              f"{draw(st.integers(2, 4))}",
              f"outputs={','.join(outputs)}"]
@@ -133,15 +135,22 @@ def test_parsed_small_sweep_runs_and_emits(text):
         assert why or all(map(math.isfinite, cells)), values
 
 
+@st.composite
+def scenario_and_fixed(draw):
+    # a topology and its own parameters but nu, variances up to 1e3
+    name = draw(st.sampled_from(SCENARIO_NAMES))
+    return name, draw(st.fixed_dictionaries({
+        param: st.sampled_from([1.0]) | st.floats(0.0, 3.0).map(lambda e: 10.0 ** e)
+        if param in VARIANCE_PARAMS else st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+        for param in SCENARIO_PARAMS[name] if param != "nu"}))
+
+
 @settings(max_examples=100)
-@given(st.sampled_from(SCENARIO_NAMES),
-       st.fixed_dictionaries({name: st.sampled_from([1.0]) | st.floats(0.0, 3.0).map(lambda e: 10.0 ** e)
-                              if name in VARIANCE_PARAMS else st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
-                              for name in PARAM_NAMES if name != "nu"}),
-       st.lists(st.floats(0.0, 3.0).map(lambda e: 10.0 ** e), min_size=2, max_size=2))
-def test_sweep_closed_form_matches_the_general_route(name, fixed, nus):
+@given(scenario_and_fixed(), st.lists(st.floats(0.0, 3.0).map(lambda e: 10.0 ** e), min_size=2, max_size=2))
+def test_sweep_closed_form_matches_the_general_route(case, nus):
     # run_sweep's closed forms against the full build and the general one-state measures, nu and
     # every variance up to 1e3; above that the general route is the less accurate one
+    name, fixed = case
     result = run_sweep(SweepSpec(scenario=name, swept=SweptRange("nu", *nus, 2), fixed=fixed,
                                  outputs=("cmi", "mi", "discord")))
     assert result.n_failed == 0

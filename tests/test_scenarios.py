@@ -13,7 +13,8 @@ from thermalcast import (InvalidArgumentError, ScenarioParams,
                          conditional_mutual_information,
                          full_closed_form_blocks, gaussian_discord, reduce,
                          thermal_channel_closed_form, validate_physicality)
-from thermalcast.scenarios import TRANSMITTANCE_PARAMS, VARIANCE_PARAMS
+from thermalcast.scenarios import (PARAM_NAMES, SCENARIO_NAMES, SCENARIO_PARAMS, TRANSMITTANCE_PARAMS,
+                                   VARIANCE_PARAMS, pair_entries)
 
 VARIANCES = (1.0, 2.0, 10.0, 500.0)
 SPLITS = (0.0, 0.25, 0.5, 1.0)
@@ -140,6 +141,38 @@ def test_full_block_formulas_match_construction():
             gap = np.abs(full_closed_form_blocks(params)[key]
                          - block_of(scenario, row, col))
             assert gap.max() <= 1e-12, (key, nu, eta, v)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_pair_entries_match_each_build_entry_by_entry(name):
+    # one formula serves all three topologies: each draws only its own parameters over the whole domain, variances
+    # log-uniform in [1, 1e6] and transmittances in [0, 1], a quarter of them at an edge; the rest stay transparent.
+    # Row 0 is the receivers' A/B block of the build, row 1 its Schur complement of E; each entry is held to 1e-12
+    # of the build's largest entry, and d = ab - c^2, a product of two entries, to 1e-12 of its square
+    rng, n, top = np.random.default_rng(27), 200, ScenarioParams.MAX_VARIANCE
+    params = {param: np.full(n, getattr(ScenarioParams, param)) for param in PARAM_NAMES}
+    for param in SCENARIO_PARAMS[name]:
+        if param in VARIANCE_PARAMS:
+            lo, hi, values = 1.0, top, 10.0 ** rng.uniform(0.0, np.log10(top), n)
+        else:
+            lo, hi, values = 0.0, 1.0, rng.uniform(0.0, 1.0, n)
+        edges = rng.choice(n, n // 4, replace=False)
+        values[edges] = rng.choice([lo, hi], n // 4)
+        params[param] = values
+    entries = np.array(pair_entries(types.SimpleNamespace(**params)))  # (a, b, c, d) by (row, point)
+    assert entries.shape == (4, 2, n)
+    for i in range(n):
+        built = build_scenario(name, ScenarioParams(**{param: float(params[param][i]) for param in PARAM_NAMES}))
+        gamma, scale = built.state.data, np.abs(built.state.data).max()
+        ab, e = ([k for label in labels for k in (2 * built.mode_index(label), 2 * built.mode_index(label) + 1)]
+                 for labels in ("AB", "E"))
+        given_e = gamma[np.ix_(ab, e)] @ np.linalg.solve(gamma[np.ix_(e, e)], gamma[np.ix_(e, ab)])
+        for row, block in enumerate((gamma[np.ix_(ab, ab)], gamma[np.ix_(ab, ab)] - given_e)):
+            a, b, c, d = entries[:, row, i]
+            gap = np.abs(block - np.kron([[a, c], [c, b]], np.eye(2)))
+            assert gap.max() <= 1e-12 * scale, (name, row, i, gap.max(), scale)
+            ref = block[0, 0] * block[2, 2] - block[0, 2] ** 2
+            assert abs(d - ref) <= 1e-12 * scale ** 2, (name, row, i, d, ref, scale)
 
 
 def test_transparent_channel_collapses_to_basic():

@@ -12,6 +12,7 @@ import thermalcast.sweep
 from thermalcast import (SCENARIO_NAMES, ConfigError, NumericFailureError, ScenarioParams, SweepSpec, SweptRange,
                          UsageError, emit_csv, expand_preset, parse_config, run_sweep, run_sweeps)
 from thermalcast.scenarios import pair_entries
+from thermalcast.scenarios import SCENARIO_PARAMS
 from thermalcast.sweep import PRESET_NAMES
 
 GOOD_CONFIG = """\
@@ -68,6 +69,10 @@ def test_swept_range_includes_endpoints():
     (dict(outputs=("g2",), seed=True), "seed: .*integer"),
     (dict(outputs=("g2",), seed=7, samples=1000.5), "samples: .*integer"),
     (dict(outputs=("g2",), seed=7, samples=4000.0), "samples: .*integer"),
+    # a wrong type is refused by name, not met as an AttributeError or iterated as a string
+    (dict(swept=None), "swept: must be a SweptRange, got NoneType$"),
+    (dict(fixed=[("nu", 2.0)]), "fixed: must be a dict, got list$"),
+    (dict(outputs="cmi"), "outputs: must be a tuple, got str$"),
 ])
 def test_spec_validation_names_the_field(overrides, field):
     with pytest.raises(UsageError, match=f"^{field}"):
@@ -122,7 +127,7 @@ def test_parse_g2_needs_seed_and_accepts_samples():
 
 @pytest.mark.parametrize("text,line,needle", [
     ("scenario=basic\nnu=0.5\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 2, "variance"),
-    ("scenario=basic\neta_th=1.5\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 2, "transmittance"),
+    ("scenario=thermal_channel\neta_th=1.5\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 2, "transmittance"),
     ("scenario=basic\nnu=nan\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 2, "finite"),
     ("scenario=basic\nsweep=nu:2:inf:3\noutputs=cmi", 2, "finite"),
     ("scenario=torus\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi", 1, "scenario"),
@@ -147,6 +152,35 @@ def test_parse_errors_carry_line_numbers(text, line, needle):
         parse_config(text)
     assert err.value.line == line
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("text", [None, b"scenario=basic\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi"])
+def test_parse_refuses_text_that_is_not_a_str(text):
+    with pytest.raises(ConfigError, match=f"^config text must be a str, got {type(text).__name__}$") as err:
+        parse_config(text)
+    assert err.value.line == 0
+
+
+@pytest.mark.parametrize("scenario,name", [("basic", "eta_th"), ("basic", "v_beta"),
+                                           ("thermal_channel", "eta_th_a"), ("thermal_channel", "v_alpha")])
+def test_a_parameter_the_scenario_does_not_read_is_refused(scenario, name):
+    # it would be ignored: the sweep would write the same row at every point, or physics other than the config's
+    message = f"scenario '{scenario}' does not read parameter '{name}'$"
+    fixed = {"nu": 2.0, name: 1.0}
+    with pytest.raises(UsageError, match=f"^fixed: {message}") as err:
+        small_spec(scenario=scenario, fixed=fixed)
+    assert err.value.key == name
+    with pytest.raises(UsageError, match=f"^sweep: {message}") as err:
+        small_spec(scenario=scenario, swept=SweptRange(name, 1.0, 1.0, 3))
+    assert err.value.key == "sweep"
+    head = f"scenario={scenario}\nnu=2\n"
+    with pytest.raises(ConfigError, match=f"^line 3: fixed: {message}"):
+        parse_config(head + f"{name}=1\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi")
+    with pytest.raises(ConfigError, match=f"^line 4: sweep: {message}"):
+        parse_config(head + f"outputs=cmi\nsweep={name}:1:1:3")
+    # a name no topology reads keeps its own message
+    with pytest.raises(ConfigError, match="^line 3: unknown key 'eta_c'$"):
+        parse_config(head + "eta_c=1\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi")
 
 
 @pytest.mark.parametrize("missing", ["scenario", "sweep", "outputs"])
@@ -226,8 +260,8 @@ def test_run_sweep_flags_a_non_finite_cell(monkeypatch):
     # the one check behind the closed forms: a cell that comes out nan or inf fails its row by name
     real = thermalcast.sweep.pair_entries
 
-    def entries(name, p):
-        a, b, c, d = real(name, p)
+    def entries(p):
+        a, b, c, d = real(p)
         c[:, 2] = np.inf  # an overflow at the third point
         return a, b, c, d
 
@@ -248,9 +282,9 @@ def _same_bits(together, alone):
     assert together.reasons == alone.reasons
 
 
-def test_one_pass_per_scenario_matches_each_sweep_alone(monkeypatch):
-    # all 16 preset branches, then g2 sweeps: two share a pass (same scenario and sample count), with
-    # a descending range whose seeds follow each point's index, and a third samples on its own
+def test_one_pass_per_sample_count_matches_each_sweep_alone(monkeypatch):
+    # all 16 preset branches, of all three scenarios, share one pass; then g2 sweeps: two share a pass (same
+    # sample count), with a descending range whose seeds follow each point's index, and a third samples on its own
     g2 = [small_spec(outputs=("g2", "mi"), seed=5, samples=1000),
           small_spec(outputs=("cmi", "g2"), seed=6, samples=1000, swept=SweptRange("nu", 9.0, 3.0, 3), fixed={}),
           small_spec(outputs=("g2",), seed=5, samples=1200)]
@@ -263,12 +297,11 @@ def test_one_pass_per_scenario_matches_each_sweep_alone(monkeypatch):
 
     monkeypatch.setattr(thermalcast.sweep, "pair_measures", counted)
     together = run_sweeps(specs)
-    assert passes == [(3 * 99, ["cmi", "discord", "mi"]), (5 * 100, ["cmi", "discord"]),
-                      (8 * 99, ["cmi", "discord"]), (4 + 3, ["cmi", "mi"]), (4, [])]
+    assert passes == [(3 * 99 + 5 * 100 + 8 * 99, ["cmi", "discord", "mi"]), (4 + 3, ["cmi", "mi"]), (4, [])]
     for spec, result in zip(specs, together):
         _same_bits(result, run_sweep(spec))
     # each g2 point keeps the stream of its index in the range: the descending sweep's rows are points 2, 1, 0
-    pairs = np.array([[entry[0] for entry in pair_entries("basic", ScenarioParams(nu=nu, eta_ab=0.5))]
+    pairs = np.array([[entry[0] for entry in pair_entries(ScenarioParams(nu=nu, eta_ab=0.5))]
                       for nu in (3.0, 6.0, 9.0)])
     seeds = [thermalcast.sweep._point_seed(6, i) for i in (2, 1, 0)]
     reports = thermalcast.hbt.g2_pairs(pairs, 1000, seeds, [None] * 3)
@@ -325,6 +358,7 @@ def test_a_vacuum_source_shares_exactly_nothing(scenario):
     # nu = 1 with a vacuum idler in the channel: the receivers are uncorrelated (c = 0), so every
     # measure is exactly 0, whatever noise each receiver's own channel adds
     fixed = {"nu": 1.0, "eta_th": 0.6, "eta_th_a": 0.3, "v_alpha": 10.0, "eta_th_b": 0.8, "v_beta": 3.7}
+    fixed = {name: value for name, value in fixed.items() if name in SCENARIO_PARAMS[scenario]}
     spec = SweepSpec(scenario=scenario, swept=SweptRange("eta_ab", 0.0, 1.0, 11), fixed=fixed,
                      outputs=("cmi", "mi", "discord"))
     result = run_sweep(spec)
@@ -348,7 +382,7 @@ def test_run_sweep_contains_numpy_overflow():
 
 def test_g2_cells_of_an_inconclusive_verdict_are_nan(tmp_path):
     # nu = 1 leaves the receivers in vacuum: g2check calls this inconclusive
-    spec = parse_config("scenario=basic\nsweep=v_th:1:4:4\noutputs=cmi,g2\n"
+    spec = parse_config("scenario=thermal_channel\nsweep=v_th:1:4:4\noutputs=cmi,g2\n"
                         "seed=1\nsamples=1000\n")
     result = run_sweep(spec)
     assert result.n_failed == 0
@@ -366,8 +400,8 @@ def test_a_g2_pair_that_does_not_factor_fails_only_its_row(tmp_path, monkeypatch
     clean = run_sweep(spec).columns["g2"]
     real = thermalcast.sweep.pair_entries
 
-    def broken(name, params):
-        a, b, c, d = real(name, params)
+    def broken(params):
+        a, b, c, d = real(params)
         d[0, 1] = -1.0
         return a, b, c, d
 
