@@ -3,6 +3,7 @@
 Exit codes: 0 on success, 1 for usage or config errors, 2 when every point
 of the run (a sweep, or every preset a figure run names) failed numerically.
 Partial failures exit 0; the flagged rows show as nan cells and '# failed:' lines.
+The parser is built once per process, at import: parsing leaves no state in it, so every main call shares it.
 """
 from __future__ import annotations
 
@@ -83,10 +84,12 @@ def _cmd_g2check(args) -> int:
     return 0
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.handler(args)
     except (ThermalcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -159,16 +159,15 @@ def select_modes(data: np.ndarray, keep) -> np.ndarray:
 
     The one home of the mode-index rule: distinct integers in [0, n).
     """
-    n = len(data) // 2
-    keep = list(keep)
-    if len(keep) == 0:
-        raise InvalidArgumentError("must keep at least one mode")
-    for m in keep:
+    n, modes = len(data) // 2, list(keep) if np.iterable(keep) else []
+    if not modes:
+        raise InvalidArgumentError(f"keep must be an iterable of at least one mode index, got {keep!r}")
+    for m in modes:
         if not (_is_integer(m) and 0 <= m < n):
             raise InvalidArgumentError(f"mode index {m!r} is not an integer in [0, {n})")
-    if len(set(keep)) != len(keep):
-        raise InvalidArgumentError(f"duplicate mode index in {keep}")
-    idx = np.array([q for m in keep for q in (2 * m, 2 * m + 1)])
+    if len(set(modes)) != len(modes):
+        raise InvalidArgumentError(f"duplicate mode index in {modes}")
+    idx = np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
     return data[idx[:, None], idx]
 
 

@@ -143,8 +143,9 @@ def _draw(rows: np.ndarray, seeds, make_sink) -> None:
 def _check_samples(samples: np.ndarray, *modes: int) -> None:
     if not isinstance(samples, np.ndarray):
         raise InvalidArgumentError(f"samples must be a numpy array, got {type(samples).__name__}")
-    if samples.ndim != 2 or samples.shape[1] % 2:
-        raise InvalidArgumentError(f"samples must be an (n, 2k) array, got shape {samples.shape}")
+    if samples.ndim != 2 or samples.shape[1] % 2 or samples.dtype.kind != "f":  # ints would square past int64
+        raise InvalidArgumentError(f"samples must be an (n, 2k) array of floats, got shape {samples.shape} "
+                                   f"{samples.dtype}")
     n_modes = samples.shape[1] // 2
     for mode in modes:
         if not (_is_integer(mode) and 0 <= mode < n_modes):
@@ -215,17 +216,20 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     run by the sampler's row blocks, as in :func:`thermality_check`, so both
     give the same bits for the same draw.
     """
+    _check_samples(samples, mode_a, mode_b)  # first: len() of a non-array can raise
     n = len(samples)
     if n < MIN_G2_SAMPLES:
         raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n}")
     if mode_a == mode_b:
         raise InvalidArgumentError("cross-correlation needs two distinct modes")
-    _check_samples(samples, mode_a, mode_b)
     rows, cuts, bounds = _layout(n, _ONE_THREAD_GEMM // samples.shape[1] ** 2)
     pieces, scratch = np.empty((5, len(cuts) - 1)), np.empty((5, np.diff(rows).max()))
     cols = [2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1]
-    for start, stop in zip(rows, rows[1:]):
-        _piece_sums(_intensities(samples[start:stop, cols].T, scratch[:, :stop - start]), start, cuts, pieces)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the sums, refused below
+        for start, stop in zip(rows, rows[1:]):
+            _piece_sums(_intensities(samples[start:stop, cols].T, scratch[:, :stop - start]), start, cuts, pieces)
+    if not np.isfinite(pieces).all():  # checked on the sums, not by another pass over the samples
+        raise NumericFailureError(f"g2 sums not finite: samples hold nan, inf or a variance past {_MAX_G2_ENTRY:.3g}")
     return _report(pieces, cuts, bounds)
 
 

@@ -24,8 +24,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, beamsplitter, check_variance, direct_sum, epr,
-                       select_modes)
+from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, beamsplitter, check_state, check_variance,
+                       direct_sum, epr, select_modes)
 from .info import Partition
 
 MODE_E = "E"
@@ -101,9 +101,8 @@ class ScenarioState:
     mode_labels: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.mode_labels) != self.state.n_modes:
-            raise InvalidArgumentError(
-                f"{len(self.mode_labels)} labels for {self.state.n_modes} modes")
+        if len(check_state(self.state)) // 2 != len(self.mode_labels):  # a bare array has no n_modes
+            raise InvalidArgumentError(f"{len(self.mode_labels)} labels for {self.state.n_modes} modes")
         if len(set(self.mode_labels)) != len(self.mode_labels):
             raise InvalidArgumentError(f"duplicate mode labels in {self.mode_labels}")
 

@@ -160,6 +160,9 @@ def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
     A pass stacks its sweeps' points, of any scenario, so each output is one array call over their receiver pairs
     in closed form (:func:`pair_entries`). A failed output blanks only its own cell; a row's reasons name its own.
     """
+    if not (isinstance(specs, (list, tuple)) and all(isinstance(spec, SweepSpec) for spec in specs)):
+        held = " of " + ", ".join(type(spec).__name__ for spec in specs) if isinstance(specs, (list, tuple)) else ""
+        raise UsageError(f"specs must be a list of SweepSpec, got {type(specs).__name__}{held}")
     results = [None] * len(specs)
     for samples in dict.fromkeys(spec.samples for spec in specs):
         group = [(i, spec) for i, spec in enumerate(specs) if spec.samples == samples]
@@ -201,6 +204,8 @@ def emit_csv(result: SweepResult, destination: str | Path):
     the timestamp line. The table is written to a sibling file that then
     replaces ``destination``, so an interrupted write leaves the old file.
     """
+    if not isinstance(result, SweepResult):
+        raise UsageError(f"result must be a SweepResult, got {type(result).__name__}")
     if not result.reasons:
         raise UsageError("refusing to emit an empty table")
     from . import __version__

@@ -67,6 +67,40 @@ def test_help_exits_zero(capsys):
     assert "thermalcast" in capsys.readouterr().out
 
 
+def test_main_runs_every_command_on_the_import_time_parser(tmp_path, monkeypatch, capsys):
+    # the parser is built once, when thermalcast.cli is imported; a command that rebuilt it would fail here
+    def no_rebuild():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(thermalcast.cli, "_build_parser", no_rebuild)
+    assert main(["figure", "--name", "fig3", "--out-dir", str(tmp_path)]) == 0
+    assert main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "run.csv")]) == 0
+    assert main(["g2check", "--samples", "2000", "--seed", "4"]) == 0
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    capsys.readouterr()
+
+
+def test_the_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
+    def fig3_table():
+        assert main(["figure", "--name", "fig3", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        return _tables(tmp_path)["fig3.csv"]
+
+    first = fig3_table()
+    assert main(["g2check", "--nu", "5", "--samples", "2000", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.startswith("params: nu=5 ")
+    assert main(["g2check", "--bogus"]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: --seed\n"
+    assert main(["g2check", "--samples", "2000", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.startswith("params: nu=1 ")  # the default, not the earlier call's 5
+    assert fig3_table() == first
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == thermalcast.cli._build_parser().format_help()
+
+
 def test_figure_writes_branch_files(tmp_path, capsys):
     out_dir = tmp_path / "figs"
     assert main(["figure", "--name", "fig3", "--out-dir", str(out_dir)]) == 0

@@ -111,6 +111,14 @@ def test_mode_indices_and_counts_must_be_integers():
     assert np.array_equal(reduce(state, [np.int64(1)]).data, reduce(state, [1]).data)
 
 
+@pytest.mark.parametrize("keep", [0, None, []])
+def test_reduce_names_a_keep_that_holds_no_mode(keep):
+    # a bare index or None used to end in a TypeError from list()
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"keep must be an iterable of at least one mode index, "
+                                                             f"got {keep!r}")):
+        reduce(make_vacuum(2), keep)
+
+
 def test_vacuum_rejects_zero_modes():
     with pytest.raises(InvalidArgumentError):
         make_vacuum(0)

@@ -253,6 +253,26 @@ def test_intensity_needs_two_columns_per_mode():
         intensity(rows, 0)
     with pytest.raises(InvalidArgumentError, match="numpy array, got list"):
         g2_cross_estimate(rows, 0, 1)
+    with pytest.raises(InvalidArgumentError, match="numpy array, got NoneType"):
+        g2_cross_estimate(None, 0, 1)
+
+
+@pytest.mark.parametrize("dtype", [object, np.int64, complex])
+def test_samples_must_hold_floats(dtype):
+    # an object array used to end in a UFuncTypeError, and integers square past int64 without a word
+    samples = np.zeros((5000, 4), dtype=dtype)
+    for call in (lambda: intensity(samples, 0), lambda: g2_cross_estimate(samples, 0, 1)):
+        with pytest.raises(InvalidArgumentError, match=rf"array of floats, got shape \(5000, 4\) {np.dtype(dtype)}$"):
+            call()
+
+
+@pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+def test_cross_estimate_refuses_samples_whose_sums_are_not_finite(value):
+    # 1e200 used to overflow with a RuntimeWarning; nan and inf gave a nan ratio without a word
+    samples = np.ones((5000, 4))
+    samples[1234, 2] = value
+    with pytest.raises(NumericFailureError, match=re.escape(f"variance past {hbt._MAX_G2_ENTRY:.3g}") + "$"):
+        g2_cross_estimate(samples, 0, 1)
 
 
 # ---------------------------------------------------------------------------

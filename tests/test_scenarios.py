@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thermalcast import (InvalidArgumentError, ScenarioParams,
+from thermalcast import (InvalidArgumentError, ScenarioParams, ScenarioState,
                          UnphysicalStateError,
                          basic_closed_form, block_of, build_scenario,
                          conditional_mutual_information,
@@ -85,6 +85,9 @@ def test_mode_labels_and_lookup():
         full.mode_index("Q")
     with pytest.raises(InvalidArgumentError):
         build_scenario("ring", ScenarioParams())
+    # a bare array used to end in an AttributeError on n_modes
+    with pytest.raises(InvalidArgumentError, match="^state must be a CovarianceMatrix, got ndarray$"):
+        ScenarioState(np.eye(2), ("A",))
 
 
 def test_partition_targets_receivers():

@@ -571,6 +571,19 @@ def test_emit_csv_refuses_empty(tmp_path):
         emit_csv(empty, tmp_path / "never.csv")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda path: run_sweep({}), "specs must be a list of SweepSpec, got list of dict"),
+    (lambda path: run_sweeps(None), "specs must be a list of SweepSpec, got NoneType"),
+    (lambda path: run_sweeps(small_spec()), "specs must be a list of SweepSpec, got SweepSpec"),
+    (lambda path: emit_csv(None, path), "result must be a SweepResult, got NoneType"),
+])
+def test_sweep_path_names_a_wrong_type(call, message, tmp_path):
+    # each used to end in an AttributeError or TypeError far from the argument
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        call(tmp_path / "never.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_csv_from_columns_matches_the_per_row_text(tmp_path):
     # the data rows come from one format over the columns; each cell must read as
     # f"{value:.12g}" of its value, the text every earlier table was written in
