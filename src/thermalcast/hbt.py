@@ -39,6 +39,7 @@ MAX_SAMPLES = 10_000_000
 # Largest |entry| g2 takes. A mode with entries up to C has E[I^2] <= (8 C^2 + (2 C)^2) / 16 = 3 C^2 / 4, so MAX_SAMPLES
 # rows sum I_a^2, I_b^2 or I_a I_b to at most a quarter of the float range at C^2 = max / (3 MAX_SAMPLES), C = 2.45e150.
 _MAX_G2_ENTRY = float(np.sqrt(np.finfo(float).max / (3 * MAX_SAMPLES)))
+_NOT_FINITE = f"samples hold nan, inf or a variance past {_MAX_G2_ENTRY:.3g}"
 
 # g2 is undefined where a mean photon number is at most this: rounding leaves a vacuum mode +/-1e-16 of
 # dust, and dividing by that would amplify noise, not report physics.
@@ -167,10 +168,16 @@ def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
 
     (x^2 + p^2 - 2) / 4, rounded in that order: the 2 removes one vacuum unit
     per quadrature and the 4 converts SNU variance to photon number, so the
-    mean is (V - 1)/2 for a thermal mode of variance V and 0 for vacuum.
+    mean is (V - 1)/2 for a thermal mode of variance V and 0 for vacuum. A
+    sample that squares past the float range, or holds nan or inf, raises
+    :class:`NumericFailureError`.
     """
     _check_samples(samples, mode)
-    return _intensities(samples[:, 2 * mode:2 * mode + 2].T.copy(), np.empty((1, len(samples))))[0]
+    with np.errstate(over="ignore"):  # an overflow shows in the result, refused below
+        out = _intensities(samples[:, 2 * mode:2 * mode + 2].T.copy(), np.empty((1, len(samples))))[0]
+    if not np.isfinite(out).all():
+        raise NumericFailureError(f"intensity not finite: {_NOT_FINITE}")
+    return out
 
 
 def _piece_sums(vals, start, cuts, pieces) -> None:
@@ -229,7 +236,7 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
         for start, stop in zip(rows, rows[1:]):
             _piece_sums(_intensities(samples[start:stop, cols].T, scratch[:, :stop - start]), start, cuts, pieces)
     if not np.isfinite(pieces).all():  # checked on the sums, not by another pass over the samples
-        raise NumericFailureError(f"g2 sums not finite: samples hold nan, inf or a variance past {_MAX_G2_ENTRY:.3g}")
+        raise NumericFailureError(f"g2 sums not finite: {_NOT_FINITE}")
     return _report(pieces, cuts, bounds)
 
 

@@ -1,4 +1,4 @@
-"""The three broadcast topologies, built two independent ways.
+"""The broadcast network and its three topologies, built two independent ways.
 
 A central station holds one arm (E) of an EPR pair and broadcasts the other
 arm to two receivers (A, B) through a splitter of transmittance ``eta_ab``.
@@ -6,11 +6,12 @@ Optional thermal channels sit in front of the splitter (transmittance
 ``eta_th`` against a thermal mode of variance ``v_th``) and behind it on
 each receiver arm (``eta_th_a``/``v_alpha``, ``eta_th_b``/``v_beta``).
 
-Every topology exists twice: as a compositional build out of EPR, direct sum and beamsplitter primitives,
-and as closed-form matrix entries written out by hand, which tests hold entrywise to the build at 1e-12;
-keep both. Sweeps use :func:`pair_entries`, one formula for all three: a channel left transparent drops out.
+The network exists twice: as a compositional build out of EPR, direct sum and beamsplitter primitives, and as
+closed-form matrix entries written out by hand, which tests hold entrywise to the build at 1e-12; keep both.
+A topology is its labelled slots of the network, with every parameter it does not read (``SCENARIO_PARAMS``)
+at its transparent default. Sweeps use :func:`pair_entries`, the same network's receiver block in one formula.
 
-Mode labels, in build order:
+Mode labels, in network order:
 
 * basic:            (E, B, A)
 * thermal_channel:  (E, V, B, A)        V = channel idler
@@ -101,10 +102,14 @@ class ScenarioState:
     mode_labels: tuple[str, ...]
 
     def __post_init__(self):
-        if len(check_state(self.state)) // 2 != len(self.mode_labels):  # a bare array has no n_modes
-            raise InvalidArgumentError(f"{len(self.mode_labels)} labels for {self.state.n_modes} modes")
-        if len(set(self.mode_labels)) != len(self.mode_labels):
-            raise InvalidArgumentError(f"duplicate mode labels in {self.mode_labels}")
+        data, labels = check_state(self.state), self.mode_labels  # a bare array has no n_modes
+        bad = [label for label in labels if not isinstance(label, str)] if isinstance(labels, tuple) else [labels]
+        if bad:
+            raise InvalidArgumentError(f"mode_labels must be a tuple of str, got {type(bad[0]).__name__}")
+        if len(data) // 2 != len(labels):
+            raise InvalidArgumentError(f"{len(labels)} labels for {len(data) // 2} modes")
+        if len(set(labels)) != len(labels):
+            raise InvalidArgumentError(f"duplicate mode labels in {labels}")
 
     def mode_index(self, label: str) -> int:
         try:
@@ -121,42 +126,38 @@ class ScenarioState:
         return Partition(*((self.mode_index(label),) for label in (MODE_A, MODE_B, MODE_E)))
 
 
-# Compositional builds: one matrix from the fields of a ScenarioParams; thermal(V) is V I.
-
-def _basic(p: ScenarioParams) -> np.ndarray:
-    """Noiseless broadcast: the EPR arm split between B (transmitted) and A."""
-    return beamsplitter(direct_sum(epr(p.nu), np.eye(2)), 1, 2, p.eta_ab)
+# The network's slots, in order, and the slots each topology labels.
+_SLOTS = (MODE_E, MODE_V, MODE_B, MODE_A, MODE_VA, MODE_VB)
+_LABELS = {"basic": (MODE_E, MODE_B, MODE_A), "thermal_channel": _SLOTS[:4], "full": _SLOTS}
 
 
-def _thermal_channel(p: ScenarioParams) -> np.ndarray:
-    """The sent arm first mixes with thermal(v_th) at eta_th; V keeps the discarded output."""
-    state = direct_sum(epr(p.nu), p.v_th * np.eye(2), np.eye(2))
+def _network(p: ScenarioParams) -> np.ndarray:
+    """The compositional build of the whole broadcast, slots (E, V, B, A, V_a, V_b); thermal(V) is V I.
+
+    The sent EPR arm mixes with thermal(v_th) at eta_th (V keeps the discarded output), splits at eta_ab into B
+    (transmitted) and A, and then A mixes with thermal(v_alpha) at eta_th_a and B with thermal(v_beta) at eta_th_b.
+    """
+    state = direct_sum(epr(p.nu), p.v_th * np.eye(2), np.eye(2), p.v_alpha * np.eye(2), p.v_beta * np.eye(2))
     state = beamsplitter(state, 1, 2, p.eta_th)
     state = beamsplitter(state, 1, 3, p.eta_ab)
-    # built as (E, B, V, A); present the channel idler before the receivers
-    return select_modes(state, [0, 2, 1, 3])
-
-
-def _full(p: ScenarioParams) -> np.ndarray:
-    """Thermal channel, then arm A mixes with thermal(v_alpha) at eta_th_a, B likewise."""
-    state = direct_sum(_thermal_channel(p), p.v_alpha * np.eye(2), p.v_beta * np.eye(2))
     state = beamsplitter(state, 3, 4, p.eta_th_a)
-    return beamsplitter(state, 2, 5, p.eta_th_b)
+    state = beamsplitter(state, 1, 5, p.eta_th_b)
+    return select_modes(state, [0, 2, 1, 3, 4, 5])  # built as (E, B, V, A, V_a, V_b)
 
 
-_BUILDS = {
-    "basic": (_basic, (MODE_E, MODE_B, MODE_A)),
-    "thermal_channel": (_thermal_channel, (MODE_E, MODE_V, MODE_B, MODE_A)),
-    "full": (_full, (MODE_E, MODE_V, MODE_B, MODE_A, MODE_VA, MODE_VB)),
-}
+def _topology(name: str, params, route) -> tuple[tuple[str, ...], np.ndarray]:
+    """Topology ``name`` as its labels and their slots of ``route``'s network, at the fields of ``params`` it reads
+    and every other field at its transparent default."""
+    if name not in SCENARIO_PARAMS:
+        raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    p = ScenarioParams(**{field: getattr(_check_params(params), field) for field in SCENARIO_PARAMS[name]})
+    return _LABELS[name], select_modes(route(p), [_SLOTS.index(label) for label in _LABELS[name]])
 
 
 def build_scenario(name: str, params: ScenarioParams) -> ScenarioState:
     """One point of a topology, physical by construction (EPR and thermal modes through beamsplitters)."""
-    if name not in _BUILDS:
-        raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-    build, labels = _BUILDS[name]
-    return ScenarioState(state=CovarianceMatrix(build(_check_params(params))), mode_labels=labels)
+    labels, data = _topology(name, params, _network)
+    return ScenarioState(state=CovarianceMatrix(data), mode_labels=labels)
 
 
 def pair_entries(p) -> tuple[np.ndarray, ...]:
@@ -176,87 +177,61 @@ def pair_entries(p) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms. Independent of the beamsplitter pipeline on purpose: every
+# Closed form. Independent of the beamsplitter pipeline on purpose: every
 # entry is spelled out from the model parameters, so an error in either
 # route shows up as a mismatch instead of cancelling silently.
 
-_I2 = np.eye(2)
-_Z2 = np.diag([1.0, -1.0])
+def _closed_form(p: ScenarioParams) -> np.ndarray:
+    """All 21 blocks of the network, slots (E, V, B, A, V_a, V_b), written out by hand.
+
+    Every block is a multiple of I, except E's cross blocks, multiples of Z2 = diag(1, -1) as in the EPR pair.
+    The arm reaching the splitter has variance v = eta_th nu + (1 - eta_th) v_th and covariance ``leak`` with
+    V; the splitter leaves A' and B' of variances to_a and to_b, covariance ``ab``. A receiver's channel then
+    keeps the share sqrt(eta) of its arm and sqrt(1 - eta) of its thermal mode; its idler gets -sqrt(1 - eta)
+    and sqrt(eta).
+    """
+    nu, th, t, v_th, al, v_al, be, v_be = p.nu, p.eta_th, p.eta_ab, p.v_th, p.eta_th_a, p.v_alpha, p.eta_th_b, p.v_beta
+    z, s_th, m_th, s_t, m_t = np.sqrt(nu * nu - 1.0), np.sqrt(th), np.sqrt(1.0 - th), np.sqrt(t), np.sqrt(1.0 - t)
+    s_a, m_a, s_b, m_b = np.sqrt(al), np.sqrt(1.0 - al), np.sqrt(be), np.sqrt(1.0 - be)
+    v = th * nu + (1.0 - th) * v_th
+    to_a, to_b, ab = (1.0 - t) * v + t, t * v + 1.0 - t, s_t * m_t * (1.0 - v)
+    leak = s_th * m_th * (v_th - nu)
+    e_a, e_b, l_a, l_b = -m_t * s_th * z, s_t * s_th * z, -m_t * leak, s_t * leak  # E and V with A', B'
+    upper = [  # x quadratures, row by row from the diagonal on
+        nu, -m_th * z, s_b * e_b, s_a * e_a, -m_a * e_a, -m_b * e_b,
+        (1.0 - th) * nu + th * v_th, s_b * l_b, s_a * l_a, -m_a * l_a, -m_b * l_b,
+        be * to_b + (1.0 - be) * v_be, s_b * s_a * ab, -s_b * m_a * ab, s_b * m_b * (v_be - to_b),
+        al * to_a + (1.0 - al) * v_al, s_a * m_a * (v_al - to_a), -s_a * m_b * ab,
+        (1.0 - al) * to_a + al * v_al, m_a * m_b * ab,
+        (1.0 - be) * to_b + be * v_be,
+    ]
+    x = np.zeros((6, 6))
+    x[np.triu_indices(6)] = upper
+    out = np.kron(x + np.triu(x, 1).T, np.eye(2))
+    out[1, 2:] *= -1.0  # E's p quadrature: the Z2 of its cross blocks
+    out[2:, 1] *= -1.0
+    return out
 
 
 def basic_closed_form(params: ScenarioParams) -> CovarianceMatrix:
     """Entrywise expression for the basic topology, order (E, B, A)."""
-    nu, eta = _check_params(params).nu, params.eta_ab
-    z = np.sqrt(nu * nu - 1.0)
-    mu = np.sqrt(1.0 - eta)
-    se = np.sqrt(eta)
-    g_e = nu * _I2
-    g_b = (eta * nu + mu ** 2) * _I2
-    g_a = (mu ** 2 * nu + eta) * _I2
-    g_eb = se * z * _Z2
-    g_ea = -mu * z * _Z2
-    g_ba = mu * se * (1.0 - nu) * _I2
-    return CovarianceMatrix(np.block([
-        [g_e, g_eb, g_ea],
-        [g_eb.T, g_b, g_ba],
-        [g_ea.T, g_ba.T, g_a],
-    ]))
+    return CovarianceMatrix(_topology("basic", params, _closed_form)[1])
 
 
 def thermal_channel_closed_form(params: ScenarioParams) -> CovarianceMatrix:
-    """Entrywise expression for the thermal-channel topology, order (E, V, B, A).
-
-    v_ab = eta_th * nu + (1 - eta_th) * v_th is the variance of the arm that
-    reaches the A/B splitter; every block below is a function of it.
-    """
-    nu, eta_ab, eta_th, v_th = _check_params(params).nu, params.eta_ab, params.eta_th, params.v_th
-    z = np.sqrt(nu * nu - 1.0)
-    m_th, s_th = np.sqrt(1.0 - eta_th), np.sqrt(eta_th)
-    m_ab, s_ab = np.sqrt(1.0 - eta_ab), np.sqrt(eta_ab)
-    v_ab = eta_th * nu + m_th ** 2 * v_th
-    leak = m_th * s_th * (v_th - nu)
-
-    g_e = nu * _I2
-    g_v = (m_th ** 2 * nu + eta_th * v_th) * _I2
-    g_b = (eta_ab * v_ab + m_ab ** 2) * _I2
-    g_a = (m_ab ** 2 * v_ab + eta_ab) * _I2
-    g_ev = -m_th * z * _Z2
-    g_eb = s_ab * s_th * z * _Z2
-    g_ea = -m_ab * s_th * z * _Z2
-    g_vb = s_ab * leak * _I2
-    g_va = -m_ab * leak * _I2
-    g_ba = m_ab * s_ab * (1.0 - v_ab) * _I2
-    return CovarianceMatrix(np.block([
-        [g_e, g_ev, g_eb, g_ea],
-        [g_ev.T, g_v, g_vb, g_va],
-        [g_eb.T, g_vb.T, g_b, g_ba],
-        [g_ea.T, g_va.T, g_ba.T, g_a],
-    ]))
+    """Entrywise expression for the thermal-channel topology, order (E, V, B, A)."""
+    return CovarianceMatrix(_topology("thermal_channel", params, _closed_form)[1])
 
 
 def full_closed_form_blocks(params: ScenarioParams) -> dict[str, np.ndarray]:
-    """Closed-form 2x2 blocks of the full topology that have hand expressions.
+    """The closed-form 2x2 blocks of the full topology among E, A and B.
 
-    Keys name mode pairs in (E, V, B, A, V_a, V_b) order: "e" is the E
-    diagonal block, "ea" the E-A cross block, and so on. Only the blocks
-    involving E, A and B are expressed here; the idler rows come from the
-    compositional build.
+    Keys name mode pairs in (E, V, B, A, V_a, V_b) order: "e" is the E diagonal block, "ea" the E-A cross block,
+    and so on. They are six of the 21 blocks that :func:`_closed_form` writes out, idler rows included.
     """
-    nu, eta_ab, eta_th, v_th = _check_params(params).nu, params.eta_ab, params.eta_th, params.v_th
-    z = np.sqrt(nu * nu - 1.0)
-    s_th = np.sqrt(eta_th)
-    m_ab, s_ab = np.sqrt(1.0 - eta_ab), np.sqrt(eta_ab)
-    s_a, m_a2 = np.sqrt(params.eta_th_a), 1.0 - params.eta_th_a
-    s_b, m_b2 = np.sqrt(params.eta_th_b), 1.0 - params.eta_th_b
-    v_ab = eta_th * nu + (1.0 - eta_th) * v_th
-    return {
-        "e": nu * _I2,
-        "a": (params.eta_th_a * (m_ab ** 2 * v_ab + eta_ab) + m_a2 * params.v_alpha) * _I2,
-        "b": (params.eta_th_b * (eta_ab * v_ab + m_ab ** 2) + m_b2 * params.v_beta) * _I2,
-        "eb": s_b * s_ab * s_th * z * _Z2,
-        "ea": -s_a * m_ab * s_th * z * _Z2,
-        "ab": s_a * s_b * m_ab * s_ab * (1.0 - v_ab) * _I2,
-    }
+    gamma = _topology("full", params, _closed_form)[1]
+    slots = {"e": (0, 0), "a": (3, 3), "b": (2, 2), "eb": (0, 2), "ea": (0, 3), "ab": (3, 2)}
+    return {key: gamma[2 * i:2 * i + 2, 2 * j:2 * j + 2] for key, (i, j) in slots.items()}
 
 
 def block_of(scenario: ScenarioState, row_label: str, col_label: str) -> np.ndarray:

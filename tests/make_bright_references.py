@@ -8,8 +8,9 @@ from the repository root::
 
 Each case is a sweep of ``eta_ab`` over 0.1:0.9:5 at a bright source (nu = 1e4 or 1e6) on one
 topology. The float64 values the sweep evaluates (``numpy.linspace``) are taken as exact inputs.
-Each state is the full covariance matrix, built at 80 digits by the same EPR, thermal-mode and
-beamsplitter network as ``scenarios.build_scenario``, with none of the sweep's closed forms:
+Each state is the whole broadcast network, built at 80 digits from the same EPR, thermal modes and
+beamsplitters as ``scenarios.build_scenario``, with the channels a topology does not read left
+transparent and none of the sweep's closed forms:
 
 * CMI = 1/2 log2(det G_AE det G_BE / (det G_E det G_ABE)), MI = 1/2 log2(det G_A det G_B / det G_AB);
 * discord D(B|A) = S(A) - S(AB) + min over homodyne angles of S(B | x_A), with the pair's
@@ -31,6 +32,9 @@ CASES = [("basic", {}),
          ("full", {"eta_th": 0.8, "v_th": 2.0, "eta_th_a": 0.7, "v_alpha": 3.0,
                    "eta_th_b": 0.4, "v_beta": 5.0})]
 NUS = (1e4, 1e6)
+# the channel fields a topology does not read, at their transparent setting: eta = 1, vacuum idler
+TRANSPARENT = {name: 1 for name in ("eta_th", "v_th", "eta_th_a", "v_alpha", "eta_th_b", "v_beta")}
+E, B, A = 0, 1, 3
 
 
 def epr(nu):
@@ -59,20 +63,15 @@ def beamsplitter(gamma, i, j, eta):
     return s * gamma * s.T
 
 
-def build(name, p):
-    """The state and the indices of modes E, A, B."""
+def build(p):
+    """The whole network, modes (E, B, V, A, V_a, V_b) as built; a field absent from ``p`` is transparent."""
+    p = {**TRANSPARENT, **p}
     thermal = lambda v: mp.diag([v, v])
-    if name == "basic":  # (E, S, V0): S carries on to B, V0 becomes A
-        return beamsplitter(direct_sum(epr(p["nu"]), thermal(1)), 1, 2, p["eta_ab"]), 0, 2, 1
-    # (E, S, V_th, V0[, V_alpha, V_beta])
-    gamma = direct_sum(epr(p["nu"]), thermal(p["v_th"]), thermal(1))
+    gamma = direct_sum(epr(p["nu"]), thermal(p["v_th"]), thermal(1), thermal(p["v_alpha"]), thermal(p["v_beta"]))
     gamma = beamsplitter(gamma, 1, 2, p["eta_th"])
     gamma = beamsplitter(gamma, 1, 3, p["eta_ab"])
-    if name == "thermal_channel":
-        return gamma, 0, 3, 1
-    gamma = direct_sum(gamma, thermal(p["v_alpha"]), thermal(p["v_beta"]))
     gamma = beamsplitter(gamma, 3, 4, p["eta_th_a"])
-    return beamsplitter(gamma, 1, 5, p["eta_th_b"]), 0, 3, 1
+    return beamsplitter(gamma, 1, 5, p["eta_th_b"])
 
 
 def select(gamma, modes):
@@ -105,12 +104,12 @@ def discord(pair):
     return g(mp.sqrt(mp.det(a))) - g(nu_plus) - g(root / nu_plus) + min(conditional)
 
 
-def measures(name, p):
-    gamma, e, a, b = build(name, p)
+def measures(p):
+    gamma = build(p)
     logdet = lambda modes: mp.log(mp.det(select(gamma, modes)), 2)
-    cmi = (logdet([a, e]) + logdet([b, e]) - logdet([e]) - logdet([a, b, e])) / 2
-    mi = (logdet([a]) + logdet([b]) - logdet([a, b])) / 2
-    return cmi, mi, discord(select(gamma, [a, b]))
+    cmi = (logdet([A, E]) + logdet([B, E]) - logdet([E]) - logdet([A, B, E])) / 2
+    mi = (logdet([A]) + logdet([B]) - logdet([A, B])) / 2
+    return cmi, mi, discord(select(gamma, [A, B]))
 
 
 def main():
@@ -120,7 +119,7 @@ def main():
             rows = []
             for eta_ab in ETA_AB.tolist():
                 params = {key: mp.mpf(value) for key, value in dict(fixed, nu=nu, eta_ab=eta_ab).items()}
-                rows.append([mp.nstr(value, 50) for value in measures(name, params)])
+                rows.append([mp.nstr(value, 50) for value in measures(params)])
             cases.append({"scenario": name, "fixed": dict(fixed, nu=nu), "cmi_mi_discord": rows})
     doc = {"sweep": "eta_ab:0.1:0.9:5", "digits": 50, "cases": cases}
     out = Path(__file__).with_name("bright_references.json")

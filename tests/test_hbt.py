@@ -268,11 +268,13 @@ def test_samples_must_hold_floats(dtype):
 
 @pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
 def test_cross_estimate_refuses_samples_whose_sums_are_not_finite(value):
-    # 1e200 used to overflow with a RuntimeWarning; nan and inf gave a nan ratio without a word
+    # 1e200 used to overflow with a RuntimeWarning (intensity then returned inf); nan and inf gave a nan ratio
+    # without a word
     samples = np.ones((5000, 4))
     samples[1234, 2] = value
-    with pytest.raises(NumericFailureError, match=re.escape(f"variance past {hbt._MAX_G2_ENTRY:.3g}") + "$"):
-        g2_cross_estimate(samples, 0, 1)
+    for call in (lambda: g2_cross_estimate(samples, 0, 1), lambda: intensity(samples, 1)):
+        with pytest.raises(NumericFailureError, match=re.escape(f"variance past {hbt._MAX_G2_ENTRY:.3g}") + "$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

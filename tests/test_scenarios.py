@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from thermalcast import (InvalidArgumentError, ScenarioParams, ScenarioState,
-                         UnphysicalStateError,
+                         UnphysicalStateError, make_vacuum,
                          basic_closed_form, block_of, build_scenario,
                          conditional_mutual_information,
                          full_closed_form_blocks, gaussian_discord, reduce,
                          thermal_channel_closed_form, validate_physicality)
+from thermalcast import scenarios
 from thermalcast.scenarios import (PARAM_NAMES, SCENARIO_NAMES, SCENARIO_PARAMS, TRANSMITTANCE_PARAMS,
                                    VARIANCE_PARAMS, pair_entries)
 
@@ -88,6 +89,10 @@ def test_mode_labels_and_lookup():
     # a bare array used to end in an AttributeError on n_modes
     with pytest.raises(InvalidArgumentError, match="^state must be a CovarianceMatrix, got ndarray$"):
         ScenarioState(np.eye(2), ("A",))
+    # None used to raise a bare TypeError, and a str passed as one label per character
+    for labels, kind in ((None, "NoneType"), ("A", "str"), (["A"], "list"), ((1,), "int")):
+        with pytest.raises(InvalidArgumentError, match=f"^mode_labels must be a tuple of str, got {kind}$"):
+            ScenarioState(make_vacuum(1), labels)
 
 
 def test_partition_targets_receivers():
@@ -134,16 +139,30 @@ def test_closed_forms_match_construction():
 
 
 def test_full_block_formulas_match_construction():
-    pairs = {"e": ("E", "E"), "a": ("A", "A"), "b": ("B", "B"),
-             "eb": ("E", "B"), "ea": ("E", "A"), "ab": ("A", "B")}
+    # every block of the hand closed form, idler rows included, against the build
     for nu, eta, v in itertools.product((1.0, 2.0, 500.0), (0.0, 0.5, 1.0), (1.0, 10.0)):
         params = ScenarioParams(nu=nu, eta_ab=eta, eta_th=0.7, v_th=2.0,
                                 eta_th_a=0.4, eta_th_b=0.6, v_alpha=v, v_beta=v)
-        scenario = build_scenario("full", params)
-        for key, (row, col) in pairs.items():
-            gap = np.abs(full_closed_form_blocks(params)[key]
-                         - block_of(scenario, row, col))
-            assert gap.max() <= 1e-12, (key, nu, eta, v)
+        built = build_scenario("full", params).state.data
+        gap = np.abs(scenarios._closed_form(params) - built)
+        assert gap.max() <= 1e-12 * np.abs(built).max(), (nu, eta, v, gap.max())
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_unread_parameters_are_ignored_bit_for_bit(name):
+    # a topology is its slots of the one network with every field it does not read at the transparent default,
+    # so moving those fields, to mid-range or to the edge of the domain, changes no bit of the build or closed form
+    closed_form = {"basic": lambda p: basic_closed_form(p).data,
+                   "thermal_channel": lambda p: thermal_channel_closed_form(p).data,
+                   "full": lambda p: np.array(list(full_closed_form_blocks(p).values()))}[name]
+    fields = {"nu": 3.0, "eta_ab": 0.3, "eta_th": 0.7, "v_th": 2.0, "eta_th_a": 0.4, "v_alpha": 5.0,
+              "eta_th_b": 0.6, "v_beta": 7.0}
+    read = {field: fields[field] for field in SCENARIO_PARAMS[name]}
+    edge = {field: 0.0 if field in TRANSMITTANCE_PARAMS else 1e6 for field in PARAM_NAMES if field not in read}
+    own = ScenarioParams(**read)
+    for foreign in (ScenarioParams(**fields), ScenarioParams(**read, **edge)):
+        for route in (lambda p: build_scenario(name, p).state.data, closed_form):
+            assert np.array_equal(route(foreign), route(own)), (name, foreign)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
