@@ -74,7 +74,7 @@ def _cmd_figure(args) -> int:
 def _cmd_g2check(args) -> int:
     params = ScenarioParams(**{name: getattr(args, name) for name in PARAM_NAMES})
     entries = np.array([entry[0] for entry in pair_entries(params)])  # the receivers' (a, b, c, d)
-    report = run_one(g2_pairs, entries, args.samples, [args.seed])
+    report = run_one(g2_pairs, entries, args.samples, [(args.seed, 0)])  # point 0: a sweep's first point draws the same
     estimate = np.nan if report.verdict == VERDICT_INCONCLUSIVE else report.g2_estimate  # as a sweep writes it
     print("params: " + " ".join(f"{name}={_format_value(getattr(params, name))}" for name in PARAM_NAMES))
     print(f"g2 estimate: {estimate:.6g} +/- {report.std_error:.3g} ({report.n_samples} samples, jackknife)")

@@ -175,7 +175,11 @@ def make_vacuum(n_modes: int) -> CovarianceMatrix:
     """The n-mode vacuum state: 2n x 2n identity."""
     if not (_is_integer(n_modes) and n_modes >= 1):
         raise InvalidArgumentError(f"n_modes must be an integer >= 1, got {n_modes!r}")
-    return CovarianceMatrix(np.eye(2 * n_modes))
+    try:
+        eye = np.eye(2 * n_modes)
+    except ValueError:  # numpy refuses a dimension past its index range before it allocates
+        raise InvalidArgumentError(f"n_modes {n_modes} is past numpy's largest array dimension") from None
+    return CovarianceMatrix(eye)
 
 
 def check_variance(label: str, value: float) -> None:

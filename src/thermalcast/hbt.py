@@ -6,9 +6,9 @@ draw quadrature samples from a covariance matrix, form per-sample
 intensities, estimate the normalized intensity correlation with a jackknife
 error bar, and compare against the exact Gaussian-moment value.
 
-Sampling is the only randomness in the package. A seed keys one SFC64
-substream per row block through ``SeedSequence``, and ``GENERATOR_ID``
-names the generator in every g2 output, so a seed pins the bytes on any
+Sampling is the only randomness in the package, and this module owns its one stream rule: block k of point j
+draws from ``SFC64(SeedSequence(seed, spawn_key=(j, k)))``, j a sweep point's index in its range and 0 for a
+one-pair draw. ``GENERATOR_ID`` names the generator in every g2 output, so (seed, point) pins the bytes on any
 platform and any number of CPUs. ``sample_quadratures`` stores the rows and
 ``thermality_check`` sums each as drawn, on blocks that keep BLAS on one thread;
 ``g2_pairs`` (sweeps, ``g2check``) forms a pair's intensities on its own blocks.
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericFailureError, UndefinedResultError
 from .gaussian import CovarianceMatrix, _cholesky, _is_integer, check_state, flag_rows, reduce, select_modes
 
-GENERATOR_ID = "sfc64/v6"
+GENERATOR_ID = "sfc64/v7"
 
 # Delete-one-block jackknife; block count fixed so error bars are
 # reproducible and comparable across runs.
@@ -70,35 +70,34 @@ class G2Report:
 def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np.ndarray:
     """Draw zero-mean Gaussian quadrature samples with covariance Gamma.
 
-    Row block k holds standard normals from its own SFC64 stream,
-    ``SeedSequence(seed, spawn_key=(0, k))``, times the transposed Cholesky
-    factor of Gamma. Blocks are small enough to keep each BLAS product on one
-    thread and go to one thread per usable CPU; the bytes never depend on how many.
+    Row block k holds standard normals from its own SFC64 stream, ``SeedSequence(seed, spawn_key=(0, k))``
+    (point 0 of the stream rule), times the transposed Cholesky factor of Gamma. Blocks are small enough to keep
+    each BLAS product on one thread and go to one thread per usable CPU; the bytes never depend on how many.
 
     Args:
         state: a ``CovarianceMatrix`` that factors (positive definite).
         n_samples: number of rows, from 2 to ``MAX_SAMPLES``.
-        seed: 64-bit stream seed.
+        seed: stream seed, an integer in [0, 2^64).
 
     Returns:
         A read-only (n_samples, 2n) array, columns in quadrature order.
     """
-    _check_draw(n_samples, [seed])
+    _check_draw(n_samples, [(seed, 0)])
     factor = _cholesky(check_state(state), "covariance matrix")
     samples = np.empty((n_samples, len(factor)))
     rows = _layout(n_samples, _ONE_THREAD_GEMM // len(factor) ** 2)[0]
-    _draw(rows, [seed], lambda m: lambda i, start, stop, rng: np.matmul(
+    _draw(rows, [(seed, 0)], lambda m: lambda i, start, stop, rng: np.matmul(
         rng.standard_normal(out=samples[start:stop]), factor.T, out=samples[start:stop]))  # numpy buffers the overlap
     samples.setflags(write=False)
     return samples
 
 
-def _check_draw(n_samples: int, seeds) -> None:
+def _check_draw(n_samples: int, keys) -> None:
     if not (_is_integer(n_samples) and 2 <= n_samples <= MAX_SAMPLES):
         raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples!r}")
-    for seed in seeds:
+    for seed, _ in keys:  # the one seed rule, which sweep configs share
         if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
-            raise InvalidArgumentError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+            raise InvalidArgumentError(f"seed must be a non-negative integer below 2^64, got {seed!r}")
 
 
 def _layout(n_samples: int, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,22 +115,22 @@ def _layout(n_samples: int, block: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return rows, merged[np.diff(merged, prepend=-1) > 0], jack
 
 
-def _draw(rows: np.ndarray, seeds, make_sink) -> None:
-    """Hand rows [start, stop) = [rows[k], rows[k + 1]) of point i and ``SFC64(SeedSequence(seeds[i], spawn_key=(0,
-    k)))`` to one of up to ``_CPUS`` threads, the caller among them, which take the (i, k) in order. Each calls
+def _draw(rows: np.ndarray, keys, make_sink) -> None:
+    """Hand draw i's rows [rows[k], rows[k + 1]) and SFC64(SeedSequence(seed, spawn_key=(point, k))), keys[i] = (seed,
+    point), to one of up to ``_CPUS`` threads, the caller among them, which take the (i, k) in order. Each calls
     ``make_sink(m)``, m rows at most, once, then ``sink(i, start, stop, rng)`` per block; the first failure raises."""
-    items, failures = iter([(i, k) for i in range(len(seeds)) for k in range(len(rows) - 1)]), []
+    items, failures = iter([(i, *key, k) for i, key in enumerate(keys) for k in range(len(rows) - 1)]), []
 
     def work():  # numpy drops the GIL in the draws and the arithmetic
         try:
             sink = make_sink(np.diff(rows).max())
-            for i, k in items:
-                seq = np.random.SeedSequence(entropy=int(seeds[i]), spawn_key=(0, k))
+            for i, seed, point, k in items:
+                seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(point, k))
                 sink(i, rows[k], rows[k + 1], np.random.Generator(np.random.SFC64(seq)))
         except Exception as exc:
             failures.append(exc)
 
-    helpers = [threading.Thread(target=work) for _ in range(min(_CPUS, len(seeds) * (len(rows) - 1)) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(_CPUS, len(keys) * (len(rows) - 1)) - 1)]
     for thread in helpers:
         thread.start()
     work()
@@ -240,21 +239,21 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     return _report(pieces, cuts, bounds)
 
 
-def _g2_sums(n_samples: int, seeds, errors: list, block: int, width: int, fill) -> list:
-    """Each pair's blocks of at most ``block`` rows, in one pool, to piece sums: a report per pair, None on a row
+def _g2_sums(n_samples: int, keys, errors: list, block: int, width: int, fill) -> list:
+    """Each keyed pair's blocks of at most ``block`` rows, in one pool, to piece sums: a report per pair, None on a row
     failed in ``errors`` (it draws nothing). ``fill(i, rng, vals)`` takes ``width`` rows, returns 5, I_a first."""
-    _check_draw(n_samples, seeds)
+    _check_draw(n_samples, keys)
     if n_samples < MIN_G2_SAMPLES:
         raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n_samples}")
     rows, cuts, bounds = _layout(n_samples, block)
-    pieces = np.empty((len(seeds), 5, len(cuts) - 1))
+    pieces = np.empty((len(keys), 5, len(cuts) - 1))
 
     def make_sink(m):  # per thread: one buffer, cut into ``width`` rows of each block's length
         scratch = np.empty(width * m)
         return lambda i, start, stop, rng: errors[i] or _piece_sums(
             fill(i, rng, scratch[:width * (stop - start)].reshape(width, -1)), start, cuts, pieces[i])
 
-    _draw(rows, seeds, make_sink)
+    _draw(rows, keys, make_sink)
     return [None if exc else _report(sums, cuts, bounds) for exc, sums in zip(errors, pieces)]
 
 
@@ -275,10 +274,10 @@ def _flag_huge(stack: np.ndarray, errors: list) -> np.ndarray:
     return stack
 
 
-def g2_pairs(pairs: np.ndarray, n_samples: int, seeds, errors: list) -> list:
+def g2_pairs(pairs: np.ndarray, n_samples: int, keys, errors: list) -> list:
     """:func:`thermality_check` for the pairs [[a I, c I], [c I, b I]] of an (N, 4) stack of (a, b, c, d = ab - c^2),
-    failing a row that is not positive definite, or whose a, b, c or B variance as drawn, (c^2 + d) / a, is past
-    the g2 range; g2_analytic is 1 + c^2 / ((a - 1)(b - 1)) or None.
+    row i on the streams of (seed, point) ``keys[i]``, failing a row that is not positive definite, or whose a, b, c
+    or B variance as drawn, (c^2 + d) / a, is past the g2 range; g2_analytic is 1 + c^2 / ((a - 1)(b - 1)) or None.
     Turned by z_a's phase, z = x + i p gives the intensities the law of I_a = (a/2) E - 1/2 and I_b = (mu sqrt(E) +
     sigma n1)^2 + (sigma n2)^2 - 1/2, mu = c / sqrt(2a), sigma = sqrt(d / a) / 2, E ~ Exp(1), n1, n2 ~ N(0, 1), drawn in
     turn from the same substreams."""
@@ -302,7 +301,7 @@ def g2_pairs(pairs: np.ndarray, n_samples: int, seeds, errors: list) -> list:
         vals[:2] -= 0.5
         return vals
 
-    reports = _g2_sums(n_samples, seeds, errors, 2 ** 15, 5, fill)  # 5 rows of 2^15 per thread: 1.25 MiB, within L2
+    reports = _g2_sums(n_samples, keys, errors, 2 ** 15, 5, fill)  # 5 rows of 2^15 per thread: 1.25 MiB, within L2
     return [report and replace(report, g2_analytic=None if min(a - 1.0, b - 1.0) / 2.0 <= _VACUUM_PHOTONS
                                else 1.0 + c * c / ((a - 1.0) * (b - 1.0)))
             for report, (a, b, c, _) in zip(reports, pairs.tolist())]
@@ -346,7 +345,7 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
         normals = rng.standard_normal(out=vals[5:9].reshape(-1, 4))
         return _intensities(np.matmul(factor, normals.T, out=vals[9:]), vals[:5])
 
-    report = _g2_sums(n_samples, [seed], [None], _ONE_THREAD_GEMM // 4 ** 2, 13, fill)[0]
+    report = _g2_sums(n_samples, [(seed, 0)], [None], _ONE_THREAD_GEMM // 4 ** 2, 13, fill)[0]
     try:
         exact = g2_analytic(pair, 0, 1)
     except UndefinedResultError:

@@ -208,6 +208,7 @@ def homodyne_condition(state: CovarianceMatrix, measured_mode: int,
     if not (_is_real(angle) and 0.0 <= angle < np.pi):
         raise InvalidArgumentError(f"homodyne angle must lie in [0, pi), got {angle!r}")
     data = check_state(state)
+    select_modes(data, [measured_mode])  # first: _homodyne compares it with each mode index
     _cholesky(data, "covariance matrix")
     return CovarianceMatrix(_homodyne(data, measured_mode, float(angle)))
 

@@ -148,7 +148,7 @@ def _network(p: ScenarioParams) -> np.ndarray:
 def _topology(name: str, params, route) -> tuple[tuple[str, ...], np.ndarray]:
     """Topology ``name`` as its labels and their slots of ``route``'s network, at the fields of ``params`` it reads
     and every other field at its transparent default."""
-    if name not in SCENARIO_PARAMS:
+    if not isinstance(name, str) or name not in SCENARIO_PARAMS:  # a list is unhashable, an array ambiguous
         raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
     p = ScenarioParams(**{field: getattr(_check_params(params), field) for field in SCENARIO_PARAMS[name]})
     return _LABELS[name], select_modes(route(p), [_SLOTS.index(label) for label in _LABELS[name]])
@@ -236,6 +236,8 @@ def full_closed_form_blocks(params: ScenarioParams) -> dict[str, np.ndarray]:
 
 def block_of(scenario: ScenarioState, row_label: str, col_label: str) -> np.ndarray:
     """One 2x2 block of a scenario's covariance matrix, picked by labels."""
+    if not isinstance(scenario, ScenarioState):
+        raise InvalidArgumentError(f"scenario must be a ScenarioState, got {type(scenario).__name__}")
     i = scenario.mode_index(row_label)
     j = scenario.mode_index(col_label)
     return scenario.state.data[2 * i:2 * i + 2, 2 * j:2 * j + 2]

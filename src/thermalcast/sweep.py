@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, UnphysicalStateError, UsageError
 from .gaussian import _is_integer
-from .hbt import GENERATOR_ID, MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, g2_pairs
+from .hbt import GENERATOR_ID, MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, _check_draw, g2_pairs
 from .info import pair_measures
 from .scenarios import PARAM_NAMES, SCENARIO_NAMES, SCENARIO_PARAMS, ScenarioParams, pair_entries
 
@@ -43,7 +43,7 @@ def _reject(field: str, message: str, key: str | None = None) -> UsageError:
 
 def _check_domain(field: str, scenario: str, name: str, value: float, key: str | None = None):
     """Raise the complaint about one parameter of ``scenario``, if any: foreign, or outside :class:`ScenarioParams`."""
-    if name not in PARAM_NAMES:
+    if not isinstance(name, str) or name not in PARAM_NAMES:
         raise _reject(field, f"unknown parameter {name!r}", key)
     if name not in SCENARIO_PARAMS[scenario]:  # it would be ignored silently
         raise _reject(field, f"scenario {scenario!r} does not read parameter {name!r}", key)
@@ -76,8 +76,9 @@ class SweepSpec:
     A fixed or swept parameter must be one its scenario reads (``SCENARIO_PARAMS``).
     ``seed`` is required exactly when ``g2`` is among the outputs (it is
     the only stochastic output) and rejected otherwise, so a config states
-    its reproducibility contract explicitly. ``samples`` is likewise only
-    for ``g2``, where it defaults to ``DEFAULT_G2_SAMPLES``.
+    its reproducibility contract explicitly; it follows the draw's one seed
+    rule, an integer in [0, 2^64). ``samples`` is likewise only for ``g2``,
+    where it defaults to ``DEFAULT_G2_SAMPLES``.
     """
 
     scenario: str
@@ -88,7 +89,7 @@ class SweepSpec:
     samples: int | None = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIO_NAMES:
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIO_NAMES:
             raise _reject("scenario", f"unknown value {self.scenario!r}, choose from {SCENARIO_NAMES}")
         for name, kind in (("swept", SweptRange), ("fixed", dict), ("outputs", tuple)):
             if not isinstance(getattr(self, name), kind):  # a look-alike fails far from here, or not at all
@@ -104,25 +105,26 @@ class SweepSpec:
         if not self.outputs:
             raise _reject("outputs", "at least one output is required")
         for out in self.outputs:
-            if out not in OUTPUT_NAMES:
+            if not isinstance(out, str) or out not in OUTPUT_NAMES:
                 raise _reject("outputs", f"unknown output {out!r}, choose from {OUTPUT_NAMES}")
         if len(set(self.outputs)) != len(self.outputs):
             raise _reject("outputs", "duplicate entries")
         wants_g2 = "g2" in self.outputs
         if wants_g2 and self.seed is None:
             raise _reject("seed", "required when outputs include g2", key="outputs")
-        if not wants_g2 and self.seed is not None:
-            raise _reject("seed", "only used when outputs include g2")
-        if self.seed is not None and not (_is_integer(self.seed) and self.seed >= 0):
-            raise _reject("seed", f"must be a non-negative integer, got {self.seed!r}")
-        if not wants_g2 and self.samples is not None:
-            raise _reject("samples", "only used when outputs include g2")
+        for name in ("seed", "samples"):
+            if not wants_g2 and getattr(self, name) is not None:
+                raise _reject(name, "only used when outputs include g2")
         if wants_g2:
             if self.samples is None:
                 object.__setattr__(self, "samples", DEFAULT_G2_SAMPLES)
             if not _is_integer(self.samples) or not MIN_G2_SAMPLES <= self.samples <= MAX_SAMPLES:
                 raise _reject("samples", f"g2 needs an integer in [{MIN_G2_SAMPLES}, {MAX_SAMPLES}], "
                               f"got {self.samples}")
+            try:  # the samples are valid, so only the seed can fail the draw's check
+                _check_draw(self.samples, [(self.seed, 0)])
+            except InvalidArgumentError as exc:
+                raise _reject("seed", str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -141,12 +143,6 @@ class SweepResult:
     @property
     def all_failed(self) -> bool:
         return self.n_failed == len(self.reasons)
-
-
-def _point_seed(base_seed: int, index: int) -> int:
-    # one derived 64-bit stream per point, keyed by its index in the range
-    seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(index,))
-    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -174,10 +170,9 @@ def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
         entries = pair_entries(SimpleNamespace(**params))
         errors = {out: [None] * bounds[-1] for _, spec in group for out in spec.outputs}
         cells = pair_measures(*entries, {out: errors[out] for out in errors if out != "g2"})
-        if "g2" in errors:  # each point samples its pair [[a I, c I], [c I, b I]] from its own stream
-            seeds = [_point_seed(spec.seed, int(k))
-                     for _, spec in group for k in np.argsort(spec.swept.values(), kind="stable")]
-            reports = g2_pairs(np.stack([entry[0] for entry in entries], axis=-1), samples, seeds, errors["g2"])
+        if "g2" in errors:  # point k of a range samples its pair [[a I, c I], [c I, b I]] on the streams (seed, k)
+            keys = [(spec.seed, int(k)) for _, spec in group for k in np.argsort(spec.swept.values(), kind="stable")]
+            reports = g2_pairs(np.stack([entry[0] for entry in entries], axis=-1), samples, keys, errors["g2"])
             # no photons to correlate: the ratio is noise, not a g2 value
             cells["g2"] = np.array([r.g2_estimate if r and r.verdict != VERDICT_INCONCLUSIVE else np.nan
                                     for r in reports])
@@ -206,6 +201,8 @@ def emit_csv(result: SweepResult, destination: str | Path):
     """
     if not isinstance(result, SweepResult):
         raise UsageError(f"result must be a SweepResult, got {type(result).__name__}")
+    if not isinstance(destination, (str, os.PathLike)):  # before a partial file is named after it
+        raise UsageError(f"destination must be a str or path, got {type(destination).__name__}")
     if not result.reasons:
         raise UsageError("refusing to emit an empty table")
     from . import __version__
@@ -329,6 +326,8 @@ def expand_preset(name: str) -> tuple[tuple[str, SweepSpec], ...]:
     transmittance 0.3, one branch per (source variance, channel variance)
     pair; the swept axis is the splitter ratio.
     """
+    if not isinstance(name, str) or name not in PRESET_NAMES:
+        raise UsageError(f"unknown preset {name!r}, choose from {PRESET_NAMES}")
     if name in ("fig3", "fig4", "fig5"):
         nu = {"fig3": 1.0, "fig4": 2.0, "fig5": 1040.0}[name]
         outputs = ("cmi", "mi", "discord") if name == "fig3" else ("cmi", "discord")
@@ -340,13 +339,11 @@ def expand_preset(name: str) -> tuple[tuple[str, SweepSpec], ...]:
                 fixed={"nu": 2.0, "eta_ab": 0.5, "v_th": float(v_th)},
                 outputs=("cmi", "discord")))
             for v_th in (1, 2, 10, 100, 500))
-    if name in ("fig7", "fig8"):
-        output = "cmi" if name == "fig7" else "discord"
-        return tuple(
-            (f"nu{nu:g}_v{v:g}", SweepSpec(
-                scenario="full", swept=_ETA_AB_RANGE,
-                fixed={"nu": float(nu), "eta_th_a": 0.3, "eta_th_b": 0.3,
-                       "v_alpha": float(v), "v_beta": float(v)},
-                outputs=(output,)))
-            for nu, v in ((1, 1), (2, 1), (1, 10), (2, 10)))
-    raise UsageError(f"unknown preset {name!r}, choose from {PRESET_NAMES}")
+    output = "cmi" if name == "fig7" else "discord"  # fig7 or fig8
+    return tuple(
+        (f"nu{nu:g}_v{v:g}", SweepSpec(
+            scenario="full", swept=_ETA_AB_RANGE,
+            fixed={"nu": float(nu), "eta_th_a": 0.3, "eta_th_b": 0.3,
+                   "v_alpha": float(v), "v_beta": float(v)},
+            outputs=(output,)))
+        for nu, v in ((1, 1), (2, 1), (1, 10), (2, 10)))

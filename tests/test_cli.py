@@ -9,7 +9,7 @@ import pytest
 
 import thermalcast.cli
 import thermalcast.hbt
-from thermalcast import ScenarioParams, SweepResult, build_scenario, g2_analytic
+from thermalcast import ScenarioParams, SweepResult, build_scenario, g2_analytic, parse_config, run_sweep
 from thermalcast.cli import main
 from thermalcast.scenarios import pair_entries
 
@@ -199,7 +199,7 @@ def test_g2check_reports_thermal(capsys):
     out = capsys.readouterr().out
     assert "verdict: thermal" in out
     assert "g2 analytic: 2" in out
-    assert "generator: sfc64/v6" in out
+    assert "generator: sfc64/v7" in out
     assert "params: nu=10" in out
     # the echo keeps the 12 digits a CSV's '# fixed:' line keeps, so it reproduces the run
     assert main(["g2check", "--nu", "10.0000001", "--eta-ab", "0.123456789", "--samples", "2000", "--seed", "4"]) == 0
@@ -215,12 +215,27 @@ def test_g2check_samples_the_pair_kernel_at_its_parameters(capsys):
     out = capsys.readouterr().out
     params = ScenarioParams(nu=5.0, eta_th=0.8, v_th=2.0, eta_th_a=0.9, v_alpha=1.5)
     pair = np.array([entry[0] for entry in pair_entries(params)])
-    report = thermalcast.hbt.g2_pairs(pair[None], 5000, [3], [None])[0]
+    report = thermalcast.hbt.g2_pairs(pair[None], 5000, [(3, 0)], [None])[0]
     assert f"g2 estimate: {report.g2_estimate:.6g} +/- {report.std_error:.3g} (5000 samples" in out
     state = build_scenario("full", params)
     exact = g2_analytic(state.state, state.mode_index("A"), state.mode_index("B"))
     assert f"g2 analytic: {exact:.6g}\n" in out
     assert f"verdict: {report.verdict}\n" in out
+
+
+def test_g2check_draws_what_a_sweep_draws_at_its_first_point(capsys, monkeypatch):
+    # one stream rule: g2check is point 0, so a sweep's first point at the same parameters, seed and samples
+    # has the same estimate, bit for bit
+    spec = parse_config("scenario=full\nnu=5\neta_th=0.8\nv_th=2\neta_th_a=0.9\nv_alpha=1.5\n"
+                        "sweep=eta_ab:0.3:0.7:3\noutputs=g2\nseed=9\nsamples=5000\n")
+    cell = run_sweep(spec).columns["g2"][0]
+    reports, real = [], thermalcast.cli.g2_pairs
+    monkeypatch.setattr(thermalcast.cli, "g2_pairs", lambda *args: reports.extend(real(*args)) or reports)
+    assert main(["g2check", "--nu", "5", "--eta-ab", "0.3", "--eta-th", "0.8", "--v-th", "2", "--eta-th-a", "0.9",
+                 "--v-alpha", "1.5", "--samples", "5000", "--seed", "9"]) == 0
+    [report] = reports
+    assert report.verdict == "thermal" and cell == report.g2_estimate
+    assert f"g2 estimate: {cell:.6g} +/-" in capsys.readouterr().out
 
 
 def test_g2check_reads_its_topology_from_the_flags(capsys):
@@ -230,7 +245,7 @@ def test_g2check_reads_its_topology_from_the_flags(capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     params = ScenarioParams(nu=5.0, eta_th=0.8, v_th=2.0)
-    report = thermalcast.hbt.g2_pairs(np.array([[entry[0] for entry in pair_entries(params)]]), 5000, [3], [None])[0]
+    report = thermalcast.hbt.g2_pairs(np.array([[entry[0] for entry in pair_entries(params)]]), 5000, [(3, 0)], [None])[0]
     assert f"g2 estimate: {report.g2_estimate:.6g} +/- {report.std_error:.3g} (5000 samples" in out
     state = build_scenario("thermal_channel", params)
     exact = g2_analytic(state.state, state.mode_index("A"), state.mode_index("B"))
@@ -255,7 +270,7 @@ def test_g2check_prints_nan_for_an_inconclusive_estimate(capsys):
     # a vacuum source: the ratio of two noise means is no g2 value, so the estimate reads nan, as a sweep writes it
     assert main(["g2check", "--seed", "4", "--samples", "2000"]) == 0
     pair = np.array([entry[0] for entry in pair_entries(ScenarioParams())])
-    report = thermalcast.hbt.g2_pairs(pair[None], 2000, [4], [None])[0]
+    report = thermalcast.hbt.g2_pairs(pair[None], 2000, [(4, 0)], [None])[0]
     assert report.verdict == "inconclusive" and np.isfinite(report.g2_estimate)
     assert f"g2 estimate: nan +/- {report.std_error:.3g} (2000 samples, jackknife)\n" in capsys.readouterr().out
 

@@ -456,20 +456,20 @@ def test_thermality_check_stores_no_sample_array(monkeypatch):
 def takes_every_block_once(monkeypatch, stage, pairs):
     # more threads than cores, switching every microsecond: a block lost or taken twice changes the sums
     monkeypatch.setattr(hbt, "_CPUS", 1)
-    expected = stage(pairs, 40_000, [1, 2, 3, 4], [None] * 4)
+    expected = stage(pairs, 40_000, [(1, 0), (2, 0), (3, 0), (4, 0)], [None] * 4)
     monkeypatch.setattr(hbt, "_CPUS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        reports = stage(pairs, 40_000, [1, 2, 3, 4], [None] * 4)
+        reports = stage(pairs, 40_000, [(1, 0), (2, 0), (3, 0), (4, 0)], [None] * 4)
     finally:
         sys.setswitchinterval(interval)
     assert reports == expected
 
 
 def test_thermality_check_takes_every_block_once_under_thread_switches(monkeypatch):
-    def stage(states, n_samples, seeds, errors):
-        return [thermality_check(state, 1, 2, n_samples, seed) for state, seed in zip(states, seeds)]
+    def stage(states, n_samples, keys, errors):
+        return [thermality_check(state, 1, 2, n_samples, seed) for state, (seed, _) in zip(states, keys)]
 
     takes_every_block_once(monkeypatch, stage, [broadcast_state(nu) for nu in (2.0, 3.0, 5.0, 8.0)])
 
@@ -524,7 +524,7 @@ def test_g2_pairs_is_exact_in_distribution(scenario, params, monkeypatch):
     totals, report = [], hbt._report
     monkeypatch.setattr(hbt, "_report",
                         lambda pieces, *rest: totals.append(pieces.sum(axis=1)) or report(pieces, *rest))
-    reports = hbt.g2_pairs(np.tile(entries, (k, 1)), n, list(range(k)), [None] * k)
+    reports = hbt.g2_pairs(np.tile(entries, (k, 1)), n, [(s, 0) for s in range(k)], [None] * k)
     means = np.sum(totals, axis=0) / (k * n)
     # E[I_a], E[I_b], E[I_a I_b], E[I_a^2], E[I_b^2] with I = (x^2 + p^2 - 2) / 4
     exact = np.array([(a - 1) / 2, (b - 1) / 2, (a * b + c * c - a - b + 1) / 4,
@@ -558,16 +558,16 @@ def test_g2_pairs_fails_only_the_rows_that_are_not_positive_definite(monkeypatch
     good = [1.5, 1.5, -0.5, 2.0]
     pairs = np.array([good, [np.nan, 1.5, -0.5, 2.0], [1.5, np.inf, -0.5, 2.0], [0.0, 1.5, 0.0, 0.0],
                       [-1.0, 1.5, -0.5, -1.75], [1.5, 1.5, -1.5, 0.0], [1.5, 1.0, 1.5, -0.75], [3.0, 3.0, -1.0, 8.0]])
-    seeds, errors, blocks = list(range(4, 4 + len(pairs))), [None] * len(pairs), []
+    keys, errors, blocks = [(s, 0) for s in range(4, 4 + len(pairs))], [None] * len(pairs), []
     piece_sums = hbt._piece_sums
     monkeypatch.setattr(hbt, "_piece_sums", lambda vals, *rest: blocks.append(vals.shape) or piece_sums(vals, *rest))
-    reports = hbt.g2_pairs(pairs, 2000, seeds, errors)
+    reports = hbt.g2_pairs(pairs, 2000, keys, errors)
     assert len(blocks) == 2  # 2000 rows are one block per pair
     for i in range(1, 7):
         assert reports[i] is None and isinstance(errors[i], NumericFailureError)
     for i in (0, 7):
         assert errors[i] is None
-        assert reports[i] == hbt.g2_pairs(pairs[i:i + 1], 2000, [seeds[i]], [None])[0]
+        assert reports[i] == hbt.g2_pairs(pairs[i:i + 1], 2000, [keys[i]], [None])[0]
 
 
 def test_g2_pairs_stream_matches_committed_literals(monkeypatch):
@@ -579,7 +579,7 @@ def test_g2_pairs_stream_matches_committed_literals(monkeypatch):
                         lambda vals, *rest: blocks.append(vals[:2].copy()) or piece_sums(vals, *rest))
     a, b, c, d = entries_of(nu=2.0, eta_ab=0.5)
     assert (a, b, c, d) == (1.5, 1.5, -0.5, 2.0)
-    hbt.g2_pairs(np.array([[a, b, c, d]]), 1000, [0], [None])
+    hbt.g2_pairs(np.array([[a, b, c, d]]), 1000, [(0, 0)], [None])
     assert blocks[0][:, :3].T.tolist() == [[-0.2485984658551117, 0.4997642381308228],
                                            [0.9377043995874168, -0.07587977747260566],
                                            [-0.20290526017367244, -0.2787373795714636]]
@@ -599,21 +599,21 @@ def test_g2_pairs_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
     for n, n_blocks in ((1000, 1), (32_767, 1), (32_769, 2), (200_000, 7), (1_000_001, 31)):
         sizes.clear()
         monkeypatch.setattr(hbt, "_CPUS", 1)
-        expected = hbt.g2_pairs(entries[None], n, [8], [None])[0]
+        expected = hbt.g2_pairs(entries[None], n, [(8, 0)], [None])[0]
         assert len(sizes) == n_blocks and max(sizes) <= 2 ** 15 and expected.n_samples == n
         for cpus in (2, 3):
             monkeypatch.setattr(hbt, "_CPUS", cpus)
-            assert hbt.g2_pairs(entries[None], n, [8], [None])[0] == expected
+            assert hbt.g2_pairs(entries[None], n, [(8, 0)], [None])[0] == expected
 
 
 def test_g2_pairs_holds_only_its_per_thread_blocks(monkeypatch):
     # five rows of 2^15 per thread are 1.25 MiB; the general route's thirteen rows of 2^14 would be 1.6 MiB
     monkeypatch.setattr(hbt, "_CPUS", 2)
     entries = entries_of(nu=2.0, eta_ab=0.5)
-    hbt.g2_pairs(entries[None], 1000, [1], [None])
+    hbt.g2_pairs(entries[None], 1000, [(1, 0)], [None])
     tracemalloc.start()
     try:
-        hbt.g2_pairs(entries[None], 1_000_000, [1], [None])
+        hbt.g2_pairs(entries[None], 1_000_000, [(1, 0)], [None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -623,7 +623,7 @@ def test_g2_pairs_holds_only_its_per_thread_blocks(monkeypatch):
 @pytest.mark.parametrize("pair", [(1e-300, 1.0, 0.0, 1e-300), (1e150, 1e150, 0.0, 1e300), (5e-324, 1.0, 0.0, 5e-324)])
 def test_g2_pairs_gives_extreme_accepted_pairs_a_finite_report(pair):
     # no factor divides by a root of d, or by anything else an accepted pair can make 0 or send past the float range
-    report = hbt.g2_pairs(np.array([pair]), 10_000, [3], [None])[0]
+    report = hbt.g2_pairs(np.array([pair]), 10_000, [(3, 0)], [None])[0]
     assert np.isfinite(report.g2_estimate) and np.isfinite(report.std_error)
 
 
@@ -634,7 +634,7 @@ def test_g2_refuses_a_pair_whose_drawn_b_variance_is_past_the_range(pair, monkey
     piece_sums = hbt._piece_sums
     monkeypatch.setattr(hbt, "_piece_sums", lambda *args: drawn.append(1) or piece_sums(*args))
     errors = [None]
-    assert hbt.g2_pairs(np.array([pair]), 10_000, [5], errors) == [None] and not drawn
+    assert hbt.g2_pairs(np.array([pair]), 10_000, [(5, 0)], errors) == [None] and not drawn
     variance = (pair[2] ** 2 + pair[3]) / pair[0]
     assert isinstance(errors[0], NumericFailureError)
     assert str(errors[0]) == f"variance {variance:.6g} is past 2.45e+150, where the g2 sums overflow"
@@ -645,7 +645,7 @@ def test_g2_refuses_a_pair_whose_sums_would_overflow(v, monkeypatch):
     # MAX_SAMPLES squared intensities of a variance past about 2.45e150 can sum past the float range
     message = f"variance {v:g} is past 2.45e+150, where the g2 sums overflow"
     errors = [None]
-    assert hbt.g2_pairs(np.array([[v, v, 0.0, 1e308]]), 10_000, [5], errors) == [None]
+    assert hbt.g2_pairs(np.array([[v, v, 0.0, 1e308]]), 10_000, [(5, 0)], errors) == [None]
     assert isinstance(errors[0], NumericFailureError) and str(errors[0]) == message
     monkeypatch.setattr(hbt, "_draw", lambda *args: pytest.fail("a block was drawn"))
     state = CovarianceMatrix(np.kron([[v, v / 2], [v / 2, v]], np.eye(2)))

@@ -1,0 +1,92 @@
+"""Every public callable refuses a wrong argument as a ThermalcastError, never as another exception or a warning."""
+import inspect
+import math
+
+import numpy as np
+
+import thermalcast
+from thermalcast import (Partition, ScenarioParams, SweepSpec, SweptRange, ThermalcastError, build_scenario, make_epr,
+                         make_vacuum, run_sweep)
+
+# exception classes, constants and the types that are only returned
+EXEMPT = {
+    "ThermalcastError", "InvalidArgumentError", "UnphysicalStateError", "NumericFailureError",
+    "UndefinedResultError", "ConfigError", "UsageError",
+    "__version__", "SCENARIO_NAMES", "GENERATOR_ID", "VERDICT_THERMAL", "VERDICT_NOT_THERMAL", "VERDICT_INCONCLUSIVE",
+    "PhysicalityReport", "DiscordResult", "G2Report", "SweepResult",
+}
+
+# the wrong values, each put in place of one argument in turn; 2**64 is the only huge count, which numpy
+# refuses without allocating
+WRONG = [None, "x", b"x", [1], {"a": 1}, True, math.nan, math.inf, -math.inf, 1e300, 2 ** 64, -1, 1.5, (), ("x",),
+         np.zeros((3, 5)), np.eye(3)]
+
+
+def valid_rows():
+    """A row of valid positional arguments for every public callable that takes input."""
+    vac1, vac2, epr = make_vacuum(1), make_vacuum(2), make_epr(2.0)
+    params = ScenarioParams(nu=2.0)
+    basic = build_scenario("basic", params)
+    samples = np.random.default_rng(0).standard_normal((1000, 4))
+    swept = SweptRange("eta_ab", 0.2, 0.8, 3)
+    spec = SweepSpec("basic", swept, {"nu": 2.0}, ("cmi", "g2"), 0, 1000)
+    cmi_spec = SweepSpec("basic", swept, {"nu": 2.0}, ("cmi",))
+    return {
+        "CovarianceMatrix": (np.eye(2),),
+        "make_vacuum": (1,),
+        "make_thermal": (2.0,),
+        "make_epr": (2.0,),
+        "tensor": (vac1, vac1),
+        "apply_beamsplitter": (vac2, 0, 1, 0.5),
+        "reduce": (vac2, [0]),
+        "symplectic_eigenvalues": (epr,),
+        "validate_physicality": (epr,),
+        "Partition": ((0,), (1,), (2,)),
+        "shannon_entropy": (epr,),
+        "von_neumann_entropy": (epr,),
+        "conditional_mutual_information": (basic.state, Partition((2,), (1,), (0,))),
+        "mutual_information": (epr, Partition((0,), (1,))),
+        "homodyne_condition": (epr, 0, 0.3),
+        "gaussian_discord": (epr, 0, 1),
+        "ScenarioParams": (2.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+        "ScenarioState": (make_vacuum(3), ("E", "B", "A")),
+        "build_scenario": ("basic", params),
+        "block_of": (basic, "A", "B"),
+        "basic_closed_form": (params,),
+        "thermal_channel_closed_form": (params,),
+        "full_closed_form_blocks": (params,),
+        "sample_quadratures": (epr, 2, 0),
+        "intensity": (samples, 0),
+        "g2_cross_estimate": (samples, 0, 1),
+        "g2_analytic": (epr, 0, 1),
+        "thermality_check": (epr, 0, 1, 1000, 0),
+        "SweptRange": ("eta_ab", 0.2, 0.8, 3),
+        "SweepSpec": ("basic", swept, {"nu": 2.0}, ("cmi", "g2"), 0, 1000),
+        "run_sweep": (cmi_spec,),
+        "run_sweeps": ([cmi_spec],),
+        "emit_csv": (run_sweep(spec), "out.csv"),
+        "parse_config": ("scenario=basic\nsweep=eta_ab:0.2:0.8:3\noutputs=cmi\n",),
+        "expand_preset": ("fig3",),
+    }
+
+
+def test_every_public_callable_returns_or_raises_a_thermalcast_error(tmp_path, monkeypatch):
+    # warnings are errors in this suite, so a call that warns fails here too
+    monkeypatch.chdir(tmp_path)  # emit_csv writes "x" and "out.csv" here
+    rows = valid_rows()
+    assert sorted(set(thermalcast.__all__) - EXEMPT) == sorted(rows), "every public name needs a row or an exemption"
+    leaks = []
+    for name, args in rows.items():
+        func = getattr(thermalcast, name)
+        assert len(inspect.signature(func).parameters) == len(args), f"{name}: the row must fill every parameter"
+        func(*args)  # the row itself is valid
+        for i in range(len(args)):
+            for wrong in WRONG:
+                try:
+                    func(*args[:i], wrong, *args[i + 1:])
+                except ThermalcastError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - any other exception is the leak this test looks for
+                    leaks.append(f"{name} argument {i} = {wrong!r}: {type(exc).__name__}: {exc}")
+    assert not leaks, "\n".join(leaks)
+

@@ -11,6 +11,7 @@ import thermalcast.hbt
 import thermalcast.sweep
 from thermalcast import (SCENARIO_NAMES, ConfigError, NumericFailureError, ScenarioParams, SweepSpec, SweptRange,
                          UsageError, emit_csv, expand_preset, parse_config, run_sweep, run_sweeps)
+from thermalcast.cli import main
 from thermalcast.scenarios import pair_entries
 from thermalcast.scenarios import SCENARIO_PARAMS
 from thermalcast.sweep import PRESET_NAMES
@@ -284,7 +285,7 @@ def _same_bits(together, alone):
 
 def test_one_pass_per_sample_count_matches_each_sweep_alone(monkeypatch):
     # all 16 preset branches, of all three scenarios, share one pass; then g2 sweeps: two share a pass (same
-    # sample count), with a descending range whose seeds follow each point's index, and a third samples on its own
+    # sample count), with a descending range whose streams follow each point's index, and a third samples on its own
     g2 = [small_spec(outputs=("g2", "mi"), seed=5, samples=1000),
           small_spec(outputs=("cmi", "g2"), seed=6, samples=1000, swept=SweptRange("nu", 9.0, 3.0, 3), fixed={}),
           small_spec(outputs=("g2",), seed=5, samples=1200)]
@@ -303,8 +304,7 @@ def test_one_pass_per_sample_count_matches_each_sweep_alone(monkeypatch):
     # each g2 point keeps the stream of its index in the range: the descending sweep's rows are points 2, 1, 0
     pairs = np.array([[entry[0] for entry in pair_entries(ScenarioParams(nu=nu, eta_ab=0.5))]
                       for nu in (3.0, 6.0, 9.0)])
-    seeds = [thermalcast.sweep._point_seed(6, i) for i in (2, 1, 0)]
-    reports = thermalcast.hbt.g2_pairs(pairs, 1000, seeds, [None] * 3)
+    reports = thermalcast.hbt.g2_pairs(pairs, 1000, [(6, 2), (6, 1), (6, 0)], [None] * 3)
     assert together[-2].columns["g2"].tolist() == [report.g2_estimate for report in reports]
 
 
@@ -424,6 +424,39 @@ def test_g2_sweep_is_repeatable():
     assert np.array_equal(first.columns["g2"], second.columns["g2"])
     # distinct points draw from distinct streams
     assert first.columns["g2"][0] != first.columns["g2"][1]
+
+
+def test_each_point_of_a_descending_g2_sweep_draws_its_key_alone():
+    # point j of the range, wherever its row lands, is g2_pairs run alone on the key (seed, j)
+    spec = small_spec(outputs=("g2",), seed=6, samples=1000, swept=SweptRange("nu", 9.0, 3.0, 4), fixed={})
+    result = run_sweep(spec)  # rows ascend: nu = 3, 5, 7, 9 are points 3, 2, 1, 0
+    for j, nu in enumerate(spec.swept.values()):
+        pair = np.array([entry[0] for entry in pair_entries(ScenarioParams(nu=nu))])
+        alone = thermalcast.hbt.g2_pairs(pair[None], 1000, [(6, j)], [None])[0]
+        assert result.swept[3 - j] == nu and result.columns["g2"][3 - j] == alone.g2_estimate
+
+
+def test_adjacent_points_of_one_seed_draw_uncorrelated_rows(monkeypatch):
+    # streams (j, 0) and (j + 1, 0) of one seed must not correlate: two points at the same pair, one block each
+    n, drawn, piece_sums = 2 ** 15, [], thermalcast.hbt._piece_sums
+    monkeypatch.setattr(thermalcast.hbt, "_piece_sums",
+                        lambda vals, *rest: drawn.append(vals[:2].copy()) or piece_sums(vals, *rest))
+    run_sweep(small_spec(outputs=("g2",), seed=0, samples=n, swept=SweptRange("eta_ab", 0.5, 0.5, 2)))
+    assert len(drawn) == 2
+    corr = np.corrcoef(np.vstack(drawn))  # I_a, I_b of one point, then of the other
+    assert np.all(np.abs(corr[:2, 2:]) <= 5.0 / np.sqrt(n))
+
+
+def test_a_config_seed_outside_the_draws_rule_is_refused_on_its_line(capsys):
+    # a sweep config and g2check share one seed rule, an integer in [0, 2^64)
+    text = "scenario=basic\nsweep=eta_ab:0.1:0.9:9\noutputs=g2\nseed=18446744073709551616\n"
+    message = "seed must be a non-negative integer below 2^64, got 18446744073709551616"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (err.value.line, str(err.value)) == (4, f"line 4: seed: {message}")
+    assert parse_config(text.replace("18446744073709551616", "18446744073709551615")).seed == 2 ** 64 - 1
+    assert main(["g2check", "--seed", "18446744073709551616", "--samples", "1000"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
