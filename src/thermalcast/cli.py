@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ThermalcastError, UsageError
-from .hbt import GENERATOR_ID, VERDICT_INCONCLUSIVE, g2_pairs, run_one
+from .errors import ConfigError, ThermalcastError, UsageError
+from .hbt import GENERATOR_ID, VERDICT_INCONCLUSIVE, g2_pairs
 from .scenarios import ScenarioParams, pair_entries
 from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, SweepSpec, _format_value, emit_csv,
                     expand_preset, parse_config, run_sweeps)
@@ -60,7 +60,11 @@ def _write_sweeps(files: list[tuple[Path, SweepSpec]]) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    return _write_sweeps([(Path(args.out), parse_config(Path(args.config).read_text(encoding="utf-8")))])
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a ValueError, which main does not catch
+        raise ConfigError(f"config {args.config!r} is not UTF-8 at byte {exc.start}") from None
+    return _write_sweeps([(Path(args.out), parse_config(text))])
 
 
 def _cmd_figure(args) -> int:
@@ -73,8 +77,10 @@ def _cmd_figure(args) -> int:
 
 def _cmd_g2check(args) -> int:
     params = ScenarioParams(**{name: getattr(args, name) for name in PARAM_NAMES})
-    entries = np.array([entry[0] for entry in pair_entries(params)])  # the receivers' (a, b, c, d)
-    report = run_one(g2_pairs, entries, args.samples, [(args.seed, 0)])  # point 0: a sweep's first point draws the same
+    entries, errors = np.array([[entry[0] for entry in pair_entries(params)]]), [None]  # the receivers' (a, b, c, d)
+    [report] = g2_pairs(entries, args.samples, [(args.seed, 0)], errors)  # point 0: what a sweep's first point draws
+    if errors[0]:
+        raise errors[0]
     estimate = np.nan if report.verdict == VERDICT_INCONCLUSIVE else report.g2_estimate  # as a sweep writes it
     print("params: " + " ".join(f"{name}={_format_value(getattr(params, name))}" for name in PARAM_NAMES))
     print(f"g2 estimate: {estimate:.6g} +/- {report.std_error:.3g} ({report.n_samples} samples, jackknife)")
@@ -90,6 +96,9 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        for flag in ("config", "out", "out_dir"):  # the path flags: open() refuses a NUL byte with a ValueError
+            if "\0" in getattr(args, flag, ""):
+                raise UsageError(f"argument --{flag.replace('_', '-')}: a path cannot hold a NUL byte")
         return args.handler(args)
     except (ThermalcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

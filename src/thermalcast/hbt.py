@@ -76,13 +76,13 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
 
     Args:
         state: a ``CovarianceMatrix`` that factors (positive definite).
-        n_samples: number of rows, from 2 to ``MAX_SAMPLES``.
+        n_samples: number of rows, from 2 to ``MAX_SAMPLES`` (g2 needs ``MIN_G2_SAMPLES``).
         seed: stream seed, an integer in [0, 2^64).
 
     Returns:
         A read-only (n_samples, 2n) array, columns in quadrature order.
     """
-    _check_draw(n_samples, [(seed, 0)])
+    _check_draw(n_samples, [(seed, 0)], 2)
     factor = _cholesky(check_state(state), "covariance matrix")
     samples = np.empty((n_samples, len(factor)))
     rows = _layout(n_samples, _ONE_THREAD_GEMM // len(factor) ** 2)[0]
@@ -92,10 +92,11 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
     return samples
 
 
-def _check_draw(n_samples: int, keys) -> None:
-    if not (_is_integer(n_samples) and 2 <= n_samples <= MAX_SAMPLES):
-        raise InvalidArgumentError(f"need 2 to {MAX_SAMPLES} samples, got {n_samples!r}")
-    for seed, _ in keys:  # the one seed rule, which sweep configs share
+def _check_draw(n_samples: int, keys, least: int) -> None:
+    """The one sample-count rule, ``least`` to ``MAX_SAMPLES``, then the one seed rule; sweep configs share both."""
+    if not (_is_integer(n_samples) and least <= n_samples <= MAX_SAMPLES):
+        raise InvalidArgumentError(f"need an integer from {least} to {MAX_SAMPLES} samples, got {n_samples!r}")
+    for seed, _ in keys:
         if not (_is_integer(seed) and 0 <= seed < 2 ** 64):
             raise InvalidArgumentError(f"seed must be a non-negative integer below 2^64, got {seed!r}")
 
@@ -224,8 +225,7 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     """
     _check_samples(samples, mode_a, mode_b)  # first: len() of a non-array can raise
     n = len(samples)
-    if n < MIN_G2_SAMPLES:
-        raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n}")
+    _check_draw(n, [], MIN_G2_SAMPLES)
     if mode_a == mode_b:
         raise InvalidArgumentError("cross-correlation needs two distinct modes")
     rows, cuts, bounds = _layout(n, _ONE_THREAD_GEMM // samples.shape[1] ** 2)
@@ -242,9 +242,7 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
 def _g2_sums(n_samples: int, keys, errors: list, block: int, width: int, fill) -> list:
     """Each keyed pair's blocks of at most ``block`` rows, in one pool, to piece sums: a report per pair, None on a row
     failed in ``errors`` (it draws nothing). ``fill(i, rng, vals)`` takes ``width`` rows, returns 5, I_a first."""
-    _check_draw(n_samples, keys)
-    if n_samples < MIN_G2_SAMPLES:
-        raise InvalidArgumentError(f"g2 estimation needs >= {MIN_G2_SAMPLES} samples, got {n_samples}")
+    _check_draw(n_samples, keys, MIN_G2_SAMPLES)
     rows, cuts, bounds = _layout(n_samples, block)
     pieces = np.empty((len(keys), 5, len(cuts) - 1))
 
@@ -257,21 +255,11 @@ def _g2_sums(n_samples: int, keys, errors: list, block: int, width: int, fill) -
     return [None if exc else _report(sums, cuts, bounds) for exc, sums in zip(errors, pieces)]
 
 
-def run_one(stage, data: np.ndarray, *args):
-    """Run the stacked g2 ``stage(stack, *args, errors)`` on one input; raise its failure, or return its row."""
-    errors = [None]
-    out = stage(data[None], *args, errors)
-    if errors[0] is not None:
-        raise errors[0]
-    return out[0]
-
-
-def _flag_huge(stack: np.ndarray, errors: list) -> np.ndarray:
-    """Fail each row of ``stack`` holding an entry past ``_MAX_G2_ENTRY`` in magnitude; return the stack."""
+def _flag_huge(stack: np.ndarray, errors: list) -> None:
+    """Fail each row of ``stack`` holding an entry past ``_MAX_G2_ENTRY`` in magnitude."""
     peak = np.abs(stack).reshape(len(stack), -1).max(axis=1)
     flag_rows(errors, peak > _MAX_G2_ENTRY, lambda i: NumericFailureError(
         f"variance {peak[i]:.6g} is past {_MAX_G2_ENTRY:.3g}, where the g2 sums overflow"))
-    return stack
 
 
 def g2_pairs(pairs: np.ndarray, n_samples: int, keys, errors: list) -> list:
@@ -313,7 +301,10 @@ def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
     Pairs of quadratures expand by Isserlis' theorem:
     E[u^2 v^2] = G_uu G_vv + 2 G_uv^2. The modes must be distinct and in range.
     """
-    gamma = run_one(_flag_huge, select_modes(check_state(state), [mode_a, mode_b]))
+    gamma, errors = select_modes(check_state(state), [mode_a, mode_b]), [None]
+    _flag_huge(gamma[None], errors)  # the range the g2 stacks take, with their message
+    if errors[0]:
+        raise errors[0]
     raw = 0.0
     for u in (0, 1):
         for v in (2, 3):
@@ -339,15 +330,14 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
     and draws four columns per sample however many modes the state has.
     """
     pair = reduce(state, [mode_a, mode_b])
-    factor = _cholesky(run_one(_flag_huge, pair.data), "covariance matrix")
+    try:  # before the draw: its range check is the one the draw needs
+        exact = g2_analytic(pair, 0, 1)
+    except UndefinedResultError:
+        exact = None
+    factor = _cholesky(pair.data, "covariance matrix")
 
     def fill(i, rng, vals):  # five rows for the sums, then N and L N^T: the quadratures as contiguous rows
         normals = rng.standard_normal(out=vals[5:9].reshape(-1, 4))
         return _intensities(np.matmul(factor, normals.T, out=vals[9:]), vals[:5])
 
-    report = _g2_sums(n_samples, [(seed, 0)], [None], _ONE_THREAD_GEMM // 4 ** 2, 13, fill)[0]
-    try:
-        exact = g2_analytic(pair, 0, 1)
-    except UndefinedResultError:
-        exact = None
-    return replace(report, g2_analytic=exact)
+    return replace(_g2_sums(n_samples, [(seed, 0)], [None], _ONE_THREAD_GEMM // 4 ** 2, 13, fill)[0], g2_analytic=exact)

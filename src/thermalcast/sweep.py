@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, UnphysicalStateError, UsageError
 from .gaussian import _is_integer
-from .hbt import GENERATOR_ID, MAX_SAMPLES, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, _check_draw, g2_pairs
+from .hbt import GENERATOR_ID, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, _check_draw, g2_pairs
 from .info import pair_measures
 from .scenarios import PARAM_NAMES, SCENARIO_NAMES, SCENARIO_PARAMS, ScenarioParams, pair_entries
 
@@ -78,7 +78,7 @@ class SweepSpec:
     the only stochastic output) and rejected otherwise, so a config states
     its reproducibility contract explicitly; it follows the draw's one seed
     rule, an integer in [0, 2^64). ``samples`` is likewise only for ``g2``,
-    where it defaults to ``DEFAULT_G2_SAMPLES``.
+    where it defaults to ``DEFAULT_G2_SAMPLES`` and follows the g2 draw's count rule.
     """
 
     scenario: str
@@ -118,13 +118,11 @@ class SweepSpec:
         if wants_g2:
             if self.samples is None:
                 object.__setattr__(self, "samples", DEFAULT_G2_SAMPLES)
-            if not _is_integer(self.samples) or not MIN_G2_SAMPLES <= self.samples <= MAX_SAMPLES:
-                raise _reject("samples", f"g2 needs an integer in [{MIN_G2_SAMPLES}, {MAX_SAMPLES}], "
-                              f"got {self.samples}")
-            try:  # the samples are valid, so only the seed can fail the draw's check
-                _check_draw(self.samples, [(self.seed, 0)])
-            except InvalidArgumentError as exc:
-                raise _reject("seed", str(exc)) from None
+            for name, keys in (("samples", []), ("seed", [(self.seed, 0)])):  # each complaint on its own line
+                try:
+                    _check_draw(self.samples, keys, MIN_G2_SAMPLES)
+                except InvalidArgumentError as exc:
+                    raise _reject(name, str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ import pytest
 
 import thermalcast.cli
 import thermalcast.hbt
-from thermalcast import ScenarioParams, SweepResult, build_scenario, g2_analytic, parse_config, run_sweep
+from thermalcast import (InvalidArgumentError, ScenarioParams, SweepResult, build_scenario, g2_analytic,
+                         g2_cross_estimate, parse_config, run_sweep, sample_quadratures, thermality_check)
 from thermalcast.cli import main
 from thermalcast.scenarios import pair_entries
 
@@ -282,7 +283,7 @@ def test_g2check_rejects_tiny_sample_count(capsys):
 
 def test_g2check_caps_the_sample_count(capsys):
     assert main(["g2check", "--samples", "10000000000000", "--seed", "4"]) == 1
-    assert capsys.readouterr().err.startswith("error: need 2 to 10000000 samples")
+    assert capsys.readouterr().err.startswith("error: need an integer from 1000 to 10000000 samples")
 
 
 @pytest.mark.parametrize("old,new,line,needle", [
@@ -297,6 +298,39 @@ def test_sweep_caps_are_config_errors(tmp_path, capsys, old, new, line, needle):
     assert err.startswith(f"error: line {line}: ")
     assert needle in err
     assert not out.exists()
+
+
+def test_every_g2_sample_count_is_refused_in_one_sentence(tmp_path, capsys):
+    # one rule, one home (hbt._check_draw): the flag, a config line and both library doors say the same thing
+    def sentence(count):
+        return f"need an integer from 1000 to 10000000 samples, got {count}"
+
+    for count in (50, 10 ** 13):
+        assert main(["g2check", "--samples", str(count), "--seed", "4"]) == 1
+        assert capsys.readouterr().err == f"error: {sentence(count)}\n"
+    cfg = write_config(tmp_path, CONFIG.replace("outputs=cmi,discord", "outputs=g2\nseed=1\nsamples=5"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: line 6: samples: {sentence(5)}\n"
+    state = build_scenario("basic", ScenarioParams(nu=10.0)).state
+    with pytest.raises(InvalidArgumentError, match=f"^{sentence(999)}$"):
+        g2_cross_estimate(sample_quadratures(state, 999, 1), 1, 2)
+    with pytest.raises(InvalidArgumentError, match=f"^{sentence(999)}$"):
+        thermality_check(state, 1, 2, 999, 1)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--config", "bad.cfg", "--out", "x.csv"], "config 'bad.cfg' is not UTF-8 at byte 19"),
+    (["sweep", "--config", "sweep\0.cfg", "--out", "x.csv"], "argument --config: a path cannot hold a NUL byte"),
+    (["sweep", "--config", "bad.cfg", "--out", "x\0.csv"], "argument --out: a path cannot hold a NUL byte"),
+    (["figure", "--name", "fig3", "--out-dir", "figs\0"], "argument --out-dir: a path cannot hold a NUL byte"),
+])
+def test_an_undecodable_config_or_a_nul_in_a_path_is_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
+    # each used to raise a UnicodeDecodeError or "embedded null byte" ValueError out of main
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_bytes(b"scenario=basic\nnu=2\xff\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 @pytest.mark.parametrize("nu", ["inf", "nan", "1e308"])

@@ -2,16 +2,17 @@
 
 Config text becomes a runnable sweep or a clean error, a sweep's closed
 forms match the general route, every in-domain build is physical (and pure
-when its noise is vacuum), and any symmetric matrix gets finite measures or
-a named error.
+when its noise is vacuum), any symmetric matrix gets finite measures or
+a named error, and every command line exits 0, 1 or 2 with at most one error line.
 """
+import argparse
 import math
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from thermalcast import (SCENARIO_NAMES, ConfigError, CovarianceMatrix, Partition,
@@ -19,6 +20,7 @@ from thermalcast import (SCENARIO_NAMES, ConfigError, CovarianceMatrix, Partitio
                          conditional_mutual_information, emit_csv, gaussian_discord,
                          mutual_information, parse_config, run_sweep, shannon_entropy,
                          symplectic_eigenvalues, validate_physicality, von_neumann_entropy)
+from thermalcast.cli import _PARSER, main
 from thermalcast.info import CLAMP_TOL
 from thermalcast.scenarios import SCENARIO_PARAMS, VARIANCE_PARAMS
 from thermalcast.sweep import OUTPUT_NAMES, PARAM_NAMES
@@ -228,3 +230,68 @@ def test_any_symmetric_matrix_gets_finite_measures_or_a_named_error(case):
                 continue
         assert positive_definite, (measure, gamma)
         assert np.all(np.isfinite(value)), (measure, gamma)
+
+
+# argv from the CLI's own grammar: each subcommand's flags, with values from valid tokens, from valid tokens holding a
+# NUL byte and from the public walk's hostile strings. Every hostile string is refused as a --samples or --seed
+# before any draw.
+COMMANDS = next(action for action in _PARSER._actions if isinstance(action, argparse._SubParsersAction)).choices
+HOSTILE = ["x", "", "None", "b'x'", "[1]", "{'a': 1}", "True", "nan", "inf", "-inf", "1e300", str(2 ** 64), "-1", "1.5",
+           "()", "('x',)", "\0", "x\0y"]
+# relative paths only, so every call stays in its own directory
+PATHS = {"config": ["sweep.cfg"], "out": ["out.csv", "missing/out.csv", "."], "out_dir": ["figs", "sweep.cfg"]}
+HOSTILE_LINES = ["samples=5", "samples=10000000000000", "seed=-1", f"seed={2 ** 64}", "sweep=eta_ab:0:1:1000000",
+                 "nu=nan", "nu=1e300", "outputs=", "outputs=g2,g2", "x", "=", "scenario=[1]", "nu=\0"]
+
+
+def flag_values(action):
+    if action.choices:
+        valid = st.sampled_from(list(action.choices))
+    elif action.dest == "samples":
+        valid = st.integers(1000, 2000).map(str)
+    elif action.type is int:
+        valid = st.integers(0, 2 ** 64).map(str)
+    elif action.type is float:
+        valid = st.sampled_from(["0", "0.5", "1", "2", "10", "1e6"])
+    else:
+        valid = st.sampled_from(PATHS[action.dest])
+    nul = valid.map(lambda token: token[:1] + "\0" + token[1:])  # a valid token that no path can hold
+    return st.integers(0, 3).flatmap(lambda pick: [valid, valid, nul, st.sampled_from(HOSTILE)][pick])
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for action in COMMANDS[command]._actions:
+        if "--help" in action.option_strings:
+            continue
+        # a required flag is mostly there, so that most calls get past the parser; g2check's default --samples
+        # would draw 100,000 rows
+        if action.dest == "samples" or draw(st.integers(0, 7)) < (7 if action.required else 2):
+            many = action.nargs == "+"
+            argv += [action.option_strings[-1], *draw(st.lists(flag_values(action), min_size=1, max_size=1 + many))]
+    if draw(st.integers(0, 7)) == 7:
+        argv.append(draw(st.sampled_from(["--bogus", "--help", "sweep", *HOSTILE])))
+    lines = [line.encode() for line in draw(small_configs()).splitlines()]
+    for extra in draw(st.lists(st.sampled_from(HOSTILE_LINES).map(str.encode) | st.binary(min_size=1, max_size=8),
+                               max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return argv, b"\n".join(lines)
+
+
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=cli_calls())
+def test_every_cli_call_exits_by_the_contract(call, tmp_path, monkeypatch, capsys):
+    argv, config = call
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)
+    (work / "sweep.cfg").write_bytes(config)
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # --help: argparse prints the usage and exits 0, as the process would
+        code = stop.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), argv
+    assert code != 1 or (err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")), (argv, err)
+    assert not list(work.rglob("*.partial")), argv

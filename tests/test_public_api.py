@@ -1,12 +1,13 @@
 """Every public callable refuses a wrong argument as a ThermalcastError, never as another exception or a warning."""
 import inspect
 import math
+from collections.abc import Hashable
 
 import numpy as np
 
 import thermalcast
-from thermalcast import (Partition, ScenarioParams, SweepSpec, SweptRange, ThermalcastError, build_scenario, make_epr,
-                         make_vacuum, run_sweep)
+from thermalcast import (Partition, ScenarioParams, ScenarioState, SweepSpec, SweptRange, ThermalcastError,
+                         build_scenario, make_epr, make_vacuum, mutual_information, reduce, run_sweep, run_sweeps)
 
 # exception classes, constants and the types that are only returned
 EXEMPT = {
@@ -90,3 +91,38 @@ def test_every_public_callable_returns_or_raises_a_thermalcast_error(tmp_path, m
                     leaks.append(f"{name} argument {i} = {wrong!r}: {type(exc).__name__}: {exc}")
     assert not leaks, "\n".join(leaks)
 
+
+def nested_rows():
+    """The walk one level down: per row, a call that puts its argument inside a container, and a valid argument."""
+    vac2, vac3, epr = make_vacuum(2), make_vacuum(3), make_epr(2.0)
+    fields, fixed = ("eta_ab", 0.2, 0.8, 3), {"nu": 2.0}
+    swept = SweptRange(*fields)
+    spec = SweepSpec("basic", swept, fixed)
+    rows = {f"SweptRange.{field} in a SweepSpec": (
+        lambda wrong, i=i: SweepSpec("basic", SweptRange(*fields[:i], wrong, *fields[i + 1:]), fixed), fields[i])
+        for i, field in enumerate(("name", "start", "stop", "count"))}
+    rows.update({
+        "fixed key": (lambda wrong: SweepSpec("basic", swept, {wrong: 2.0}), "nu"),
+        "fixed value": (lambda wrong: SweepSpec("basic", swept, {"nu": wrong}), 2.0),
+        "reduce keep item": (lambda wrong: reduce(vac2, [wrong]), 0),
+        "Partition item": (lambda wrong: mutual_information(epr, Partition((wrong,), (1,))), 0),
+        "mode label": (lambda wrong: ScenarioState(vac3, (wrong, "B", "A")), "E"),
+        "run_sweeps item": (lambda wrong: run_sweeps([spec, wrong]), spec),
+    })
+    return rows
+
+
+def test_every_nested_argument_returns_or_raises_a_thermalcast_error():
+    leaks = []
+    for name, (call, valid) in nested_rows().items():
+        call(valid)  # the row itself is valid
+        for wrong in WRONG:
+            if name == "fixed key" and not isinstance(wrong, Hashable):
+                continue  # no dict can hold it as a key
+            try:
+                call(wrong)
+            except ThermalcastError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - any other exception is the leak this test looks for
+                leaks.append(f"{name} = {wrong!r}: {type(exc).__name__}: {exc}")
+    assert not leaks, "\n".join(leaks)
