@@ -8,6 +8,7 @@ The parser is built once per process, at import: parsing leaves no state in it, 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -96,9 +97,12 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        for flag in ("config", "out", "out_dir"):  # the path flags: open() refuses a NUL byte with a ValueError
-            if "\0" in getattr(args, flag, ""):
-                raise UsageError(f"argument --{flag.replace('_', '-')}: a path cannot hold a NUL byte")
+        for flag in ("config", "out", "out_dir"):  # the path flags, which open() would refuse with a ValueError
+            try:
+                if b"\0" in os.fsencode(getattr(args, flag, "")):
+                    raise UsageError(f"argument --{flag.replace('_', '-')}: a path cannot hold a NUL byte")
+            except UnicodeEncodeError:  # a lone surrogate, which the file system's encoding cannot carry
+                raise UsageError(f"argument --{flag.replace('_', '-')}: a path cannot hold a lone surrogate") from None
         return args.handler(args)
     except (ThermalcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

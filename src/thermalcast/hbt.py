@@ -37,7 +37,7 @@ MIN_G2_SAMPLES = 1000
 MAX_SAMPLES = 10_000_000
 
 # Largest |entry| g2 takes. A mode with entries up to C has E[I^2] <= (8 C^2 + (2 C)^2) / 16 = 3 C^2 / 4, so MAX_SAMPLES
-# rows sum I_a^2, I_b^2 or I_a I_b to at most a quarter of the float range at C^2 = max / (3 MAX_SAMPLES), C = 2.45e150.
+# rows sum I_a, I_b or I_a I_b to at most a quarter of the float range at C^2 = max / (3 MAX_SAMPLES), C = 2.45e150.
 _MAX_G2_ENTRY = float(np.sqrt(np.finfo(float).max / (3 * MAX_SAMPLES)))
 _NOT_FINITE = f"samples hold nan, inf or a variance past {_MAX_G2_ENTRY:.3g}"
 
@@ -181,44 +181,37 @@ def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _piece_sums(vals, start, cuts, pieces) -> None:
-    """Per piece of a row block from row ``start`` on, the sums of I_a, I_b, I_a I_b, I_a^2 and I_b^2 into its
-    column of ``pieces``. ``vals`` holds I_a and I_b as its first two rows, and three more to work in."""
+    """Per piece of the row block from row ``start``, the sums of ``vals``' rows I_a, I_b and I_a I_b (formed here)."""
     first, last = np.searchsorted(cuts, [start, start + vals.shape[1]])
     np.multiply(vals[0], vals[1], out=vals[2])
-    np.square(vals[:2], out=vals[3:])
     np.add.reduceat(vals, cuts[first:last] - start, axis=1, out=pieces[:, first:last])
 
 
 def _report(pieces: np.ndarray, cuts: np.ndarray, bounds: np.ndarray) -> G2Report:
-    """Estimate, jackknife error and verdict from the five sums of each piece."""
+    """Estimate, jackknife errors and verdict from the three sums per piece; a mean within 3 errors of 0 is noise."""
     n, counts = int(bounds[-1]), np.diff(bounds)
-    # sums[:, j] holds jackknife block j's sums of I_a, I_b, I_a I_b, I_a^2 and I_b^2
+    # sums[:, j] holds jackknife block j's sums of I_a, I_b and I_a I_b
     sums = np.add.reduceat(pieces, np.searchsorted(cuts, bounds[:-1]), axis=1)
     totals = sums.sum(axis=1)
     means = totals / n
-    # squared deviations by Chan, Golub & LeVeque's pairwise update (Am. Stat. 37, 242 (1983)). A block's
-    # sum I^2 - m mean^2 cannot cancel: for a mode of covariance [[a, b], [b, c]] with a + c >= 2,
-    # var(I) = (2a^2 + 2c^2 + 4b^2)/16 >= ((a + c)/4)^2 > mean(I)^2, so std(I) > |mean(I)|.
-    block_means = sums[:2] / counts
-    deviations = np.sum(sums[3:] - sums[:2] * block_means + counts * (block_means - means[:2, None]) ** 2, axis=1)
-    conclusive = not np.any(means[:2] <= 3.0 * np.sqrt(deviations / (n - 1)) / np.sqrt(n))
     with np.errstate(divide="ignore", invalid="ignore"):
         estimate = float(means[2] / (means[0] * means[1]))
-        a, b, ab = (totals[:3, None] - sums[:3]) / (n - counts)
-        ratios = ab / (a * b)
-        std_error = float(np.sqrt((JACKKNIFE_BLOCKS - 1) / JACKKNIFE_BLOCKS * np.sum((ratios - ratios.mean()) ** 2)))
-    verdict = ((VERDICT_THERMAL if estimate - 3.0 * std_error > 1.0 else VERDICT_NOT_THERMAL)
-               if conclusive else VERDICT_INCONCLUSIVE)
-    return G2Report(g2_estimate=estimate, std_error=std_error, g2_analytic=None, n_samples=n, verdict=verdict)
+        held = (totals[:, None] - sums) / (n - counts)  # column j: the means of I_a, I_b and I_a I_b without block j
+        held[2] /= held[0] * held[1]  # and the ratio; one jackknife gives the error of all three
+        errors = np.sqrt((JACKKNIFE_BLOCKS - 1) / JACKKNIFE_BLOCKS
+                         * np.sum((held - held.mean(axis=1, keepdims=True)) ** 2, axis=1))
+    verdict = (VERDICT_INCONCLUSIVE if np.any(means[:2] <= 3.0 * errors[:2])
+               else VERDICT_THERMAL if estimate - 3.0 * errors[2] > 1.0 else VERDICT_NOT_THERMAL)
+    return G2Report(g2_estimate=estimate, std_error=float(errors[2]), g2_analytic=None, n_samples=n, verdict=verdict)
 
 
 def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report:
     """Estimate g2(0) between two modes: <I_a I_b> / (<I_a><I_b>).
 
     The standard error comes from a delete-one-block jackknife with
-    ``JACKKNIFE_BLOCKS`` blocks. A mean intensity consistent with zero at 3
-    sigma makes the ratio meaningless; that yields the inconclusive
-    verdict, never an exception. The analytic field is left unset; compare
+    ``JACKKNIFE_BLOCKS`` blocks. A mean intensity within three of its own
+    jackknife errors of zero makes the ratio meaningless; that yields the
+    inconclusive verdict, never an exception. The analytic field is left unset; compare
     against :func:`g2_analytic` or use :func:`thermality_check`. The sums
     run by the sampler's row blocks, as in :func:`thermality_check`, so both
     give the same bits for the same draw.
@@ -229,7 +222,7 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     if mode_a == mode_b:
         raise InvalidArgumentError("cross-correlation needs two distinct modes")
     rows, cuts, bounds = _layout(n, _ONE_THREAD_GEMM // samples.shape[1] ** 2)
-    pieces, scratch = np.empty((5, len(cuts) - 1)), np.empty((5, np.diff(rows).max()))
+    pieces, scratch = np.empty((3, len(cuts) - 1)), np.empty((3, np.diff(rows).max()))
     cols = [2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the sums, refused below
         for start, stop in zip(rows, rows[1:]):
@@ -241,10 +234,10 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
 
 def _g2_sums(n_samples: int, keys, errors: list, block: int, width: int, fill) -> list:
     """Each keyed pair's blocks of at most ``block`` rows, in one pool, to piece sums: a report per pair, None on a row
-    failed in ``errors`` (it draws nothing). ``fill(i, rng, vals)`` takes ``width`` rows, returns 5, I_a first."""
+    failed in ``errors`` (it draws nothing). ``fill(i, rng, vals)`` takes ``width`` rows, returns 3, I_a first."""
     _check_draw(n_samples, keys, MIN_G2_SAMPLES)
     rows, cuts, bounds = _layout(n_samples, block)
-    pieces = np.empty((len(keys), 5, len(cuts) - 1))
+    pieces = np.empty((len(keys), 3, len(cuts) - 1))
 
     def make_sink(m):  # per thread: one buffer, cut into ``width`` rows of each block's length
         scratch = np.empty(width * m)
@@ -287,9 +280,9 @@ def g2_pairs(pairs: np.ndarray, n_samples: int, keys, errors: list) -> list:
         vals[1] += vals[3]
         vals[0] *= half_a
         vals[:2] -= 0.5
-        return vals
+        return vals[:3]
 
-    reports = _g2_sums(n_samples, keys, errors, 2 ** 15, 5, fill)  # 5 rows of 2^15 per thread: 1.25 MiB, within L2
+    reports = _g2_sums(n_samples, keys, errors, 2 ** 15, 4, fill)  # 4 rows of 2^15 per thread: 1 MiB, within L2
     return [report and replace(report, g2_analytic=None if min(a - 1.0, b - 1.0) / 2.0 <= _VACUUM_PHOTONS
                                else 1.0 + c * c / ((a - 1.0) * (b - 1.0)))
             for report, (a, b, c, _) in zip(reports, pairs.tolist())]
@@ -336,8 +329,8 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
         exact = None
     factor = _cholesky(pair.data, "covariance matrix")
 
-    def fill(i, rng, vals):  # five rows for the sums, then N and L N^T: the quadratures as contiguous rows
-        normals = rng.standard_normal(out=vals[5:9].reshape(-1, 4))
-        return _intensities(np.matmul(factor, normals.T, out=vals[9:]), vals[:5])
+    def fill(i, rng, vals):  # three rows for the sums, then N and L N^T: the quadratures as contiguous rows
+        normals = rng.standard_normal(out=vals[3:7].reshape(-1, 4))
+        return _intensities(np.matmul(factor, normals.T, out=vals[7:]), vals[:3])
 
-    return replace(_g2_sums(n_samples, [(seed, 0)], [None], _ONE_THREAD_GEMM // 4 ** 2, 13, fill)[0], g2_analytic=exact)
+    return replace(_g2_sums(n_samples, [(seed, 0)], [None], _ONE_THREAD_GEMM // 4 ** 2, 11, fill)[0], g2_analytic=exact)

@@ -143,11 +143,6 @@ class SweepResult:
         return self.n_failed == len(self.reasons)
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every point of one sweep, in ascending order of the swept value: :func:`run_sweeps` of one."""
-    return run_sweeps([spec])[0]
-
-
 def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
     """Evaluate sweeps, each in ascending order of its swept value, in one pass per g2 sample count.
 

@@ -1,0 +1,92 @@
+"""Compare what the CLI writes from two ``src/`` trees, line by line.
+
+Not collected by pytest. Run it from the repository root with the two trees to compare::
+
+    python tests/compare_outputs.py OLD_SRC NEW_SRC
+
+Each tree runs in its own interpreter, with that tree first on ``PYTHONPATH``:
+
+* ``figure --name all``: the preset CSVs;
+* a bright ``full`` g2 sweep, where every verdict is far from the 3-sigma noise line;
+* a ``basic`` g2 sweep across that line: nu 1.0:1.1:401, eta_ab 0.5, 20,000 samples, seed 99;
+* five ``g2check`` calls, their stdout kept as a text file each.
+
+It prints every line that differs, ignoring ``# generated`` stamps, then one summary line per file
+with its count of differing lines and of ``nan`` cells in each tree. It exits 1 when any line differs.
+"""
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SWEEPS = {
+    "bright_full_g2": ["scenario=full", "nu=10", "eta_th=0.8", "v_th=2", "eta_th_a=0.9", "v_alpha=1.5",
+                       "eta_th_b=0.7", "v_beta=2.5", "sweep=eta_ab:0.2:0.8:41", "outputs=g2", "seed=5",
+                       "samples=100000"],
+    "straddle_basic_g2": ["scenario=basic", "eta_ab=0.5", "sweep=nu:1.0:1.1:401", "outputs=g2", "seed=99",
+                          "samples=20000"],
+}
+G2CHECKS = [
+    ["--nu", "10", "--eta-ab", "0.5", "--seed", "1"],
+    ["--nu", "5", "--eta-ab", "0.3", "--eta-th", "0.7", "--v-th", "2", "--seed", "2"],
+    ["--nu", "1000", "--eta-ab", "0.4", "--eta-th", "0.8", "--v-th", "2", "--eta-th-a", "0.9", "--v-alpha", "1.5",
+     "--eta-th-b", "0.7", "--v-beta", "2.5", "--seed", "3"],
+    ["--nu", "1", "--seed", "4"],
+    ["--nu", "1.02", "--eta-ab", "0.5", "--samples", "20000", "--seed", "5"],
+]
+
+
+def run_tree(src: Path, out: Path) -> None:
+    """Write every output of one tree into ``out``."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+
+    def cli(*argv):
+        done = subprocess.run([sys.executable, "-m", "thermalcast.cli", *argv], cwd=out, env=env,
+                              capture_output=True, text=True)
+        if done.returncode:
+            sys.exit(f"{src}: {' '.join(argv)} exited {done.returncode}: {done.stderr.strip()}")
+        return done.stdout
+
+    out.mkdir(parents=True)
+    cli("figure", "--name", "all", "--out-dir", "figures")
+    for name, lines in SWEEPS.items():
+        (out / f"{name}.cfg").write_text("\n".join(lines) + "\n")
+        cli("sweep", "--config", f"{name}.cfg", "--out", f"{name}.csv")
+    for k, argv in enumerate(G2CHECKS):
+        (out / f"g2check_{k}.txt").write_text(cli("g2check", *argv))
+
+
+def kept_lines(path: Path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if not line.startswith("# generated")]
+
+
+def main(old_src: str, new_src: str) -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        old, new = Path(scratch, "old"), Path(scratch, "new")
+        run_tree(Path(old_src), old)
+        run_tree(Path(new_src), new)
+        csvs = [sorted(str(path.relative_to(tree)) for path in tree.rglob("*.csv")) for tree in (old, new)]
+        if csvs[0] != csvs[1]:
+            print(f"the trees wrote different CSV files: {csvs[0]} and {csvs[1]}")
+            return 1
+        names = csvs[0] + [f"g2check_{k}.txt" for k in range(len(G2CHECKS))]
+        summary, differ = [], False
+        for name in names:
+            before, after = kept_lines(old / name), kept_lines(new / name)
+            changed = [(i, a, b) for i, (a, b) in enumerate(zip(before, after), 1) if a != b]
+            for i, a, b in changed:
+                print(f"{name}:{i}\n  - {a}\n  + {b}")
+            if len(before) != len(after):
+                print(f"{name}: {len(before)} lines -> {len(after)} lines")
+            nans = [sum(line.count("nan") for line in lines if not line.startswith("#")) for lines in (before, after)]
+            summary.append(f"{name}: {len(changed)} of {len(before)} lines differ, nan cells {nans[0]} -> {nans[1]}")
+            differ = differ or bool(changed) or len(before) != len(after)
+        print("\n".join(summary))
+        return int(differ)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(*sys.argv[1:]))

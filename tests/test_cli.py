@@ -10,7 +10,7 @@ import pytest
 import thermalcast.cli
 import thermalcast.hbt
 from thermalcast import (InvalidArgumentError, ScenarioParams, SweepResult, build_scenario, g2_analytic,
-                         g2_cross_estimate, parse_config, run_sweep, sample_quadratures, thermality_check)
+                         g2_cross_estimate, parse_config, run_sweeps, sample_quadratures, thermality_check)
 from thermalcast.cli import main
 from thermalcast.scenarios import pair_entries
 
@@ -229,7 +229,7 @@ def test_g2check_draws_what_a_sweep_draws_at_its_first_point(capsys, monkeypatch
     # has the same estimate, bit for bit
     spec = parse_config("scenario=full\nnu=5\neta_th=0.8\nv_th=2\neta_th_a=0.9\nv_alpha=1.5\n"
                         "sweep=eta_ab:0.3:0.7:3\noutputs=g2\nseed=9\nsamples=5000\n")
-    cell = run_sweep(spec).columns["g2"][0]
+    cell = run_sweeps([spec])[0].columns["g2"][0]
     reports, real = [], thermalcast.cli.g2_pairs
     monkeypatch.setattr(thermalcast.cli, "g2_pairs", lambda *args: reports.extend(real(*args)) or reports)
     assert main(["g2check", "--nu", "5", "--eta-ab", "0.3", "--eta-th", "0.8", "--v-th", "2", "--eta-th-a", "0.9",
@@ -323,9 +323,13 @@ def test_every_g2_sample_count_is_refused_in_one_sentence(tmp_path, capsys):
     (["sweep", "--config", "sweep\0.cfg", "--out", "x.csv"], "argument --config: a path cannot hold a NUL byte"),
     (["sweep", "--config", "bad.cfg", "--out", "x\0.csv"], "argument --out: a path cannot hold a NUL byte"),
     (["figure", "--name", "fig3", "--out-dir", "figs\0"], "argument --out-dir: a path cannot hold a NUL byte"),
+    (["sweep", "--config", "\ud800", "--out", "x.csv"], "argument --config: a path cannot hold a lone surrogate"),
+    (["sweep", "--config", "bad.cfg", "--out", "x\udfff.csv"], "argument --out: a path cannot hold a lone surrogate"),
+    (["figure", "--name", "fig3", "--out-dir", "figs\ud83d"], "argument --out-dir: a path cannot hold a lone surrogate"),
 ])
 def test_an_undecodable_config_or_a_nul_in_a_path_is_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
-    # each used to raise a UnicodeDecodeError or "embedded null byte" ValueError out of main
+    # each used to raise a UnicodeDecodeError, an "embedded null byte" ValueError or, for a lone surrogate that
+    # surrogateescape cannot encode, a UnicodeEncodeError out of main
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_bytes(b"scenario=basic\nnu=2\xff\n")
     assert main(argv) == 1

@@ -340,18 +340,21 @@ def test_estimate_argument_errors():
 
 
 def reference_g2(samples, mode_a, mode_b):
-    # plain two-pass estimator: whole-array intensities, np.array_split blocks, np.std(ddof=1) noise test
+    # plain two-pass estimator: whole-array intensities, np.array_split blocks, a two-pass delete-one-block
+    # jackknife of each leave-one-out quantity for both the error bar and the noise test
     n = len(samples)
     i_a, i_b = ((samples[:, 2 * m] ** 2 + samples[:, 2 * m + 1] ** 2 - 2.0) / 4.0 for m in (mode_a, mode_b))
-    noise = any(i.mean() <= 3.0 * i.std(ddof=1) / np.sqrt(n) for i in (i_a, i_b))
     estimate = np.mean(i_a * i_b) / (i_a.mean() * i_b.mean())
     blocks = [np.array_split(x, hbt.JACKKNIFE_BLOCKS) for x in (i_a * i_b, i_a, i_b)]
     sums = np.array([[block.sum() for block in split] for split in blocks])
     rest = n - np.array([len(block) for block in blocks[0]])
     ab, a, b = (sums.sum(axis=1, keepdims=True) - sums) / rest
-    ratios = ab / (a * b)
-    std_error = np.sqrt((len(ratios) - 1) / len(ratios) * np.sum((ratios - ratios.mean()) ** 2))
-    if noise:
+
+    def jackknife(held):
+        return np.sqrt((len(held) - 1) / len(held) * np.sum((held - held.mean()) ** 2))
+
+    std_error = jackknife(ab / (a * b))
+    if any(i.mean() <= 3.0 * jackknife(held) for i, held in ((i_a, a), (i_b, b))):
         verdict = VERDICT_INCONCLUSIVE
     else:
         verdict = VERDICT_THERMAL if estimate - 3.0 * std_error > 1.0 else VERDICT_NOT_THERMAL
@@ -422,12 +425,13 @@ def test_thermality_check_coherent_source_has_no_analytic():
 
 
 def test_thermality_check_samples_only_the_receiver_pair(monkeypatch):
-    # the fused stage and the stored route sum the same pieces of the same draw, on any number of threads;
-    # the counts take one row block, end one row past a block bound, and straddle 2^18 / 16 rows per block
+    # the fused stage and the stored route sum the same pieces of the same draw, on any number of threads, so both
+    # routes move together; the counts take one row block, end one row past a block bound, and straddle 2^18 / 16
+    # rows per block
     state = build_scenario("full", ScenarioParams(nu=5.0, eta_ab=0.4, eta_th=0.8, v_th=2.0,
                                                   eta_th_a=0.9, eta_th_b=0.7, v_beta=3.0)).state
     a, b = 3, 2
-    for n in (1000, 1001, 16_385, 199_999, 200_000, 1_000_001):
+    for n in (1000, 1001, 16_385, 54_321, 199_999, 200_000, 1_000_000, 1_000_001):
         pair = sample_quadratures(reduce(state, [a, b]), n, seed=8)
         expected = g2_cross_estimate(pair, 0, 1)
         for cpus in (1, 2, 3):
@@ -521,11 +525,14 @@ def test_g2_pairs_is_exact_in_distribution(scenario, params, monkeypatch):
     if scenario == "full" and params["nu"] == 1.0:
         assert c == 0.0
     state, k, n = pair_state(entries), 40, 10_000
-    totals, report = [], hbt._report
+    # the three sums the estimator keeps, from its pieces; the squares from the intensities it sums them from
+    totals, squares, report, piece_sums = [], [], hbt._report, hbt._piece_sums
     monkeypatch.setattr(hbt, "_report",
                         lambda pieces, *rest: totals.append(pieces.sum(axis=1)) or report(pieces, *rest))
+    monkeypatch.setattr(hbt, "_piece_sums",
+                        lambda vals, *rest: squares.append(np.sum(vals[:2] ** 2, axis=1)) or piece_sums(vals, *rest))
     reports = hbt.g2_pairs(np.tile(entries, (k, 1)), n, [(s, 0) for s in range(k)], [None] * k)
-    means = np.sum(totals, axis=0) / (k * n)
+    means = np.concatenate([np.sum(totals, axis=0), np.sum(squares, axis=0)]) / (k * n)
     # E[I_a], E[I_b], E[I_a I_b], E[I_a^2], E[I_b^2] with I = (x^2 + p^2 - 2) / 4
     exact = np.array([(a - 1) / 2, (b - 1) / 2, (a * b + c * c - a - b + 1) / 4,
                       (2 * a * a - 2 * a + 1) / 4, (2 * b * b - 2 * b + 1) / 4])
@@ -607,7 +614,7 @@ def test_g2_pairs_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
 
 
 def test_g2_pairs_holds_only_its_per_thread_blocks(monkeypatch):
-    # five rows of 2^15 per thread are 1.25 MiB; the general route's thirteen rows of 2^14 would be 1.6 MiB
+    # four rows of 2^15 per thread are 1 MiB; the general route's eleven rows of 2^14 would be 1.375 MiB
     monkeypatch.setattr(hbt, "_CPUS", 2)
     entries = entries_of(nu=2.0, eta_ab=0.5)
     hbt.g2_pairs(entries[None], 1000, [(1, 0)], [None])
@@ -642,7 +649,7 @@ def test_g2_refuses_a_pair_whose_drawn_b_variance_is_past_the_range(pair, monkey
 
 @pytest.mark.parametrize("v", [1e154, 1e200])
 def test_g2_refuses_a_pair_whose_sums_would_overflow(v, monkeypatch):
-    # MAX_SAMPLES squared intensities of a variance past about 2.45e150 can sum past the float range
+    # MAX_SAMPLES intensity products of a variance past about 2.45e150 can sum past the float range
     message = f"variance {v:g} is past 2.45e+150, where the g2 sums overflow"
     errors = [None]
     assert hbt.g2_pairs(np.array([[v, v, 0.0, 1e308]]), 10_000, [(5, 0)], errors) == [None]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from thermalcast import (SCENARIO_NAMES, ConfigError, CovarianceMatrix, Partition,
                          ScenarioParams, SweepSpec, SweptRange, ThermalcastError, build_scenario,
                          conditional_mutual_information, emit_csv, gaussian_discord,
-                         mutual_information, parse_config, run_sweep, shannon_entropy,
+                         mutual_information, parse_config, run_sweeps, shannon_entropy,
                          symplectic_eigenvalues, validate_physicality, von_neumann_entropy)
 from thermalcast.cli import _PARSER, main
 from thermalcast.info import CLAMP_TOL
@@ -122,7 +122,7 @@ def test_parsed_small_sweep_runs_and_emits(text):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run.csv"
         try:
-            result = run_sweep(spec)
+            result = run_sweeps([spec])[0]
             emit_csv(result, out)
         except ThermalcastError:
             assert not out.exists()
@@ -150,11 +150,11 @@ def scenario_and_fixed(draw):
 @settings(max_examples=100)
 @given(scenario_and_fixed(), st.lists(st.floats(0.0, 3.0).map(lambda e: 10.0 ** e), min_size=2, max_size=2))
 def test_sweep_closed_form_matches_the_general_route(case, nus):
-    # run_sweep's closed forms against the full build and the general one-state measures, nu and
+    # run_sweeps' closed forms against the full build and the general one-state measures, nu and
     # every variance up to 1e3; above that the general route is the less accurate one
     name, fixed = case
-    result = run_sweep(SweepSpec(scenario=name, swept=SweptRange("nu", *nus, 2), fixed=fixed,
-                                 outputs=("cmi", "mi", "discord")))
+    result = run_sweeps([SweepSpec(scenario=name, swept=SweptRange("nu", *nus, 2), fixed=fixed,
+                                   outputs=("cmi", "mi", "discord"))])[0]
     assert result.n_failed == 0
     for i, nu in enumerate(result.swept.tolist()):
         scenario = build_scenario(name, ScenarioParams(**dict(fixed, nu=nu)))

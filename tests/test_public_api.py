@@ -7,7 +7,7 @@ import numpy as np
 
 import thermalcast
 from thermalcast import (Partition, ScenarioParams, ScenarioState, SweepSpec, SweptRange, ThermalcastError,
-                         build_scenario, make_epr, make_vacuum, mutual_information, reduce, run_sweep, run_sweeps)
+                         build_scenario, make_epr, make_vacuum, mutual_information, reduce, run_sweeps)
 
 # exception classes, constants and the types that are only returned
 EXEMPT = {
@@ -63,9 +63,8 @@ def valid_rows():
         "thermality_check": (epr, 0, 1, 1000, 0),
         "SweptRange": ("eta_ab", 0.2, 0.8, 3),
         "SweepSpec": ("basic", swept, {"nu": 2.0}, ("cmi", "g2"), 0, 1000),
-        "run_sweep": (cmi_spec,),
         "run_sweeps": ([cmi_spec],),
-        "emit_csv": (run_sweep(spec), "out.csv"),
+        "emit_csv": (run_sweeps([spec])[0], "out.csv"),
         "parse_config": ("scenario=basic\nsweep=eta_ab:0.2:0.8:3\noutputs=cmi\n",),
         "expand_preset": ("fig3",),
     }

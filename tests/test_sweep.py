@@ -10,7 +10,7 @@ import pytest
 import thermalcast.hbt
 import thermalcast.sweep
 from thermalcast import (SCENARIO_NAMES, ConfigError, NumericFailureError, ScenarioParams, SweepSpec, SweptRange,
-                         UsageError, emit_csv, expand_preset, parse_config, run_sweep, run_sweeps)
+                         UsageError, emit_csv, expand_preset, parse_config, run_sweeps)
 from thermalcast.cli import main
 from thermalcast.scenarios import pair_entries
 from thermalcast.scenarios import SCENARIO_PARAMS
@@ -82,7 +82,7 @@ def test_spec_validation_names_the_field(overrides, field):
 
 def test_spec_takes_integer_types_and_hands_fixed_values_to_params():
     spec = small_spec(swept=SweptRange("eta_ab", 0.2, 0.8, np.int64(4)))
-    assert len(run_sweep(spec).reasons) == 4
+    assert len(run_sweeps([spec])[0].reasons) == 4
     with pytest.raises(UsageError, match="^fixed: nu must be a finite number, got 'abc'$"):
         small_spec(fixed={"nu": "abc"})
 
@@ -197,7 +197,7 @@ def test_parse_missing_required_key(missing):
 
 
 def test_run_sweep_rows_ascend():
-    result = run_sweep(small_spec())
+    result = run_sweeps([small_spec()])[0]
     swept = result.swept.tolist()
     assert swept == sorted(swept)
     assert len(swept) == len(result.reasons) == 4
@@ -209,10 +209,10 @@ def test_run_sweep_rows_ascend():
 
 def test_run_sweep_descending_range_still_ascends():
     spec = small_spec(swept=SweptRange("eta_ab", 0.8, 0.2, 4))
-    result = run_sweep(spec)
+    result = run_sweeps([spec])[0]
     assert result.swept.tolist() == sorted(result.swept.tolist())
     # same physics as the ascending spec, point by point
-    forward = run_sweep(small_spec())
+    forward = run_sweeps([small_spec()])[0]
     assert result.swept == pytest.approx(forward.swept)
     assert result.columns["cmi"] == pytest.approx(forward.columns["cmi"], abs=1e-12)
 
@@ -237,7 +237,7 @@ def _failing_output(monkeypatch, spec, output, fails, message):
 def test_run_sweep_contains_point_failures(monkeypatch):
     spec = small_spec()
     _failing_output(monkeypatch, spec, "cmi", lambda eta: abs(eta - 0.4) < 1e-9, "synthetic disagreement")
-    result = run_sweep(spec)
+    result = run_sweeps([spec])[0]
     assert result.n_failed == 1
     assert not result.all_failed
     assert result.reasons[1] == ("synthetic disagreement",)
@@ -251,7 +251,7 @@ def test_failed_outputs_join_their_reasons(monkeypatch):
     # discord is made to fail first: the reasons still come in output order
     _failing_output(monkeypatch, spec, "discord", lambda eta: abs(eta - 0.4) < 1e-9, "second")
     _failing_output(monkeypatch, spec, "cmi", lambda eta: abs(eta - 0.4) < 1e-9, "first")
-    result = run_sweep(spec)
+    result = run_sweeps([spec])[0]
     assert result.n_failed == 1
     assert result.reasons[1] == ("first", "second")
     assert all(math.isnan(column[1]) for column in result.columns.values())
@@ -268,7 +268,7 @@ def test_run_sweep_flags_a_non_finite_cell(monkeypatch):
 
     monkeypatch.setattr(thermalcast.sweep, "pair_entries", entries)
     with np.errstate(divide="ignore", invalid="ignore"):
-        result = run_sweep(small_spec(outputs=("mi", "discord")))
+        result = run_sweeps([small_spec(outputs=("mi", "discord"))])[0]
     assert [bool(why) for why in result.reasons] == [False, False, True, False]
     assert result.reasons[2] == ("mi = inf is not finite", "discord = nan is not finite")
     assert math.isnan(result.columns["mi"][2]) and math.isnan(result.columns["discord"][2])
@@ -300,7 +300,7 @@ def test_one_pass_per_sample_count_matches_each_sweep_alone(monkeypatch):
     together = run_sweeps(specs)
     assert passes == [(3 * 99 + 5 * 100 + 8 * 99, ["cmi", "discord", "mi"]), (4 + 3, ["cmi", "mi"]), (4, [])]
     for spec, result in zip(specs, together):
-        _same_bits(result, run_sweep(spec))
+        _same_bits(result, run_sweeps([spec])[0])
     # each g2 point keeps the stream of its index in the range: the descending sweep's rows are points 2, 1, 0
     pairs = np.array([[entry[0] for entry in pair_entries(ScenarioParams(nu=nu, eta_ab=0.5))]
                       for nu in (3.0, 6.0, 9.0)])
@@ -345,7 +345,7 @@ def test_bright_sweeps_match_fifty_digit_references(case):
     # keeps the 12 digits a CSV prints; 1e-14 bits is a few eps on entropy terms of up to about
     # 20 bits that cancel to a small value
     lines = [f"scenario={case['scenario']}", f"sweep={BRIGHT['sweep']}", "outputs=cmi,mi,discord"]
-    result = run_sweep(parse_config("\n".join(lines + [f"{k}={v!r}" for k, v in case["fixed"].items()])))
+    result = run_sweeps([parse_config("\n".join(lines + [f"{k}={v!r}" for k, v in case["fixed"].items()]))])[0]
     assert result.n_failed == 0
     refs = np.array(case["cmi_mi_discord"], dtype=float)
     for out, ref in zip(("cmi", "mi", "discord"), refs.T):
@@ -361,7 +361,7 @@ def test_a_vacuum_source_shares_exactly_nothing(scenario):
     fixed = {name: value for name, value in fixed.items() if name in SCENARIO_PARAMS[scenario]}
     spec = SweepSpec(scenario=scenario, swept=SweptRange("eta_ab", 0.0, 1.0, 11), fixed=fixed,
                      outputs=("cmi", "mi", "discord"))
-    result = run_sweep(spec)
+    result = run_sweeps([spec])[0]
     assert {out: column.tolist() for out, column in result.columns.items()} == {
         out: [0.0] * 11 for out in ("cmi", "mi", "discord")}
 
@@ -384,7 +384,7 @@ def test_g2_cells_of_an_inconclusive_verdict_are_nan(tmp_path):
     # nu = 1 leaves the receivers in vacuum: g2check calls this inconclusive
     spec = parse_config("scenario=thermal_channel\nsweep=v_th:1:4:4\noutputs=cmi,g2\n"
                         "seed=1\nsamples=1000\n")
-    result = run_sweep(spec)
+    result = run_sweeps([spec])[0]
     assert result.n_failed == 0
     assert np.isnan(result.columns["g2"]).all()
     assert (result.columns["cmi"] == 0.0).all()
@@ -397,7 +397,7 @@ def test_g2_cells_of_an_inconclusive_verdict_are_nan(tmp_path):
 def test_a_g2_pair_that_does_not_factor_fails_only_its_row(tmp_path, monkeypatch):
     # d <= 0 at the second point: its g2 cell is nan with a '# failed:' line, and the other cells are unchanged
     spec = small_spec(outputs=("g2",), seed=11, samples=2000)
-    clean = run_sweep(spec).columns["g2"]
+    clean = run_sweeps([spec])[0].columns["g2"]
     real = thermalcast.sweep.pair_entries
 
     def broken(params):
@@ -406,7 +406,7 @@ def test_a_g2_pair_that_does_not_factor_fails_only_its_row(tmp_path, monkeypatch
         return a, b, c, d
 
     monkeypatch.setattr(thermalcast.sweep, "pair_entries", broken)
-    result = run_sweep(spec)
+    result = run_sweeps([spec])[0]
     assert result.reasons[1] == ("covariance matrix is not positive definite",)
     assert result.n_failed == 1
     g2 = result.columns["g2"]
@@ -419,8 +419,8 @@ def test_a_g2_pair_that_does_not_factor_fails_only_its_row(tmp_path, monkeypatch
 def test_g2_sweep_is_repeatable():
     spec = small_spec(outputs=("g2",), seed=123, samples=2000,
                       swept=SweptRange("eta_ab", 0.3, 0.7, 2))
-    first = run_sweep(spec)
-    second = run_sweep(spec)
+    first = run_sweeps([spec])[0]
+    second = run_sweeps([spec])[0]
     assert np.array_equal(first.columns["g2"], second.columns["g2"])
     # distinct points draw from distinct streams
     assert first.columns["g2"][0] != first.columns["g2"][1]
@@ -429,7 +429,7 @@ def test_g2_sweep_is_repeatable():
 def test_each_point_of_a_descending_g2_sweep_draws_its_key_alone():
     # point j of the range, wherever its row lands, is g2_pairs run alone on the key (seed, j)
     spec = small_spec(outputs=("g2",), seed=6, samples=1000, swept=SweptRange("nu", 9.0, 3.0, 4), fixed={})
-    result = run_sweep(spec)  # rows ascend: nu = 3, 5, 7, 9 are points 3, 2, 1, 0
+    result = run_sweeps([spec])[0]  # rows ascend: nu = 3, 5, 7, 9 are points 3, 2, 1, 0
     for j, nu in enumerate(spec.swept.values()):
         pair = np.array([entry[0] for entry in pair_entries(ScenarioParams(nu=nu))])
         alone = thermalcast.hbt.g2_pairs(pair[None], 1000, [(6, j)], [None])[0]
@@ -441,7 +441,7 @@ def test_adjacent_points_of_one_seed_draw_uncorrelated_rows(monkeypatch):
     n, drawn, piece_sums = 2 ** 15, [], thermalcast.hbt._piece_sums
     monkeypatch.setattr(thermalcast.hbt, "_piece_sums",
                         lambda vals, *rest: drawn.append(vals[:2].copy()) or piece_sums(vals, *rest))
-    run_sweep(small_spec(outputs=("g2",), seed=0, samples=n, swept=SweptRange("eta_ab", 0.5, 0.5, 2)))
+    run_sweeps([small_spec(outputs=("g2",), seed=0, samples=n, swept=SweptRange("eta_ab", 0.5, 0.5, 2))])
     assert len(drawn) == 2
     corr = np.corrcoef(np.vstack(drawn))  # I_a, I_b of one point, then of the other
     assert np.all(np.abs(corr[:2, 2:]) <= 5.0 / np.sqrt(n))
@@ -474,7 +474,7 @@ def test_g2_sweep_starts_one_pool_for_all_points(cpus, monkeypatch):
     monkeypatch.setattr(threading, "Thread", CountingThread)
     spec = small_spec(scenario="full", fixed={"nu": 5.0}, outputs=("g2",), seed=9, samples=40_000,
                       swept=SweptRange("eta_ab", 0.2, 0.8, 40))
-    result = run_sweep(spec)
+    result = run_sweeps([spec])[0]
     assert result.n_failed == 0
     assert len(started) <= cpus - 1
 
@@ -486,7 +486,7 @@ def test_g2_sweep_csv_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     for cpus in (1, 2, 3):
         monkeypatch.setattr(thermalcast.hbt, "_CPUS", cpus)
         out = tmp_path / f"cpus{cpus}.csv"
-        emit_csv(run_sweep(spec), out)
+        emit_csv(run_sweeps([spec])[0], out)
         tables.append([ln for ln in out.read_text().splitlines() if not ln.startswith("# generated")])
     assert tables[0] == tables[1] == tables[2]
 
@@ -496,7 +496,7 @@ def test_g2_sweep_csv_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
 
 
 def test_emit_csv_layout(tmp_path):
-    result = run_sweep(small_spec())
+    result = run_sweeps([small_spec()])[0]
     out = tmp_path / "sweep.csv"
     emit_csv(result, out)
     raw = out.read_bytes()
@@ -525,7 +525,7 @@ def test_emit_csv_layout(tmp_path):
 def test_emit_csv_names_the_generator_of_a_g2_run(tmp_path):
     spec = small_spec(outputs=("cmi", "g2"), seed=5, samples=1000)
     out = tmp_path / "g2.csv"
-    emit_csv(run_sweep(spec), out)
+    emit_csv(run_sweeps([spec])[0], out)
     lines = out.read_text().splitlines()
     at = lines.index("# samples: 1000")
     assert lines[at + 1] == f"# generator: {thermalcast.hbt.GENERATOR_ID}"
@@ -535,7 +535,7 @@ def test_emit_csv_names_the_generator_of_a_g2_run(tmp_path):
 def test_emit_csv_names_each_failed_row(tmp_path, monkeypatch):
     spec = small_spec(swept=SweptRange("nu", 2.0, 1e6, 2), fixed={})
     _failing_output(monkeypatch, spec, "cmi", lambda nu: nu > 1e5, "synthetic failure:\nsecond line")
-    result = run_sweep(spec)
+    result = run_sweeps([spec])[0]
     out = tmp_path / "failed.csv"
     emit_csv(result, out)
     lines = out.read_text().splitlines()
@@ -551,7 +551,7 @@ def test_emit_csv_metadata_keeps_twelve_digits(tmp_path):
     spec = parse_config("scenario=basic\nnu=1040.123456\nsweep=eta_ab:0.1234567:0.9:2\n"
                         "outputs=cmi\n")
     out = tmp_path / "digits.csv"
-    emit_csv(run_sweep(spec), out)
+    emit_csv(run_sweeps([spec])[0], out)
     lines = out.read_text().splitlines()
     assert "# fixed: nu=1040.123456" in lines
     assert "# sweep: eta_ab:0.1234567:0.9:2" in lines
@@ -561,8 +561,8 @@ def test_emit_csv_metadata_keeps_twelve_digits(tmp_path):
 def test_emit_csv_is_stable_across_runs(tmp_path):
     spec = small_spec()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(run_sweep(spec), a)
-    emit_csv(run_sweep(spec), b)
+    emit_csv(run_sweeps([spec])[0], a)
+    emit_csv(run_sweeps([spec])[0], b)
     keep = [ln for ln in a.read_text().splitlines() if not ln.startswith("# generated")]
     other = [ln for ln in b.read_text().splitlines() if not ln.startswith("# generated")]
     assert keep == other
@@ -591,13 +591,13 @@ def test_emit_csv_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(thermalcast.sweep, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="disk full"):
-        emit_csv(run_sweep(small_spec()), out)
+        emit_csv(run_sweeps([small_spec()])[0], out)
     assert out.read_text() == "old table\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
 
 def test_emit_csv_refuses_empty(tmp_path):
-    result = run_sweep(small_spec())
+    result = run_sweeps([small_spec()])[0]
     empty = type(result)(spec=result.spec, swept=np.empty(0),
                          columns={out: np.empty(0) for out in result.columns}, reasons=())
     with pytest.raises(UsageError):
@@ -605,7 +605,7 @@ def test_emit_csv_refuses_empty(tmp_path):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda path: run_sweep({}), "specs must be a list of SweepSpec, got list of dict"),
+    (lambda path: run_sweeps([{}])[0], "specs must be a list of SweepSpec, got list of dict"),
     (lambda path: run_sweeps(None), "specs must be a list of SweepSpec, got NoneType"),
     (lambda path: run_sweeps(small_spec()), "specs must be a list of SweepSpec, got SweepSpec"),
     (lambda path: emit_csv(None, path), "result must be a SweepResult, got NoneType"),
@@ -649,7 +649,7 @@ def test_emit_csv_from_columns_matches_the_per_row_text(tmp_path):
 def test_emit_csv_marks_failures_as_nan(tmp_path, monkeypatch):
     spec = small_spec(outputs=("cmi",))
     _failing_output(monkeypatch, spec, "cmi", lambda value: True, "synthetic")
-    result = run_sweep(spec)
+    result = run_sweeps([spec])[0]
     assert result.all_failed
     out = tmp_path / "failed.csv"
     emit_csv(result, out)
