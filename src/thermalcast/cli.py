@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ThermalcastError, UsageError
-from .hbt import GENERATOR_ID, VERDICT_INCONCLUSIVE, g2_pairs
+from .hbt import GENERATOR_ID, g2_pairs
 from .scenarios import ScenarioParams, pair_entries
-from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, SweepSpec, _format_value, emit_csv,
+from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, SweepSpec, _format_value, _g2_cell, emit_csv,
                     expand_preset, parse_config, run_sweeps)
 
 
@@ -82,9 +82,8 @@ def _cmd_g2check(args) -> int:
     [report] = g2_pairs(entries, args.samples, [(args.seed, 0)], errors)  # point 0: what a sweep's first point draws
     if errors[0]:
         raise errors[0]
-    estimate = np.nan if report.verdict == VERDICT_INCONCLUSIVE else report.g2_estimate  # as a sweep writes it
     print("params: " + " ".join(f"{name}={_format_value(getattr(params, name))}" for name in PARAM_NAMES))
-    print(f"g2 estimate: {estimate:.6g} +/- {report.std_error:.3g} ({report.n_samples} samples, jackknife)")
+    print(f"g2 estimate: {_g2_cell(report):.6g} +/- {report.std_error:.3g} ({report.n_samples} samples, jackknife)")
     print("g2 analytic: " + ("undefined" if report.g2_analytic is None else f"{report.g2_analytic:.6g}"))
     print(f"verdict: {report.verdict}")
     print(f"seed: {args.seed}  generator: {GENERATOR_ID}")

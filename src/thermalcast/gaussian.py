@@ -154,12 +154,9 @@ def beamsplitter(data: np.ndarray, mode_a: int, mode_b: int, eta: float) -> np.n
     return out / 2.0 + out.T / 2.0  # halving first: no overflow near the float limit
 
 
-def select_modes(data: np.ndarray, keep) -> np.ndarray:
-    """Principal submatrix of one matrix on the kept modes, in order.
-
-    The one home of the mode-index rule: distinct integers in [0, n).
-    """
-    n, modes = len(data) // 2, list(keep) if np.iterable(keep) else []
+def _mode_columns(n: int, keep) -> np.ndarray:
+    """Quadrature indices 2m, 2m + 1 of each kept mode m; the one mode-index rule: distinct integers in [0, n)."""
+    modes = list(keep) if np.iterable(keep) else []
     if not modes:
         raise InvalidArgumentError(f"keep must be an iterable of at least one mode index, got {keep!r}")
     for m in modes:
@@ -167,7 +164,12 @@ def select_modes(data: np.ndarray, keep) -> np.ndarray:
             raise InvalidArgumentError(f"mode index {m!r} is not an integer in [0, {n})")
     if len(set(modes)) != len(modes):
         raise InvalidArgumentError(f"duplicate mode index in {modes}")
-    idx = np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
+    return np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
+
+
+def select_modes(data: np.ndarray, keep) -> np.ndarray:
+    """Principal submatrix of one matrix on the kept modes, in order."""
+    idx = _mode_columns(len(data) // 2, keep)
     return data[idx[:, None], idx]
 
 
@@ -190,6 +192,12 @@ def check_variance(label: str, value: float) -> None:
         raise UnphysicalStateError(f"{label} must be >= 1 SNU, got {value}")
     if not value <= MAX_VARIANCE:  # also true for nan
         raise InvalidArgumentError(f"{label} must be <= {MAX_VARIANCE:g} SNU, got {value!r}")
+
+
+def check_transmittance(label: str, value: float) -> None:
+    """Raise unless ``value`` is a real number in [0, 1]; the message opens with ``label``."""
+    if not (_is_real(value) and 0.0 <= value <= 1.0):
+        raise InvalidArgumentError(f"{label} must lie in [0, 1], got {value!r}")
 
 
 def make_thermal(variance: float) -> CovarianceMatrix:
@@ -218,8 +226,7 @@ def apply_beamsplitter(state: CovarianceMatrix, mode_a: int, mode_b: int,
                        transmittance: float) -> CovarianceMatrix:
     """Mix two modes of one state on a beamsplitter: Gamma' = S Gamma S^T."""
     select_modes(check_state(state), [mode_a, mode_b])
-    if not (_is_real(transmittance) and 0.0 <= transmittance <= 1.0):
-        raise InvalidArgumentError(f"transmittance must lie in [0, 1], got {transmittance!r}")
+    check_transmittance("transmittance", transmittance)
     with np.errstate(over="ignore", invalid="ignore"):  # a mix past the float range is refused as non-finite
         return CovarianceMatrix(beamsplitter(state.data, mode_a, mode_b, float(transmittance)))
 

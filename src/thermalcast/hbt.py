@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UndefinedResultError
-from .gaussian import CovarianceMatrix, _cholesky, _is_integer, check_state, flag_rows, reduce, select_modes
+from .gaussian import (CovarianceMatrix, _cholesky, _is_integer, _mode_columns, check_state, flag_rows, reduce,
+                       select_modes)
 
 GENERATOR_ID = "sfc64/v7"
 
@@ -141,16 +142,13 @@ def _draw(rows: np.ndarray, keys, make_sink) -> None:
         raise failures[0]
 
 
-def _check_samples(samples: np.ndarray, *modes: int) -> None:
+def _check_samples(samples: np.ndarray, *modes: int) -> np.ndarray:
     if not isinstance(samples, np.ndarray):
         raise InvalidArgumentError(f"samples must be a numpy array, got {type(samples).__name__}")
     if samples.ndim != 2 or samples.shape[1] % 2 or samples.dtype.kind != "f":  # ints would square past int64
         raise InvalidArgumentError(f"samples must be an (n, 2k) array of floats, got shape {samples.shape} "
                                    f"{samples.dtype}")
-    n_modes = samples.shape[1] // 2
-    for mode in modes:
-        if not (_is_integer(mode) and 0 <= mode < n_modes):
-            raise InvalidArgumentError(f"mode {mode!r} is not an integer in [0, {n_modes})")
+    return _mode_columns(samples.shape[1] // 2, modes)
 
 
 def _intensities(quads: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -172,9 +170,9 @@ def intensity(samples: np.ndarray, mode: int) -> np.ndarray:
     sample that squares past the float range, or holds nan or inf, raises
     :class:`NumericFailureError`.
     """
-    _check_samples(samples, mode)
+    cols = _check_samples(samples, mode)
     with np.errstate(over="ignore"):  # an overflow shows in the result, refused below
-        out = _intensities(samples[:, 2 * mode:2 * mode + 2].T.copy(), np.empty((1, len(samples))))[0]
+        out = _intensities(samples[:, cols].T, np.empty((1, len(samples))))[0]
     if not np.isfinite(out).all():
         raise NumericFailureError(f"intensity not finite: {_NOT_FINITE}")
     return out
@@ -216,14 +214,11 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     run by the sampler's row blocks, as in :func:`thermality_check`, so both
     give the same bits for the same draw.
     """
-    _check_samples(samples, mode_a, mode_b)  # first: len() of a non-array can raise
+    cols = _check_samples(samples, mode_a, mode_b)  # first: len() of a non-array can raise
     n = len(samples)
     _check_draw(n, [], MIN_G2_SAMPLES)
-    if mode_a == mode_b:
-        raise InvalidArgumentError("cross-correlation needs two distinct modes")
     rows, cuts, bounds = _layout(n, _ONE_THREAD_GEMM // samples.shape[1] ** 2)
     pieces, scratch = np.empty((3, len(cuts) - 1)), np.empty((3, np.diff(rows).max()))
-    cols = [2 * mode_a, 2 * mode_a + 1, 2 * mode_b, 2 * mode_b + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the sums, refused below
         for start, stop in zip(rows, rows[1:]):
             _piece_sums(_intensities(samples[start:stop, cols].T, scratch[:, :stop - start]), start, cuts, pieces)

@@ -25,8 +25,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, beamsplitter, check_state, check_variance,
-                       direct_sum, epr, select_modes)
+from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, beamsplitter, check_state, check_transmittance,
+                       check_variance, direct_sum, epr, select_modes)
 from .info import Partition
 
 MODE_E = "E"
@@ -51,7 +51,7 @@ class ScenarioParams:
     """Physical knobs of the broadcast.
 
     Every field must be a finite number. Variances are in SNU within [1, MAX_VARIANCE]
-    (:func:`check_variance`); transmittances live in [0, 1]. Channel fields default
+    (:func:`check_variance`); transmittances in [0, 1] (:func:`check_transmittance`). Channel fields default
     to the transparent setting (eta = 1, vacuum idler), so the same params object
     drives all three topologies. These are the only domain rules; sweeps reuse them.
     """
@@ -79,15 +79,9 @@ class ScenarioParams:
             raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
         if name in VARIANCE_PARAMS:
             check_variance(f"{name} is a variance and", value)
-        if name in TRANSMITTANCE_PARAMS and not 0.0 <= value <= 1.0:
-            raise InvalidArgumentError(f"{name} is a transmittance and must lie in [0, 1], got {value}")
+        if name in TRANSMITTANCE_PARAMS:
+            check_transmittance(f"{name} is a transmittance and", value)
         return float(value)
-
-
-def _check_params(params) -> ScenarioParams:
-    if not isinstance(params, ScenarioParams):  # a look-alike would skip the domain rules
-        raise InvalidArgumentError(f"params must be a ScenarioParams, got {type(params).__name__}")
-    return params
 
 
 @dataclass(frozen=True)
@@ -145,12 +139,20 @@ def _network(p: ScenarioParams) -> np.ndarray:
     return select_modes(state, [0, 2, 1, 3, 4, 5])  # built as (E, B, V, A, V_a, V_b)
 
 
+def _check_scenario(name: str) -> tuple[str, ...]:
+    """The parameters topology ``name`` reads, else raise: the one home of the scenario-name rule."""
+    if not isinstance(name, str) or name not in SCENARIO_PARAMS:  # a list is unhashable, an array ambiguous
+        raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    return SCENARIO_PARAMS[name]
+
+
 def _topology(name: str, params, route) -> tuple[tuple[str, ...], np.ndarray]:
     """Topology ``name`` as its labels and their slots of ``route``'s network, at the fields of ``params`` it reads
     and every other field at its transparent default."""
-    if not isinstance(name, str) or name not in SCENARIO_PARAMS:  # a list is unhashable, an array ambiguous
-        raise InvalidArgumentError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-    p = ScenarioParams(**{field: getattr(_check_params(params), field) for field in SCENARIO_PARAMS[name]})
+    fields = _check_scenario(name)
+    if not isinstance(params, ScenarioParams):  # a look-alike would skip the domain rules
+        raise InvalidArgumentError(f"params must be a ScenarioParams, got {type(params).__name__}")
+    p = ScenarioParams(**{field: getattr(params, field) for field in fields})
     return _LABELS[name], select_modes(route(p), [_SLOTS.index(label) for label in _LABELS[name]])
 
 

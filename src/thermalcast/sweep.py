@@ -24,7 +24,7 @@ from .errors import ConfigError, InvalidArgumentError, UnphysicalStateError, Usa
 from .gaussian import _is_integer
 from .hbt import GENERATOR_ID, MIN_G2_SAMPLES, VERDICT_INCONCLUSIVE, _check_draw, g2_pairs
 from .info import pair_measures
-from .scenarios import PARAM_NAMES, SCENARIO_NAMES, SCENARIO_PARAMS, ScenarioParams, pair_entries
+from .scenarios import PARAM_NAMES, SCENARIO_PARAMS, ScenarioParams, _check_scenario, pair_entries
 
 OUTPUT_NAMES = ("cmi", "mi", "discord", "g2")
 
@@ -41,16 +41,21 @@ def _reject(field: str, message: str, key: str | None = None) -> UsageError:
     return exc
 
 
+def _checked(field: str, check, *args, key: str | None = None) -> None:
+    """Run ``check(*args)``; a complaint it raises is raised again as one about ``field``, as :func:`_reject`."""
+    try:
+        check(*args)
+    except (InvalidArgumentError, UnphysicalStateError) as exc:
+        raise _reject(field, str(exc), key) from None
+
+
 def _check_domain(field: str, scenario: str, name: str, value: float, key: str | None = None):
     """Raise the complaint about one parameter of ``scenario``, if any: foreign, or outside :class:`ScenarioParams`."""
     if not isinstance(name, str) or name not in PARAM_NAMES:
         raise _reject(field, f"unknown parameter {name!r}", key)
     if name not in SCENARIO_PARAMS[scenario]:  # it would be ignored silently
         raise _reject(field, f"scenario {scenario!r} does not read parameter {name!r}", key)
-    try:
-        ScenarioParams.check_field(name, value)
-    except (InvalidArgumentError, UnphysicalStateError) as exc:
-        raise _reject(field, str(exc), key) from None
+    _checked(field, ScenarioParams.check_field, name, value, key=key)
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,7 @@ class SweepSpec:
     samples: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.scenario, str) or self.scenario not in SCENARIO_NAMES:
-            raise _reject("scenario", f"unknown value {self.scenario!r}, choose from {SCENARIO_NAMES}")
+        _checked("scenario", _check_scenario, self.scenario)
         for name, kind in (("swept", SweptRange), ("fixed", dict), ("outputs", tuple)):
             if not isinstance(getattr(self, name), kind):  # a look-alike fails far from here, or not at all
                 raise _reject(name, f"must be a {kind.__name__}, got {type(getattr(self, name)).__name__}")
@@ -119,10 +123,7 @@ class SweepSpec:
             if self.samples is None:
                 object.__setattr__(self, "samples", DEFAULT_G2_SAMPLES)
             for name, keys in (("samples", []), ("seed", [(self.seed, 0)])):  # each complaint on its own line
-                try:
-                    _check_draw(self.samples, keys, MIN_G2_SAMPLES)
-                except InvalidArgumentError as exc:
-                    raise _reject(name, str(exc)) from None
+                _checked(name, _check_draw, self.samples, keys, MIN_G2_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -166,9 +167,7 @@ def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
         if "g2" in errors:  # point k of a range samples its pair [[a I, c I], [c I, b I]] on the streams (seed, k)
             keys = [(spec.seed, int(k)) for _, spec in group for k in np.argsort(spec.swept.values(), kind="stable")]
             reports = g2_pairs(np.stack([entry[0] for entry in entries], axis=-1), samples, keys, errors["g2"])
-            # no photons to correlate: the ratio is noise, not a g2 value
-            cells["g2"] = np.array([r.g2_estimate if r and r.verdict != VERDICT_INCONCLUSIVE else np.nan
-                                    for r in reports])
+            cells["g2"] = np.array([_g2_cell(report) for report in reports])
         for (i, spec), lo, hi in zip(group, bounds, bounds[1:]):
             reasons = [()] * (hi - lo)
             for out in spec.outputs:  # in output order; compress visits only the rows that hold a failure
@@ -177,6 +176,11 @@ def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
             columns = {out: cells[out][lo:hi] for out in spec.outputs}
             results[i] = SweepResult(spec, params[spec.swept.name][lo:hi], columns, tuple(reasons))
     return results
+
+
+def _g2_cell(report) -> float:
+    """The g2 value a sweep and ``g2check`` write: nan for a failed or an inconclusive draw, whose ratio is noise."""
+    return report.g2_estimate if report and report.verdict != VERDICT_INCONCLUSIVE else np.nan
 
 
 def _format_value(value: float) -> str:

@@ -9,7 +9,9 @@ Each tree runs in its own interpreter, with that tree first on ``PYTHONPATH``:
 * ``figure --name all``: the preset CSVs;
 * a bright ``full`` g2 sweep, where every verdict is far from the 3-sigma noise line;
 * a ``basic`` g2 sweep across that line: nu 1.0:1.1:401, eta_ab 0.5, 20,000 samples, seed 99;
-* five ``g2check`` calls, their stdout kept as a text file each.
+* five ``g2check`` calls, their stdout kept as a text file each;
+* refused runs (``REFUSED``): each one's exit code and ``error:`` lines, kept as a text file each, so a
+  change that moves a rule shows every sentence it changed.
 
 It prints every line that differs, ignoring ``# generated`` stamps, then one summary line per file
 with its count of differing lines and of ``nan`` cells in each tree. It exits 1 when any line differs.
@@ -35,15 +37,36 @@ G2CHECKS = [
     ["--nu", "1", "--seed", "4"],
     ["--nu", "1.02", "--eta-ab", "0.5", "--samples", "20000", "--seed", "5"],
 ]
+# Runs the CLI must refuse: a list is a config for ``sweep``, a tuple a whole argv.
+REFUSED = {
+    "config_scenario": ["scenario=bogus", "sweep=eta_ab:0.1:0.9:9", "outputs=cmi"],
+    "config_transmittance": ["scenario=basic", "eta_ab=1.5", "sweep=nu:1:2:3", "outputs=cmi"],
+    "config_swept_transmittance": ["scenario=basic", "sweep=eta_ab:0.1:1.5:3", "outputs=cmi"],
+    "config_variance": ["scenario=basic", "nu=0.5", "sweep=eta_ab:0.1:0.9:3", "outputs=cmi"],
+    "config_foreign_parameter": ["scenario=basic", "eta_th=0.5", "sweep=eta_ab:0.1:0.9:3", "outputs=cmi"],
+    "config_unknown_parameter": ["scenario=basic", "sweep=mass:0.1:0.9:3", "outputs=cmi"],
+    "config_unknown_output": ["scenario=basic", "sweep=eta_ab:0.1:0.9:3", "outputs=cmi,g3"],
+    "config_no_seed": ["scenario=basic", "sweep=eta_ab:0.1:0.9:3", "outputs=g2"],
+    "config_few_samples": ["scenario=basic", "sweep=eta_ab:0.1:0.9:3", "outputs=g2", "seed=1", "samples=10"],
+    "g2check_transmittance": ("g2check", "--eta-ab", "1.5", "--seed", "1"),
+    "g2check_variance": ("g2check", "--nu", "0.5", "--seed", "1"),
+    "g2check_huge_variance": ("g2check", "--v-th", "1e7", "--seed", "1"),
+    "g2check_few_samples": ("g2check", "--samples", "10", "--seed", "1"),
+    "g2check_seed": ("g2check", "--seed", "-1"),
+    "figure_unknown": ("figure", "--name", "fig9", "--out-dir", "figures"),
+}
 
 
 def run_tree(src: Path, out: Path) -> None:
     """Write every output of one tree into ``out``."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
 
-    def cli(*argv):
-        done = subprocess.run([sys.executable, "-m", "thermalcast.cli", *argv], cwd=out, env=env,
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "thermalcast.cli", *argv], cwd=out, env=env,
                               capture_output=True, text=True)
+
+    def cli(*argv):
+        done = run(*argv)
         if done.returncode:
             sys.exit(f"{src}: {' '.join(argv)} exited {done.returncode}: {done.stderr.strip()}")
         return done.stdout
@@ -55,6 +78,13 @@ def run_tree(src: Path, out: Path) -> None:
         cli("sweep", "--config", f"{name}.cfg", "--out", f"{name}.csv")
     for k, argv in enumerate(G2CHECKS):
         (out / f"g2check_{k}.txt").write_text(cli("g2check", *argv))
+    for name, argv in REFUSED.items():
+        if isinstance(argv, list):
+            (out / f"{name}.cfg").write_text("\n".join(argv) + "\n")
+            argv = ("sweep", "--config", f"{name}.cfg", "--out", f"{name}.csv")
+        done = run(*argv)
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        (out / f"refused_{name}.txt").write_text("\n".join([f"exit {done.returncode}", *errors]) + "\n")
 
 
 def kept_lines(path: Path) -> list[str]:
@@ -70,7 +100,8 @@ def main(old_src: str, new_src: str) -> int:
         if csvs[0] != csvs[1]:
             print(f"the trees wrote different CSV files: {csvs[0]} and {csvs[1]}")
             return 1
-        names = csvs[0] + [f"g2check_{k}.txt" for k in range(len(G2CHECKS))]
+        names = (csvs[0] + [f"g2check_{k}.txt" for k in range(len(G2CHECKS))]
+                 + [f"refused_{name}.txt" for name in REFUSED])
         summary, differ = [], False
         for name in names:
             before, after = kept_lines(old / name), kept_lines(new / name)

@@ -245,7 +245,7 @@ def test_intensity_needs_two_columns_per_mode():
             intensity(samples, 0)
         with pytest.raises(InvalidArgumentError, match="must be an \\(n, 2k\\) array"):
             g2_cross_estimate(samples, 0, 1)
-    with pytest.raises(InvalidArgumentError, match="mode 0.5 is not an integer"):
+    with pytest.raises(InvalidArgumentError, match="mode index 0.5 is not an integer"):
         intensity(np.zeros((100, 4)), 0.5)
     # a list used to end in a bare AttributeError on .ndim
     rows = np.zeros((5000, 4)).tolist()

@@ -6,8 +6,11 @@ from collections.abc import Hashable
 import numpy as np
 
 import thermalcast
-from thermalcast import (Partition, ScenarioParams, ScenarioState, SweepSpec, SweptRange, ThermalcastError,
-                         build_scenario, make_epr, make_vacuum, mutual_information, reduce, run_sweeps)
+from thermalcast import (SCENARIO_NAMES, Partition, ScenarioParams, ScenarioState, SweepSpec, SweptRange,
+                         ThermalcastError, apply_beamsplitter, build_scenario, g2_analytic, g2_cross_estimate,
+                         intensity, make_epr, make_vacuum, mutual_information, parse_config, reduce, run_sweeps,
+                         thermality_check)
+from thermalcast.cli import main
 
 # exception classes, constants and the types that are only returned
 EXEMPT = {
@@ -125,3 +128,50 @@ def test_every_nested_argument_returns_or_raises_a_thermalcast_error():
             except Exception as exc:  # noqa: BLE001 - any other exception is the leak this test looks for
                 leaks.append(f"{name} = {wrong!r}: {type(exc).__name__}: {exc}")
     assert not leaks, "\n".join(leaks)
+
+
+def test_each_rule_gives_one_sentence_at_every_entry_point(capsys):
+    """A rule with one home words its refusal the same through every public door; a door may only prefix it."""
+    epr, samples = make_epr(2.0), np.random.default_rng(0).standard_normal((1000, 4))
+
+    def g2check(*argv):  # the CLI door: its error line
+        assert main(["g2check", "--seed", "1", *argv]) == 1
+        return capsys.readouterr().err.rstrip("\n")
+
+    table = {
+        "mode index 0.5 is not an integer in [0, 2)": [
+            ("", lambda: intensity(samples, 0.5)),
+            ("", lambda: g2_cross_estimate(samples, 0.5, 1)),
+            ("", lambda: reduce(epr, [0.5, 1])),
+            ("", lambda: g2_analytic(epr, 0.5, 1)),
+            ("", lambda: thermality_check(epr, 0.5, 1, 1000, 0)),
+        ],
+        "duplicate mode index in [1, 1]": [
+            ("", lambda: g2_cross_estimate(samples, 1, 1)),
+            ("", lambda: reduce(epr, [1, 1])),
+            ("", lambda: g2_analytic(epr, 1, 1)),
+            ("", lambda: thermality_check(epr, 1, 1, 1000, 0)),
+        ],
+        "must lie in [0, 1], got 1.5": [
+            ("transmittance ", lambda: apply_beamsplitter(epr, 0, 1, 1.5)),
+            ("eta_ab is a transmittance and ", lambda: ScenarioParams(eta_ab=1.5)),
+            ("line 2: fixed: eta_ab is a transmittance and ",
+             lambda: parse_config("scenario=basic\neta_ab=1.5\nsweep=nu:1:2:3\noutputs=cmi\n")),
+            ("error: eta_ab is a transmittance and ", lambda: g2check("--eta-ab", "1.5")),
+        ],
+        f"unknown scenario 'bogus'; choose from {SCENARIO_NAMES}": [
+            ("", lambda: build_scenario("bogus", ScenarioParams())),
+            ("scenario: ", lambda: SweepSpec("bogus", SweptRange("eta_ab", 0.2, 0.8, 3))),
+            ("line 1: scenario: ", lambda: parse_config("scenario=bogus\nsweep=eta_ab:0.2:0.8:3\noutputs=cmi\n")),
+        ],
+    }
+    wrong = []
+    for sentence, doors in table.items():
+        for prefix, door in doors:
+            try:
+                said = door()
+            except ThermalcastError as exc:
+                said = str(exc)
+            if not (isinstance(said, str) and said == prefix + sentence):
+                wrong.append(f"said {said!r}, not {prefix + sentence!r}")
+    assert not wrong, "\n".join(wrong)
