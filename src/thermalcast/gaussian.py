@@ -189,7 +189,7 @@ def check_variance(label: str, value: float) -> None:
     if not _is_real(value):
         raise InvalidArgumentError(f"{label} must be a real number, got {value!r}")
     if value < 1.0:
-        raise UnphysicalStateError(f"{label} must be >= 1 SNU, got {value}")
+        raise UnphysicalStateError(f"{label} must be >= 1 SNU, got {value!r}")
     if not value <= MAX_VARIANCE:  # also true for nan
         raise InvalidArgumentError(f"{label} must be <= {MAX_VARIANCE:g} SNU, got {value!r}")
 

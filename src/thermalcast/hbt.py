@@ -9,15 +9,15 @@ error bar, and compare against the exact Gaussian-moment value.
 Sampling is the only randomness in the package, and this module owns its one stream rule: block k of point j
 draws from ``SFC64(SeedSequence(seed, spawn_key=(j, k)))``, j a sweep point's index in its range and 0 for a
 one-pair draw. ``GENERATOR_ID`` names the generator in every g2 output, so (seed, point) pins the bytes on any
-platform and any number of CPUs. ``sample_quadratures`` stores the rows and
-``thermality_check`` sums each as drawn, on blocks that keep BLAS on one thread;
-``g2_pairs`` (sweeps, ``g2check``) forms a pair's intensities on its own blocks.
+platform and any number of CPUs. ``sample_quadratures`` stores the rows and ``thermality_check`` sums each as drawn,
+on blocks that keep BLAS on one thread; ``g2_pairs`` (sweeps, ``g2check``) forms a pair's intensities on its own
+blocks. A draw's tables of sums are reported together, in array passes that keep each point's bits.
 """
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,8 @@ _VACUUM_PHOTONS = 1e-12
 
 # OpenBLAS runs a gemm of rows * d * d <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread
 _ONE_THREAD_GEMM = 2 ** 18
+
+_REPORT_POINTS = 2 ** 7  # points per report pass: each of its (points, 3, JACKKNIFE_BLOCKS) temporaries is 0.3 MB
 
 # Threads per draw: the CPUs this process may run on when imported; ``taskset`` narrows them
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -185,34 +187,32 @@ def _piece_sums(vals, start, cuts, pieces) -> None:
     np.add.reduceat(vals, cuts[first:last] - start, axis=1, out=pieces[:, first:last])
 
 
-def _report(pieces: np.ndarray, cuts: np.ndarray, bounds: np.ndarray) -> G2Report:
-    """Estimate, jackknife errors and verdict from the three sums per piece; a mean within 3 errors of 0 is noise."""
+def _report(pieces: np.ndarray, cuts: np.ndarray, bounds: np.ndarray, exact: list) -> list:
+    """Each point's report, with ``exact`` as its g2_analytic, from an (N, 3, P) stack of its three sums per piece."""
     n, counts = int(bounds[-1]), np.diff(bounds)
-    # sums[:, j] holds jackknife block j's sums of I_a, I_b and I_a I_b
-    sums = np.add.reduceat(pieces, np.searchsorted(cuts, bounds[:-1]), axis=1)
-    totals = sums.sum(axis=1)
+    sums = np.add.reduceat(pieces, np.searchsorted(cuts, bounds[:-1]), axis=2)  # [i, :, j]: point i's block j sums
+    totals = sums.sum(axis=2)
     means = totals / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        estimate = float(means[2] / (means[0] * means[1]))
-        held = (totals[:, None] - sums) / (n - counts)  # column j: the means of I_a, I_b and I_a I_b without block j
-        held[2] /= held[0] * held[1]  # and the ratio; one jackknife gives the error of all three
+    with np.errstate(divide="ignore", invalid="ignore"):  # a failed point's zero sums read nan; it reports None
+        estimates = means[:, 2] / (means[:, 0] * means[:, 1])
+        held = (totals[:, :, None] - sums) / (n - counts)  # [i, :, j]: point i's means without block j
+        held[:, 2] /= held[:, 0] * held[:, 1]  # and the ratio; one jackknife gives the error of all three
         errors = np.sqrt((JACKKNIFE_BLOCKS - 1) / JACKKNIFE_BLOCKS
-                         * np.sum((held - held.mean(axis=1, keepdims=True)) ** 2, axis=1))
-    verdict = (VERDICT_INCONCLUSIVE if np.any(means[:2] <= 3.0 * errors[:2])
-               else VERDICT_THERMAL if estimate - 3.0 * errors[2] > 1.0 else VERDICT_NOT_THERMAL)
-    return G2Report(g2_estimate=estimate, std_error=float(errors[2]), g2_analytic=None, n_samples=n, verdict=verdict)
+                         * np.sum((held - held.mean(axis=2, keepdims=True)) ** 2, axis=2))
+        # 2 where a mean is within 3 errors of 0 (noise), else 1 where the estimate is 3 errors above 1, else 0
+        kinds = np.where(np.any(means[:, :2] <= 3.0 * errors[:, :2], axis=1), 2, estimates - 3.0 * errors[:, 2] > 1.0)
+    return [G2Report(estimate, error, value, n, (VERDICT_NOT_THERMAL, VERDICT_THERMAL, VERDICT_INCONCLUSIVE)[kind])
+            for estimate, error, value, kind in zip(estimates.tolist(), errors[:, 2].tolist(), exact, kinds.tolist())]
 
 
 def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report:
     """Estimate g2(0) between two modes: <I_a I_b> / (<I_a><I_b>).
 
-    The standard error comes from a delete-one-block jackknife with
-    ``JACKKNIFE_BLOCKS`` blocks. A mean intensity within three of its own
-    jackknife errors of zero makes the ratio meaningless; that yields the
-    inconclusive verdict, never an exception. The analytic field is left unset; compare
-    against :func:`g2_analytic` or use :func:`thermality_check`. The sums
-    run by the sampler's row blocks, as in :func:`thermality_check`, so both
-    give the same bits for the same draw.
+    The standard error comes from a delete-one-block jackknife with ``JACKKNIFE_BLOCKS`` blocks. A mean intensity
+    within three of its own jackknife errors of zero makes the ratio meaningless; that yields the inconclusive verdict,
+    never an exception. The analytic field is left unset; compare against :func:`g2_analytic` or use
+    :func:`thermality_check`. The sums run by the sampler's row blocks and go through the same report pass as
+    :func:`thermality_check`'s, so both give the same bits for the same draw.
     """
     cols = _check_samples(samples, mode_a, mode_b)  # first: len() of a non-array can raise
     n = len(samples)
@@ -224,15 +224,15 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
             _piece_sums(_intensities(samples[start:stop, cols].T, scratch[:, :stop - start]), start, cuts, pieces)
     if not np.isfinite(pieces).all():  # checked on the sums, not by another pass over the samples
         raise NumericFailureError(f"g2 sums not finite: {_NOT_FINITE}")
-    return _report(pieces, cuts, bounds)
+    return _report(pieces[None], cuts, bounds, [None])[0]
 
 
-def _g2_sums(n_samples: int, keys, errors: list, block: int, width: int, fill) -> list:
-    """Each keyed pair's blocks of at most ``block`` rows, in one pool, to piece sums: a report per pair, None on a row
-    failed in ``errors`` (it draws nothing). ``fill(i, rng, vals)`` takes ``width`` rows, returns 3, I_a first."""
+def _g2_sums(n_samples: int, keys, errors: list, exact: list, block: int, width: int, fill) -> list:
+    """Each keyed pair's blocks of at most ``block`` rows, in one pool, to piece sums: a report with its ``exact`` value
+    (None if failed in ``errors``: not drawn). ``fill(i, rng, vals)`` takes ``width`` rows, returns 3, I_a first."""
     _check_draw(n_samples, keys, MIN_G2_SAMPLES)
     rows, cuts, bounds = _layout(n_samples, block)
-    pieces = np.empty((len(keys), 3, len(cuts) - 1))
+    pieces = np.zeros((len(keys), 3, len(cuts) - 1))  # a failed row's stay 0
 
     def make_sink(m):  # per thread: one buffer, cut into ``width`` rows of each block's length
         scratch = np.empty(width * m)
@@ -240,7 +240,8 @@ def _g2_sums(n_samples: int, keys, errors: list, block: int, width: int, fill) -
             fill(i, rng, scratch[:width * (stop - start)].reshape(width, -1)), start, cuts, pieces[i])
 
     _draw(rows, keys, make_sink)
-    return [None if exc else _report(sums, cuts, bounds) for exc, sums in zip(errors, pieces)]
+    return [None if exc else report for i in range(0, len(keys), _REPORT_POINTS) for exc, report in zip(
+        errors[i:i + _REPORT_POINTS], _report(pieces[i:i + _REPORT_POINTS], cuts, bounds, exact[i:i + _REPORT_POINTS]))]
 
 
 def _flag_huge(stack: np.ndarray, errors: list) -> None:
@@ -277,10 +278,9 @@ def g2_pairs(pairs: np.ndarray, n_samples: int, keys, errors: list) -> list:
         vals[:2] -= 0.5
         return vals[:3]
 
-    reports = _g2_sums(n_samples, keys, errors, 2 ** 15, 4, fill)  # 4 rows of 2^15 per thread: 1 MiB, within L2
-    return [report and replace(report, g2_analytic=None if min(a - 1.0, b - 1.0) / 2.0 <= _VACUUM_PHOTONS
-                               else 1.0 + c * c / ((a - 1.0) * (b - 1.0)))
-            for report, (a, b, c, _) in zip(reports, pairs.tolist())]
+    exact = [None if min(a - 1.0, b - 1.0) / 2.0 <= _VACUUM_PHOTONS else 1.0 + c * c / ((a - 1.0) * (b - 1.0))
+             for a, b, c, _ in pairs.tolist()]
+    return _g2_sums(n_samples, keys, errors, exact, 2 ** 15, 4, fill)  # 4 rows of 2^15 per thread: 1 MiB, within L2
 
 
 def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
@@ -328,4 +328,4 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
         normals = rng.standard_normal(out=vals[3:7].reshape(-1, 4))
         return _intensities(np.matmul(factor, normals.T, out=vals[7:]), vals[:3])
 
-    return replace(_g2_sums(n_samples, [(seed, 0)], [None], _ONE_THREAD_GEMM // 4 ** 2, 11, fill)[0], g2_analytic=exact)
+    return _g2_sums(n_samples, [(seed, 0)], [None], [exact], _ONE_THREAD_GEMM // 4 ** 2, 11, fill)[0]

@@ -9,6 +9,8 @@ Each tree runs in its own interpreter, with that tree first on ``PYTHONPATH``:
 * ``figure --name all``: the preset CSVs;
 * a bright ``full`` g2 sweep, where every verdict is far from the 3-sigma noise line;
 * a ``basic`` g2 sweep across that line: nu 1.0:1.1:401, eta_ab 0.5, 20,000 samples, seed 99;
+* a ``basic`` g2 sweep of 2,500 points at 1,000 samples, more than one report pass of ``hbt._REPORT_POINTS``
+  points, so the seams between passes are compared too;
 * five ``g2check`` calls, their stdout kept as a text file each;
 * refused runs (``REFUSED``): each one's exit code and ``error:`` lines, kept as a text file each, so a
   change that moves a rule shows every sentence it changed.
@@ -28,6 +30,8 @@ SWEEPS = {
                        "samples=100000"],
     "straddle_basic_g2": ["scenario=basic", "eta_ab=0.5", "sweep=nu:1.0:1.1:401", "outputs=g2", "seed=99",
                           "samples=20000"],
+    "slices_basic_g2": ["scenario=basic", "nu=10", "sweep=eta_ab:0.01:0.99:2500", "outputs=g2", "seed=7",
+                        "samples=1000"],
 }
 G2CHECKS = [
     ["--nu", "10", "--eta-ab", "0.5", "--seed", "1"],

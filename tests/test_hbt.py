@@ -528,7 +528,7 @@ def test_g2_pairs_is_exact_in_distribution(scenario, params, monkeypatch):
     # the three sums the estimator keeps, from its pieces; the squares from the intensities it sums them from
     totals, squares, report, piece_sums = [], [], hbt._report, hbt._piece_sums
     monkeypatch.setattr(hbt, "_report",
-                        lambda pieces, *rest: totals.append(pieces.sum(axis=1)) or report(pieces, *rest))
+                        lambda pieces, *rest: totals.extend(pieces.sum(axis=-1)) or report(pieces, *rest))
     monkeypatch.setattr(hbt, "_piece_sums",
                         lambda vals, *rest: squares.append(np.sum(vals[:2] ** 2, axis=1)) or piece_sums(vals, *rest))
     reports = hbt.g2_pairs(np.tile(entries, (k, 1)), n, [(s, 0) for s in range(k)], [None] * k)
@@ -575,6 +575,23 @@ def test_g2_pairs_fails_only_the_rows_that_are_not_positive_definite(monkeypatch
     for i in (0, 7):
         assert errors[i] is None
         assert reports[i] == hbt.g2_pairs(pairs[i:i + 1], 2000, [keys[i]], [None])[0]
+
+
+def test_g2_pairs_reports_a_stack_as_its_one_point_calls(monkeypatch):
+    # one report pass and three points more: a vacuum source closes the first pass and a row that fails before the
+    # draw opens the second; each point's report equals its own draw on the same (seed, point), in passes, not per point
+    cases = [entries_of(**params) for _, params in PAIR_CASES]
+    n_points, seam = hbt._REPORT_POINTS + 3, hbt._REPORT_POINTS
+    pairs = np.array([cases[i % len(cases)] for i in range(n_points)])
+    pairs[seam - 1], pairs[seam] = entries_of(nu=1.0), [np.nan, 1.5, -0.5, 2.0]
+    keys, errors, passes, report = [(11, i) for i in range(n_points)], [None] * n_points, [], hbt._report
+    monkeypatch.setattr(hbt, "_report", lambda pieces, *rest: passes.append(len(pieces)) or report(pieces, *rest))
+    reports = hbt.g2_pairs(pairs, hbt.MIN_G2_SAMPLES, keys, errors)
+    assert passes == [hbt._REPORT_POINTS, 3]
+    assert reports[seam - 1].g2_analytic is None and reports[seam] is None
+    assert isinstance(errors[seam], NumericFailureError) and errors.count(None) == n_points - 1
+    for i, key in enumerate(keys):
+        assert reports[i] == hbt.g2_pairs(pairs[i:i + 1], hbt.MIN_G2_SAMPLES, [key], [None])[0]
 
 
 def test_g2_pairs_stream_matches_committed_literals(monkeypatch):

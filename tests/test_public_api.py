@@ -8,8 +8,8 @@ import numpy as np
 import thermalcast
 from thermalcast import (SCENARIO_NAMES, Partition, ScenarioParams, ScenarioState, SweepSpec, SweptRange,
                          ThermalcastError, apply_beamsplitter, build_scenario, g2_analytic, g2_cross_estimate,
-                         intensity, make_epr, make_vacuum, mutual_information, parse_config, reduce, run_sweeps,
-                         thermality_check)
+                         intensity, make_epr, make_thermal, make_vacuum, mutual_information, parse_config, reduce,
+                         run_sweeps, thermality_check)
 from thermalcast.cli import main
 
 # exception classes, constants and the types that are only returned
@@ -158,6 +158,21 @@ def test_each_rule_gives_one_sentence_at_every_entry_point(capsys):
             ("line 2: fixed: eta_ab is a transmittance and ",
              lambda: parse_config("scenario=basic\neta_ab=1.5\nsweep=nu:1:2:3\noutputs=cmi\n")),
             ("error: eta_ab is a transmittance and ", lambda: g2check("--eta-ab", "1.5")),
+        ],
+        # one format for both variance bounds, so a numpy scalar reads as its repr in either; the CLI hands plain floats
+        "must be >= 1 SNU, got 0.5": [
+            ("nu is a variance and ", lambda: ScenarioParams(nu=0.5)),
+            ("line 2: fixed: nu is a variance and ",
+             lambda: parse_config("scenario=basic\nnu=0.5\nsweep=eta_ab:0.1:0.9:3\noutputs=cmi\n")),
+            ("error: nu is a variance and ", lambda: g2check("--nu", "0.5")),
+        ],
+        f"must be >= 1 SNU, got {np.float64(0.5)!r}": [
+            ("nu is a variance and ", lambda: ScenarioParams(nu=np.float64(0.5))),
+            ("thermal variance ", lambda: make_thermal(np.float64(0.5))),
+        ],
+        f"must be <= 1e+06 SNU, got {np.float64(2e6)!r}": [
+            ("nu is a variance and ", lambda: ScenarioParams(nu=np.float64(2e6))),
+            ("EPR variance ", lambda: make_epr(np.float64(2e6))),
         ],
         f"unknown scenario 'bogus'; choose from {SCENARIO_NAMES}": [
             ("", lambda: build_scenario("bogus", ScenarioParams())),
