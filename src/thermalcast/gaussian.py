@@ -24,7 +24,7 @@ operations are pure; only the sweep's closed forms stack points, failing rows by
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -34,12 +34,12 @@ from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateEr
 # Relative tolerance for the symmetry check at construction time.
 SYMMETRY_TOL = 1e-12
 
-# Largest variance in SNU. Up to here discord and MI stay within 2e-9 bits of
-# a 60-digit reference, and all arithmetic stays far from float overflow.
+# Largest variance in SNU. Up to here one-state discord stays within 2e-9 bits of a 60-digit
+# reference, CMI and MI within their contract, and all arithmetic far from float overflow.
 MAX_VARIANCE = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """A zero-mean Gaussian state: real symmetric 2n x 2n second-moment matrix.
 
@@ -49,9 +49,13 @@ class CovarianceMatrix:
     variance; the check guards matrices built by hand.
     Physicality (the uncertainty relation) is deliberately not enforced
     here; use :func:`validate_physicality`.
+
+    ``factor``, a read-only square-root factor F (F F^T is ``data`` to rounding), is set only by ``build_scenario``
+    and kept by ``reduce``. States compare and hash by identity: ``==`` on arrays has no single truth value.
     """
 
     data: np.ndarray
+    factor: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -124,34 +128,13 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def epr(nu: float) -> np.ndarray:
-    """Two-mode squeezed vacuum, 4 x 4, of local variance ``nu``."""
-    z = np.sqrt(nu * nu - 1.0)
-    out = nu * np.eye(4)
-    out[0, 2] = out[2, 0] = z
-    out[1, 3] = out[3, 1] = -z
-    return out
-
-
-def direct_sum(*blocks: np.ndarray) -> np.ndarray:
-    """Direct sum of matrices; later blocks' modes come last."""
-    dims = np.cumsum([0] + [len(block) for block in blocks])
-    out = np.zeros((dims[-1], dims[-1]))
-    for block, lo, hi in zip(blocks, dims, dims[1:]):
-        out[lo:hi, lo:hi] = block
-    return out
-
-
-def beamsplitter(data: np.ndarray, mode_a: int, mode_b: int, eta: float) -> np.ndarray:
-    """Gamma' = S Gamma S^T, S the module docstring's mix of two modes at ``eta``."""
+def mix_rows(rows: np.ndarray, mode_a: int, mode_b: int, eta: float) -> np.ndarray:
+    """S X, S the module docstring's mix of two modes at ``eta``: a factor's update, and half of Gamma's."""
     t, r = np.sqrt(eta), np.sqrt(1.0 - eta)
     a, b = slice(2 * mode_a, 2 * mode_a + 2), slice(2 * mode_b, 2 * mode_b + 2)
-    out = data.copy()
-    ra, rb = data[a, :], data[b, :]
-    out[a, :], out[b, :] = t * ra + r * rb, t * rb - r * ra
-    ca, cb = out[:, a].copy(), out[:, b].copy()
-    out[:, a], out[:, b] = t * ca + r * cb, t * cb - r * ca
-    return out / 2.0 + out.T / 2.0  # halving first: no overflow near the float limit
+    out = rows.copy()
+    out[a], out[b] = t * rows[a] + r * rows[b], t * rows[b] - r * rows[a]
+    return out
 
 
 def _mode_columns(n: int, keep) -> np.ndarray:
@@ -214,12 +197,15 @@ def make_epr(nu: float) -> CovarianceMatrix:
     state is pure.
     """
     check_variance("EPR variance", nu)
-    return CovarianceMatrix(epr(float(nu)))
+    nu = float(nu)
+    z = np.sqrt(nu * nu - 1.0)
+    return CovarianceMatrix(np.array([[nu, 0.0, z, 0.0], [0.0, nu, 0.0, -z], [z, 0.0, nu, 0.0], [0.0, -z, 0.0, nu]]))
 
 
 def tensor(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:
     """Direct sum of two states; mode counts add, b's modes come last."""
-    return CovarianceMatrix(direct_sum(check_state(a), check_state(b)))
+    a, b = check_state(a), check_state(b)
+    return CovarianceMatrix(np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]]))
 
 
 def apply_beamsplitter(state: CovarianceMatrix, mode_a: int, mode_b: int,
@@ -227,17 +213,28 @@ def apply_beamsplitter(state: CovarianceMatrix, mode_a: int, mode_b: int,
     """Mix two modes of one state on a beamsplitter: Gamma' = S Gamma S^T."""
     select_modes(check_state(state), [mode_a, mode_b])
     check_transmittance("transmittance", transmittance)
+    eta = float(transmittance)
     with np.errstate(over="ignore", invalid="ignore"):  # a mix past the float range is refused as non-finite
-        return CovarianceMatrix(beamsplitter(state.data, mode_a, mode_b, float(transmittance)))
+        out = mix_rows(mix_rows(state.data, mode_a, mode_b, eta).T, mode_a, mode_b, eta)  # (S Gamma S^T)^T
+        return CovarianceMatrix(out / 2.0 + out.T / 2.0)  # halving first: no overflow near the float limit
+
+
+def _with_factor(state: CovarianceMatrix, factor: np.ndarray) -> CovarianceMatrix:
+    """``state``, now carrying ``factor`` (F F^T is its data, to rounding) read-only; for the package's builds only."""
+    factor.setflags(write=False)
+    object.__setattr__(state, "factor", factor)
+    return state
 
 
 def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> CovarianceMatrix:
-    """Principal submatrix on the kept modes, in the given order.
+    """Principal submatrix on the kept modes, in the given order; a carried factor keeps their rows.
 
     Serves both as partial trace (drop the unlisted modes) and as mode
     permutation (list all modes in a new order).
     """
-    return CovarianceMatrix(select_modes(check_state(state), keep))
+    data = check_state(state)
+    out = CovarianceMatrix(select_modes(data, keep))
+    return out if state.factor is None else _with_factor(out, state.factor[_mode_columns(len(data) // 2, keep)])
 
 
 def symplectic_spectrum(factor: np.ndarray) -> tuple[np.ndarray, float, bool]:

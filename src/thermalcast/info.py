@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, _cholesky, _is_real, check_state, flag_rows, select_modes,
+from .gaussian import (CovarianceMatrix, _cholesky, _is_real, _mode_columns, check_state, flag_rows, select_modes,
                        symplectic_spectrum)
 
 _LN2 = float(np.log(2.0))
 _LOG2_2PIE = float(np.log(2.0 * np.pi * np.e) / _LN2)
 
 # Negative information values within this of zero clamp to 0; beyond it they
-# raise. Also the agreement tolerance for the two CMI evaluation routes.
+# raise. Also the accuracy to which a state's entries must fix its CMI and MI.
 CLAMP_TOL = 1e-9
 
 
@@ -76,16 +76,11 @@ def _groups(p) -> tuple[tuple[int, ...], ...]:
     return p.subsystem_a, p.subsystem_b, p.subsystem_s
 
 
-def _log2det(data: np.ndarray, label: str) -> float:
-    """log2-determinant; det <= 0, left by a block singular to rounding that still factors, raises."""
-    sign, logdet = np.linalg.slogdet(data)
-    if sign <= 0.0:
-        raise NumericFailureError(f"{label} is not positive definite")
-    return logdet / _LN2
-
-
-def _shannon(data: np.ndarray) -> float:
-    return 0.5 * (len(data) * _LOG2_2PIE + _log2det(data, "state"))
+def _log2det(rows: np.ndarray) -> float:
+    """log2 det(F F^T) for rows F of a square-root factor: 2 sum log2 |R_ii|, R from the QR of F^T with its rows
+    (F's columns) sorted by decreasing norm, so each errs relative to its own scale. No rows give 0."""
+    order = np.argsort(-(rows * rows).sum(axis=0), kind="stable")
+    return 2.0 * np.log2(np.abs(np.diagonal(np.linalg.qr(rows[:, order].T, mode="r")))).sum()
 
 
 def shannon_entropy(state: CovarianceMatrix) -> float:
@@ -93,10 +88,11 @@ def shannon_entropy(state: CovarianceMatrix) -> float:
 
     H = (1/2) * log((2 pi e)^d * det Gamma) with d the full quadrature
     dimension (two per mode). Single vacuum mode: log2(2 pi e) ~ 4.094342.
+    The log-determinant reads the state's carried factor, else its Cholesky factor.
     """
     data = check_state(state)
-    _cholesky(data, "state")
-    return float(_shannon(data))
+    factor = _cholesky(data, "state")
+    return float(0.5 * (len(data) * _LOG2_2PIE + _log2det(factor if state.factor is None else state.factor)))
 
 
 def _g(eigs: np.ndarray) -> np.ndarray:
@@ -133,51 +129,46 @@ def _clamp_info(value: float, label: str) -> float:
     return 0.0 if value < 0.0 else float(value)
 
 
-def conditional_mutual_information(state: CovarianceMatrix, p: Partition) -> float:
-    """I(A:B|S) in bits of one state, S non-empty.
-
-    Evaluated two independent ways and cross-checked to ``CLAMP_TOL``:
-
-    * half the log of det(Gamma_AS) det(Gamma_BS) / (det(Gamma_S)
-      det(Gamma_ABS)), the value returned;
-    * half the log of det(Gamma_A|S) det(Gamma_B|S) / det(Gamma_AB|S), from
-      the Schur complement Gamma_AB|S = Gamma_AB - C Gamma_S^-1 C^T, whose
-      diagonal blocks are Gamma_A|S and Gamma_B|S.
-
-    Gamma_ABS is checked first; every block above is a principal submatrix
-    of it. A Gamma_ABS that is not positive definite, or routes that
-    disagree, raise :class:`NumericFailureError`.
-    """
+def _information(state: CovarianceMatrix, p: Partition, label: str) -> float:
+    """I(A:B|S) in bits, S possibly empty: the one body of both public information measures."""
     data, (a, b, s) = check_state(state), _groups(p)
-    if not s:
-        raise InvalidArgumentError("conditioning set S is empty; use mutual_information")
-    g_abs = select_modes(data, a + b + s)
-    _cholesky(g_abs, "Gamma_ABS")
-    from_dets = 0.5 * (
-        _log2det(select_modes(data, a + s), "Gamma_AS") + _log2det(select_modes(data, b + s), "Gamma_BS")
-        - _log2det(select_modes(data, s), "Gamma_S") - _log2det(g_abs, "Gamma_ABS"))
-    n_a, n_ab = 2 * len(a), 2 * len(a + b)
-    cross = g_abs[:n_ab, n_ab:]
-    cond = g_abs[:n_ab, :n_ab] - cross @ np.linalg.solve(g_abs[n_ab:, n_ab:], cross.T)
-    from_schur = 0.5 * (
-        _log2det(cond[:n_a, :n_a], "Gamma_A|S") + _log2det(cond[n_a:, n_a:], "Gamma_B|S")
-        - _log2det(cond, "Gamma_AB|S"))
-    if abs(from_dets - from_schur) > CLAMP_TOL:
-        raise NumericFailureError(f"CMI routes disagree: {float(from_dets)!r} (determinants) vs "
-                                  f"{float(from_schur)!r} (Schur complements)")
-    return _clamp_info(from_dets, "conditional mutual information")
+    g_abs, block = select_modes(data, a + b + s), "Gamma_ABS" if s else "Gamma_AB"
+    rows, kappa = _cholesky(g_abs, block), 1.0
+    if state.factor is None:
+        kappa = np.linalg.cond(g_abs)
+    else:
+        rows = state.factor[_mode_columns(len(data) // 2, a + b + s)]
+    n_a, n_ab, dim = 2 * len(a), 2 * len(a + b), len(rows)
+    logdets = [_log2det(rows[part]) for part in (np.r_[:n_a, n_ab:dim], np.s_[n_a:], np.s_[n_ab:], np.s_[:])]
+    # the README's accuracy contract: a carried factor keeps the brightness in its columns' scales, which its QR
+    # does not see, so kappa is 1 there
+    spread = np.finfo(float).eps / 2.0 * ((2 * dim + 4 * len(s)) * dim * kappa / _LN2 + np.abs(logdets).sum())
+    if not spread <= CLAMP_TOL:
+        raise NumericFailureError(f"{block} has condition number {kappa:.3g}, so its float64 entries fix {label} "
+                                  f"to {spread:.3g} bits, not {CLAMP_TOL:g}")
+    return _clamp_info(0.5 * (logdets[0] + logdets[1] - logdets[2] - logdets[3]), label)
+
+
+def conditional_mutual_information(state: CovarianceMatrix, p: Partition) -> float:
+    """I(A:B|S) in bits of one state: half the log of det(Gamma_AS) det(Gamma_BS) / (det(Gamma_S) det(Gamma_ABS)).
+
+    S may be empty (det of nothing is 1): that is :func:`mutual_information`. Gamma_ABS is checked first. Each
+    log-det comes from the QR of rows of a square-root factor: the state's carried one, else Gamma_ABS's Cholesky
+    factor. A Gamma_ABS that is not positive definite, or whose condition number lets its float64 entries move the
+    value past ``CLAMP_TOL`` (the README's contract), raises :class:`NumericFailureError`.
+    """
+    return _information(state, p, "conditional mutual information")
 
 
 def mutual_information(state: CovarianceMatrix, p: Partition) -> float:
-    """I(A:B) = H(A) + H(B) - H(AB) in bits of one state; requires an empty S."""
-    data, (a, b, s) = check_state(state), _groups(p)
-    if s:
+    """I(A:B) = H(A) + H(B) - H(AB) in bits of one state: :func:`conditional_mutual_information` given nothing.
+
+    A non-empty S raises: this name promises no conditioning.
+    """
+    check_state(state)
+    if _groups(p)[2]:
         raise InvalidArgumentError("mutual_information takes an empty conditioning set")
-    g_ab = select_modes(data, a + b)
-    _cholesky(g_ab, "Gamma_AB")
-    n_a = 2 * len(a)
-    return _clamp_info(_shannon(g_ab[:n_a, :n_a]) + _shannon(g_ab[n_a:, n_a:]) - _shannon(g_ab),
-                       "mutual information")
+    return _information(state, p, "mutual information")
 
 
 def _homodyne(data: np.ndarray, measured_mode: int, angle: float) -> np.ndarray:

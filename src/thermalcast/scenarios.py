@@ -6,8 +6,8 @@ Optional thermal channels sit in front of the splitter (transmittance
 ``eta_th`` against a thermal mode of variance ``v_th``) and behind it on
 each receiver arm (``eta_th_a``/``v_alpha``, ``eta_th_b``/``v_beta``).
 
-The network exists twice: as a compositional build out of EPR, direct sum and beamsplitter primitives, and as
-closed-form matrix entries written out by hand, which tests hold entrywise to the build at 1e-12; keep both.
+The network exists twice: as a build of its square-root factor by row operations (EPR, thermal modes, beamsplitters),
+and as closed-form matrix entries written out by hand, which tests hold entrywise to the build at 1e-12; keep both.
 A topology is its labelled slots of the network, with every parameter it does not read (``SCENARIO_PARAMS``)
 at its transparent default. Sweeps use :func:`pair_entries`, the same network's receiver block in one formula.
 
@@ -25,8 +25,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, beamsplitter, check_state, check_transmittance,
-                       check_variance, direct_sum, epr, select_modes)
+from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, _with_factor, check_state, check_transmittance,
+                       check_variance, mix_rows, reduce)
 from .info import Partition
 
 MODE_E = "E"
@@ -84,12 +84,13 @@ class ScenarioParams:
         return float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioState:
     """A built topology: joint state plus the meaning of each mode slot.
 
     Only the labels are checked: a :func:`build_scenario` state is physical by
     construction, and :func:`validate_physicality` judges a hand-built one.
+    Compares and hashes by identity, as its state does.
     """
 
     state: CovarianceMatrix
@@ -125,18 +126,20 @@ _SLOTS = (MODE_E, MODE_V, MODE_B, MODE_A, MODE_VA, MODE_VB)
 _LABELS = {"basic": (MODE_E, MODE_B, MODE_A), "thermal_channel": _SLOTS[:4], "full": _SLOTS}
 
 
-def _network(p: ScenarioParams) -> np.ndarray:
-    """The compositional build of the whole broadcast, slots (E, V, B, A, V_a, V_b); thermal(V) is V I.
+def _network(p: ScenarioParams) -> CovarianceMatrix:
+    """The whole broadcast, slots (E, V, B, A, V_a, V_b), carrying its square-root factor F, built by row operations.
 
-    The sent EPR arm mixes with thermal(v_th) at eta_th (V keeps the discarded output), splits at eta_ab into B
-    (transmitted) and A, and then A mixes with thermal(v_alpha) at eta_th_a and B with thermal(v_beta) at eta_th_b.
+    Each input mode's row pair is sqrt(v) I, but the EPR pair is a balanced splitter on two squeezed vacua (E of
+    variances e^-2r, e^2r, B of e^2r, e^-2r with cosh 2r = nu). The sent arm B mixes with thermal(v_th) at eta_th
+    (V keeps the discarded output), splits at eta_ab into B (transmitted) and A, and then A mixes with
+    thermal(v_alpha) at eta_th_a and B with thermal(v_beta) at eta_th_b.
     """
-    state = direct_sum(epr(p.nu), p.v_th * np.eye(2), np.eye(2), p.v_alpha * np.eye(2), p.v_beta * np.eye(2))
-    state = beamsplitter(state, 1, 2, p.eta_th)
-    state = beamsplitter(state, 1, 3, p.eta_ab)
-    state = beamsplitter(state, 3, 4, p.eta_th_a)
-    state = beamsplitter(state, 1, 5, p.eta_th_b)
-    return select_modes(state, [0, 2, 1, 3, 4, 5])  # built as (E, B, V, A, V_a, V_b)
+    w = p.nu + np.sqrt(p.nu * p.nu - 1.0)  # e^2r
+    f = np.diag(np.sqrt([1.0 / w, w, p.v_th, p.v_th, w, 1.0 / w, 1.0, 1.0, p.v_alpha, p.v_alpha, p.v_beta, p.v_beta]))
+    for mode_a, mode_b, eta in ((0, 2, 0.5), (2, 1, p.eta_th), (2, 3, p.eta_ab), (3, 4, p.eta_th_a),
+                                (2, 5, p.eta_th_b)):
+        f = mix_rows(f, mode_a, mode_b, eta)
+    return _with_factor(CovarianceMatrix(f @ f.T), f)
 
 
 def _check_scenario(name: str) -> tuple[str, ...]:
@@ -146,20 +149,23 @@ def _check_scenario(name: str) -> tuple[str, ...]:
     return SCENARIO_PARAMS[name]
 
 
-def _topology(name: str, params, route) -> tuple[tuple[str, ...], np.ndarray]:
+def _topology(name: str, params, route) -> tuple[tuple[str, ...], CovarianceMatrix]:
     """Topology ``name`` as its labels and their slots of ``route``'s network, at the fields of ``params`` it reads
     and every other field at its transparent default."""
     fields = _check_scenario(name)
     if not isinstance(params, ScenarioParams):  # a look-alike would skip the domain rules
         raise InvalidArgumentError(f"params must be a ScenarioParams, got {type(params).__name__}")
     p = ScenarioParams(**{field: getattr(params, field) for field in fields})
-    return _LABELS[name], select_modes(route(p), [_SLOTS.index(label) for label in _LABELS[name]])
+    return _LABELS[name], reduce(route(p), [_SLOTS.index(label) for label in _LABELS[name]])
 
 
 def build_scenario(name: str, params: ScenarioParams) -> ScenarioState:
-    """One point of a topology, physical by construction (EPR and thermal modes through beamsplitters)."""
-    labels, data = _topology(name, params, _network)
-    return ScenarioState(state=CovarianceMatrix(data), mode_labels=labels)
+    """One point of a topology, physical by construction (EPR and thermal modes through beamsplitters).
+
+    All three read their slots of one network's F F^T, bit for bit alike, and carry their rows of F.
+    """
+    labels, state = _topology(name, params, _network)
+    return ScenarioState(state=state, mode_labels=labels)
 
 
 def pair_entries(p) -> tuple[np.ndarray, ...]:
@@ -215,14 +221,18 @@ def _closed_form(p: ScenarioParams) -> np.ndarray:
     return out
 
 
+def _closed_state(p: ScenarioParams) -> CovarianceMatrix:
+    return CovarianceMatrix(_closed_form(p))
+
+
 def basic_closed_form(params: ScenarioParams) -> CovarianceMatrix:
     """Entrywise expression for the basic topology, order (E, B, A)."""
-    return CovarianceMatrix(_topology("basic", params, _closed_form)[1])
+    return _topology("basic", params, _closed_state)[1]
 
 
 def thermal_channel_closed_form(params: ScenarioParams) -> CovarianceMatrix:
     """Entrywise expression for the thermal-channel topology, order (E, V, B, A)."""
-    return CovarianceMatrix(_topology("thermal_channel", params, _closed_form)[1])
+    return _topology("thermal_channel", params, _closed_state)[1]
 
 
 def full_closed_form_blocks(params: ScenarioParams) -> dict[str, np.ndarray]:
@@ -231,7 +241,7 @@ def full_closed_form_blocks(params: ScenarioParams) -> dict[str, np.ndarray]:
     Keys name mode pairs in (E, V, B, A, V_a, V_b) order: "e" is the E diagonal block, "ea" the E-A cross block,
     and so on. They are six of the 21 blocks that :func:`_closed_form` writes out, idler rows included.
     """
-    gamma = _topology("full", params, _closed_form)[1]
+    gamma = _topology("full", params, _closed_state)[1].data
     slots = {"e": (0, 0), "a": (3, 3), "b": (2, 2), "eb": (0, 2), "ea": (0, 3), "ab": (3, 2)}
     return {key: gamma[2 * i:2 * i + 2, 2 * j:2 * j + 2] for key, (i, j) in slots.items()}
 

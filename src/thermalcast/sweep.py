@@ -126,9 +126,10 @@ class SweepSpec:
                 _checked(name, _check_draw, self.samples, keys, MIN_G2_SAMPLES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A sweep by columns: swept values ascending, one float column per output, each row's failure reasons."""
+    """A sweep by columns: swept values ascending, one float column per output, each row's failure reasons.
+    Compares and hashes by identity: ``==`` on its arrays has no single truth value."""
 
     spec: SweepSpec
     swept: np.ndarray

@@ -1,8 +1,9 @@
-"""Write ``bright_references.json``: 50-digit CMI, MI and discord of bright broadcast sweeps.
+"""Write ``bright_references.json``: 50-digit CMI, MI and discord of bright broadcast sweeps, and print
+``BRIGHT_REFERENCES`` of ``test_info.py``.
 
 Needs mpmath (written against 1.3.0). mpmath is not a dependency of thermalcast: this script
-only makes the committed reference file, and the test suite reads that file without it. Run it
-from the repository root::
+only makes the committed references, and the test suite reads them without it. Not collected by
+pytest. Run it from the repository root::
 
     python tests/make_bright_references.py
 
@@ -35,6 +36,14 @@ NUS = (1e4, 1e6)
 # the channel fields a topology does not read, at their transparent setting: eta = 1, vacuum idler
 TRANSPARENT = {name: 1 for name in ("eta_th", "v_th", "eta_th_a", "v_alpha", "eta_th_b", "v_beta")}
 E, B, A = 0, 1, 3
+# test_info.py's BRIGHT_PARAMS, restated: this script does not import the test suite
+BRIGHT_PARAMS = {
+    "basic": {"eta_ab": 0.3},
+    "thermal_channel": {"eta_ab": 0.4, "eta_th": 0.7, "v_th": 5.0},
+    "full": {"eta_ab": 0.6, "eta_th": 0.8, "v_th": 3.0, "eta_th_a": 0.9, "eta_th_b": 0.7, "v_alpha": 2.0,
+             "v_beta": 4.0},
+}
+BRIGHT_NUS = (1040.0, 1e4, 1e6)
 
 
 def epr(nu):
@@ -130,5 +139,14 @@ def main():
     print(f"wrote {out}")
 
 
+def print_bright_references():
+    """Print the nine (discord D(B|A), MI, CMI) tuples of test_info.py's ``BRIGHT_REFERENCES``, 17 digits each."""
+    for name, fixed in BRIGHT_PARAMS.items():
+        for nu in BRIGHT_NUS:
+            cmi, mi, disc = measures({key: mp.mpf(value) for key, value in dict(fixed, nu=nu).items()})
+            print(f"    ({name!r}, {nu!r}): ({mp.nstr(disc, 17)}, {mp.nstr(mi, 17)}, {mp.nstr(cmi, 17)}),")
+
+
 if __name__ == "__main__":
     main()
+    print_bright_references()

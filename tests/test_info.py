@@ -1,10 +1,11 @@
 """Entropy, mutual information and discord against closed-form oracles."""
 import math
+import types
 
 import numpy as np
 import pytest
 
-from thermalcast import (CovarianceMatrix, DiscordResult, InvalidArgumentError,
+from thermalcast import (SCENARIO_NAMES, CovarianceMatrix, DiscordResult, InvalidArgumentError,
                          NumericFailureError, Partition, ThermalcastError, UnphysicalStateError,
                          build_scenario, conditional_mutual_information,
                          gaussian_discord, homodyne_condition,
@@ -12,7 +13,8 @@ from thermalcast import (CovarianceMatrix, DiscordResult, InvalidArgumentError,
                          mutual_information, reduce, shannon_entropy,
                          ScenarioParams, tensor, von_neumann_entropy,
                          validate_physicality)
-from thermalcast.info import _g
+from thermalcast.info import _g, pair_measures
+from thermalcast.scenarios import PARAM_NAMES, SCENARIO_PARAMS, VARIANCE_PARAMS, pair_entries
 
 
 def g_term(x: float) -> float:
@@ -201,12 +203,33 @@ def test_partition_indices_are_checked_where_modes_are_selected():
             measure()
 
 
-def test_cmi_requires_conditioning_set():
-    state = tensor(make_epr(2.0), make_thermal(2.0))
-    with pytest.raises(InvalidArgumentError):
-        conditional_mutual_information(state, Partition((0,), (1,)))
-    with pytest.raises(InvalidArgumentError):
-        mutual_information(state, Partition((0,), (1,), (2,)))
+def test_cmi_with_empty_s_is_mutual_information():
+    # MI is CMI given nothing (H of no modes is 0): one body, so bit for bit, with or without a carried factor
+    scenario = build_scenario("full", ScenarioParams(nu=1e6, eta_ab=0.6, eta_th=0.8, v_th=3.0, v_alpha=2.0))
+    for state, pair in ((tensor(make_epr(2.0), make_thermal(2.0)), Partition((0,), (1,))),
+                        (random_physical(3, np.random.default_rng(8)), Partition((2, 0), (1,))),
+                        (scenario.state, Partition((3,), (2,)))):
+        assert conditional_mutual_information(state, pair) == mutual_information(state, pair)
+    # but the name mutual_information promises no conditioning
+    with pytest.raises(InvalidArgumentError, match="^mutual_information takes an empty conditioning set$"):
+        mutual_information(tensor(make_epr(2.0), make_thermal(2.0)), Partition((0,), (1,), (2,)))
+
+
+def test_a_hand_built_matrix_that_cannot_fix_cmi_is_refused_by_its_condition_number():
+    # the bright build's own matrix, without the factor it carries: kappa(Gamma_ABS) ~ 4 nu^2 lets its rounding
+    # move CMI by far more than CLAMP_TOL, so it is refused, naming kappa and the spread the README derives
+    built = build_scenario("basic", ScenarioParams(nu=1e6, eta_ab=0.3))
+    p = built.information_partition()
+    bare = CovarianceMatrix(built.state.data)
+    assert built.state.factor is not None and bare.factor is None
+    # kappa near 4 nu^2 for Gamma_ABS, near nu for Gamma_AB
+    for measure, part, block, power in ((conditional_mutual_information, p, "Gamma_ABS", 12),
+                                        (mutual_information, Partition(p.subsystem_a, p.subsystem_b), "Gamma_AB", 6)):
+        with pytest.raises(NumericFailureError, match=rf"^{block} has condition number [0-9.]+e\+{power:02d}, so its "
+                                                      r"float64 entries fix [a-z ]+ to [0-9.e+-]+ bits, not 1e-09$"):
+            measure(bare, part)
+    # the carried factor answers at the reference digits
+    assert abs(conditional_mutual_information(built.state, p) - BRIGHT_REFERENCES[("basic", 1e6)][2]) <= 1e-13
 
 
 def test_cmi_with_uncorrelated_s_equals_mi():
@@ -222,8 +245,8 @@ def test_cmi_with_uncorrelated_s_equals_mi():
     Partition((3, 0), (5, 1), (2, 4)),
 ])
 def test_cmi_routes_agree_on_multimode_groups(partition):
-    # two-mode groups listed out of order: the Schur-complement route slices
-    # blocks wider than one mode, and a slicing slip would trip its cross-check
+    # two-mode groups listed out of order: the factor's rows are sliced by group, blocks wider than one mode,
+    # and a slicing slip would miss the four entropies
     a, b, s = partition.subsystem_a, partition.subsystem_b, partition.subsystem_s
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -478,19 +501,30 @@ BRIGHT_PARAMS = {
                  v_alpha=2.0, v_beta=4.0),
 }
 
-# (discord D(B|A), MI, CMI) in bits, from the closed-form blocks evaluated
-# with 60-digit arithmetic (mpmath) at the exact float parameters
+# (discord D(B|A), MI, CMI) in bits of the whole network at the exact float parameters, in 80-digit
+# arithmetic (mpmath); print_bright_references() in tests/make_bright_references.py prints them
 BRIGHT_REFERENCES = {
     ("basic", 1040.0): (4.3294842797088415, 7.7746566309320687, 7.7746566309320687),
-    ("basic", 1e4): (5.9609249556333053, 11.036572030591683, None),
-    ("basic", 1e6): (9.2827113732965442, 17.680033786910453, None),
+    ("basic", 1e4): (5.9609249556333053, 11.036572030591683, 11.036572030591683),
+    ("basic", 1e6): (9.2827113732965442, 17.680033786910453, 17.680033786910453),
     ("thermal_channel", 1040.0): (4.1702759554767151, 7.4561517375827723, 0.056708060576440012),
-    ("thermal_channel", 1e4): (5.800144044525755, 10.71500104663787, None),
-    ("thermal_channel", 1e6): (9.12174915784026, 17.358109264398023, None),
+    ("thermal_channel", 1e4): (5.800144044525755, 10.71500104663787, 0.056596476054796224),
+    ("thermal_channel", 1e6): (9.12174915784026, 17.358109264398023, 0.056583657839041908),
     ("full", 1040.0): (3.5252768107164961, 6.7876265409537478, 0.02114170617458374),
-    ("full", 1e4): (5.1539475821873374, 10.04467285467803, None),
-    ("full", 1e6): (8.4754145435250218, 16.687573133165469, None),
+    ("full", 1e4): (5.1539475821873374, 10.04467285467803, 0.021224426667145263),
+    ("full", 1e6): (8.4754145435250218, 16.687573133165469, 0.021233944982116596),
 }
+
+
+def information_contract(state: CovarianceMatrix, p: Partition) -> float:
+    # the README's accuracy contract for one-state CMI and MI, restated: eps/2 (D dim kappa / ln 2 + sum |log2 det|)
+    # over the four blocks, D the sum of their dimensions, kappa = 1 for a carried factor, else kappa(Gamma_ABS)
+    a, b, s = p.subsystem_a, p.subsystem_b, p.subsystem_s
+    logdets = [np.linalg.slogdet(reduce(state, group).data)[1] / math.log(2.0) if group else 0.0
+               for group in (a + s, b + s, s, a + b + s)]
+    dims = [2 * len(group) for group in (a + s, b + s, s, a + b + s)]
+    kappa = 1.0 if state.factor is not None else np.linalg.cond(reduce(state, a + b + s).data)
+    return np.finfo(float).eps / 2.0 * (sum(dims) * dims[3] * kappa / math.log(2.0) + sum(map(abs, logdets)))
 
 
 @pytest.mark.parametrize("name, nu", list(BRIGHT_REFERENCES))
@@ -500,7 +534,27 @@ def test_bright_sources_match_sixty_digit_references(name, nu):
     p = scenario.information_partition()
     got = gaussian_discord(scenario.state, p.subsystem_a[0], p.subsystem_b[0]).value
     assert got == pytest.approx(discord, abs=2e-9)
-    got = mutual_information(scenario.state, Partition(p.subsystem_a, p.subsystem_b))
-    assert got == pytest.approx(mi, abs=2e-9)
-    if cmi is not None:
-        assert conditional_mutual_information(scenario.state, p) == pytest.approx(cmi, abs=1e-9)
+    # CMI and MI at the README's contract for a carried factor, under 1e-12 bits here
+    for measure, part, expected in ((mutual_information, Partition(p.subsystem_a, p.subsystem_b), mi),
+                                    (conditional_mutual_information, p, cmi)):
+        got = measure(scenario.state, part)
+        assert abs(got - expected) <= information_contract(scenario.state, part) < 1e-12, (part, got, expected)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_one_state_information_of_every_build_meets_its_contract(name):
+    # 200 seeded builds, fields in SCENARIO_PARAMS order, variances log-uniform in [1, 1e6], transmittances uniform:
+    # none is refused, and one-state CMI and MI on the carried factor stay within the README's contract of
+    # pair_measures, which is itself within 1e-12 |value| + 1e-14 of 50-digit references
+    rng, n = np.random.default_rng(180), 200
+    params = [ScenarioParams(**{field: 10.0 ** rng.uniform(0.0, 6.0) if field in VARIANCE_PARAMS else rng.uniform()
+                                for field in SCENARIO_PARAMS[name]}) for _ in range(n)]
+    columns = types.SimpleNamespace(**{field: np.array([getattr(q, field) for q in params]) for field in PARAM_NAMES})
+    closed = pair_measures(*pair_entries(columns), {"cmi": [None] * n, "mi": [None] * n})
+    for i, q in enumerate(params):
+        scenario = build_scenario(name, q)
+        p = scenario.information_partition()
+        for out, measure, part in (("cmi", conditional_mutual_information, p),
+                                   ("mi", mutual_information, Partition(p.subsystem_a, p.subsystem_b))):
+            gap = abs(measure(scenario.state, part) - closed[out][i])
+            assert gap <= information_contract(scenario.state, part) + 1e-12 * closed[out][i] + 1e-14, (q, out, gap)

@@ -150,8 +150,9 @@ def scenario_and_fixed(draw):
 @settings(max_examples=100)
 @given(scenario_and_fixed(), st.lists(st.floats(0.0, 3.0).map(lambda e: 10.0 ** e), min_size=2, max_size=2))
 def test_sweep_closed_form_matches_the_general_route(case, nus):
-    # run_sweeps' closed forms against the full build and the general one-state measures, nu and
-    # every variance up to 1e3; above that the general route is the less accurate one
+    # run_sweeps' closed forms against the full build and the general one-state measures, nu and every variance
+    # up to 1e3. Above that one-state discord is the less accurate route; CMI and MI are held up to 1e6 by
+    # test_info.py::test_one_state_information_of_every_build_meets_its_contract
     name, fixed = case
     result = run_sweeps([SweepSpec(scenario=name, swept=SweptRange("nu", *nus, 2), fixed=fixed,
                                    outputs=("cmi", "mi", "discord"))])[0]

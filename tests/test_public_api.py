@@ -4,6 +4,7 @@ import math
 from collections.abc import Hashable
 
 import numpy as np
+import pytest
 
 import thermalcast
 from thermalcast import (SCENARIO_NAMES, Partition, ScenarioParams, ScenarioState, SweepSpec, SweptRange,
@@ -190,3 +191,17 @@ def test_each_rule_gives_one_sentence_at_every_entry_point(capsys):
             if not (isinstance(said, str) and said == prefix + sentence):
                 wrong.append(f"said {said!r}, not {prefix + sentence!r}")
     assert not wrong, "\n".join(wrong)
+
+
+def test_array_holding_records_compare_and_hash_by_identity():
+    # CovarianceMatrix, ScenarioState and SweepResult hold arrays, whose == has no single truth value, so each
+    # compares and hashes by identity: == no longer raises ValueError, nor hash() TypeError
+    spec = SweepSpec("basic", SweptRange("eta_ab", 0.2, 0.8, 3), {"nu": 2.0}, ("cmi",))
+    for make in (lambda: make_vacuum(1), lambda: build_scenario("basic", ScenarioParams(nu=2.0)),
+                 lambda: build_scenario("basic", ScenarioParams(nu=2.0)).state, lambda: run_sweeps([spec])[0]):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+        assert [b, a].index(a) == 1
+        with pytest.raises(ValueError, match="not in list"):
+            [b].index(a)
