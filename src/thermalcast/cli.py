@@ -1,7 +1,7 @@
 """Command-line front end: sweeps, figure presets and the g2 gate.
 
-Exit codes: 0 on success, 1 for usage or config errors, 2 when every point
-of the run (a sweep, or every preset a figure run names) failed numerically.
+Exit codes: 0 on success, 1 for usage or config errors, 2 when every point of the run (a sweep, every preset
+a figure run names, or g2check's one point) failed numerically.
 Partial failures exit 0; the flagged rows show as nan cells and '# failed:' lines.
 The parser is built once per process, at import: parsing leaves no state in it, so every main call shares it.
 """
@@ -12,12 +12,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, ThermalcastError, UsageError
-from .hbt import GENERATOR_ID, g2_pairs
-from .scenarios import ScenarioParams, pair_entries
-from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, SweepSpec, _format_value, _g2_cell, emit_csv,
+from .hbt import GENERATOR_ID
+from .scenarios import ScenarioParams
+from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, SweepSpec, SweptRange, _format_value, emit_csv,
                     expand_preset, parse_config, run_sweeps)
 
 
@@ -77,13 +75,16 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_g2check(args) -> int:
-    params = ScenarioParams(**{name: getattr(args, name) for name in PARAM_NAMES})
-    entries, errors = np.array([[entry[0] for entry in pair_entries(params)]]), [None]  # the receivers' (a, b, c, d)
-    [report] = g2_pairs(entries, args.samples, [(args.seed, 0)], errors)  # point 0: what a sweep's first point draws
-    if errors[0]:
-        raise errors[0]
+    params = ScenarioParams(**{name: getattr(args, name) for name in PARAM_NAMES})  # first: a flag's refusal unprefixed
+    fixed = {name: getattr(params, name) for name in PARAM_NAMES if name != "nu"}
+    [result] = run_sweeps([SweepSpec("full", SweptRange("nu", params.nu, params.nu, 1), fixed, ("g2",), args.seed,
+                                     args.samples)])  # a one-point sweep: point 0 on the streams (seed, 0)
+    if result.all_failed:
+        print(f"error: {result.reasons[0][0]}", file=sys.stderr)
+        return 2
+    [cell], [report] = result.columns["g2"], result.reports
     print("params: " + " ".join(f"{name}={_format_value(getattr(params, name))}" for name in PARAM_NAMES))
-    print(f"g2 estimate: {_g2_cell(report):.6g} +/- {report.std_error:.3g} ({report.n_samples} samples, jackknife)")
+    print(f"g2 estimate: {cell:.6g} +/- {report.std_error:.3g} ({report.n_samples} samples, jackknife)")
     print("g2 analytic: " + ("undefined" if report.g2_analytic is None else f"{report.g2_analytic:.6g}"))
     print(f"verdict: {report.verdict}")
     print(f"seed: {args.seed}  generator: {GENERATOR_ID}")

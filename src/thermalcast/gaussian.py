@@ -50,8 +50,8 @@ class CovarianceMatrix:
     Physicality (the uncertainty relation) is deliberately not enforced
     here; use :func:`validate_physicality`.
 
-    ``factor``, a read-only square-root factor F (F F^T is ``data`` to rounding), is set only by ``build_scenario``
-    and kept by ``reduce``. States compare and hash by identity: ``==`` on arrays has no single truth value.
+    ``factor`` is a read-only square-root factor F (F F^T is ``data`` to rounding) that the state builders carry; a
+    state made from an array has none. States compare and hash by identity: ``==`` on arrays has no single truth value.
     """
 
     data: np.ndarray
@@ -164,7 +164,7 @@ def make_vacuum(n_modes: int) -> CovarianceMatrix:
         eye = np.eye(2 * n_modes)
     except ValueError:  # numpy refuses a dimension past its index range before it allocates
         raise InvalidArgumentError(f"n_modes {n_modes} is past numpy's largest array dimension") from None
-    return CovarianceMatrix(eye)
+    return _with_factor(eye, eye)
 
 
 def check_variance(label: str, value: float) -> None:
@@ -186,7 +186,7 @@ def check_transmittance(label: str, value: float) -> None:
 def make_thermal(variance: float) -> CovarianceMatrix:
     """A single thermal mode diag(V, V); V = 1 is the vacuum."""
     check_variance("thermal variance", variance)
-    return CovarianceMatrix(float(variance) * np.eye(2))
+    return _with_factor(float(variance) * np.eye(2), np.sqrt(float(variance)) * np.eye(2))
 
 
 def make_epr(nu: float) -> CovarianceMatrix:
@@ -194,18 +194,23 @@ def make_epr(nu: float) -> CovarianceMatrix:
 
     Block form [[nu*I2, z*Z2], [z*Z2, nu*I2]] with z = sqrt(nu^2 - 1) and
     Z2 = diag(1, -1). Each single-mode reduction is thermal(nu); the joint
-    state is pure.
+    state is pure; its factor is a balanced splitter on two squeezed vacua.
     """
     check_variance("EPR variance", nu)
     nu = float(nu)
-    z = np.sqrt(nu * nu - 1.0)
-    return CovarianceMatrix(np.array([[nu, 0.0, z, 0.0], [0.0, nu, 0.0, -z], [z, 0.0, nu, 0.0], [0.0, -z, 0.0, nu]]))
+    z, w = np.sqrt(nu * nu - 1.0), nu + np.sqrt(nu * nu - 1.0)  # w = e^2r, cosh 2r = nu: variances 1/w, w and w, 1/w
+    return _with_factor(np.array([[nu, 0.0, z, 0.0], [0.0, nu, 0.0, -z], [z, 0.0, nu, 0.0], [0.0, -z, 0.0, nu]]),
+                        mix_rows(np.diag(np.sqrt([1.0 / w, w, w, 1.0 / w])), 0, 1, 0.5))
+
+
+def _direct_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.vstack([np.hstack([x, np.zeros((len(x), y.shape[1]))]), np.hstack([np.zeros((len(y), x.shape[1])), y])])
 
 
 def tensor(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:
-    """Direct sum of two states; mode counts add, b's modes come last."""
-    a, b = check_state(a), check_state(b)
-    return CovarianceMatrix(np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]]))
+    """Direct sum of two states; mode counts add, b's modes come last. It carries a factor when both do."""
+    x, y, both = check_state(a), check_state(b), a.factor is not None and b.factor is not None
+    return _with_factor(_direct_sum(x, y), _direct_sum(a.factor, b.factor) if both else None)
 
 
 def apply_beamsplitter(state: CovarianceMatrix, mode_a: int, mode_b: int,
@@ -216,13 +221,16 @@ def apply_beamsplitter(state: CovarianceMatrix, mode_a: int, mode_b: int,
     eta = float(transmittance)
     with np.errstate(over="ignore", invalid="ignore"):  # a mix past the float range is refused as non-finite
         out = mix_rows(mix_rows(state.data, mode_a, mode_b, eta).T, mode_a, mode_b, eta)  # (S Gamma S^T)^T
-        return CovarianceMatrix(out / 2.0 + out.T / 2.0)  # halving first: no overflow near the float limit
+        return _with_factor(out / 2.0 + out.T / 2.0,  # halving first: no overflow near the float limit
+                            None if state.factor is None else mix_rows(state.factor, mode_a, mode_b, eta))  # S F
 
 
-def _with_factor(state: CovarianceMatrix, factor: np.ndarray) -> CovarianceMatrix:
-    """``state``, now carrying ``factor`` (F F^T is its data, to rounding) read-only; for the package's builds only."""
-    factor.setflags(write=False)
-    object.__setattr__(state, "factor", factor)
+def _with_factor(data: np.ndarray, factor: np.ndarray | None) -> CovarianceMatrix:
+    """A state of ``data`` carrying ``factor`` (F F^T is data, to rounding) read-only, unless it is None."""
+    state = CovarianceMatrix(data)
+    if factor is not None:
+        factor.setflags(write=False)
+        object.__setattr__(state, "factor", factor)
     return state
 
 
@@ -232,9 +240,8 @@ def reduce(state: CovarianceMatrix, keep: list[int] | tuple[int, ...]) -> Covari
     Serves both as partial trace (drop the unlisted modes) and as mode
     permutation (list all modes in a new order).
     """
-    data = check_state(state)
-    out = CovarianceMatrix(select_modes(data, keep))
-    return out if state.factor is None else _with_factor(out, state.factor[_mode_columns(len(data) // 2, keep)])
+    data = select_modes(check_state(state), keep)
+    return _with_factor(data, None if state.factor is None else state.factor[_mode_columns(len(state.data) // 2, keep)])
 
 
 def symplectic_spectrum(factor: np.ndarray) -> tuple[np.ndarray, float, bool]:

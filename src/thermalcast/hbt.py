@@ -10,8 +10,8 @@ Sampling is the only randomness in the package, and this module owns its one str
 draws from ``SFC64(SeedSequence(seed, spawn_key=(j, k)))``, j a sweep point's index in its range and 0 for a
 one-pair draw. ``GENERATOR_ID`` names the generator in every g2 output, so (seed, point) pins the bytes on any
 platform and any number of CPUs. ``sample_quadratures`` stores the rows and ``thermality_check`` sums each as drawn,
-on blocks that keep BLAS on one thread; ``g2_pairs`` (sweeps, ``g2check``) forms a pair's intensities on its own
-blocks. A draw's tables of sums are reported together, in array passes that keep each point's bits.
+on blocks that keep BLAS on one thread; ``g2_pairs`` (sweeps, ``g2check``'s one point too) forms a pair's intensities
+on its own blocks. A draw's tables of sums are reported together, in array passes that keep each point's bits.
 """
 from __future__ import annotations
 

@@ -6,7 +6,7 @@ Optional thermal channels sit in front of the splitter (transmittance
 ``eta_th`` against a thermal mode of variance ``v_th``) and behind it on
 each receiver arm (``eta_th_a``/``v_alpha``, ``eta_th_b``/``v_beta``).
 
-The network exists twice: as a build of its square-root factor by row operations (EPR, thermal modes, beamsplitters),
+The network exists twice: composed of the state builders (EPR, thermal modes, beamsplitters), which carry its factor,
 and as closed-form matrix entries written out by hand, which tests hold entrywise to the build at 1e-12; keep both.
 A topology is its labelled slots of the network, with every parameter it does not read (``SCENARIO_PARAMS``)
 at its transparent default. Sweeps use :func:`pair_entries`, the same network's receiver block in one formula.
@@ -25,8 +25,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, _with_factor, check_state, check_transmittance,
-                       check_variance, mix_rows, reduce)
+from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, apply_beamsplitter, check_state, check_transmittance,
+                       check_variance, make_epr, make_thermal, make_vacuum, reduce, tensor)
 from .info import Partition
 
 MODE_E = "E"
@@ -127,19 +127,18 @@ _LABELS = {"basic": (MODE_E, MODE_B, MODE_A), "thermal_channel": _SLOTS[:4], "fu
 
 
 def _network(p: ScenarioParams) -> CovarianceMatrix:
-    """The whole broadcast, slots (E, V, B, A, V_a, V_b), carrying its square-root factor F, built by row operations.
+    """The whole broadcast, slots (E, V, B, A, V_a, V_b), composed of the state builders, so it carries their factor F.
 
-    Each input mode's row pair is sqrt(v) I, but the EPR pair is a balanced splitter on two squeezed vacua (E of
-    variances e^-2r, e^2r, B of e^2r, e^-2r with cosh 2r = nu). The sent arm B mixes with thermal(v_th) at eta_th
-    (V keeps the discarded output), splits at eta_ab into B (transmitted) and A, and then A mixes with
-    thermal(v_alpha) at eta_th_a and B with thermal(v_beta) at eta_th_b.
+    EPR (E, B), thermal(v_th), vacuum, thermal(v_alpha) and thermal(v_beta) side by side: the sent arm B mixes with
+    thermal(v_th) at eta_th (V keeps the discarded output), splits at eta_ab into B (transmitted) and A, and then A
+    mixes with thermal(v_alpha) at eta_th_a and B with thermal(v_beta) at eta_th_b.
     """
-    w = p.nu + np.sqrt(p.nu * p.nu - 1.0)  # e^2r
-    f = np.diag(np.sqrt([1.0 / w, w, p.v_th, p.v_th, w, 1.0 / w, 1.0, 1.0, p.v_alpha, p.v_alpha, p.v_beta, p.v_beta]))
-    for mode_a, mode_b, eta in ((0, 2, 0.5), (2, 1, p.eta_th), (2, 3, p.eta_ab), (3, 4, p.eta_th_a),
-                                (2, 5, p.eta_th_b)):
-        f = mix_rows(f, mode_a, mode_b, eta)
-    return _with_factor(CovarianceMatrix(f @ f.T), f)
+    state = make_epr(p.nu)
+    for mode in (make_thermal(p.v_th), make_vacuum(1), make_thermal(p.v_alpha), make_thermal(p.v_beta)):
+        state = tensor(state, mode)
+    for mode_a, mode_b, eta in ((1, 2, p.eta_th), (1, 3, p.eta_ab), (3, 4, p.eta_th_a), (1, 5, p.eta_th_b)):
+        state = apply_beamsplitter(state, mode_a, mode_b, eta)
+    return reduce(state, [0, 2, 1, 3, 4, 5])
 
 
 def _check_scenario(name: str) -> tuple[str, ...]:

@@ -100,8 +100,10 @@ class SweepSpec:
                 raise _reject(name, f"must be a {kind.__name__}, got {type(getattr(self, name)).__name__}")
         for endpoint in (self.swept.start, self.swept.stop):
             _check_domain("sweep", self.scenario, self.swept.name, endpoint)
-        if not _is_integer(self.swept.count) or not 2 <= self.swept.count <= MAX_POINTS:
-            raise _reject("sweep", f"step count must be an integer in [2, {MAX_POINTS}], got {self.swept.count}")
+        count, degenerate = self.swept.count, self.swept.start == self.swept.stop  # linspace(a, b, 1) drops b
+        if not (_is_integer(count) and (2 <= count <= MAX_POINTS or count == 1 and degenerate)):
+            raise _reject("sweep", f"step count must be an integer in [2, {MAX_POINTS}], or 1 where start == stop, "
+                                   f"got {count}")
         for name, value in self.fixed.items():
             _check_domain("fixed", self.scenario, name, value, key=name)
         if self.swept.name in self.fixed:
@@ -135,6 +137,7 @@ class SweepResult:
     swept: np.ndarray
     columns: dict[str, np.ndarray]
     reasons: tuple[tuple[str, ...], ...]
+    reports: tuple = ()  # with g2, each row's G2Report, None where its draw failed; () without g2
 
     @property
     def n_failed(self) -> int:
@@ -164,24 +167,20 @@ def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
             params[spec.swept.name][lo:hi] = np.sort(spec.swept.values(), kind="stable")
         entries = pair_entries(SimpleNamespace(**params))
         errors = {out: [None] * bounds[-1] for _, spec in group for out in spec.outputs}
-        cells = pair_measures(*entries, {out: errors[out] for out in errors if out != "g2"})
+        cells, reports = pair_measures(*entries, {out: errors[out] for out in errors if out != "g2"}), ()
         if "g2" in errors:  # point k of a range samples its pair [[a I, c I], [c I, b I]] on the streams (seed, k)
             keys = [(spec.seed, int(k)) for _, spec in group for k in np.argsort(spec.swept.values(), kind="stable")]
-            reports = g2_pairs(np.stack([entry[0] for entry in entries], axis=-1), samples, keys, errors["g2"])
-            cells["g2"] = np.array([_g2_cell(report) for report in reports])
+            reports = tuple(g2_pairs(np.stack([entry[0] for entry in entries], axis=-1), samples, keys, errors["g2"]))
+            cells["g2"] = np.array([report.g2_estimate if report and report.verdict != VERDICT_INCONCLUSIVE else np.nan
+                                    for report in reports])  # nan where failed or inconclusive: that ratio is noise
         for (i, spec), lo, hi in zip(group, bounds, bounds[1:]):
             reasons = [()] * (hi - lo)
             for out in spec.outputs:  # in output order; compress visits only the rows that hold a failure
                 for k in compress(range(hi - lo), errors[out][lo:hi]):
                     reasons[k] += (str(errors[out][lo + k]),)
             columns = {out: cells[out][lo:hi] for out in spec.outputs}
-            results[i] = SweepResult(spec, params[spec.swept.name][lo:hi], columns, tuple(reasons))
+            results[i] = SweepResult(spec, params[spec.swept.name][lo:hi], columns, tuple(reasons), reports[lo:hi])
     return results
-
-
-def _g2_cell(report) -> float:
-    """The g2 value a sweep and ``g2check`` write: nan for a failed or an inconclusive draw, whose ratio is noise."""
-    return report.g2_estimate if report and report.verdict != VERDICT_INCONCLUSIVE else np.nan
 
 
 def _format_value(value: float) -> str:

@@ -17,7 +17,14 @@ Each tree runs in its own interpreter, with that tree first on ``PYTHONPATH``:
 
 It prints every line that differs, ignoring ``# generated`` stamps, then one summary line per file
 with its count of differing lines and of ``nan`` cells in each tree. It exits 1 when any line differs.
+
+With ``--digests SRC`` it writes one tree's outputs and prints the sha256 of each, ``# generated`` stamps
+removed, as the JSON of ``tests/output_digests.json``, which ``test_outputs.py`` holds the outputs to::
+
+    python tests/compare_outputs.py --digests src > tests/output_digests.json
 """
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +59,7 @@ REFUSED = {
     "config_unknown_output": ["scenario=basic", "sweep=eta_ab:0.1:0.9:3", "outputs=cmi,g3"],
     "config_no_seed": ["scenario=basic", "sweep=eta_ab:0.1:0.9:3", "outputs=g2"],
     "config_few_samples": ["scenario=basic", "sweep=eta_ab:0.1:0.9:3", "outputs=g2", "seed=1", "samples=10"],
+    "config_one_point_range": ["scenario=basic", "sweep=nu:1:5:1", "outputs=cmi"],
     "g2check_transmittance": ("g2check", "--eta-ab", "1.5", "--seed", "1"),
     "g2check_variance": ("g2check", "--nu", "0.5", "--seed", "1"),
     "g2check_huge_variance": ("g2check", "--v-th", "1e7", "--seed", "1"),
@@ -61,21 +69,15 @@ REFUSED = {
 }
 
 
-def run_tree(src: Path, out: Path) -> None:
-    """Write every output of one tree into ``out``."""
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "thermalcast.cli", *argv], cwd=out, env=env,
-                              capture_output=True, text=True)
-
+def write_outputs(out: Path, run) -> list[str]:
+    """Write every output into ``out`` and return the names of those compared; ``run(*argv)`` runs the CLI with
+    ``out`` as its working directory and returns its exit code, stdout and stderr."""
     def cli(*argv):
-        done = run(*argv)
-        if done.returncode:
-            sys.exit(f"{src}: {' '.join(argv)} exited {done.returncode}: {done.stderr.strip()}")
-        return done.stdout
+        code, stdout, stderr = run(*argv)
+        if code:
+            sys.exit(f"{out}: {' '.join(argv)} exited {code}: {stderr.strip()}")
+        return stdout
 
-    out.mkdir(parents=True)
     cli("figure", "--name", "all", "--out-dir", "figures")
     for name, lines in SWEEPS.items():
         (out / f"{name}.cfg").write_text("\n".join(lines) + "\n")
@@ -86,26 +88,42 @@ def run_tree(src: Path, out: Path) -> None:
         if isinstance(argv, list):
             (out / f"{name}.cfg").write_text("\n".join(argv) + "\n")
             argv = ("sweep", "--config", f"{name}.cfg", "--out", f"{name}.csv")
-        done = run(*argv)
-        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
-        (out / f"refused_{name}.txt").write_text("\n".join([f"exit {done.returncode}", *errors]) + "\n")
+        code, _, stderr = run(*argv)
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        (out / f"refused_{name}.txt").write_text("\n".join([f"exit {code}", *errors]) + "\n")
+    return (sorted(str(path.relative_to(out)) for path in out.rglob("*.csv"))
+            + [f"g2check_{k}.txt" for k in range(len(G2CHECKS))] + [f"refused_{name}.txt" for name in REFUSED])
+
+
+def run_tree(src: Path, out: Path) -> list[str]:
+    """Write every output of one tree into ``out``, each command in its own interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "thermalcast.cli", *argv], cwd=out, env=env,
+                              capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    out.mkdir(parents=True)
+    return write_outputs(out, run)
 
 
 def kept_lines(path: Path) -> list[str]:
     return [line for line in path.read_text().splitlines() if not line.startswith("# generated")]
 
 
+def digests(out: Path, names: list[str]) -> dict[str, str]:
+    """The sha256 of each named output, its kept lines joined by newlines."""
+    return {name: hashlib.sha256("\n".join(kept_lines(out / name)).encode()).hexdigest() for name in names}
+
+
 def main(old_src: str, new_src: str) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         old, new = Path(scratch, "old"), Path(scratch, "new")
-        run_tree(Path(old_src), old)
-        run_tree(Path(new_src), new)
-        csvs = [sorted(str(path.relative_to(tree)) for path in tree.rglob("*.csv")) for tree in (old, new)]
-        if csvs[0] != csvs[1]:
-            print(f"the trees wrote different CSV files: {csvs[0]} and {csvs[1]}")
+        names, new_names = run_tree(Path(old_src), old), run_tree(Path(new_src), new)
+        if names != new_names:
+            print(f"the trees wrote different files: {names} and {new_names}")
             return 1
-        names = (csvs[0] + [f"g2check_{k}.txt" for k in range(len(G2CHECKS))]
-                 + [f"refused_{name}.txt" for name in REFUSED])
         summary, differ = [], False
         for name in names:
             before, after = kept_lines(old / name), kept_lines(new / name)
@@ -121,7 +139,14 @@ def main(old_src: str, new_src: str) -> int:
         return int(differ)
 
 
+def print_digests(src: str) -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch, "tree")
+        print(json.dumps(digests(out, run_tree(Path(src), out)), indent=1))
+    return 0
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit(__doc__)
-    sys.exit(main(*sys.argv[1:]))
+    sys.exit(print_digests(sys.argv[2]) if sys.argv[1] == "--digests" else main(*sys.argv[1:]))

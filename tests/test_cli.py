@@ -224,19 +224,41 @@ def test_g2check_samples_the_pair_kernel_at_its_parameters(capsys):
     assert f"verdict: {report.verdict}\n" in out
 
 
-def test_g2check_draws_what_a_sweep_draws_at_its_first_point(capsys, monkeypatch):
-    # one stream rule: g2check is point 0, so a sweep's first point at the same parameters, seed and samples
-    # has the same estimate, bit for bit
-    spec = parse_config("scenario=full\nnu=5\neta_th=0.8\nv_th=2\neta_th_a=0.9\nv_alpha=1.5\n"
-                        "sweep=eta_ab:0.3:0.7:3\noutputs=g2\nseed=9\nsamples=5000\n")
-    cell = run_sweeps([spec])[0].columns["g2"][0]
-    reports, real = [], thermalcast.cli.g2_pairs
-    monkeypatch.setattr(thermalcast.cli, "g2_pairs", lambda *args: reports.extend(real(*args)) or reports)
-    assert main(["g2check", "--nu", "5", "--eta-ab", "0.3", "--eta-th", "0.8", "--v-th", "2", "--eta-th-a", "0.9",
-                 "--v-alpha", "1.5", "--samples", "5000", "--seed", "9"]) == 0
-    [report] = reports
+def test_g2check_draws_what_a_sweep_draws_at_its_first_point(tmp_path, capsys):
+    # g2check is a one-point full sweep of nu: a config of that one point writes the row g2check prints, and the
+    # first point of a longer range draws the same streams (seed, 0), bit for bit
+    fixed = "eta_ab=0.3\neta_th=0.8\nv_th=2\neta_th_a=0.9\nv_alpha=1.5\n"
+    cfg = write_config(tmp_path, f"scenario=full\n{fixed}sweep=nu:10:10:1\noutputs=g2\nseed=9\nsamples=5000\n")
+    [result] = run_sweeps([parse_config(cfg.read_text())])
+    [cell], [report] = result.columns["g2"], result.reports
     assert report.verdict == "thermal" and cell == report.g2_estimate
-    assert f"g2 estimate: {cell:.6g} +/-" in capsys.readouterr().out
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "one.csv")]) == 0
+    assert (tmp_path / "one.csv").read_text().splitlines()[-2:] == ["nu,g2", f"10,{cell:.12g}"]
+    capsys.readouterr()
+    assert main(["g2check", "--nu", "10", "--eta-ab", "0.3", "--eta-th", "0.8", "--v-th", "2", "--eta-th-a", "0.9",
+                 "--v-alpha", "1.5", "--samples", "5000", "--seed", "9"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "params: nu=10 v_th=2 v_alpha=1.5 v_beta=1 eta_ab=0.3 eta_th=0.8 eta_th_a=0.9 eta_th_b=1",
+        f"g2 estimate: {cell:.6g} +/- {report.std_error:.3g} (5000 samples, jackknife)",
+        f"g2 analytic: {report.g2_analytic:.6g}", "verdict: thermal", "seed: 9  generator: sfc64/v7"]
+    longer = parse_config(f"scenario=full\nnu=10\n{fixed.replace('eta_ab=0.3', 'sweep=eta_ab:0.3:0.7:3')}"
+                          "outputs=g2\nseed=9\nsamples=5000\n")
+    [first] = run_sweeps([longer])
+    assert first.columns["g2"][0] == cell and first.reports[0] == report
+
+
+def test_g2check_exits_two_when_its_one_point_fails(monkeypatch, capsys):
+    # no in-domain input fails the draw; a vacuum source's pair made not positive definite stands in for one
+    real = thermalcast.sweep.pair_entries
+
+    def broken(params):
+        a, b, c, d = real(params)
+        d[:] = -1.0
+        return a, b, c, d
+
+    monkeypatch.setattr(thermalcast.sweep, "pair_entries", broken)
+    assert main(["g2check", "--samples", "1000", "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: covariance matrix is not positive definite\n")
 
 
 def test_g2check_reads_its_topology_from_the_flags(capsys):
@@ -283,7 +305,7 @@ def test_g2check_rejects_tiny_sample_count(capsys):
 
 def test_g2check_caps_the_sample_count(capsys):
     assert main(["g2check", "--samples", "10000000000000", "--seed", "4"]) == 1
-    assert capsys.readouterr().err.startswith("error: need an integer from 1000 to 10000000 samples")
+    assert capsys.readouterr().err.startswith("error: samples: need an integer from 1000 to 10000000 samples")
 
 
 @pytest.mark.parametrize("old,new,line,needle", [
@@ -307,7 +329,7 @@ def test_every_g2_sample_count_is_refused_in_one_sentence(tmp_path, capsys):
 
     for count in (50, 10 ** 13):
         assert main(["g2check", "--samples", str(count), "--seed", "4"]) == 1
-        assert capsys.readouterr().err == f"error: {sentence(count)}\n"
+        assert capsys.readouterr().err == f"error: samples: {sentence(count)}\n"
     cfg = write_config(tmp_path, CONFIG.replace("outputs=cmi,discord", "outputs=g2\nseed=1\nsamples=5"))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == f"error: line 6: samples: {sentence(5)}\n"

@@ -232,6 +232,17 @@ def test_a_hand_built_matrix_that_cannot_fix_cmi_is_refused_by_its_condition_num
     assert abs(conditional_mutual_information(built.state, p) - BRIGHT_REFERENCES[("basic", 1e6)][2]) <= 1e-13
 
 
+@pytest.mark.parametrize("nu", [300.0, 1e3, 1e4, 1e6])
+def test_a_bright_epr_pair_from_its_builder_answers_through_its_factor(nu):
+    # make_epr carries its square-root factor, so MI = 1/2 log2(nu^2 nu^2 / 1) needs no condition number; the same
+    # entries without the factor are refused by kappa(Gamma_AB) ~ 4 nu^2
+    epr = make_epr(nu)
+    assert mutual_information(epr, Partition((0,), (1,))) == pytest.approx(2.0 * math.log2(nu), rel=1e-12, abs=0.0)
+    with pytest.raises(NumericFailureError, match="^Gamma_AB has condition number "):
+        mutual_information(CovarianceMatrix(epr.data), Partition((0,), (1,)))
+    assert tensor(CovarianceMatrix(epr.data), make_thermal(2.0)).factor is None  # a bare part leaves the whole bare
+
+
 def test_cmi_with_uncorrelated_s_equals_mi():
     # S in a product with AB: conditioning changes nothing
     state = tensor(make_epr(3.0), make_thermal(4.0))

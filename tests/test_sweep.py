@@ -139,6 +139,8 @@ def test_parse_g2_needs_seed_and_accepts_samples():
     ("scenario=basic\nsweep=eta_ab:0.1:0.9\noutputs=cmi", 2, "name:start:stop:count"),
     ("scenario=basic\nsweep=mass:0.1:0.9:9\noutputs=cmi", 2, "unknown parameter"),
     ("scenario=basic\nsweep=eta_ab:0.1:0.9:1\noutputs=cmi", 2, "count"),
+    ("scenario=basic\nsweep=nu:1:5:1\noutputs=cmi", 2, "or 1 where start == stop, got 1"),
+    ("scenario=basic\nsweep=nu:5:5:0\noutputs=cmi", 2, "step count must be an integer in [2, 100000], or 1 where"),
     ("scenario=basic\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi\nseed=3", 4, "seed"),
     ("scenario=basic\nsweep=eta_ab:0.1:0.9:9\noutputs=g2", 3, "seed"),
     ("scenario=basic\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi\nsamples=5000", 4, "samples"),
@@ -281,6 +283,7 @@ def _same_bits(together, alone):
     assert {out: column.tobytes() for out, column in together.columns.items()} == {
         out: column.tobytes() for out, column in alone.columns.items()}
     assert together.reasons == alone.reasons
+    assert together.reports == alone.reports
 
 
 def test_one_pass_per_sample_count_matches_each_sweep_alone(monkeypatch):
@@ -306,6 +309,8 @@ def test_one_pass_per_sample_count_matches_each_sweep_alone(monkeypatch):
                       for nu in (3.0, 6.0, 9.0)])
     reports = thermalcast.hbt.g2_pairs(pairs, 1000, [(6, 2), (6, 1), (6, 0)], [None] * 3)
     assert together[-2].columns["g2"].tolist() == [report.g2_estimate for report in reports]
+    # each row keeps its report; a sweep without g2 keeps none
+    assert together[-2].reports == tuple(reports) and all(result.reports == () for result in together[:16])
 
 
 def test_a_pass_names_each_failure_only_in_its_own_sweep(monkeypatch):
@@ -409,6 +414,7 @@ def test_a_g2_pair_that_does_not_factor_fails_only_its_row(tmp_path, monkeypatch
     result = run_sweeps([spec])[0]
     assert result.reasons[1] == ("covariance matrix is not positive definite",)
     assert result.n_failed == 1
+    assert [report is None for report in result.reports] == [False, True, False, False]
     g2 = result.columns["g2"]
     assert math.isnan(g2[1]) and np.array_equal(np.delete(g2, 1), np.delete(clean, 1))
     out = tmp_path / "failed.csv"
@@ -434,6 +440,7 @@ def test_each_point_of_a_descending_g2_sweep_draws_its_key_alone():
         pair = np.array([entry[0] for entry in pair_entries(ScenarioParams(nu=nu))])
         alone = thermalcast.hbt.g2_pairs(pair[None], 1000, [(6, j)], [None])[0]
         assert result.swept[3 - j] == nu and result.columns["g2"][3 - j] == alone.g2_estimate
+        assert result.reports[3 - j] == alone
 
 
 def test_adjacent_points_of_one_seed_draw_uncorrelated_rows(monkeypatch):
@@ -456,7 +463,7 @@ def test_a_config_seed_outside_the_draws_rule_is_refused_on_its_line(capsys):
     assert (err.value.line, str(err.value)) == (4, f"line 4: seed: {message}")
     assert parse_config(text.replace("18446744073709551616", "18446744073709551615")).seed == 2 ** 64 - 1
     assert main(["g2check", "--seed", "18446744073709551616", "--samples", "1000"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: seed: {message}\n"
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
