@@ -30,7 +30,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run one sweep from a config file")
-    p_sweep.add_argument("--config", required=True, help="key=value config file")
+    p_sweep.add_argument("--config", required=True, help="key=value config file, or a CSV that a run wrote")
     p_sweep.add_argument("--out", required=True, help="destination CSV path")
     p_sweep.set_defaults(handler=_cmd_sweep)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime as _dt
 import os
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate, compress, takewhile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -167,7 +167,8 @@ def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
             params[spec.swept.name][lo:hi] = np.sort(spec.swept.values(), kind="stable")
         entries = pair_entries(SimpleNamespace(**params))
         errors = {out: [None] * bounds[-1] for _, spec in group for out in spec.outputs}
-        cells, reports = pair_measures(*entries, {out: errors[out] for out in errors if out != "g2"}), ()
+        measures = {out: errors[out] for out in errors if out != "g2"}  # none on a g2-only pass
+        cells, reports = pair_measures(*entries, measures) if measures else {}, ()
         if "g2" in errors:  # point k of a range samples its pair [[a I, c I], [c I, b I]] on the streams (seed, k)
             keys = [(spec.seed, int(k)) for _, spec in group for k in np.argsort(spec.swept.values(), kind="stable")]
             reports = tuple(g2_pairs(np.stack([entry[0] for entry in entries], axis=-1), samples, keys, errors["g2"]))
@@ -184,17 +185,17 @@ def run_sweeps(specs: list[SweepSpec]) -> list[SweepResult]:
 
 
 def _format_value(value: float) -> str:
-    return f"{value:.12g}"
+    return repr(float(value)).removesuffix(".0")  # the shortest text that reads back exactly
 
 
 def emit_csv(result: SweepResult, destination: str | Path):
     """Write a sweep result as CSV: '#' metadata block, header, data rows.
 
-    Each failed row adds one '# failed: <param>=<value>: <reason>' line
-    after the point count. Twelve significant digits, LF line endings.
-    Re-running the same spec reproduces the file byte for byte except for
-    the timestamp line. The table is written to a sibling file that then
-    replaces ``destination``, so an interrupted write leaves the old file.
+    Past the version and timestamp lines the metadata is the run's config behind '# ', in digits that read back
+    exactly, so :func:`parse_config` reads the file as its spec. Each failed row adds one '# failed: <param>=<value>:
+    <reason>' line after the point count. Table values at twelve significant digits, LF line endings. Re-running the
+    spec reproduces the file byte for byte except for the timestamp line. The table is written to a sibling file
+    that then replaces ``destination``, so an interrupted write leaves the old file.
     """
     if not isinstance(result, SweepResult):
         raise UsageError(f"result must be a SweepResult, got {type(result).__name__}")
@@ -204,23 +205,17 @@ def emit_csv(result: SweepResult, destination: str | Path):
         raise UsageError("refusing to emit an empty table")
     from . import __version__
     spec = result.spec
-    fixed = " ".join(f"{k}={_format_value(v)}" for k, v in sorted(spec.fixed.items())) or "(defaults)"
-    lines = [
-        f"# thermalcast {__version__}",
-        f"# generated: {_dt.datetime.now(_dt.timezone.utc).isoformat(timespec='seconds')}",
-        f"# scenario: {spec.scenario}",
-        f"# fixed: {fixed}",
-        f"# sweep: {spec.swept.describe()}",
-        f"# outputs: {','.join(spec.outputs)}",
-        f"# seed: {'none' if spec.seed is None else spec.seed}",
-    ]
+    config = [f"scenario={spec.scenario}", *(f"{k}={_format_value(v)}" for k, v in sorted(spec.fixed.items())),
+              f"sweep={spec.swept.describe()}", f"outputs={','.join(spec.outputs)}"]
     if "g2" in spec.outputs:
-        lines += [f"# samples: {spec.samples}", f"# generator: {GENERATOR_ID}"]
-    lines.append(f"# points: {len(result.reasons)} failed: {result.n_failed}")
-    lines += [f"# failed: {spec.swept.name}={_format_value(result.swept[k])}: " + "; ".join(why).replace("\n", " ")
+        config += [f"seed={spec.seed}", f"samples={spec.samples}", f"generator={GENERATOR_ID}"]
+    lines = [f"# thermalcast {__version__}",
+             f"# generated: {_dt.datetime.now(_dt.timezone.utc).isoformat(timespec='seconds')}",
+             *(f"# {line}" for line in config), f"# points: {len(result.reasons)} failed: {result.n_failed}"]
+    lines += [f"# failed: {spec.swept.name}={result.swept[k]:.12g}: " + "; ".join(why).replace("\n", " ")
               for k, why in compress(enumerate(result.reasons), result.reasons)]  # the failed rows only
     lines.append(",".join((spec.swept.name,) + spec.outputs))
-    # every cell in _format_value's text, by one format over the row-major table
+    # every cell at twelve significant digits, by one format over the row-major table
     table = np.column_stack([result.swept] + [result.columns[out] for out in spec.outputs])
     data = (",".join(["%.12g"] * table.shape[1]) + "\n") * len(table) % tuple(table.ravel().tolist())
     partial = Path(f"{destination}.{os.getpid()}.partial")
@@ -234,7 +229,7 @@ def emit_csv(result: SweepResult, destination: str | Path):
 
 
 # ---------------------------------------------------------------------------
-# Config files: flat key=value lines, '#' comments, case-sensitive keys.
+# Config files: flat key=value lines, '#' comments, case-sensitive keys; a CSV's header is one.
 
 def _parse_number(convert: type, key: str, raw: str, line_no: int):
     try:
@@ -255,19 +250,22 @@ def _parse_swept(raw: str, line_no: int) -> SweptRange:
 
 
 def parse_config(text: str) -> SweepSpec:
-    """Parse a sweep config into a :class:`SweepSpec`; complaints name their line.
+    """Parse a sweep config, or the CSV :func:`emit_csv` wrote, into a :class:`SweepSpec`; complaints name their line.
 
-    Only syntax is checked here; a :class:`SweepSpec` rule is reported on
-    the line of the key it names. Unknown and duplicate keys, and parameters its
-    scenario does not read, are errors: an ignored parameter would change the physics.
+    A text that opens with a CSV's version and timestamp lines is read from line 3 up to '# points:', each line
+    without its '# '. Only syntax is checked here; a :class:`SweepSpec` rule is reported on the line of its key.
+    Unknown or duplicate keys, foreign parameters and a generator not ``GENERATOR_ID`` are errors: each changes the run.
     """
     if not isinstance(text, str):
         raise ConfigError(f"config text must be a str, got {type(text).__name__}")
     seen: dict[str, int] = {}
     fields: dict[str, object] = {}
     fixed: dict[str, float] = {}
+    lines = text.splitlines()
+    if lines[1:] and lines[0].startswith("# thermalcast ") and lines[1].startswith("# generated: "):  # a CSV
+        lines[2:] = [line.removeprefix("# ") for line in takewhile(lambda s: not s.startswith("# points:"), lines[2:])]
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -283,6 +281,9 @@ def parse_config(text: str) -> SweepSpec:
             fields["swept"] = _parse_swept(value, line_no)
         elif key == "outputs":
             fields["outputs"] = tuple(part.strip() for part in value.split(","))
+        elif key == "generator":  # another generator would draw other bytes at the same seed
+            if value != GENERATOR_ID:
+                raise ConfigError(f"generator: this build draws with {GENERATOR_ID}, got {value!r}", line_no)
         elif key in ("seed", "samples"):
             fields[key] = _parse_number(int, key, value, line_no)
         elif key in PARAM_NAMES:

@@ -13,7 +13,9 @@ Each tree runs in its own interpreter, with that tree first on ``PYTHONPATH``:
   points, so the seams between passes are compared too;
 * five ``g2check`` calls, their stdout kept as a text file each;
 * refused runs (``REFUSED``): each one's exit code and ``error:`` lines, kept as a text file each, so a
-  change that moves a rule shows every sentence it changed.
+  change that moves a rule shows every sentence it changed. Two of them replay a CSV: ``config_other_generator``
+  names a generator other than the build's, and ``config_old_header`` has the ``# key: value`` header of
+  versions before the header became the run's config.
 
 It prints every line that differs, ignoring ``# generated`` stamps, then one summary line per file
 with its count of differing lines and of ``nan`` cells in each tree. It exits 1 when any line differs.
@@ -48,6 +50,7 @@ G2CHECKS = [
     ["--nu", "1", "--seed", "4"],
     ["--nu", "1.02", "--eta-ab", "0.5", "--samples", "20000", "--seed", "5"],
 ]
+CSV_STAMP = ["# thermalcast 0.1.0", "# generated: 2026-01-01T00:00:00+00:00"]
 # Runs the CLI must refuse: a list is a config for ``sweep``, a tuple a whole argv.
 REFUSED = {
     "config_scenario": ["scenario=bogus", "sweep=eta_ab:0.1:0.9:9", "outputs=cmi"],
@@ -60,6 +63,10 @@ REFUSED = {
     "config_no_seed": ["scenario=basic", "sweep=eta_ab:0.1:0.9:3", "outputs=g2"],
     "config_few_samples": ["scenario=basic", "sweep=eta_ab:0.1:0.9:3", "outputs=g2", "seed=1", "samples=10"],
     "config_one_point_range": ["scenario=basic", "sweep=nu:1:5:1", "outputs=cmi"],
+    "config_other_generator": [*CSV_STAMP, "# scenario=basic", "# sweep=eta_ab:0.1:0.9:3", "# outputs=g2", "# seed=1",
+                               "# samples=1000", "# generator=pcg64/v1", "# points: 3 failed: 0", "eta_ab,g2"],
+    "config_old_header": [*CSV_STAMP, "# scenario: basic", "# fixed: nu=2", "# sweep: eta_ab:0.1:0.9:3",
+                          "# outputs: cmi", "# seed: none", "# points: 3 failed: 0", "eta_ab,cmi"],
     "g2check_transmittance": ("g2check", "--eta-ab", "1.5", "--seed", "1"),
     "g2check_variance": ("g2check", "--nu", "0.5", "--seed", "1"),
     "g2check_huge_variance": ("g2check", "--v-th", "1e7", "--seed", "1"),

@@ -202,10 +202,17 @@ def test_g2check_reports_thermal(capsys):
     assert "g2 analytic: 2" in out
     assert "generator: sfc64/v7" in out
     assert "params: nu=10" in out
-    # the echo keeps the 12 digits a CSV's '# fixed:' line keeps, so it reproduces the run
+    # the echo is in the digits a CSV header keeps, so it reproduces the run
     assert main(["g2check", "--nu", "10.0000001", "--eta-ab", "0.123456789", "--samples", "2000", "--seed", "4"]) == 0
     params = capsys.readouterr().out.splitlines()[0].split()
     assert params[:2] == ["params:", "nu=10.0000001"] and "eta_ab=0.123456789" in params
+
+
+def test_g2check_echoes_flags_that_read_back_exactly(capsys):
+    flags = {"nu": "7.234987234987234", "eta_ab": "0.123456789012345"}
+    assert main(["g2check", "--nu", flags["nu"], "--eta-ab", flags["eta_ab"], "--samples", "2000", "--seed", "4"]) == 0
+    echo = dict(item.split("=") for item in capsys.readouterr().out.splitlines()[0].split()[1:])
+    assert {name: float(echo[name]) for name in flags} == {name: float(value) for name, value in flags.items()}
 
 
 def test_g2check_samples_the_pair_kernel_at_its_parameters(capsys):
@@ -248,7 +255,8 @@ def test_g2check_draws_what_a_sweep_draws_at_its_first_point(tmp_path, capsys):
 
 
 def test_g2check_exits_two_when_its_one_point_fails(monkeypatch, capsys):
-    # no in-domain input fails the draw; a vacuum source's pair made not positive definite stands in for one
+    # no in-domain input fails the draw; a pair made not positive definite stands in for one. At a bright source
+    # (c != 0), the information measures' log1p would warn on it before the draw fails: a g2 run computes none
     real = thermalcast.sweep.pair_entries
 
     def broken(params):
@@ -257,8 +265,9 @@ def test_g2check_exits_two_when_its_one_point_fails(monkeypatch, capsys):
         return a, b, c, d
 
     monkeypatch.setattr(thermalcast.sweep, "pair_entries", broken)
-    assert main(["g2check", "--samples", "1000", "--seed", "1"]) == 2
-    assert capsys.readouterr() == ("", "error: covariance matrix is not positive definite\n")
+    for nu in ("1", "10"):
+        assert main(["g2check", "--nu", nu, "--samples", "1000", "--seed", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: covariance matrix is not positive definite\n")
 
 
 def test_g2check_reads_its_topology_from_the_flags(capsys):

@@ -127,6 +127,7 @@ def test_parsed_small_sweep_runs_and_emits(text):
         except ThermalcastError:
             assert not out.exists()
             return
+        assert parse_config(out.read_text()) == spec  # the header is the spec, in digits that read back
         data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert len(data) == 1 + spec.swept.count
     for i, why in enumerate(result.reasons):

@@ -22,6 +22,7 @@ nu=2
 sweep=eta_ab:0.01:0.99:99
 outputs=cmi,discord
 """
+CSV_STAMP = "# thermalcast 0.1.0\n# generated: 2026-01-01T00:00:00+00:00\n"
 
 
 def small_spec(**overrides):
@@ -120,6 +121,15 @@ outputs = cmi
     assert spec.swept.count == 9
 
 
+def test_parse_reads_only_a_csv_header_as_config():
+    # a config that opens with some other 'thermalcast' comment keeps its commented-out settings as comments
+    assert parse_config("# thermalcast notes\n# seed=5\n" + GOOD_CONFIG) == parse_config(GOOD_CONFIG)
+    # a CSV's header is read up to its point count: the table and failed-row lines are not config
+    csv = f"{CSV_STAMP}# scenario=basic\n# nu=2\n# sweep=eta_ab:0.01:0.99:99\n# outputs=cmi,discord\n" \
+          "# points: 99 failed: 1\n# failed: eta_ab=0.5: reason\neta_ab,cmi,discord\n0.01,1,2\n"
+    assert parse_config(csv) == parse_config(GOOD_CONFIG)
+
+
 def test_parse_g2_needs_seed_and_accepts_samples():
     text = GOOD_CONFIG.replace("outputs=cmi,discord", "outputs=g2\nseed=7\nsamples=2000")
     spec = parse_config(text)
@@ -149,6 +159,11 @@ def test_parse_g2_needs_seed_and_accepts_samples():
      7, "samples"),
     ("scenario=basic\nnu=2\nsweep=eta_ab:0.1:0.9:9\noutputs=cmi,cmi", 4, "duplicate"),
     ("outputs=cmi\nsweep=eta_ab:0.1:0.9:100001\nscenario=basic", 2, "count"),
+    # a CSV whose header was drawn by another generator, and one with the '# key: value' header of older versions
+    (f"{CSV_STAMP}# scenario=basic\n# sweep=eta_ab:0.1:0.9:3\n# outputs=g2\n# seed=1\n# samples=1000\n"
+     "# generator=pcg64/v1\n# points: 3 failed: 0\neta_ab,g2\n", 8, "generator: this build draws with sfc64/v7"),
+    (f"{CSV_STAMP}# scenario: basic\n# fixed: nu=2\n# sweep: eta_ab:0.1:0.9:3\n# outputs: cmi\n# seed: none\n"
+     "# points: 3 failed: 0\neta_ab,cmi\n", 3, "expected key=value, got 'scenario: basic'"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, needle):
     with pytest.raises(ConfigError) as err:
@@ -301,7 +316,7 @@ def test_one_pass_per_sample_count_matches_each_sweep_alone(monkeypatch):
 
     monkeypatch.setattr(thermalcast.sweep, "pair_measures", counted)
     together = run_sweeps(specs)
-    assert passes == [(3 * 99 + 5 * 100 + 8 * 99, ["cmi", "discord", "mi"]), (4 + 3, ["cmi", "mi"]), (4, [])]
+    assert passes == [(3 * 99 + 5 * 100 + 8 * 99, ["cmi", "discord", "mi"]), (4 + 3, ["cmi", "mi"])]  # g2 alone: none
     for spec, result in zip(specs, together):
         _same_bits(result, run_sweeps([spec])[0])
     # each g2 point keeps the stream of its index in the range: the descending sweep's rows are points 2, 1, 0
@@ -510,14 +525,10 @@ def test_emit_csv_layout(tmp_path):
     assert b"\r" not in raw and raw.endswith(b"\n")
     lines = raw.decode("ascii").splitlines()
     meta = [ln for ln in lines if ln.startswith("#")]
-    assert meta[0].startswith("# thermalcast ")
-    assert any(ln == "# scenario: basic" for ln in meta)
-    assert any(ln == "# fixed: nu=2" for ln in meta)
-    assert any(ln == "# sweep: eta_ab:0.2:0.8:4" for ln in meta)
-    assert any(ln == "# points: 4 failed: 0" for ln in meta)
-    assert not any(ln.startswith("# failed:") for ln in meta)
-    # no g2, no sampling: neither the sample count nor the generator is written
-    assert not any(ln.startswith(("# samples:", "# generator:")) for ln in meta)
+    assert meta[0].startswith("# thermalcast ") and meta[1].startswith("# generated: ")
+    # the run's config, then the point count and no failed row; no g2, so no seed, sample count or generator
+    assert meta[2:] == ["# scenario=basic", "# nu=2", "# sweep=eta_ab:0.2:0.8:4", "# outputs=cmi,discord",
+                        "# points: 4 failed: 0"]
     header = lines[len(meta)]
     assert header == "eta_ab,cmi,discord"
     data = lines[len(meta) + 1:]
@@ -534,8 +545,9 @@ def test_emit_csv_names_the_generator_of_a_g2_run(tmp_path):
     out = tmp_path / "g2.csv"
     emit_csv(run_sweeps([spec])[0], out)
     lines = out.read_text().splitlines()
-    at = lines.index("# samples: 1000")
-    assert lines[at + 1] == f"# generator: {thermalcast.hbt.GENERATOR_ID}"
+    at = lines.index("# samples=1000")
+    assert lines[at - 1] == "# seed=5"
+    assert lines[at + 1] == f"# generator={thermalcast.hbt.GENERATOR_ID}"
     assert lines[at + 2] == "# points: 4 failed: 0"
 
 
@@ -554,15 +566,17 @@ def test_emit_csv_names_each_failed_row(tmp_path, monkeypatch):
     assert (nu, cmi) == ("1000000", "nan") and math.isfinite(float(discord))
 
 
-def test_emit_csv_metadata_keeps_twelve_digits(tmp_path):
-    spec = parse_config("scenario=basic\nnu=1040.123456\nsweep=eta_ab:0.1234567:0.9:2\n"
+def test_emit_csv_metadata_keeps_every_digit(tmp_path):
+    # the inputs read back exactly, 17 digits and all; the table keeps twelve
+    spec = parse_config("scenario=basic\nnu=7.234987234987234\nsweep=eta_ab:0.1234567890123456:0.9:2\n"
                         "outputs=cmi\n")
     out = tmp_path / "digits.csv"
     emit_csv(run_sweeps([spec])[0], out)
     lines = out.read_text().splitlines()
-    assert "# fixed: nu=1040.123456" in lines
-    assert "# sweep: eta_ab:0.1234567:0.9:2" in lines
-    assert lines[-2].startswith("0.1234567,")
+    assert "# nu=7.234987234987234" in lines
+    assert "# sweep=eta_ab:0.1234567890123456:0.9:2" in lines
+    assert lines[-2].startswith("0.123456789012,")
+    assert parse_config(out.read_text()) == spec
 
 
 def test_emit_csv_is_stable_across_runs(tmp_path):
