@@ -215,14 +215,13 @@ def tensor(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:
 
 def apply_beamsplitter(state: CovarianceMatrix, mode_a: int, mode_b: int,
                        transmittance: float) -> CovarianceMatrix:
-    """Mix two modes of one state on a beamsplitter: Gamma' = S Gamma S^T."""
+    """Mix two modes of one state on a beamsplitter: Gamma' = S Gamma S^T, which ``CovarianceMatrix`` symmetrizes."""
     select_modes(check_state(state), [mode_a, mode_b])
     check_transmittance("transmittance", transmittance)
     eta = float(transmittance)
     with np.errstate(over="ignore", invalid="ignore"):  # a mix past the float range is refused as non-finite
         out = mix_rows(mix_rows(state.data, mode_a, mode_b, eta).T, mode_a, mode_b, eta)  # (S Gamma S^T)^T
-        return _with_factor(out / 2.0 + out.T / 2.0,  # halving first: no overflow near the float limit
-                            None if state.factor is None else mix_rows(state.factor, mode_a, mode_b, eta))  # S F
+        return _with_factor(out, None if state.factor is None else mix_rows(state.factor, mode_a, mode_b, eta))  # S F
 
 
 def _with_factor(data: np.ndarray, factor: np.ndarray | None) -> CovarianceMatrix:

@@ -11,7 +11,7 @@ draws from ``SFC64(SeedSequence(seed, spawn_key=(j, k)))``, j a sweep point's in
 one-pair draw. ``GENERATOR_ID`` names the generator in every g2 output, so (seed, point) pins the bytes on any
 platform and any number of CPUs. ``sample_quadratures`` stores the rows and ``thermality_check`` sums each as drawn,
 on blocks that keep BLAS on one thread; ``g2_pairs`` (sweeps, ``g2check``'s one point too) forms a pair's intensities
-on its own blocks. A draw's tables of sums are reported together, in array passes that keep each point's bits.
+on its own blocks. A g2 run draws ``_REPORT_POINTS`` points at a time and reports each chunk as soon as it is drawn.
 """
 from __future__ import annotations
 
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError, UndefinedResultError
-from .gaussian import (CovarianceMatrix, _cholesky, _is_integer, _mode_columns, check_state, flag_rows, reduce,
-                       select_modes)
+from .gaussian import CovarianceMatrix, _cholesky, _is_integer, _mode_columns, check_state, flag_rows, select_modes
 
 GENERATOR_ID = "sfc64/v7"
 
@@ -49,7 +48,7 @@ _VACUUM_PHOTONS = 1e-12
 # OpenBLAS runs a gemm of rows * d * d <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread
 _ONE_THREAD_GEMM = 2 ** 18
 
-_REPORT_POINTS = 2 ** 7  # points per report pass: each of its (points, 3, JACKKNIFE_BLOCKS) temporaries is 0.3 MB
+_REPORT_POINTS = 2 ** 7  # points per g2 chunk: each of its (points, 3, JACKKNIFE_BLOCKS) temporaries is 0.3 MB
 
 # Threads per draw: the CPUs this process may run on when imported; ``taskset`` narrows them
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -188,7 +187,7 @@ def _piece_sums(vals, start, cuts, pieces) -> None:
 
 
 def _report(pieces: np.ndarray, cuts: np.ndarray, bounds: np.ndarray, exact: list) -> list:
-    """Each point's report, with ``exact`` as its g2_analytic, from an (N, 3, P) stack of its three sums per piece."""
+    """Each point's report, ``exact`` its g2_analytic, from a chunk's (N, 3, P) stack of its three sums per piece."""
     n, counts = int(bounds[-1]), np.diff(bounds)
     sums = np.add.reduceat(pieces, np.searchsorted(cuts, bounds[:-1]), axis=2)  # [i, :, j]: point i's block j sums
     totals = sums.sum(axis=2)
@@ -211,7 +210,7 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
     The standard error comes from a delete-one-block jackknife with ``JACKKNIFE_BLOCKS`` blocks. A mean intensity
     within three of its own jackknife errors of zero makes the ratio meaningless; that yields the inconclusive verdict,
     never an exception. The analytic field is left unset; compare against :func:`g2_analytic` or use
-    :func:`thermality_check`. The sums run by the sampler's row blocks and go through the same report pass as
+    :func:`thermality_check`. The sums run by the sampler's row blocks and go through the same report as
     :func:`thermality_check`'s, so both give the same bits for the same draw.
     """
     cols = _check_samples(samples, mode_a, mode_b)  # first: len() of a non-array can raise
@@ -228,20 +227,22 @@ def g2_cross_estimate(samples: np.ndarray, mode_a: int, mode_b: int) -> G2Report
 
 
 def _g2_sums(n_samples: int, keys, errors: list, exact: list, block: int, width: int, fill) -> list:
-    """Each keyed pair's blocks of at most ``block`` rows, in one pool, to piece sums: a report with its ``exact`` value
-    (None if failed in ``errors``: not drawn). ``fill(i, rng, vals)`` takes ``width`` rows, returns 3, I_a first."""
+    """Each keyed pair's blocks of at most ``block`` rows to piece sums: a report with its ``exact`` value (None if
+    failed in ``errors``: not drawn). ``fill(i, rng, vals)`` takes ``width`` rows, returns 3, I_a first."""
     _check_draw(n_samples, keys, MIN_G2_SAMPLES)
     rows, cuts, bounds = _layout(n_samples, block)
-    pieces = np.zeros((len(keys), 3, len(cuts) - 1))  # a failed row's stay 0
 
-    def make_sink(m):  # per thread: one buffer, cut into ``width`` rows of each block's length
+    def make_sink(m):  # per thread: one buffer of ``width`` rows; ``first`` and ``pieces`` are the chunk being drawn
         scratch = np.empty(width * m)
-        return lambda i, start, stop, rng: errors[i] or _piece_sums(
-            fill(i, rng, scratch[:width * (stop - start)].reshape(width, -1)), start, cuts, pieces[i])
+        return lambda i, start, stop, rng: errors[first + i] or _piece_sums(
+            fill(first + i, rng, scratch[:width * (stop - start)].reshape(width, -1)), start, cuts, pieces[i])
 
-    _draw(rows, keys, make_sink)
-    return [None if exc else report for i in range(0, len(keys), _REPORT_POINTS) for exc, report in zip(
-        errors[i:i + _REPORT_POINTS], _report(pieces[i:i + _REPORT_POINTS], cuts, bounds, exact[i:i + _REPORT_POINTS]))]
+    reports = []
+    for first in range(0, len(keys), _REPORT_POINTS):  # each chunk in one pool, then reported: one chunk's sums held
+        pieces = np.zeros((len(keys[first:first + _REPORT_POINTS]), 3, len(cuts) - 1))  # a failed row's stay 0
+        _draw(rows, keys[first:first + _REPORT_POINTS], make_sink)
+        reports += _report(pieces, cuts, bounds, exact[first:first + _REPORT_POINTS])
+    return [None if exc else report for exc, report in zip(errors, reports)]
 
 
 def _flag_huge(stack: np.ndarray, errors: list) -> None:
@@ -265,6 +266,7 @@ def g2_pairs(pairs: np.ndarray, n_samples: int, keys, errors: list) -> list:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # failed rows draw nothing
         _flag_huge(((c * c + d) / a)[:, None], errors)  # an overflow reads inf, past the range
         coefs = np.stack([a / 2.0, c / np.sqrt(2.0 * a), np.sqrt(d / a) / 2.0], axis=1)
+        exact = _exact_g2(pairs[:, [0, 0, 1, 1]], pairs[:, [2, 2]])
 
     def fill(i, rng, vals):  # rows E, then I_b, n1 and n2, formed in place
         half_a, mu, sigma = coefs[i]
@@ -278,33 +280,35 @@ def g2_pairs(pairs: np.ndarray, n_samples: int, keys, errors: list) -> list:
         vals[:2] -= 0.5
         return vals[:3]
 
-    exact = [None if min(a - 1.0, b - 1.0) / 2.0 <= _VACUUM_PHOTONS else 1.0 + c * c / ((a - 1.0) * (b - 1.0))
-             for a, b, c, _ in pairs.tolist()]
     return _g2_sums(n_samples, keys, errors, exact, 2 ** 15, 4, fill)  # 4 rows of 2^15 per thread: 1 MiB, within L2
 
 
-def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
-    """Exact g2(0) from the covariance matrix via fourth Gaussian moments.
+def _exact_g2(diagonal: np.ndarray, cross: np.ndarray) -> list:
+    """1 + cross / (excess_a excess_b) per row of ``diagonal``, (G_xx, G_pp) of mode a then b, and ``cross``, the cross
+    block C: excess = (G_xx - 1) + (G_pp - 1), cross = 2 ||C||^2; None at excess / 4 <= ``_VACUUM_PHOTONS`` photons."""
+    excess = (diagonal[:, 0::2] - 1.0) + (diagonal[:, 1::2] - 1.0)
+    return [None if min(e_a, e_b) / 4.0 <= _VACUUM_PHOTONS else 1.0 + x / (e_a * e_b)
+            for (e_a, e_b), x in zip(excess.tolist(), (2.0 * np.square(cross).sum(axis=1)).tolist())]
 
-    Pairs of quadratures expand by Isserlis' theorem:
-    E[u^2 v^2] = G_uu G_vv + 2 G_uv^2. The modes must be distinct and in range.
-    """
+
+def _pair_g2(state: CovarianceMatrix, mode_a: int, mode_b: int) -> tuple[np.ndarray, float | None]:
+    """The (mode_a, mode_b) matrix of ``state`` and its ``_exact_g2``; one past the g2 range fails as in the stacks."""
     gamma, errors = select_modes(check_state(state), [mode_a, mode_b]), [None]
-    _flag_huge(gamma[None], errors)  # the range the g2 stacks take, with their message
+    _flag_huge(gamma[None], errors)
     if errors[0]:
         raise errors[0]
-    raw = 0.0
-    for u in (0, 1):
-        for v in (2, 3):
-            raw += gamma[u, u] * gamma[v, v] + 2.0 * gamma[u, v] ** 2
-    trace_a = gamma[0, 0] + gamma[1, 1]
-    trace_b = gamma[2, 2] + gamma[3, 3]
-    mean_prod = (raw - 2.0 * trace_a - 2.0 * trace_b + 4.0) / 16.0
-    nbar_a = (trace_a - 2.0) / 4.0
-    nbar_b = (trace_b - 2.0) / 4.0
-    if min(nbar_a, nbar_b) <= _VACUUM_PHOTONS:
+    return gamma, _exact_g2(np.diagonal(gamma)[None], gamma[:2, 2:].reshape(1, 4))[0]
+
+
+def g2_analytic(state: CovarianceMatrix, mode_a: int, mode_b: int) -> float:
+    """Exact g2(0) from fourth Gaussian moments: 1 + 2 ||C||^2 / (excess_a excess_b) by Isserlis' theorem, C the pair's
+    cross block and excess = (G_xx - 1) + (G_pp - 1) per mode, within a few ulps of the exact value of the stored
+    entries, dim pairs too. The modes must be distinct and in range, each with over ``_VACUUM_PHOTONS`` photons.
+    """
+    exact = _pair_g2(state, mode_a, mode_b)[1]
+    if exact is None:
         raise UndefinedResultError("zero mean intensity, g2 is undefined")
-    return mean_prod / (nbar_a * nbar_b)
+    return exact
 
 
 def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
@@ -317,12 +321,8 @@ def thermality_check(state: CovarianceMatrix, mode_a: int, mode_b: int,
     marginal is the principal submatrix, so this is exact in distribution
     and draws four columns per sample however many modes the state has.
     """
-    pair = reduce(state, [mode_a, mode_b])
-    try:  # before the draw: its range check is the one the draw needs
-        exact = g2_analytic(pair, 0, 1)
-    except UndefinedResultError:
-        exact = None
-    factor = _cholesky(pair.data, "covariance matrix")
+    pair, exact = _pair_g2(state, mode_a, mode_b)  # before the draw: its range check is the one the draw needs
+    factor = _cholesky(pair, "covariance matrix")
 
     def fill(i, rng, vals):  # three rows for the sums, then N and L N^T: the quadratures as contiguous rows
         normals = rng.standard_normal(out=vals[3:7].reshape(-1, 4))

@@ -1,4 +1,4 @@
-"""Compare what the CLI writes from two ``src/`` trees, line by line.
+"""Compare what the CLI writes from two ``src/`` trees, line by aligned line.
 
 Not collected by pytest. Run it from the repository root with the two trees to compare::
 
@@ -9,22 +9,25 @@ Each tree runs in its own interpreter, with that tree first on ``PYTHONPATH``:
 * ``figure --name all``: the preset CSVs;
 * a bright ``full`` g2 sweep, where every verdict is far from the 3-sigma noise line;
 * a ``basic`` g2 sweep across that line: nu 1.0:1.1:401, eta_ab 0.5, 20,000 samples, seed 99;
-* a ``basic`` g2 sweep of 2,500 points at 1,000 samples, more than one report pass of ``hbt._REPORT_POINTS``
-  points, so the seams between passes are compared too;
+* a ``basic`` g2 sweep of 2,500 points at 1,000 samples, more than one chunk of ``hbt._REPORT_POINTS`` points,
+  so the seams between chunks are compared too;
 * five ``g2check`` calls, their stdout kept as a text file each;
 * refused runs (``REFUSED``): each one's exit code and ``error:`` lines, kept as a text file each, so a
   change that moves a rule shows every sentence it changed. Two of them replay a CSV: ``config_other_generator``
   names a generator other than the build's, and ``config_old_header`` has the ``# key: value`` header of
   versions before the header became the run's config.
 
-It prints every line that differs, ignoring ``# generated`` stamps, then one summary line per file
-with its count of differing lines and of ``nan`` cells in each tree. It exits 1 when any line differs.
+It aligns the two versions of each file with ``difflib``, ignoring ``# generated`` stamps, and prints each run of
+lines that differs, so a line added to a header is reported alone, not with every line after it. Then it prints one
+summary line per file with its count of differing lines and of ``nan`` cells in each tree. It exits 1 when any line
+differs.
 
 With ``--digests SRC`` it writes one tree's outputs and prints the sha256 of each, ``# generated`` stamps
 removed, as the JSON of ``tests/output_digests.json``, which ``test_outputs.py`` holds the outputs to::
 
     python tests/compare_outputs.py --digests src > tests/output_digests.json
 """
+import difflib
 import hashlib
 import json
 import os
@@ -134,14 +137,17 @@ def main(old_src: str, new_src: str) -> int:
         summary, differ = [], False
         for name in names:
             before, after = kept_lines(old / name), kept_lines(new / name)
-            changed = [(i, a, b) for i, (a, b) in enumerate(zip(before, after), 1) if a != b]
-            for i, a, b in changed:
-                print(f"{name}:{i}\n  - {a}\n  + {b}")
+            changed = [op for op in difflib.SequenceMatcher(None, before, after, autojunk=False).get_opcodes()
+                       if op[0] != "equal"]
+            for _, i, j, k, m in changed:  # before[i:j] became after[k:m]
+                print(f"{name}:{i + 1}" + "".join(f"\n  - {line}" for line in before[i:j])
+                      + "".join(f"\n  + {line}" for line in after[k:m]))
             if len(before) != len(after):
                 print(f"{name}: {len(before)} lines -> {len(after)} lines")
             nans = [sum(line.count("nan") for line in lines if not line.startswith("#")) for lines in (before, after)]
-            summary.append(f"{name}: {len(changed)} of {len(before)} lines differ, nan cells {nans[0]} -> {nans[1]}")
-            differ = differ or bool(changed) or len(before) != len(after)
+            count = sum(max(j - i, m - k) for _, i, j, k, m in changed)
+            summary.append(f"{name}: {count} of {len(before)} lines differ, nan cells {nans[0]} -> {nans[1]}")
+            differ = differ or bool(changed)
         print("\n".join(summary))
         return int(differ)
 

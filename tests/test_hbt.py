@@ -2,6 +2,7 @@
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -304,6 +305,27 @@ def test_analytic_needs_two_modes():
         g2_analytic(make_thermal(2.0), 0, 0)
 
 
+def isserlis_g2(gamma):
+    # E[I_a I_b] / (E[I_a] E[I_b]) of the stored entries in rationals, by E[u^2 v^2] = G_uu G_vv + 2 G_uv^2
+    g = [[Fraction(x) for x in row] for row in gamma.tolist()]
+    raw = sum(g[u][u] * g[v][v] + 2 * g[u][v] ** 2 for u in (0, 1) for v in (2, 3))
+    trace_a, trace_b = g[0][0] + g[1][1], g[2][2] + g[3][3]
+    return (raw - 2 * trace_a - 2 * trace_b + 4) / ((trace_a - 2) * (trace_b - 2))
+
+
+def test_analytic_is_within_four_ulps_of_the_stored_entries():
+    # dim pairs a = b = 1 + 2 delta, c = delta, whose g2 is 1.25 to rounding: expanding the moments in floats
+    # cancelled to 1.110 at delta = 1e-8 and to 0.0 at 1e-10; then states I + M M^T, dim to bright, of no pair form
+    rng = np.random.default_rng(5)
+    dim = [np.kron([[1 + 2 * delta, delta], [delta, 1 + 2 * delta]], np.eye(2)) for delta in 10.0 ** -np.arange(2, 11)]
+    general = [np.eye(4) + m @ m.T for m in rng.standard_normal((40, 4, 4)) * 10.0 ** rng.uniform(-5, 3, (40, 1, 1))]
+    for gamma in dim + general:
+        state = CovarianceMatrix(gamma)
+        value, exact = g2_analytic(state, 0, 1), isserlis_g2(state.data)
+        assert type(value) is float
+        assert abs(Fraction(value) - exact) <= 4 * Fraction(np.finfo(float).eps) * exact
+
+
 # ---------------------------------------------------------------------------
 # Estimated g2
 
@@ -594,6 +616,16 @@ def test_g2_pairs_reports_a_stack_as_its_one_point_calls(monkeypatch):
         assert reports[i] == hbt.g2_pairs(pairs[i:i + 1], hbt.MIN_G2_SAMPLES, [key], [None])[0]
 
 
+def test_g2_pairs_attaches_g2_analytic_of_its_pair_state():
+    # one exact rule: the pair kernel's value is g2_analytic's of [[a I, c I], [c I, b I]] to the bit, dim pairs too
+    dim = [[1 + 2 * delta, 1 + 2 * delta, delta, (1 + delta) * (1 + 3 * delta)] for delta in 10.0 ** -np.arange(2, 11)]
+    pairs = np.array(dim + [entries_of(**params) for _, params in PAIR_CASES if params.get("nu") != 1.0])
+    reports = hbt.g2_pairs(pairs, 1000, [(2, i) for i in range(len(pairs))], [None] * len(pairs))
+    for entries, report in zip(pairs, reports):
+        value = g2_analytic(pair_state(entries), 0, 1)
+        assert type(value) is float and report.g2_analytic == value
+
+
 def test_g2_pairs_stream_matches_committed_literals(monkeypatch):
     # row block 0 of seed 0 draws E for its rows, then n1, then n2: the first three (I_a, I_b) of the basic pair
     # at nu = 2, eta_ab = 0.5, (a, b, c, d) = (1.5, 1.5, -0.5, 2); a change to the draw or its order breaks this
@@ -642,6 +674,25 @@ def test_g2_pairs_holds_only_its_per_thread_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2 ** 20
+
+
+def test_g2_pairs_holds_one_chunk_of_sums_at_a_time(monkeypatch):
+    # each chunk of _REPORT_POINTS points is drawn and then reported, so the peak grows only by the reports kept;
+    # holding every point's piece sums until the last draw grew it by about 2.4 KB per point
+    monkeypatch.setattr(hbt, "_CPUS", 2)
+    entries = entries_of(nu=2.0, eta_ab=0.5)
+    hbt.g2_pairs(entries[None], 1000, [(1, 0)], [None])
+    peaks = []
+    for n_points in (250, 2000):
+        pairs, keys, errors = np.tile(entries, (n_points, 1)), [(1, i) for i in range(n_points)], [None] * n_points
+        tracemalloc.start()
+        try:
+            reports = hbt.g2_pairs(pairs, 1000, keys, errors)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == n_points and None not in reports
+    assert peaks[1] - peaks[0] < 2 ** 20
 
 
 @pytest.mark.parametrize("pair", [(1e-300, 1.0, 0.0, 1e-300), (1e150, 1e150, 0.0, 1e300), (5e-324, 1.0, 0.0, 5e-324)])
