@@ -15,8 +15,8 @@ from pathlib import Path
 from .errors import ConfigError, ThermalcastError, UsageError
 from .hbt import GENERATOR_ID
 from .scenarios import ScenarioParams
-from .sweep import (DEFAULT_G2_SAMPLES, PARAM_NAMES, PRESET_NAMES, SweepSpec, SweptRange, _format_value, emit_csv,
-                    expand_preset, parse_config, run_sweeps)
+from .sweep import (PARAM_NAMES, PRESET_NAMES, SweepSpec, SweptRange, _format_value, emit_csv, expand_preset,
+                    parse_config, run_sweeps)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +40,7 @@ def _build_parser() -> _Parser:
     p_fig.set_defaults(handler=_cmd_figure)
 
     p_g2 = sub.add_parser("g2check", help="sample the broadcast's receiver pair and test thermality via g2(0)")
-    p_g2.add_argument("--samples", type=int, default=DEFAULT_G2_SAMPLES)
+    p_g2.add_argument("--samples", type=int)  # None: the sweep's default
     p_g2.add_argument("--seed", type=int, required=True)
     for name in PARAM_NAMES:
         p_g2.add_argument(f"--{name.replace('_', '-')}", type=float, dest=name,
@@ -63,7 +63,7 @@ def _cmd_sweep(args) -> int:
         text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:  # a ValueError, which main does not catch
         raise ConfigError(f"config {args.config!r} is not UTF-8 at byte {exc.start}") from None
-    return _write_sweeps([(Path(args.out), parse_config(text))])
+    return _write_sweeps([(Path(args.out), parse_config(text.removeprefix("\ufeff")))])  # a byte-order mark is no key
 
 
 def _cmd_figure(args) -> int:

@@ -88,8 +88,8 @@ def sample_quadratures(state: CovarianceMatrix, n_samples: int, seed: int) -> np
     factor = _cholesky(check_state(state), "covariance matrix")
     samples = np.empty((n_samples, len(factor)))
     rows = _layout(n_samples, _ONE_THREAD_GEMM // len(factor) ** 2)[0]
-    _draw(rows, [(seed, 0)], lambda m: lambda i, start, stop, rng: np.matmul(
-        rng.standard_normal(out=samples[start:stop]), factor.T, out=samples[start:stop]))  # numpy buffers the overlap
+    _draw(rows, [(seed, 0)], len(factor), lambda i, start, rng, vals: np.matmul(  # the normals row by row, times F^T
+        rng.standard_normal(out=vals).reshape(-1, len(factor)), factor.T, out=samples[start:start + vals.shape[1]]))
     samples.setflags(write=False)
     return samples
 
@@ -118,18 +118,20 @@ def _layout(n_samples: int, block: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return rows, merged[np.diff(merged, prepend=-1) > 0], jack
 
 
-def _draw(rows: np.ndarray, keys, make_sink) -> None:
+def _draw(rows: np.ndarray, keys, width: int, sink) -> None:
     """Hand draw i's rows [rows[k], rows[k + 1]) and SFC64(SeedSequence(seed, spawn_key=(point, k))), keys[i] = (seed,
-    point), to one of up to ``_CPUS`` threads, the caller among them, which take the (i, k) in order. Each calls
-    ``make_sink(m)``, m rows at most, once, then ``sink(i, start, stop, rng)`` per block; the first failure raises."""
+    point), to one of up to ``_CPUS`` threads, the caller among them, which take the (i, k) in order. Each allocates
+    ``width`` rows of scratch once and calls ``sink(i, start, rng, vals)`` per block, ``vals`` a contiguous (width,
+    stop - start) view of it; the first failure raises."""
     items, failures = iter([(i, *key, k) for i, key in enumerate(keys) for k in range(len(rows) - 1)]), []
 
     def work():  # numpy drops the GIL in the draws and the arithmetic
         try:
-            sink = make_sink(np.diff(rows).max())
+            scratch = np.empty(width * np.diff(rows).max())
             for i, seed, point, k in items:
                 seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(point, k))
-                sink(i, rows[k], rows[k + 1], np.random.Generator(np.random.SFC64(seq)))
+                vals = scratch[:width * (rows[k + 1] - rows[k])].reshape(width, -1)
+                sink(i, rows[k], np.random.Generator(np.random.SFC64(seq)), vals)
         except Exception as exc:
             failures.append(exc)
 
@@ -232,15 +234,13 @@ def _g2_sums(n_samples: int, keys, errors: list, exact: list, block: int, width:
     _check_draw(n_samples, keys, MIN_G2_SAMPLES)
     rows, cuts, bounds = _layout(n_samples, block)
 
-    def make_sink(m):  # per thread: one buffer of ``width`` rows; ``first`` and ``pieces`` are the chunk being drawn
-        scratch = np.empty(width * m)
-        return lambda i, start, stop, rng: errors[first + i] or _piece_sums(
-            fill(first + i, rng, scratch[:width * (stop - start)].reshape(width, -1)), start, cuts, pieces[i])
+    def sink(i, start, rng, vals):  # ``first`` and ``pieces`` are the chunk being drawn
+        errors[first + i] or _piece_sums(fill(first + i, rng, vals), start, cuts, pieces[i])
 
     reports = []
     for first in range(0, len(keys), _REPORT_POINTS):  # each chunk in one pool, then reported: one chunk's sums held
         pieces = np.zeros((len(keys[first:first + _REPORT_POINTS]), 3, len(cuts) - 1))  # a failed row's stay 0
-        _draw(rows, keys[first:first + _REPORT_POINTS], make_sink)
+        _draw(rows, keys[first:first + _REPORT_POINTS], width, sink)
         reports += _report(pieces, cuts, bounds, exact[first:first + _REPORT_POINTS])
     return [None if exc else report for exc, report in zip(errors, reports)]
 

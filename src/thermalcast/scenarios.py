@@ -29,13 +29,6 @@ from .gaussian import (MAX_VARIANCE, CovarianceMatrix, _is_real, apply_beamsplit
                        check_variance, make_epr, make_thermal, make_vacuum, reduce, tensor)
 from .info import Partition
 
-MODE_E = "E"
-MODE_V = "V"
-MODE_B = "B"
-MODE_A = "A"
-MODE_VA = "V_a"
-MODE_VB = "V_b"
-
 # The parameters each topology reads; a sweep refuses any other.
 SCENARIO_PARAMS = {"basic": ("nu", "eta_ab"), "thermal_channel": ("nu", "eta_ab", "eta_th", "v_th"),
                    "full": ("nu", "eta_ab", "eta_th", "v_th", "eta_th_a", "v_alpha", "eta_th_b", "v_beta")}
@@ -118,12 +111,12 @@ class ScenarioState:
         The channel idlers (V, V_a, V_b) are environment: nobody reads them, so
         they are traced out of every information quantity.
         """
-        return Partition(*((self.mode_index(label),) for label in (MODE_A, MODE_B, MODE_E)))
+        return Partition(*((self.mode_index(label),) for label in ("A", "B", "E")))
 
 
 # The network's slots, in order, and the slots each topology labels.
-_SLOTS = (MODE_E, MODE_V, MODE_B, MODE_A, MODE_VA, MODE_VB)
-_LABELS = {"basic": (MODE_E, MODE_B, MODE_A), "thermal_channel": _SLOTS[:4], "full": _SLOTS}
+_SLOTS = ("E", "V", "B", "A", "V_a", "V_b")
+_LABELS = {"basic": ("E", "B", "A"), "thermal_channel": _SLOTS[:4], "full": _SLOTS}
 
 
 def _network(p: ScenarioParams) -> CovarianceMatrix:
@@ -188,7 +181,7 @@ def pair_entries(p) -> tuple[np.ndarray, ...]:
 # entry is spelled out from the model parameters, so an error in either
 # route shows up as a mismatch instead of cancelling silently.
 
-def _closed_form(p: ScenarioParams) -> np.ndarray:
+def _closed_form(p: ScenarioParams) -> CovarianceMatrix:
     """All 21 blocks of the network, slots (E, V, B, A, V_a, V_b), written out by hand.
 
     Every block is a multiple of I, except E's cross blocks, multiples of Z2 = diag(1, -1) as in the EPR pair.
@@ -217,21 +210,17 @@ def _closed_form(p: ScenarioParams) -> np.ndarray:
     out = np.kron(x + np.triu(x, 1).T, np.eye(2))
     out[1, 2:] *= -1.0  # E's p quadrature: the Z2 of its cross blocks
     out[2:, 1] *= -1.0
-    return out
-
-
-def _closed_state(p: ScenarioParams) -> CovarianceMatrix:
-    return CovarianceMatrix(_closed_form(p))
+    return CovarianceMatrix(out)
 
 
 def basic_closed_form(params: ScenarioParams) -> CovarianceMatrix:
     """Entrywise expression for the basic topology, order (E, B, A)."""
-    return _topology("basic", params, _closed_state)[1]
+    return _topology("basic", params, _closed_form)[1]
 
 
 def thermal_channel_closed_form(params: ScenarioParams) -> CovarianceMatrix:
     """Entrywise expression for the thermal-channel topology, order (E, V, B, A)."""
-    return _topology("thermal_channel", params, _closed_state)[1]
+    return _topology("thermal_channel", params, _closed_form)[1]
 
 
 def full_closed_form_blocks(params: ScenarioParams) -> dict[str, np.ndarray]:
@@ -240,7 +229,7 @@ def full_closed_form_blocks(params: ScenarioParams) -> dict[str, np.ndarray]:
     Keys name mode pairs in (E, V, B, A, V_a, V_b) order: "e" is the E diagonal block, "ea" the E-A cross block,
     and so on. They are six of the 21 blocks that :func:`_closed_form` writes out, idler rows included.
     """
-    gamma = _topology("full", params, _closed_state)[1].data
+    gamma = _topology("full", params, _closed_form)[1].data
     slots = {"e": (0, 0), "a": (3, 3), "b": (2, 2), "eb": (0, 2), "ea": (0, 3), "ab": (3, 2)}
     return {key: gamma[2 * i:2 * i + 2, 2 * j:2 * j + 2] for key, (i, j) in slots.items()}
 

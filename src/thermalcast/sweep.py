@@ -303,8 +303,6 @@ def parse_config(text: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # Figure presets: named sweep bundles reproducing the reference datasets.
 
-PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
-
 # Splitter sweeps stop short of 0 and 1: a fully one-sided splitter leaves
 # one receiver with vacuum and the information measures degenerate to the
 # trivial values. The channel sweep in fig6 does include eta_th = 1 on
@@ -312,36 +310,30 @@ PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 _ETA_AB_RANGE = SweptRange(name="eta_ab", start=0.01, stop=0.99, count=99)
 _ETA_TH_RANGE = SweptRange(name="eta_th", start=0.01, stop=1.0, count=100)
 
+# name -> (scenario, swept range, outputs, {tag: fixed}), one branch per tag.
+# fig3/fig4/fig5: basic broadcast vs splitter ratio at source variance 1, 2 and 1040. fig6: thermal channel vs
+# channel transmittance, one branch per channel variance. fig7/fig8: receiver-side channel noise at transmittance
+# 0.3 vs splitter ratio, one branch per (source variance, channel variance) pair.
+_PRESETS = {
+    "fig3": ("basic", _ETA_AB_RANGE, ("cmi", "mi", "discord"), {"": {"nu": 1.0}}),
+    "fig4": ("basic", _ETA_AB_RANGE, ("cmi", "discord"), {"": {"nu": 2.0}}),
+    "fig5": ("basic", _ETA_AB_RANGE, ("cmi", "discord"), {"": {"nu": 1040.0}}),
+    "fig6": ("thermal_channel", _ETA_TH_RANGE, ("cmi", "discord"),
+             {f"vth{v_th:g}": {"nu": 2.0, "eta_ab": 0.5, "v_th": float(v_th)} for v_th in (1, 2, 10, 100, 500)}),
+    **{name: ("full", _ETA_AB_RANGE, (output,),
+              {f"nu{nu:g}_v{v:g}": {"nu": float(nu), "eta_th_a": 0.3, "eta_th_b": 0.3, "v_alpha": float(v),
+                                    "v_beta": float(v)} for nu, v in ((1, 1), (2, 1), (1, 10), (2, 10))})
+       for name, output in (("fig7", "cmi"), ("fig8", "discord"))},
+}
+PRESET_NAMES = tuple(_PRESETS)
+
 
 def expand_preset(name: str) -> tuple[tuple[str, SweepSpec], ...]:
-    """Deterministic expansion of a preset name into its branches: (tag, sweep) pairs.
+    """Deterministic expansion of a preset name into its branches: (tag, sweep) pairs, fresh on every call.
 
     The tag goes into output filenames (empty for single-sweep presets).
-
-    fig3/fig4/fig5: basic broadcast vs splitter ratio at source variance
-    1, 2 and 1040. fig6: thermal channel vs channel transmittance, one
-    branch per channel variance. fig7/fig8: receiver-side channel noise at
-    transmittance 0.3, one branch per (source variance, channel variance)
-    pair; the swept axis is the splitter ratio.
     """
-    if not isinstance(name, str) or name not in PRESET_NAMES:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise UsageError(f"unknown preset {name!r}, choose from {PRESET_NAMES}")
-    if name in ("fig3", "fig4", "fig5"):
-        nu = {"fig3": 1.0, "fig4": 2.0, "fig5": 1040.0}[name]
-        outputs = ("cmi", "mi", "discord") if name == "fig3" else ("cmi", "discord")
-        return (("", SweepSpec(scenario="basic", swept=_ETA_AB_RANGE, fixed={"nu": nu}, outputs=outputs)),)
-    if name == "fig6":
-        return tuple(
-            (f"vth{v_th:g}", SweepSpec(
-                scenario="thermal_channel", swept=_ETA_TH_RANGE,
-                fixed={"nu": 2.0, "eta_ab": 0.5, "v_th": float(v_th)},
-                outputs=("cmi", "discord")))
-            for v_th in (1, 2, 10, 100, 500))
-    output = "cmi" if name == "fig7" else "discord"  # fig7 or fig8
-    return tuple(
-        (f"nu{nu:g}_v{v:g}", SweepSpec(
-            scenario="full", swept=_ETA_AB_RANGE,
-            fixed={"nu": float(nu), "eta_th_a": 0.3, "eta_th_b": 0.3,
-                   "v_alpha": float(v), "v_beta": float(v)},
-            outputs=(output,)))
-        for nu, v in ((1, 1), (2, 1), (1, 10), (2, 10)))
+    scenario, swept, outputs, branches = _PRESETS[name]
+    return tuple((tag, SweepSpec(scenario, swept, dict(fixed), outputs)) for tag, fixed in branches.items())

@@ -20,7 +20,7 @@ Each tree runs in its own interpreter, with that tree first on ``PYTHONPATH``:
 It aligns the two versions of each file with ``difflib``, ignoring ``# generated`` stamps, and prints each run of
 lines that differs, so a line added to a header is reported alone, not with every line after it. Then it prints one
 summary line per file with its count of differing lines and of ``nan`` cells in each tree. It exits 1 when any line
-differs.
+differs. First it prints each module's line count (as ``wc -l`` counts them) in both trees and the total change.
 
 With ``--digests SRC`` it writes one tree's outputs and prints the sha256 of each, ``# generated`` stamps
 removed, as the JSON of ``tests/output_digests.json``, which ``test_outputs.py`` holds the outputs to::
@@ -127,7 +127,17 @@ def digests(out: Path, names: list[str]) -> dict[str, str]:
     return {name: hashlib.sha256("\n".join(kept_lines(out / name)).encode()).hexdigest() for name in names}
 
 
+def line_counts(old_src: str, new_src: str) -> str:
+    """Each ``.py`` file's newline count in both trees, 0 where a tree lacks it, and the totals."""
+    trees = [{str(path.relative_to(src)): path.read_bytes().count(b"\n") for path in Path(src).rglob("*.py")}
+             for src in (old_src, new_src)]
+    rows = [(name, trees[0].get(name, 0), trees[1].get(name, 0)) for name in sorted(trees[0].keys() | trees[1].keys())]
+    rows.append(("total", sum(trees[0].values()), sum(trees[1].values())))
+    return "\n".join(f"{name}: {old} -> {new} lines ({new - old:+d})" for name, old, new in rows)
+
+
 def main(old_src: str, new_src: str) -> int:
+    print(line_counts(old_src, new_src))
     with tempfile.TemporaryDirectory() as scratch:
         old, new = Path(scratch, "old"), Path(scratch, "new")
         names, new_names = run_tree(Path(old_src), old), run_tree(Path(new_src), new)

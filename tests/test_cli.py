@@ -368,6 +368,20 @@ def test_an_undecodable_config_or_a_nul_in_a_path_is_one_error_line(argv, messag
     assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.cfg"]
 
 
+def test_a_config_behind_a_byte_order_mark_writes_what_it_writes_without(tmp_path, capsys):
+    # an editor's UTF-8 byte-order mark was read into the first key: "line 1: unknown key '\ufeffscenario'"
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + CONFIG.encode())
+    tables = []
+    for cfg in (write_config(tmp_path), tmp_path / "bom.cfg"):
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run.csv")]) == 0
+        tables.append([line for line in (tmp_path / "run.csv").read_text().splitlines()
+                       if not line.startswith("# generated")])
+    assert tables[0] == tables[1]
+    (tmp_path / "bad.cfg").write_bytes(b"\xef\xbb\xbfscenario=basic\nnu=2\xff\n")  # the offset counts the mark
+    assert main(["sweep", "--config", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: config {str(tmp_path / 'bad.cfg')!r} is not UTF-8 at byte 22\n"
+
+
 @pytest.mark.parametrize("nu", ["inf", "nan", "1e308"])
 def test_g2check_non_finite_or_overflowing_nu_exits_one(nu, capsys):
     assert main(["g2check", "--nu", nu, "--seed", "1"]) == 1

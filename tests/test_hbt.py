@@ -1,8 +1,10 @@
 """Sampling determinism and intensity-correlation estimates."""
+import json
 import re
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -568,6 +570,38 @@ def test_g2_pairs_is_exact_in_distribution(scenario, params, monkeypatch):
     checks = [thermality_check(state, 0, 1, n, seed) for seed in range(k)]
     ratio = np.mean([r.std_error for r in reports]) / np.mean([r.std_error for r in checks])
     assert 0.9 <= ratio <= 1.1
+
+
+# E[I_a^j I_b^k], j, k <= 2, as polynomials in a, b and c^2, derived by Isserlis' theorem (tests/make_g2_moments.py)
+MOMENTS = {tuple(map(int, key.split())): terms
+           for key, terms in json.loads(Path(__file__).with_name("g2_moments.json").read_text()).items()}
+
+
+def delta_method_g2(entries, n):
+    # g2 = m_ab / (m_a m_b) of the per-row means of (I_a, I_b, I_a I_b), and its delta-method standard error for n
+    # rows, sqrt(grad^T S grad / n), S their covariance; in exact fractions of the entries until the root
+    a, b, c, _ = map(Fraction, entries.tolist())
+    moment = {key: sum(Fraction(coef) * a ** i * b ** j * (c * c) ** k for coef, i, j, k in terms)
+              for key, terms in MOMENTS.items()}
+    rows = [(1, 0), (0, 1), (1, 1)]
+    mean = [moment[row] for row in rows]
+    cov = [[moment[p + r, q + s] - moment[p, q] * moment[r, s] for r, s in rows] for p, q in rows]
+    g2 = mean[2] / (mean[0] * mean[1])
+    grad = [-g2 / mean[0], -g2 / mean[1], 1 / (mean[0] * mean[1])]
+    return float(g2), float(sum(x * cov[i][j] * y for i, x in enumerate(grad) for j, y in enumerate(grad)) / n) ** 0.5
+
+
+@pytest.mark.parametrize("case", [3, 2, 4], ids=["dim", "vacuum-source", "bright"])
+def test_g2_pairs_error_bar_is_the_delta_method_error(case):
+    # the jackknife error of k seeds' reports, on average, against sigma / sqrt(n) from the moments in closed form.
+    # One seed's error scatters by about 1 / sqrt(2 (B - 1)) = 7%, so the mean of k is held to 4 of its standard
+    # errors, taken from the seeds' own spread; 1/B for the (B - 1) / B factor, or no centring, moves it 10x or more
+    entries, k, n = entries_of(**PAIR_CASES[case][1]), 40, 50_000
+    g2, expected = delta_method_g2(entries, n)
+    reports = hbt.g2_pairs(np.tile(entries, (k, 1)), n, [(7, i) for i in range(k)], [None] * k)
+    errors = np.array([report.std_error for report in reports])
+    assert reports[0].g2_analytic == pytest.approx(g2, rel=1e-12)
+    assert abs(errors.mean() - expected) <= 4.0 * errors.std(ddof=1) / np.sqrt(k)
 
 
 @pytest.mark.parametrize("scenario,params", PAIR_CASES)

@@ -144,7 +144,7 @@ def test_full_block_formulas_match_construction():
         params = ScenarioParams(nu=nu, eta_ab=eta, eta_th=0.7, v_th=2.0,
                                 eta_th_a=0.4, eta_th_b=0.6, v_alpha=v, v_beta=v)
         built = build_scenario("full", params).state.data
-        gap = np.abs(scenarios._closed_form(params) - built)
+        gap = np.abs(scenarios._closed_form(params).data - built)
         assert gap.max() <= 1e-12 * np.abs(built).max(), (nu, eta, v, gap.max())
 
 

@@ -712,6 +712,19 @@ def test_presets_cover_the_reference_figures():
             assert spec.fixed["v_alpha"] == spec.fixed["v_beta"]
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_each_preset_expansion_is_fresh(name):
+    # the presets live in one table; a caller that edits one expansion's fixed dict must not edit the table
+    first = expand_preset(name)
+    before = [(tag, spec.scenario, spec.swept, dict(spec.fixed), spec.outputs) for tag, spec in first]
+    for _, spec in first:
+        spec.fixed["nu"] = 7.0
+        spec.fixed.pop("eta_th_a", None)
+    again = expand_preset(name)
+    assert [(tag, spec.scenario, spec.swept, spec.fixed, spec.outputs) for tag, spec in again] == before
+    assert all(a.fixed is not b.fixed for (_, a), (_, b) in zip(first, again))
+
+
 def test_unknown_preset():
     with pytest.raises(UsageError):
         expand_preset("fig9")
