@@ -140,7 +140,7 @@ def _information(state: CovarianceMatrix, p: Partition, label: str) -> float:
         rows = state.factor[_mode_columns(len(data) // 2, a + b + s)]
     n_a, n_ab, dim = 2 * len(a), 2 * len(a + b), len(rows)
     logdets = [_log2det(rows[part]) for part in (np.r_[:n_a, n_ab:dim], np.s_[n_a:], np.s_[n_ab:], np.s_[:])]
-    # the README's accuracy contract: a carried factor keeps the brightness in its columns' scales, which its QR
+    # the README's "Accuracy contracts": a carried factor keeps the brightness in its columns' scales, which its QR
     # does not see, so kappa is 1 there
     spread = np.finfo(float).eps / 2.0 * ((2 * dim + 4 * len(s)) * dim * kappa / _LN2 + np.abs(logdets).sum())
     if not spread <= CLAMP_TOL:
@@ -155,7 +155,7 @@ def conditional_mutual_information(state: CovarianceMatrix, p: Partition) -> flo
     S may be empty (det of nothing is 1): that is :func:`mutual_information`. Gamma_ABS is checked first. Each
     log-det comes from the QR of rows of a square-root factor: the state's carried one, else Gamma_ABS's Cholesky
     factor. A Gamma_ABS that is not positive definite, or whose condition number lets its float64 entries move the
-    value past ``CLAMP_TOL`` (the README's contract), raises :class:`NumericFailureError`.
+    value past ``CLAMP_TOL`` (the README's "Accuracy contracts"), raises :class:`NumericFailureError`.
     """
     return _information(state, p, "conditional mutual information")
 

@@ -217,7 +217,7 @@ def test_cmi_with_empty_s_is_mutual_information():
 
 def test_a_hand_built_matrix_that_cannot_fix_cmi_is_refused_by_its_condition_number():
     # the bright build's own matrix, without the factor it carries: kappa(Gamma_ABS) ~ 4 nu^2 lets its rounding
-    # move CMI by far more than CLAMP_TOL, so it is refused, naming kappa and the spread the README derives
+    # move CMI by far more than CLAMP_TOL, so it is refused, naming kappa and the spread (README's "Accuracy contracts")
     built = build_scenario("basic", ScenarioParams(nu=1e6, eta_ab=0.3))
     p = built.information_partition()
     bare = CovarianceMatrix(built.state.data)
@@ -528,7 +528,7 @@ BRIGHT_REFERENCES = {
 
 
 def information_contract(state: CovarianceMatrix, p: Partition) -> float:
-    # the README's accuracy contract for one-state CMI and MI, restated: eps/2 (D dim kappa / ln 2 + sum |log2 det|)
+    # the README's "Accuracy contracts" for one-state CMI and MI, restated: eps/2 (D dim kappa / ln 2 + sum |log2 det|)
     # over the four blocks, D the sum of their dimensions, kappa = 1 for a carried factor, else kappa(Gamma_ABS)
     a, b, s = p.subsystem_a, p.subsystem_b, p.subsystem_s
     logdets = [np.linalg.slogdet(reduce(state, group).data)[1] / math.log(2.0) if group else 0.0
@@ -545,7 +545,7 @@ def test_bright_sources_match_sixty_digit_references(name, nu):
     p = scenario.information_partition()
     got = gaussian_discord(scenario.state, p.subsystem_a[0], p.subsystem_b[0]).value
     assert got == pytest.approx(discord, abs=2e-9)
-    # CMI and MI at the README's contract for a carried factor, under 1e-12 bits here
+    # CMI and MI at the README's "Accuracy contracts" for a carried factor, under 1e-12 bits here
     for measure, part, expected in ((mutual_information, Partition(p.subsystem_a, p.subsystem_b), mi),
                                     (conditional_mutual_information, p, cmi)):
         got = measure(scenario.state, part)
@@ -555,8 +555,8 @@ def test_bright_sources_match_sixty_digit_references(name, nu):
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_one_state_information_of_every_build_meets_its_contract(name):
     # 200 seeded builds, fields in SCENARIO_PARAMS order, variances log-uniform in [1, 1e6], transmittances uniform:
-    # none is refused, and one-state CMI and MI on the carried factor stay within the README's contract of
-    # pair_measures, which is itself within 1e-12 |value| + 1e-14 of 50-digit references
+    # none is refused, and one-state CMI and MI on the carried factor meet the README's "Accuracy contracts" bound
+    # against pair_measures, which is itself within 1e-12 |value| + 1e-14 of 50-digit references
     rng, n = np.random.default_rng(180), 200
     params = [ScenarioParams(**{field: 10.0 ** rng.uniform(0.0, 6.0) if field in VARIANCE_PARAMS else rng.uniform()
                                 for field in SCENARIO_PARAMS[name]}) for _ in range(n)]
